@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -30,7 +31,13 @@ from .polytope import (
     polytope_to_json,
     weyl_dim,
 )
-from .toric import ConvexDeformation, QuadraticNu, SectionDensity, SymplecticPotential, polytope_grid
+from .toric import (
+    ConvexDeformation,
+    QuadraticNu,
+    SymplecticPotential,
+    polytope_grid,
+    section_log_density,
+)
 from .flag import gc_map, random_flags
 from .flow import DegenerationFamily, FlowSingularityError
 from .lab import (
@@ -38,6 +45,7 @@ from .lab import (
     ConvergenceError,
     ExperimentConfig,
     ExpSchedule,
+    GridMeasure,
     QuadratureError,
     combined_experiment,
     concentration_sup,
@@ -234,30 +242,33 @@ def cmd_toric(args) -> int:
     if not P.contains(np.array(m), strict=True):
         raise UsageError("m must be an interior point")
     svals = parse_floats(cfg["s"])
+    if not all(math.isfinite(s) for s in svals):
+        raise UsageError("deformation strengths s must be finite")
     eps = float(cfg["eps"])
+    if not eps > 0:
+        raise UsageError("eps must be positive")
     per_axis = int(cfg["per_axis"])
+    if per_axis < 1:
+        raise UsageError("per_axis must be at least 1")
     nu = QuadraticNu(float(cfg["nu_scale"]) * np.eye(P.dim))
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu))
 
+    pts, log_vol = polytope_grid(P, per_axis)
     rows = []
     profiles = []
     for s in svals:
-        dens = SectionDensity(pot.at_s(float(s)), m)
-        mass = outside_mass(P, dens, m, eps, per_axis=per_axis)
-        sup = concentration_sup(P, dens, m, eps, per_axis=per_axis)
-        pair_one = delta_pairing(P, dens, lambda x: np.ones(x.shape[:-1]), per_axis=per_axis)
-        pair_x1 = delta_pairing(P, dens, lambda x: x[..., 0], per_axis=per_axis)
+        measure = GridMeasure(pts, section_log_density(pot.at_s(float(s)), m, pts), log_vol)
+        mass = outside_mass(measure, m, eps)
+        sup = concentration_sup(measure, m, eps)
+        pair_one = delta_pairing(measure, lambda x: np.ones(x.shape[:-1]))
+        pair_x1 = delta_pairing(measure, lambda x: x[..., 0])
         if not (0.0 <= mass <= 1.0):
             raise ToleranceFailure("mass-range", f"outside mass {mass} at s={s}")
         if abs(pair_one - 1.0) > 1e-9:
             raise ToleranceFailure("normalization", f"<1, tau> = {pair_one} at s={s}")
         rows.append([s, mass, sup, pair_one, pair_x1])
         if P.dim == 1:
-            pts, logvol = polytope_grid(P, per_axis)
-            ld = dens.log_magnitude(pts)
-            from scipy.special import logsumexp
-            prof = np.exp(ld - logsumexp(ld + logvol))
-            profiles.append((s, pts[:, 0], prof))
+            profiles.append((s, np.exp(measure.logdens - measure.log_total())))
 
     out = out_dir_for(args, "gcq-toric")
     artifacts = []
@@ -270,7 +281,7 @@ def cmd_toric(args) -> int:
     write_json(summary, {"config": cfg, "slope": slope})
     artifacts.append(summary)
     if profiles:
-        table = np.column_stack([profiles[0][1]] + [p[2] for p in profiles])
+        table = np.column_stack([pts[:, 0]] + [p[1] for p in profiles])
         dat = out / "profile.dat"
         write_gnuplot(dat, "normalized density profiles",
                       ["x"] + [f"s={fmt(p[0])}" for p in profiles], table)
@@ -370,7 +381,6 @@ LAB_DEFAULTS = {
     "flow_per_axis": 10,
     "h": 1e-3,
     "spot_points": 6,
-    "seed": 0,
     "jobs": 1,
 }
 
@@ -406,7 +416,6 @@ def cmd_lab_combined(args) -> int:
             flow_per_axis=int(cfg["flow_per_axis"]),
             h=float(cfg["h"]),
             spot_points=int(cfg["spot_points"]),
-            seed=int(cfg["seed"]),
             jobs=int(cfg["jobs"]),
         )
     except ValueError as e:

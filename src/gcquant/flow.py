@@ -211,14 +211,6 @@ class DegenerationFamily:
         zhat = np.asarray(vec, dtype=complex) * self._scale
         return self._project_scaled(C, zhat) / self._scale
 
-    def metric(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """Ambient Riemannian pairing of coordinate vectors (..., 7)."""
-        return np.real(_dots(v1 * self._scale, v2 * self._scale))
-
-    def omega(self, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """Ambient symplectic pairing of coordinate vectors (..., 7)."""
-        return np.imag(_dots(v1 * self._scale, v2 * self._scale))
-
     # ------------------------------------------------------------ flow field
 
     def z_field(self, state: State, guard: float = 1e-8):
@@ -238,11 +230,6 @@ class DegenerationFamily:
             )
         zhat = -(st * v) / nrm2[..., None]
         return zhat / self._scale, grad_norm
-
-    def z_of_ref(self, state: State) -> np.ndarray:
-        """Directional derivative Z(Re t); equals -1 wherever Z is defined."""
-        Z, _ = self.z_field(state)
-        return np.real(Z[..., 6])
 
     # ------------------------------------------------------------ retraction
 

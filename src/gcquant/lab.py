@@ -46,6 +46,7 @@ from .flow import DegenerationFamily, FlowSingularityError, State, transport_pha
 __all__ = [
     "smith_normal_form",
     "adapted_basis",
+    "GridMeasure",
     "outside_mass",
     "concentration_sup",
     "delta_pairing",
@@ -53,7 +54,6 @@ __all__ = [
     "decay_slope",
     "ExpSchedule",
     "AdaptiveSchedule",
-    "schedule_ts",
     "GCTorusModel",
     "section_equality_on_v0",
     "ExperimentConfig",
@@ -170,49 +170,48 @@ def _int_inverse(P: np.ndarray) -> np.ndarray:
 # -- toric quadrature experiments ----------------------------------------------
 
 
-def _grid_log_weights(P: DelzantPolytope, density: SectionDensity, per_axis: int):
-    pts, log_vol = polytope_grid(P, per_axis)
-    logdens = density.log_magnitude(pts)
-    return pts, logdens, logdens + log_vol
+@dataclass(frozen=True)
+class GridMeasure:
+    """Midpoint quadrature measure: equal cells of volume exp(log_vol) whose
+    sample points carry log densities `logdens` (N,) and labels (N, d).
+    Exclusion distances and test functions are evaluated on the labels."""
+
+    labels: np.ndarray
+    logdens: np.ndarray
+    log_vol: float
+
+    def log_total(self) -> float:
+        return logsumexp(self.logdens + self.log_vol)
+
+    def outside(self, center, eps: float) -> np.ndarray:
+        """Mask of the sample points whose label lies outside the eps-ball."""
+        return np.linalg.norm(self.labels - np.asarray(center, dtype=float), axis=-1) > eps
 
 
-def _image_distance(pts: np.ndarray, center, image: Optional[np.ndarray]) -> np.ndarray:
-    center = np.asarray(center, dtype=float)
-    if image is not None:
-        A = np.asarray(image, dtype=float)
-        return np.linalg.norm(pts @ A.T - center, axis=-1)
-    return np.linalg.norm(pts - center, axis=-1)
-
-
-def outside_mass(P: DelzantPolytope, density: SectionDensity, center, eps: float,
-                 per_axis: int = 64, image: Optional[np.ndarray] = None) -> float:
-    """L^1 mass of the normalized density outside the eps-ball around `center`
-    (distance measured after applying `image` when given)."""
-    pts, _, lw = _grid_log_weights(P, density, per_axis)
-    mask = _image_distance(pts, center, image) > eps
+def outside_mass(measure: GridMeasure, center, eps: float) -> float:
+    """L^1 mass of the normalized density outside the eps-ball around `center`."""
+    mask = measure.outside(center, eps)
     if not mask.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
     if mask.all():
         raise QuadratureError("exclusion ball contains no quadrature point")
-    return float(np.exp(logsumexp(lw[mask]) - logsumexp(lw)))
+    lw = measure.logdens + measure.log_vol
+    return float(np.exp(logsumexp(lw[mask]) - measure.log_total()))
 
 
-def concentration_sup(P: DelzantPolytope, density: SectionDensity, center, eps: float,
-                      per_axis: int = 64, image: Optional[np.ndarray] = None) -> float:
+def concentration_sup(measure: GridMeasure, center, eps: float) -> float:
     """Sup of the L^1-normalized density over grid points outside the ball."""
-    pts, logdens, lw = _grid_log_weights(P, density, per_axis)
-    mask = _image_distance(pts, center, image) > eps
+    mask = measure.outside(center, eps)
     if not mask.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
-    return float(np.exp(np.max(logdens[mask]) - logsumexp(lw)))
+    return float(np.exp(np.max(measure.logdens[mask]) - measure.log_total()))
 
 
-def delta_pairing(P: DelzantPolytope, density: SectionDensity,
-                  phi: Callable[[np.ndarray], np.ndarray], per_axis: int = 64) -> float:
-    """<phi, normalized density> by midpoint quadrature; phi == 1 gives 1."""
-    pts, _, lw = _grid_log_weights(P, density, per_axis)
+def delta_pairing(measure: GridMeasure, phi: Callable[[np.ndarray], np.ndarray]) -> float:
+    """<phi, normalized density> with phi evaluated on the labels; phi == 1 gives 1."""
+    lw = measure.logdens + measure.log_vol
     w = np.exp(lw - np.max(lw))
-    vals = np.broadcast_to(np.asarray(phi(pts), dtype=float), w.shape)
+    vals = np.broadcast_to(np.asarray(phi(measure.labels), dtype=float), w.shape)
     return float(np.sum(vals * w) / np.sum(w))
 
 
@@ -294,11 +293,6 @@ class AdaptiveSchedule:
             self.unmet.add(window)
         self._cache[window] = t_cur
         return t_cur
-
-
-def schedule_ts(policy, s: float) -> float:
-    """Evaluate a schedule policy at s >= 0."""
-    return policy.t(s)
 
 
 # -- the n = 3 identification ---------------------------------------------------
@@ -563,7 +557,6 @@ class ExperimentConfig:
     flow_per_axis: int = 10
     h: float = 1e-3
     spot_points: int = 6
-    seed: int = 0
     jobs: int = 1
 
     def __post_init__(self):
@@ -579,13 +572,15 @@ class ExperimentConfig:
             raise ValueError("s-grid must be nonnegative")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if abs(schedule_ts(self.schedule, 0.0) - 1.0) > 1e-12:
+        if abs(self.schedule.t(0.0) - 1.0) > 1e-12:
             raise ValueError("schedule must satisfy t(0) = 1")
-        ts = [schedule_ts(self.schedule, float(v)) for v in s]
+        ts = [self.schedule.t(float(v)) for v in s]
         if np.any(np.diff(ts) > 1e-12):
             raise ValueError("schedule must be non-increasing on the s-grid")
         if self.per_axis < 4 or self.flow_per_axis < 2:
             raise ValueError("quadrature resolution too small")
+        if not self.h > 0:
+            raise ValueError("h must be positive")
 
 
 @dataclass
@@ -631,96 +626,15 @@ class ConcentrationReport:
     config: ExperimentConfig
 
 
-def _logsumexp_mass(lw: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        return 0.0
-    return float(np.exp(logsumexp(lw[mask]) - logsumexp(lw)))
-
-
-def _combined_cell(model: GCTorusModel, cfg: ExperimentConfig, s: float,
-                   shared) -> CellResult:
-    (xi_star, dens_at, xi_pts, lw_logvol, x_slice,
-     xi_flow, x_flow_slice, v0, fam, phis) = shared
-    t = schedule_ts(cfg.schedule, s)
-    dens = dens_at(s)
-    # toric route: deformed density at the slice points, labeled by xi
-    logdens = dens.log_magnitude(x_slice)
-    lw = logdens + lw_logvol
-    dist = np.linalg.norm(xi_pts - xi_star, axis=-1)
-    mask_out = dist > cfg.eps
-    if not mask_out.any() or mask_out.all():
-        raise QuadratureError("exclusion ball misses the quadrature grid")
-    mass_out = _logsumexp_mass(lw, mask_out)
-    sup_out = float(np.exp(np.max(logdens[mask_out]) - logsumexp(lw)))
-    wgt = np.exp(lw - np.max(lw))
-    pairings = {name: float(np.sum(phi(xi_pts) * wgt) / np.sum(wgt))
-                for name, phi in phis.items()}
-
-    # flow route: carry the coarse grid from the degenerate fiber to V_t and
-    # evaluate the same density at the transported moment points
-    mass_out_flow = None
-    failures = 0
-    spot_dev = None
-    phase_dev = None
-    n_flow = xi_flow.shape[0]
-    if t > 0:
-        end_x = np.full((n_flow, 4), np.nan)
-        ok = np.ones(n_flow, dtype=bool)
-        try:
-            res = fam.flow(v0, -t, h=cfg.h)
-            end_x[:] = fam.moment(res.state)
-        except FlowSingularityError:
-            for i in range(n_flow):
-                try:
-                    r = fam.flow(v0[i], -t, h=cfg.h)
-                    end_x[i] = fam.moment(r.state)
-                except FlowSingularityError:
-                    ok[i] = False
-        # a transported point drifting out of the polytope also counts failed
-        sv = dens.potential.polytope.support_values(np.where(np.isnan(end_x), 0.0, end_x))
-        ok &= np.min(sv, axis=-1) >= -1e-12
-        failures = int((~ok).sum())
-        logdens_flow = np.full(n_flow, -np.inf)
-        if ok.any():
-            logdens_flow[ok] = dens.log_magnitude(end_x[ok])
-            lwf = logdens_flow + lw_logvol
-            distf = np.linalg.norm(xi_flow - xi_star, axis=-1)
-            mass_out_flow = _logsumexp_mass(lwf[ok], (distf > cfg.eps)[ok])
-        # spot checks on a few points: flow-route vs slice-route density and
-        # unitarity of the transported bundle phase
-        n_spot = min(cfg.spot_points, int(ok.sum()))
-        if n_spot > 0:
-            idx = np.nonzero(ok)[0][:n_spot]
-            logdens_slice = dens.log_magnitude(x_flow_slice[idx])
-            spot_dev = float(np.max(np.abs(logdens_flow[idx] - logdens_slice)))
-            phase_dev = 0.0
-            for i in idx:
-                r = fam.flow(v0[int(i)], -t, h=cfg.h, keep_states=True)
-                u_path = np.stack([st.u for st in r.states])
-                w_path = np.stack([st.w for st in r.states])
-                ph = np.prod(transport_phase_factors(u_path, w_path, fam.a))
-                phase_dev = max(phase_dev, abs(abs(ph) - 1.0))
-    # at t = 0 the fiber already is the degenerate one and the two evaluation
-    # routes coincide by construction; no flow is run
-
-    return CellResult(
-        s=float(s), t=float(t),
-        outside_mass=mass_out, sup_outside=sup_out, pairings=pairings,
-        outside_mass_flow=mass_out_flow,
-        flow_points=int(n_flow) if t > 0 else 0,
-        flow_failures=failures,
-        spot_logdens_dev=spot_dev,
-        spot_phase_norm_dev=phase_dev,
-    )
-
-
 def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     """Deformation + degeneration concentration run for n = 3.
 
     Reported masses and pairings evaluate the deformed density at the slice
-    points of the degenerate fiber (the flow lift preserves pointwise norms,
-    so the modulus profile over xi-labels is the same); the flow route is run
-    on a coarser grid as a cross check and spot-checked pointwise.
+    points of the degenerate fiber, labeled by xi.  The flow route carries a
+    coarser grid from the degenerate fiber to V_t and evaluates the same
+    density at the transported moment points, as a cross check with pointwise
+    spot checks against the slice route.  The two routes agree only as t -> 0:
+    at t = 1 the spot deviation is of order 1.
     """
     model = GCTorusModel(cfg.a)
     xi_star = model.xi_of_pattern(cfg.pattern)
@@ -730,8 +644,8 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
                          "are out of scope)")
     lift = model.lifts(xi_star)[0]
     deformer = ConvexDeformation(cfg.nu, iota_star=model.A.astype(float))
-    pot0 = SymplecticPotential(model.ambient_delta(), 0.0, deformer)
-    dens_at = lambda s: SectionDensity(pot0.at_s(float(s)), tuple(lift.astype(float)))
+    ambient = model.ambient_delta()
+    pot0 = SymplecticPotential(ambient, 0.0, deformer)
 
     def interior_grid(per_axis):
         # grid centers landing on a wall to roundoff carry no density but
@@ -747,15 +661,76 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     fam = DegenerationFamily(cfg.a)
     v0 = model.v0_state(xi_flow, fam=fam)
     phis = _default_test_functions(xi_star)
+    n_flow = xi_flow.shape[0]
 
-    shared = (xi_star, dens_at, xi_pts, log_vol, x_slice,
-              xi_flow, x_flow_slice, v0, fam, phis)
+    def cell(s: float) -> CellResult:
+        t = cfg.schedule.t(s)
+        dens = SectionDensity(pot0.at_s(s), tuple(lift.astype(float)))
+        reported = GridMeasure(xi_pts, dens.log_magnitude(x_slice), log_vol)
+        mass_out = outside_mass(reported, xi_star, cfg.eps)
+        sup_out = concentration_sup(reported, xi_star, cfg.eps)
+        pairings = {name: delta_pairing(reported, phi) for name, phi in phis.items()}
+
+        mass_out_flow = None
+        failures = 0
+        spot_dev = None
+        phase_dev = None
+        # at t = 0 the fiber already is the degenerate one and the two
+        # evaluation routes coincide by construction; no flow is run
+        if t > 0:
+            end_x = np.full((n_flow, 4), np.nan)
+            ok = np.ones(n_flow, dtype=bool)
+            try:
+                res = fam.flow(v0, -t, h=cfg.h)
+                end_x[:] = fam.moment(res.state)
+            except FlowSingularityError:
+                for i in range(n_flow):
+                    try:
+                        r = fam.flow(v0[i], -t, h=cfg.h)
+                        end_x[i] = fam.moment(r.state)
+                    except FlowSingularityError:
+                        ok[i] = False
+            # a transported point drifting out of the polytope also counts failed
+            sv = ambient.support_values(np.where(np.isnan(end_x), 0.0, end_x))
+            ok &= np.min(sv, axis=-1) >= -1e-12
+            failures = int((~ok).sum())
+            if ok.any():
+                flowed = GridMeasure(xi_flow[ok], dens.log_magnitude(end_x[ok]), log_vol)
+                out = flowed.outside(xi_star, cfg.eps)
+                # a ball covering none or all of the coarse points gives 0 or 1
+                mass_out_flow = (outside_mass(flowed, xi_star, cfg.eps)
+                                 if 0 < out.sum() < out.size else float(out.all()))
+            # spot checks on a few points: flow-route vs slice-route density and
+            # unitarity of the transported bundle phase
+            n_spot = min(cfg.spot_points, int(ok.sum()))
+            if n_spot > 0:
+                idx = np.nonzero(ok)[0][:n_spot]
+                logdens_slice = dens.log_magnitude(x_flow_slice[idx])
+                spot_dev = float(np.max(np.abs(flowed.logdens[:n_spot] - logdens_slice)))
+                phase_dev = 0.0
+                for i in idx:
+                    r = fam.flow(v0[int(i)], -t, h=cfg.h, keep_states=True)
+                    u_path = np.stack([st.u for st in r.states])
+                    w_path = np.stack([st.w for st in r.states])
+                    ph = np.prod(transport_phase_factors(u_path, w_path, fam.a))
+                    phase_dev = max(phase_dev, abs(abs(ph) - 1.0))
+
+        return CellResult(
+            s=s, t=float(t),
+            outside_mass=mass_out, sup_outside=sup_out, pairings=pairings,
+            outside_mass_flow=mass_out_flow,
+            flow_points=int(n_flow) if t > 0 else 0,
+            flow_failures=failures,
+            spot_logdens_dev=spot_dev,
+            spot_phase_norm_dev=phase_dev,
+        )
+
     svals = [float(s) for s in cfg.s_grid]
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            cells = list(ex.map(lambda s: _combined_cell(model, cfg, s, shared), svals))
+            cells = list(ex.map(cell, svals))
     else:
-        cells = [_combined_cell(model, cfg, s, shared) for s in svals]
+        cells = [cell(s) for s in svals]
     cells.sort(key=lambda c: c.s)
 
     masses = [c.outside_mass for c in cells]

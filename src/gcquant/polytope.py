@@ -90,23 +90,10 @@ class DelzantPolytope:
         p = np.asarray(p, dtype=float)
         return p @ self.normal_matrix.T + self.offsets
 
-    def support_value(self, p, j: int) -> float:
-        f = self.facets[j]
-        return float(np.dot(p, f.normal) + f.offset)
-
-    def support_values_exact(self, p: tuple[int, ...]) -> list[int]:
-        return [sum(a * b for a, b in zip(f.normal, p)) + f.offset for f in self.facets]
-
     def contains(self, p, tol: float = 0.0, strict: bool = False) -> np.ndarray | bool:
         vals = self.support_values(p)
         ok = (vals > tol).all(axis=-1) if strict else (vals >= -tol).all(axis=-1)
         return bool(ok) if ok.ndim == 0 else ok
-
-    def facet_by_label(self, label: str) -> Facet:
-        for f in self.facets:
-            if f.label == label:
-                return f
-        raise KeyError(label)
 
     # -- exact bounds and enumeration --------------------------------------
 

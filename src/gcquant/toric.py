@@ -148,39 +148,32 @@ class ConvexDeformation:
 
 @dataclass(frozen=True)
 class SymplecticPotential:
-    """g = g_can + correction + s * nu(iota_star .) on Int Delta."""
+    """g = g_can + s * nu(iota_star .) on Int Delta."""
 
     polytope: DelzantPolytope
     s: float = 0.0
     deformer: Optional[ConvexDeformation] = None
-    correction: Optional[object] = None
 
     def value(self, x):
         v = g_can_value(self.polytope, x)
-        if self.correction is not None:
-            v = v + self.correction.value(x)
         if self.deformer is not None and self.s != 0.0:
             v = v + self.s * self.deformer.value(x)
         return v
 
     def grad(self, x):
         g = g_can_grad(self.polytope, x)
-        if self.correction is not None:
-            g = g + self.correction.grad(x)
         if self.deformer is not None and self.s != 0.0:
             g = g + self.s * self.deformer.grad(x)
         return g
 
     def hess(self, x):
         H = g_can_hess(self.polytope, x)
-        if self.correction is not None:
-            H = H + self.correction.hess(x)
         if self.deformer is not None and self.s != 0.0:
             H = H + self.s * self.deformer.hess(x)
         return H
 
     def at_s(self, s: float) -> "SymplecticPotential":
-        return SymplecticPotential(self.polytope, s, self.deformer, self.correction)
+        return SymplecticPotential(self.polytope, s, self.deformer)
 
 
 # -- section densities ---------------------------------------------------------
@@ -202,8 +195,9 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
     The canonical part uses the boundary-continuous closed form
     sum_j [ l_j(m)/2 * log l_j(x) + (l_j(m) - l_j(x))/2 ],
     which agrees with 2 pi (g - <x - m, grad g>) in the interior; the
-    correction and deformation parts are added analytically.  Returns -inf on
-    boundary walls not containing m.
+    deformation part is added analytically.  Returns -inf on boundary walls
+    not containing m.  The (points, facets) work array is updated in place:
+    this runs on grids of about 10^6 points.
     """
     P = pot.polytope
     x = np.asarray(x, dtype=float)
@@ -211,17 +205,14 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
     lx = P.support_values(x)
     if np.any(lx < -1e-12):
         raise ValueError("point outside the polytope")
-    lx = np.maximum(lx, 0.0)
+    np.maximum(lx, 0.0, out=lx)
     lm = P.support_values(m)
+    linear = 0.5 * (lm - lx).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        loglx = np.where(lx > 0.0, np.log(np.where(lx > 0.0, lx, 1.0)), -np.inf)
-        terms = 0.5 * lm * loglx
-        terms = np.where(lm == 0.0, 0.0, terms)  # 0 * log 0 = 0 on shared walls
-    out = terms.sum(axis=-1) + 0.5 * (lm - lx).sum(axis=-1)
-    if pot.correction is not None:
-        c = pot.correction.value(x)
-        gc = pot.correction.grad(x)
-        out = out + TWO_PI * (c - np.einsum("...i,...i->...", x - m, gc))
+        np.log(lx, out=lx)  # -inf on walls
+        lx *= 0.5 * lm
+    lx[..., lm == 0.0] = 0.0  # 0 * log 0 = 0 on shared walls
+    out = lx.sum(axis=-1) + linear
     if pot.deformer is not None and pot.s != 0.0:
         out = out - TWO_PI * pot.s * alpha_m(pot, m, x)
     return out

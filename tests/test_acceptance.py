@@ -21,6 +21,7 @@ from gcquant.flow import DegenerationFamily, loop_phase, torus_loop, transport_p
 from gcquant.lab import (
     ExperimentConfig,
     GCTorusModel,
+    GridMeasure,
     analytic_decay_rate,
     combined_experiment,
     decay_slope,
@@ -41,6 +42,7 @@ from gcquant.toric import (
     holonomy,
     moment_to_complex,
     moment_to_log_complex,
+    polytope_grid,
 )
 
 
@@ -185,17 +187,19 @@ def test_c07_toric_delta_concentration_on_p1():
     eps = 0.3
     svals = [20.0, 40.0, 80.0, 160.0]
     masses = []
+    pts, log_vol = polytope_grid(P, 4096)
     for s in svals:
         dens = SectionDensity(base.at_s(s), m)
-        masses.append(outside_mass(P, dens, m, eps, per_axis=4096))
-        one = delta_pairing(P, dens, lambda x: np.ones(x.shape[:-1]), per_axis=4096)
+        measure = GridMeasure(pts, dens.log_magnitude(pts), log_vol)
+        masses.append(outside_mass(measure, m, eps))
+        one = delta_pairing(measure, lambda x: np.ones(x.shape[:-1]))
         assert abs(one - 1.0) < 1e-6
     slope = decay_slope(svals, masses)
     target = -analytic_decay_rate(deform, eps, 0.0)
     rel = abs(slope - target) / abs(target)
     assert rel < 0.15
     dens200 = SectionDensity(base.at_s(200.0), m)
-    px = delta_pairing(P, dens200, lambda x: x[..., 0], per_axis=4096)
+    px = delta_pairing(GridMeasure(pts, dens200.log_magnitude(pts), log_vol), lambda x: x[..., 0])
     assert abs(px - 1.0) < 1e-3
     report("c07", f"slope {slope:.5f} vs {target:.5f} ({100 * rel:.1f}% < 15%), "
                   f"<x,tau>(200) dev {abs(px - 1.0):.2e}")

@@ -121,6 +121,20 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert run(["flow", "run", "--config", str(bad), "--out", str(tmp_path / "e")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["toric", "concentrate", "--per-axis", "0"],
+    ["toric", "concentrate", "--per-axis", "-3"],
+    ["toric", "concentrate", "--eps", "-1"],
+    ["toric", "concentrate", "--s", "nan"],
+    ["lab", "combined", "--h", "0"],
+])
+def test_invalid_config_exits_two(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run(["polytope", "count"])  # missing required --n/--a
@@ -161,15 +175,50 @@ def test_float_formatting_is_lossless(tmp_path):
     header, row = (out / "cells.csv").read_text().strip().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
     # recompute and compare bit-for-bit through the printed representation
-    from gcquant.lab import outside_mass
+    from gcquant.lab import GridMeasure, outside_mass
     from gcquant.polytope import interval
     from gcquant.toric import (ConvexDeformation, QuadraticNu, SectionDensity,
-                               SymplecticPotential)
+                               SymplecticPotential, polytope_grid)
     P = interval(0, 3)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(1)))).at_s(7.0)
     dens = SectionDensity(pot, (1.0,))
-    ref = outside_mass(P, dens, (1.0,), 0.3, per_axis=64)
+    pts, log_vol = polytope_grid(P, 64)
+    ref = outside_mass(GridMeasure(pts, dens.log_magnitude(pts), log_vol), (1.0,), 0.3)
     assert float(vals["outside_mass"]) == ref
+
+
+def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
+    # the grid is built once and the density evaluated once per s, at the
+    # names the CLI resolves
+    from gcquant.lab import GridMeasure, outside_mass
+
+    calls = {"grid": 0, "density": 0}
+    measures = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording_outside_mass(measure, center, eps):
+        measures.append(measure)
+        return outside_mass(measure, center, eps)
+
+    monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
+    monkeypatch.setattr(cli, "section_log_density",
+                        counted("density", cli.section_log_density))
+    monkeypatch.setattr(cli, "outside_mass", recording_outside_mass)
+    assert run(["toric", "concentrate", "--delta", "0..3", "--m", "1", "--s", "5,10,20",
+                "--eps", "0.3", "--per-axis", "1024", "--out", str(tmp_path / "t")]) == 0
+    assert calls == {"grid": 1, "density": 3}
+    # distance measured on labels: doubling them makes the same exclusion
+    # window half as wide in x
+    raw = measures[1]  # s = 10
+    doubled = GridMeasure(2.0 * raw.labels, raw.logdens, raw.log_vol)
+    m_img = outside_mass(doubled, np.array([2.0]), 0.6)
+    m_raw = outside_mass(raw, np.array([1.0]), 0.3)
+    assert abs(m_img - m_raw) < 1e-12
 
 
 def test_lab_combined_cli_end_to_end(tmp_path, capsys):

@@ -11,6 +11,7 @@ from gcquant.lab import (
     ExperimentConfig,
     ExpSchedule,
     GCTorusModel,
+    GridMeasure,
     QuadratureError,
     adapted_basis,
     analytic_decay_rate,
@@ -20,7 +21,6 @@ from gcquant.lab import (
     delta_pairing,
     gc_vs_torus_moment_check,
     outside_mass,
-    schedule_ts,
     section_equality_on_v0,
     smith_normal_form,
 )
@@ -30,6 +30,7 @@ from gcquant.toric import (
     QuadraticNu,
     SectionDensity,
     SymplecticPotential,
+    polytope_grid,
 )
 
 
@@ -224,6 +225,11 @@ def gaussian_density(s):
     return P, SectionDensity(pot, np.array([1.0]))
 
 
+def grid_measure(P, dens, per_axis):
+    pts, log_vol = polytope_grid(P, per_axis)
+    return GridMeasure(pts, dens.log_magnitude(pts), log_vol)
+
+
 def test_outside_mass_against_adaptive_quadrature():
     P, dens = gaussian_density(25.0)
     eps = 0.3
@@ -231,32 +237,22 @@ def test_outside_mass_against_adaptive_quadrature():
     total, _ = quad(f, 0.0, 3.0, epsabs=0, epsrel=1e-11, limit=300)
     out = (quad(f, 0.0, 1.0 - eps, epsabs=0, epsrel=1e-11, limit=300)[0]
            + quad(f, 1.0 + eps, 3.0, epsabs=0, epsrel=1e-11, limit=300)[0])
-    got = outside_mass(P, dens, np.array([1.0]), eps, per_axis=2048)
+    got = outside_mass(grid_measure(P, dens, 2048), np.array([1.0]), eps)
     assert abs(got - out / total) < 1e-4
-    sup = concentration_sup(P, dens, np.array([1.0]), eps, per_axis=2048)
+    sup = concentration_sup(grid_measure(P, dens, 2048), np.array([1.0]), eps)
     assert 0 < sup < f(1.0) / total
-
-
-def test_outside_mass_image_distance():
-    P, dens = gaussian_density(10.0)
-    # distance measured through a linear image: doubling the coordinate makes
-    # the same exclusion window half as wide in x
-    m_img = outside_mass(P, dens, np.array([2.0]), 0.6, per_axis=1024,
-                         image=np.array([[2.0]]))
-    m_raw = outside_mass(P, dens, np.array([1.0]), 0.3, per_axis=1024)
-    assert abs(m_img - m_raw) < 1e-12
 
 
 def test_outside_mass_empty_exclusion_raises():
     P, dens = gaussian_density(5.0)
     with pytest.raises(QuadratureError):
-        outside_mass(P, dens, np.array([1.0]), 10.0, per_axis=64)
+        outside_mass(grid_measure(P, dens, 64), np.array([1.0]), 10.0)
 
 
 def test_delta_pairing_normalization_is_exact():
     P, dens = gaussian_density(40.0)
-    assert delta_pairing(P, dens, lambda x: np.ones(x.shape[:-1]), per_axis=256) == 1.0
-    val = delta_pairing(P, dens, lambda x: x[..., 0], per_axis=1024)
+    assert delta_pairing(grid_measure(P, dens, 256), lambda x: np.ones(x.shape[:-1])) == 1.0
+    val = delta_pairing(grid_measure(P, dens, 1024), lambda x: x[..., 0])
     assert abs(val - 1.0) < 1e-2  # concentrating near m = 1
 
 
@@ -290,7 +286,6 @@ def test_exp_schedule_contract():
         sch.t(-1.0)
     with pytest.raises(ValueError):
         ExpSchedule(rate=0.0)
-    assert schedule_ts(sch, 10.0) == sch.t(10.0)
 
 
 def test_adaptive_schedule_hits_targets():
@@ -343,7 +338,7 @@ def test_combined_experiment_boundary_pattern_rejected():
 def test_combined_experiment_small_run():
     cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
                            s_grid=(0.0, 5.0, 10.0), per_axis=12,
-                           flow_per_axis=5, h=2e-3, spot_points=2, seed=0)
+                           flow_per_axis=5, h=2e-3, spot_points=2)
     rep = combined_experiment(cfg)
     assert [c.s for c in rep.cells] == [0.0, 5.0, 10.0]
     assert rep.cells[0].t == 1.0
@@ -366,10 +361,10 @@ def test_combined_experiment_small_run():
 def test_combined_experiment_jobs_parity():
     cfg1 = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
                             s_grid=(0.0, 5.0), per_axis=10, flow_per_axis=4,
-                            h=5e-3, spot_points=2, seed=0, jobs=1)
+                            h=5e-3, spot_points=2, jobs=1)
     cfg2 = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
                             s_grid=(0.0, 5.0), per_axis=10, flow_per_axis=4,
-                            h=5e-3, spot_points=2, seed=0, jobs=2)
+                            h=5e-3, spot_points=2, jobs=2)
     r1, r2 = combined_experiment(cfg1), combined_experiment(cfg2)
     for c1, c2 in zip(r1.cells, r2.cells):
         assert c1.outside_mass == c2.outside_mass
@@ -386,7 +381,7 @@ def test_s0_cell_equals_undeformed_baseline():
 
     cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
                            s_grid=(0.0, 5.0), per_axis=14, flow_per_axis=4,
-                           h=5e-3, spot_points=1, seed=0)
+                           h=5e-3, spot_points=1)
     rep = combined_experiment(cfg)
     cell0 = rep.cells[0]
     assert cell0.t == 1.0

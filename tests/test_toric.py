@@ -207,6 +207,26 @@ def test_density_wall_and_outside_behavior():
         section_log_density(pot, m, np.array([[-0.5]]))
 
 
+def test_density_matches_out_of_place_reference():
+    # the in-place evaluation keeps the arithmetic of the plain formula bit
+    # for bit, on walls and on walls shared with m (0 log 0 = 0) included
+    P = box_polytope([(0, 3), (0, 2)])
+    pts, _ = polytope_grid(P, 12)
+    x = np.concatenate([pts, [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]])
+    for m in (np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([3.0, 0.0])):
+        for s in (0.0, 7.0):
+            pot = potential(P, s)
+            lx = np.maximum(P.support_values(x), 0.0)
+            lm = P.support_values(m)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                loglx = np.where(lx > 0.0, np.log(np.where(lx > 0.0, lx, 1.0)), -np.inf)
+                terms = np.where(lm == 0.0, 0.0, 0.5 * lm * loglx)
+            ref = terms.sum(axis=-1) + 0.5 * (lm - lx).sum(axis=-1)
+            if s != 0.0:
+                ref = ref - 2 * np.pi * s * alpha_m(pot, m, x)
+            assert np.array_equal(section_log_density(pot, m, x), ref)
+
+
 def test_section_density_object_matches_function():
     P = interval(0, 3)
     pot = potential(P, 3.0)
