@@ -380,8 +380,6 @@ LAB_DEFAULTS = {
     "per_axis": 32,
     "flow_per_axis": 10,
     "h": 1e-3,
-    "spot_points": 6,
-    "jobs": 1,
 }
 
 
@@ -396,7 +394,7 @@ def cmd_lab_combined(args) -> int:
     cfg = merge_config(LAB_DEFAULTS, args.config, {
         "a": args.a, "pattern": args.pattern, "s_grid": args.s_grid,
         "eps": args.eps, "per_axis": args.per_axis,
-        "flow_per_axis": args.flow_per_axis, "h": args.h, "jobs": args.jobs,
+        "flow_per_axis": args.flow_per_axis, "h": args.h,
     })
     if cfg["schedule"] == "exp":
         schedule = ExpSchedule(float(cfg["schedule_rate"]))
@@ -415,8 +413,6 @@ def cmd_lab_combined(args) -> int:
             per_axis=int(cfg["per_axis"]),
             flow_per_axis=int(cfg["flow_per_axis"]),
             h=float(cfg["h"]),
-            spot_points=int(cfg["spot_points"]),
-            jobs=int(cfg["jobs"]),
         )
     except ValueError as e:
         raise UsageError(str(e))
@@ -440,6 +436,9 @@ def cmd_lab_combined(args) -> int:
         if abs(c.pairings["one"] - 1.0) > 1e-6:
             raise ToleranceFailure("pairing-normalization",
                                    f"<1,tau> = {c.pairings['one']} at s={c.s}")
+        if c.torus_moment_drift is not None and c.torus_moment_drift > 1e-6:
+            raise ToleranceFailure("torus-moment-drift",
+                                   f"{c.torus_moment_drift} > 1e-6 at s={c.s}")
     if not rep.monotone:
         raise ToleranceFailure("outside-mass-monotone", "mass not strictly decreasing in s")
     return 0
@@ -454,11 +453,9 @@ def cmd_lab_gc_check(args) -> int:
     })
     tvals = parse_floats(cfg["t"])
     a = positive_weights(parse_floats(cfg["a"]))
-    rows = []
-    for t in tvals:
-        d = gc_vs_torus_moment_check(float(t), samples=int(cfg["samples"]),
-                                     a=a, seed=int(cfg["seed"]), h=float(cfg["h"]))
-        rows.append([t, d])
+    d = gc_vs_torus_moment_check(tvals, samples=int(cfg["samples"]),
+                                 a=a, seed=int(cfg["seed"]), h=float(cfg["h"]))
+    rows = [[t, dt] for t, dt in zip(tvals, d)]
     out = out_dir_for(args, "gcq-lab")
     csv = out / "gc_check.csv"
     write_csv(csv, ["t", "discrepancy"], rows)
@@ -533,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--per-axis", dest="per_axis", type=int)
     lc.add_argument("--flow-per-axis", dest="flow_per_axis", type=int)
     lc.add_argument("--h", type=float)
-    lc.add_argument("--jobs", type=int)
     lc.add_argument("--out")
     lc.set_defaults(func=cmd_lab_combined)
     lg = lsub.add_parser("gc-check")

@@ -170,5 +170,7 @@ def random_flag(n: int, seed=0) -> np.ndarray:
 
 def random_flags(n: int, count: int, seed=0) -> np.ndarray:
     """Deterministic ensemble: child seeds are spawned per sample index."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     children = np.random.SeedSequence(seed).spawn(count)
     return np.stack([random_flag(n, s) for s in children])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,7 +40,7 @@ from .toric import (
     polytope_grid,
 )
 from .flag import gc_map, random_flags
-from .flow import DegenerationFamily, FlowSingularityError, State, transport_phase_factors
+from .flow import DegenerationFamily, FlowSingularityError, State
 
 __all__ = [
     "smith_normal_form",
@@ -280,7 +279,7 @@ class AdaptiveSchedule:
             return self._cache[window]
         measure = self.measure
         if measure is None:
-            measure = lambda t: gc_vs_torus_moment_check(t, samples=3, h=5e-3)
+            measure = lambda t: gc_vs_torus_moment_check([t], samples=3, h=5e-3)[0]
         # start below the previous window's value to keep monotonicity;
         # t_min is a hard floor even across windows
         t_prev = self.t(s - 1.0) if window >= 1 else 1.0
@@ -556,8 +555,6 @@ class ExperimentConfig:
     per_axis: int = 32
     flow_per_axis: int = 10
     h: float = 1e-3
-    spot_points: int = 6
-    jobs: int = 1
 
     def __post_init__(self):
         if self.nu is None:
@@ -596,22 +593,12 @@ class CellResult:
     flow_points: int
     flow_failures: int
     spot_logdens_dev: Optional[float]   # max |log dens(flow end) - log dens(slice)|
-    spot_phase_norm_dev: Optional[float]
+    torus_moment_drift: Optional[float]  # max change of the residual-torus moments
 
     def as_row(self) -> dict:
-        row = {
-            "s": self.s,
-            "t": self.t,
-            "outside_mass": self.outside_mass,
-            "sup_outside": self.sup_outside,
-            "outside_mass_flow": self.outside_mass_flow,
-            "flow_points": self.flow_points,
-            "flow_failures": self.flow_failures,
-            "spot_logdens_dev": self.spot_logdens_dev,
-            "spot_phase_norm_dev": self.spot_phase_norm_dev,
-        }
-        for k in sorted(self.pairings):
-            row[f"pairing_{k}"] = self.pairings[k]
+        """Fields in declaration order, then one `pairing_<name>` per test function."""
+        row = {k: v for k, v in vars(self).items() if k != "pairings"}
+        row.update((f"pairing_{k}", v) for k, v in sorted(self.pairings.items()))
         return row
 
 
@@ -631,10 +618,11 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
 
     Reported masses and pairings evaluate the deformed density at the slice
     points of the degenerate fiber, labeled by xi.  The flow route carries a
-    coarser grid from the degenerate fiber to V_t and evaluates the same
-    density at the transported moment points, as a cross check with pointwise
-    spot checks against the slice route.  The two routes agree only as t -> 0:
-    at t = 1 the spot deviation is of order 1.
+    coarser grid from the degenerate fiber up through the scheduled t in one
+    chained flow and evaluates the same density at the moment points of each
+    V_t, as a cross check.  The two routes agree only as t -> 0: at t = 1 the
+    log-densities differ by several units.  The residual-torus moments of the
+    flowed points must stay those of their start (`torus_moment_drift`).
     """
     model = GCTorusModel(cfg.a)
     xi_star = model.xi_of_pattern(cfg.pattern)
@@ -662,9 +650,34 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     v0 = model.v0_state(xi_flow, fam=fam)
     phis = _default_test_functions(xi_star)
     n_flow = xi_flow.shape[0]
+    conserved0 = model.conserved_coordinates(xi_flow)
+
+    # one flow from the degenerate fiber up through the scheduled t (nested);
+    # at t = 0 the two routes coincide by construction and no flow is run
+    svals = [float(s) for s in cfg.s_grid]
+    t_of = {s: float(cfg.schedule.t(s)) for s in svals}
+    ts = sorted({t for t in t_of.values() if t > 0})
+    end_x = {t: np.full((n_flow, 4), np.nan) for t in ts}
+
+    def chain(idx):
+        cur, t_prev = v0[idx], 0.0
+        for t in ts:
+            cur = fam.flow(cur, -(t - t_prev), h=cfg.h).state
+            end_x[t][idx] = fam.moment(cur)
+            t_prev = t
+
+    try:
+        chain(slice(None))
+    except FlowSingularityError:
+        # a failing point keeps its moments for the t it reached
+        for i in range(n_flow):
+            try:
+                chain(i)
+            except FlowSingularityError:
+                pass
 
     def cell(s: float) -> CellResult:
-        t = cfg.schedule.t(s)
+        t = t_of[s]
         dens = SectionDensity(pot0.at_s(s), tuple(lift.astype(float)))
         reported = GridMeasure(xi_pts, dens.log_magnitude(x_slice), log_vol)
         mass_out = outside_mass(reported, xi_star, cfg.eps)
@@ -674,64 +687,34 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
         mass_out_flow = None
         failures = 0
         spot_dev = None
-        phase_dev = None
-        # at t = 0 the fiber already is the degenerate one and the two
-        # evaluation routes coincide by construction; no flow is run
+        drift = None
         if t > 0:
-            end_x = np.full((n_flow, 4), np.nan)
-            ok = np.ones(n_flow, dtype=bool)
-            try:
-                res = fam.flow(v0, -t, h=cfg.h)
-                end_x[:] = fam.moment(res.state)
-            except FlowSingularityError:
-                for i in range(n_flow):
-                    try:
-                        r = fam.flow(v0[i], -t, h=cfg.h)
-                        end_x[i] = fam.moment(r.state)
-                    except FlowSingularityError:
-                        ok[i] = False
-            # a transported point drifting out of the polytope also counts failed
-            sv = ambient.support_values(np.where(np.isnan(end_x), 0.0, end_x))
-            ok &= np.min(sv, axis=-1) >= -1e-12
+            x = end_x[t]
+            # failed points (NaN) and points drifting out of the polytope
+            ok = ambient.contains(x, tol=1e-12)
             failures = int((~ok).sum())
             if ok.any():
-                flowed = GridMeasure(xi_flow[ok], dens.log_magnitude(end_x[ok]), log_vol)
+                flowed = GridMeasure(xi_flow[ok], dens.log_magnitude(x[ok]), log_vol)
                 out = flowed.outside(xi_star, cfg.eps)
                 # a ball covering none or all of the coarse points gives 0 or 1
                 mass_out_flow = (outside_mass(flowed, xi_star, cfg.eps)
                                  if 0 < out.sum() < out.size else float(out.all()))
-            # spot checks on a few points: flow-route vs slice-route density and
-            # unitarity of the transported bundle phase
-            n_spot = min(cfg.spot_points, int(ok.sum()))
-            if n_spot > 0:
-                idx = np.nonzero(ok)[0][:n_spot]
-                logdens_slice = dens.log_magnitude(x_flow_slice[idx])
-                spot_dev = float(np.max(np.abs(flowed.logdens[:n_spot] - logdens_slice)))
-                phase_dev = 0.0
-                for i in idx:
-                    r = fam.flow(v0[int(i)], -t, h=cfg.h, keep_states=True)
-                    u_path = np.stack([st.u for st in r.states])
-                    w_path = np.stack([st.w for st in r.states])
-                    ph = np.prod(transport_phase_factors(u_path, w_path, fam.a))
-                    phase_dev = max(phase_dev, abs(abs(ph) - 1.0))
+                spot_dev = float(np.max(np.abs(
+                    flowed.logdens - dens.log_magnitude(x_flow_slice[ok]))))
+                moved = model.conserved_coordinates(x[ok] @ model.A.T)
+                drift = float(np.max(np.abs(moved - conserved0[ok])))
 
         return CellResult(
-            s=s, t=float(t),
+            s=s, t=t,
             outside_mass=mass_out, sup_outside=sup_out, pairings=pairings,
             outside_mass_flow=mass_out_flow,
             flow_points=int(n_flow) if t > 0 else 0,
             flow_failures=failures,
             spot_logdens_dev=spot_dev,
-            spot_phase_norm_dev=phase_dev,
+            torus_moment_drift=drift,
         )
 
-    svals = [float(s) for s in cfg.s_grid]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            cells = list(ex.map(cell, svals))
-    else:
-        cells = [cell(s) for s in svals]
-    cells.sort(key=lambda c: c.s)
+    cells = [cell(s) for s in svals]
 
     masses = [c.outside_mass for c in cells]
     pos = [(c.s, m) for c, m in zip(cells, masses) if c.s > 0 and m > 0]
@@ -749,23 +732,30 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
 # -- flag-vs-toric moment consistency --------------------------------------------
 
 
-def gc_vs_torus_moment_check(t_small: float, samples: int = 20,
+def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
                              a: Sequence[float] = (1.0, 1.0), seed: int = 0,
-                             h: float = 1e-3) -> float:
-    """Flow random flags from t = 1 to t_small and compare Gelfand-Cetlin
-    eigenvalue data of the start against the ambient torus moments of the end
-    through the fixed linear identification; returns the max sup-norm gap.
+                             h: float = 1e-3) -> np.ndarray:
+    """Flow random flags from t = 1 down through t_values in one chained flow
+    and compare Gelfand-Cetlin eigenvalue data of the start against the
+    ambient torus moments at each t through the fixed linear identification;
+    returns the max sup-norm gap per t, in input order.
 
-    The gap shrinks as t_small -> 0 (trend, no absolute bound); at t = 1 the
-    two sides live on different spaces and no comparison is attempted.
+    The gap shrinks as t -> 0 (trend, no absolute bound); at t = 1 the two
+    sides live on different spaces and no comparison is attempted.
     """
-    if not (0 < t_small <= 0.2):
-        raise ValueError("t_small must lie in (0, 0.2]")
+    t_values = [float(t) for t in t_values]
+    if not t_values or not all(0 < t <= 0.2 for t in t_values):
+        raise ValueError("t values must lie in (0, 0.2]")
+    if not h > 0:
+        raise ValueError("h must be positive")
     model = GCTorusModel(a)
     fam = DegenerationFamily(a)
     flags = random_flags(3, samples, seed=seed)
-    start = fam.embed_flag(flags, 1.0)
-    res = fam.flow(start, 1.0 - t_small, h=h)
-    xi_end = model.xi_of_state(fam, res.state)
     xi_start = np.stack([model.xi_of_pattern(gc_map(V, a)) for V in flags])
-    return float(np.max(np.abs(xi_end - xi_start)))
+    cur, t_prev = fam.embed_flag(flags, 1.0), 1.0
+    gap = {}
+    for t in sorted(set(t_values), reverse=True):
+        cur = fam.flow(cur, t_prev - t, h=h).state
+        gap[t] = float(np.max(np.abs(model.xi_of_state(fam, cur) - xi_start)))
+        t_prev = t
+    return np.array([gap[t] for t in t_values])

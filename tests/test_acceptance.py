@@ -255,7 +255,6 @@ def test_c10_combined_experiment_concentration_trend():
 def test_c11_gc_torus_consistency_trend():
     """Flow-vs-identification discrepancy shrinks with t: value at t = 0.02
     below the value at t = 0.1 on a 20-sample ensemble."""
-    d_coarse = gc_vs_torus_moment_check(0.1, samples=20, seed=0)
-    d_fine = gc_vs_torus_moment_check(0.02, samples=20, seed=0)
+    d_coarse, d_fine = gc_vs_torus_moment_check([0.1, 0.02], samples=20, seed=0)
     assert d_fine < d_coarse
     report("c11", f"discrepancy {d_coarse:.2e} @ t=0.1 -> {d_fine:.2e} @ t=0.02")

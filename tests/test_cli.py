@@ -127,6 +127,12 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["toric", "concentrate", "--eps", "-1"],
     ["toric", "concentrate", "--s", "nan"],
     ["lab", "combined", "--h", "0"],
+    ["flag", "dump", "--count", "-2"],
+    ["flag", "dump", "--count", "0"],
+    ["lab", "gc-check", "--samples", "-2"],
+    ["lab", "gc-check", "--samples", "0"],
+    ["lab", "gc-check", "--h", "0"],
+    ["lab", "gc-check", "--h", "-1"],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -148,7 +154,7 @@ def test_tolerance_failure_exit_one(tmp_path, capsys, monkeypatch):
     # deterministic failure injection: trend check sees a non-decreasing pair
     fake = {0.1: 0.5, 0.02: 1.0}
     monkeypatch.setattr(cli, "gc_vs_torus_moment_check",
-                        lambda t, **kw: fake[round(t, 6)])
+                        lambda ts, **kw: np.array([fake[round(t, 6)] for t in ts]))
     rc = run(["lab", "gc-check", "--t", "0.1,0.02", "--samples", "1",
               "--out", str(tmp_path / "g")])
     assert rc == 1
@@ -219,6 +225,44 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     m_img = outside_mass(doubled, np.array([2.0]), 0.6)
     m_raw = outside_mass(raw, np.array([1.0]), 0.3)
     assert abs(m_img - m_raw) < 1e-12
+
+
+def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):
+    # one chained flow per experiment: one segment per distinct scheduled t
+    from gcquant.flow import DegenerationFamily
+
+    calls = []
+    orig = DegenerationFamily.flow
+
+    def counted(self, state, tau, **kw):
+        calls.append(tau)
+        return orig(self, state, tau, **kw)
+
+    monkeypatch.setattr(DegenerationFamily, "flow", counted)
+    assert run(["lab", "combined", "--s-grid", "0,5,10", "--per-axis", "10",
+                "--flow-per-axis", "4", "--h", "5e-3", "--out", str(tmp_path / "lc")]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    out = tmp_path / "g"
+    assert run(["lab", "gc-check", "--t", "0.1,0.02,0.1", "--samples", "2",
+                "--out", str(out)]) == 0
+    assert len(calls) == 2
+    rows = (out / "gc_check.csv").read_text().strip().splitlines()[1:]
+    assert rows[0] == rows[2] != rows[1]
+
+
+def test_torus_moment_drift_gate(tmp_path, capsys):
+    # the residual-torus moments are conserved by the flow: tiny at the
+    # default step, a coarse step breaks them and the run fails
+    base = ["lab", "combined", "--per-axis", "10", "--flow-per-axis", "5"]
+    fine = tmp_path / "fine"
+    assert run(base + ["--out", str(fine)]) == 0
+    header, *rows = (fine / "cells.csv").read_text().strip().splitlines()
+    col = header.split(",").index("torus_moment_drift")
+    assert max(float(r.split(",")[col]) for r in rows) < 1e-9
+    capsys.readouterr()
+    assert run(base + ["--h", "0.2", "--out", str(tmp_path / "coarse")]) == 1
+    assert "torus-moment-drift" in capsys.readouterr().err
 
 
 def test_lab_combined_cli_end_to_end(tmp_path, capsys):

@@ -338,7 +338,7 @@ def test_combined_experiment_boundary_pattern_rejected():
 def test_combined_experiment_small_run():
     cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
                            s_grid=(0.0, 5.0, 10.0), per_axis=12,
-                           flow_per_axis=5, h=2e-3, spot_points=2)
+                           flow_per_axis=5, h=2e-3)
     rep = combined_experiment(cfg)
     assert [c.s for c in rep.cells] == [0.0, 5.0, 10.0]
     assert rep.cells[0].t == 1.0
@@ -358,18 +358,49 @@ def test_combined_experiment_small_run():
     assert np.allclose(rep.xi_star, [1.0, 1.0, 1.0])
 
 
-def test_combined_experiment_jobs_parity():
-    cfg1 = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
-                            s_grid=(0.0, 5.0), per_axis=10, flow_per_axis=4,
-                            h=5e-3, spot_points=2, jobs=1)
-    cfg2 = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
-                            s_grid=(0.0, 5.0), per_axis=10, flow_per_axis=4,
-                            h=5e-3, spot_points=2, jobs=2)
-    r1, r2 = combined_experiment(cfg1), combined_experiment(cfg2)
-    for c1, c2 in zip(r1.cells, r2.cells):
-        assert c1.outside_mass == c2.outside_mass
-        assert c1.outside_mass_flow == c2.outside_mass_flow
-        assert c1.pairings == c2.pairings
+def test_chained_flow_matches_independent_flows(monkeypatch):
+    # the one flow chained through the scheduled t lands where independent
+    # flows from the degenerate fiber to each t land
+    segments = []
+    orig = DegenerationFamily.flow
+
+    def recording(self, state, tau, **kw):
+        res = orig(self, state, tau, **kw)
+        segments.append((self, state, res))
+        return res
+
+    monkeypatch.setattr(DegenerationFamily, "flow", recording)
+    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
+                           s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=5, h=5e-3)
+    rep = combined_experiment(cfg)
+    monkeypatch.undo()
+    fam, v0, _ = segments[0]
+    ts = sorted(c.t for c in rep.cells if c.t > 0)
+    assert len(segments) == len(ts) == 3
+    for t, (_, _, chained) in zip(ts, segments):
+        alone = fam.flow(v0, -t, h=cfg.h)
+        assert np.max(np.abs(fam.moment(chained.state) - fam.moment(alone.state))) < 1e-10
+
+
+def test_point_failing_late_keeps_earlier_t(monkeypatch):
+    # the batched flow fails and the per-point fallback runs; a point failing
+    # on its last segment (up to t = 1) still counts for the smaller t
+    orig = DegenerationFamily.flow
+    point_calls = []
+
+    def failing(self, state, tau, **kw):
+        if state.batch_shape != ():
+            raise FlowSingularityError("batched flow")
+        point_calls.append(tau)
+        if len(point_calls) == 3:
+            raise FlowSingularityError("first point, segment up to t = 1")
+        return orig(self, state, tau, **kw)
+
+    monkeypatch.setattr(DegenerationFamily, "flow", failing)
+    cfg = ExperimentConfig(s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=4, h=2e-2)
+    rep = combined_experiment(cfg)
+    assert [c.flow_failures for c in rep.cells] == [1, 0, 0]
+    assert rep.incomplete
 
 
 def test_s0_cell_equals_undeformed_baseline():
@@ -381,7 +412,7 @@ def test_s0_cell_equals_undeformed_baseline():
 
     cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
                            s_grid=(0.0, 5.0), per_axis=14, flow_per_axis=4,
-                           h=5e-3, spot_points=1)
+                           h=5e-3)
     rep = combined_experiment(cfg)
     cell0 = rep.cells[0]
     assert cell0.t == 1.0
@@ -402,8 +433,7 @@ def test_s0_cell_equals_undeformed_baseline():
 
 
 def test_gc_vs_torus_trend():
-    d_coarse = gc_vs_torus_moment_check(0.1, samples=5, seed=0)
-    d_fine = gc_vs_torus_moment_check(0.02, samples=5, seed=0)
+    d_coarse, d_fine = gc_vs_torus_moment_check([0.1, 0.02], samples=5, seed=0)
     assert d_fine < d_coarse
     with pytest.raises(ValueError):
-        gc_vs_torus_moment_check(0.5)
+        gc_vs_torus_moment_check([0.5])
