@@ -341,8 +341,10 @@ def cmd_flow(args) -> int:
     })
     a = positive_weights(parse_floats(cfg["a"]))
     t1, t0, h = float(cfg["t1"]), float(cfg["t0"]), float(cfg["h"])
-    if h <= 0:
-        raise UsageError("h must be positive")
+    if not 0 < h < math.inf:
+        raise UsageError("h must be positive and finite")
+    if not (math.isfinite(t1) and math.isfinite(t0)):
+        raise UsageError("t0 and t1 must be finite")
     fam = DegenerationFamily(a)
     V = random_flags(3, 1, seed=int(cfg["seed"]))[0]
     state = fam.embed_flag(V, t1)

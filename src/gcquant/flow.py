@@ -108,6 +108,11 @@ def _dots(x, y):
     return np.sum(np.conj(x) * y, axis=-1)
 
 
+def _sq(x):
+    """Elementwise |x|^2 of a complex array."""
+    return x.real ** 2 + x.imag ** 2
+
+
 class DegenerationFamily:
     """The pencil for weights a = (a_1, a_2) with its ambient Kaehler data.
 
@@ -128,6 +133,8 @@ class DegenerationFamily:
         sw = math.sqrt(a[1] / math.pi)
         st = math.sqrt(t_scale)
         self._scale = np.array([su] * 3 + [sw] * 3 + [st], dtype=float)
+        # pi/a_i on the (u, w) coordinates: the inverse metric of those blocks
+        self._inv_metric = self._scale[:6] ** -2
 
     # ---------------------------------------------------------------- basics
 
@@ -215,21 +222,45 @@ class DegenerationFamily:
 
     def z_field(self, state: State, guard: float = 1e-8):
         """Gradient-Hamiltonian field Z = -grad(Re t)/|grad(Re t)|^2 as flat
-        coordinates (..., 7).  Returns (Z, grad_norm)."""
-        C = self._rows(state)
-        st = self._scale[6]
-        e_t = np.zeros(state.batch_shape + (7,), dtype=complex)
-        e_t[..., 6] = 1.0
-        v = self._project_scaled(C, e_t)
-        nrm2 = np.real(_dots(v, v))
-        grad_norm = np.sqrt(nrm2) / st
-        if np.any(grad_norm <= guard):
+        coordinates (..., 7).  Returns (Z, grad_norm).
+
+        Closed form of `project(state, e_t)`.  With a = dF/du, b = dF/dw and
+        c = dF/dt (so u.a = w.b = F), the gauge rows u, w are orthogonal to
+        each other and to e_t, so one Gram-Schmidt step leaves
+        pa = conj(a) - u conj(F)/|u|^2 and pb = conj(b) - w conj(F)/|w|^2.
+        With P = (pi/a_1)|pa|^2 + (pi/a_2)|pb|^2 and Q = |c|^2/t_scale:
+        grad_norm = sqrt(P/(P+Q)/t_scale), Z_u = (pi/a_1) c pa/P,
+        Z_w = (pi/a_2) c pb/P and Z_t = -1, evaluated as
+        -(1 - Q/(P+Q))(P+Q)/P so that its rounding stays visible.  RK stages
+        leave the unit spheres, hence the |u|^2, |w|^2 divisors.
+        """
+        u, w, t = state.u, state.w, state.t
+        g = np.empty(state.batch_shape + (6,), dtype=complex)
+        g[..., 0] = w[..., 2]
+        g[..., 1] = -w[..., 1]
+        g[..., 2] = t * w[..., 0]
+        g[..., 3] = t * u[..., 2]
+        g[..., 4] = -u[..., 1]
+        g[..., 5] = u[..., 0]
+        pa, pb = g[..., 0:3], g[..., 3:6]
+        Fc = np.conj(np.sum(u * pa, axis=-1))
+        c = u[..., 2] * w[..., 0]
+        np.conjugate(g, out=g)
+        pa -= u * (Fc / _sq(u).sum(axis=-1))[..., None]
+        pb -= w * (Fc / _sq(w).sum(axis=-1))[..., None]
+        P = _sq(g) @ self._inv_metric
+        Q = _sq(c) / self.t_scale
+        PQ = P + Q
+        grad_norm = np.sqrt(P / PQ) / self._scale[6]
+        if not np.all(grad_norm > guard):
             bad = float(np.min(grad_norm))
             raise FlowSingularityError(
                 f"flow field undefined: gradient norm {bad:.3e} <= {guard:.1e}"
             )
-        zhat = -(st * v) / nrm2[..., None]
-        return zhat / self._scale, grad_norm
+        Z = np.empty(state.batch_shape + (7,), dtype=complex)
+        np.multiply(g, (c / P)[..., None] * self._inv_metric, out=Z[..., 0:6])
+        Z[..., 6] = -(1.0 - Q / PQ) * PQ / P
+        return Z, grad_norm
 
     # ------------------------------------------------------------ retraction
 
@@ -262,13 +293,13 @@ class DegenerationFamily:
 
     # ----------------------------------------------------------- integration
 
-    def _rk4_step(self, state: State, h: float, sign: float) -> State:
+    def _rk4_step(self, state: State, Z: np.ndarray, h: float, sign: float) -> State:
+        """One RK4 step; Z = z_field(state) is the caller's first stage."""
         def f(s: State) -> np.ndarray:
-            Z, _ = self.z_field(s)
-            return sign * Z
+            return sign * self.z_field(s)[0]
 
         y = state.vector()
-        k1 = f(state)
+        k1 = sign * Z
         k2 = f(State.from_vector(y + 0.5 * h * k1))
         k3 = f(State.from_vector(y + 0.5 * h * k2))
         k4 = f(State.from_vector(y + h * k3))
@@ -304,7 +335,7 @@ class DegenerationFamily:
             Z, gn = self.z_field(cur, guard=guard)
             min_grad = min(min_grad, float(np.min(gn)))
             dir_err = max(dir_err, float(np.max(np.abs(np.real(Z[..., 6]) + 1.0))))
-            cur = self._rk4_step(cur, h_eff, sign)
+            cur = self._rk4_step(cur, Z, h_eff, sign)
             cur = self.retract(cur, tol=retract_tol)
             max_res = max(max_res, float(np.max(np.abs(self.residual(cur)))))
             if record:
@@ -395,7 +426,7 @@ class DegenerationFamily:
             vhalf = V + 0.5 * h_eff * dz0
             dzm = sign * self._dz_apply(mid, vhalf, fd_eps)
             V = V + h_eff * dzm
-            cur = self.retract(self._rk4_step(cur, h_eff, sign), tol=retract_tol)
+            cur = self.retract(self._rk4_step(cur, Z, h_eff, sign), tol=retract_tol)
             V = self.project(cur, V, fiber=fiber)
         return cur, V
 

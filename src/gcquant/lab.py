@@ -279,7 +279,9 @@ class AdaptiveSchedule:
             return self._cache[window]
         measure = self.measure
         if measure is None:
-            measure = lambda t: gc_vs_torus_moment_check([t], samples=3, h=5e-3)[0]
+            # the check compares only for t <= 0.2; larger t counts as unmet
+            measure = lambda t: (gc_vs_torus_moment_check([t], samples=3, h=5e-3)[0]
+                                 if t <= 0.2 else math.inf)
         # start below the previous window's value to keep monotonicity;
         # t_min is a hard floor even across windows
         t_prev = self.t(s - 1.0) if window >= 1 else 1.0
@@ -576,8 +578,8 @@ class ExperimentConfig:
             raise ValueError("schedule must be non-increasing on the s-grid")
         if self.per_axis < 4 or self.flow_per_axis < 2:
             raise ValueError("quadrature resolution too small")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError("h must be positive and finite")
 
 
 @dataclass
@@ -746,8 +748,8 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     t_values = [float(t) for t in t_values]
     if not t_values or not all(0 < t <= 0.2 for t in t_values):
         raise ValueError("t values must lie in (0, 0.2]")
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     model = GCTorusModel(a)
     fam = DegenerationFamily(a)
     flags = random_flags(3, samples, seed=seed)

@@ -133,6 +133,12 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["lab", "gc-check", "--samples", "0"],
     ["lab", "gc-check", "--h", "0"],
     ["lab", "gc-check", "--h", "-1"],
+    ["lab", "gc-check", "--h", "inf"],
+    ["lab", "combined", "--h", "inf"],
+    ["flow", "run", "--h", "inf"],
+    ["flow", "run", "--h", "nan"],
+    ["flow", "run", "--t1", "inf"],
+    ["flow", "run", "--t0", "nan"],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -276,6 +282,22 @@ def test_lab_combined_cli_end_to_end(tmp_path, capsys):
     assert summary["lift"] == [0, 1, 0, 1]
     rows = (out / "cells.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_lab_combined_adaptive_schedule(tmp_path):
+    # the default adaptive measure only compares at t <= 0.2, so every s > 0
+    # must land there instead of failing at the first probe t = 0.5
+    out = tmp_path / "ad"
+    cfg = tmp_path / "adaptive.json"
+    cfg.write_text(json.dumps({"schedule": "adaptive"}))
+    rc = run(["lab", "combined", "--config", str(cfg), "--s-grid", "0,1",
+              "--per-axis", "12", "--flow-per-axis", "3", "--out", str(out)])
+    assert rc == 0
+    header, *rows = [r.split(",") for r in (out / "cells.csv").read_text().split()]
+    s, t = header.index("s"), header.index("t")
+    assert [float(r[s]) for r in rows] == [0.0, 1.0]
+    assert float(rows[0][t]) == 1.0
+    assert 0 < float(rows[1][t]) <= 0.2
 
 
 def test_version_flag():

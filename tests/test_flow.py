@@ -64,6 +64,56 @@ def test_z_field_time_component_is_minus_one():
     assert np.min(gn) > 0
 
 
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_z_field_matches_generic_projection(t):
+    # Z = -grad(Re t)/|grad|^2 with grad = project(e_t / t_scale), through the
+    # generic Gram solve, on states off the unit spheres (as RK stages are)
+    a, t_scale = (2.0, 0.7), 3.3
+    fam = DegenerationFamily(a, t_scale=t_scale)
+    rng = np.random.default_rng(17)
+    n = 64
+    u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    w = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    st = State(u, w, np.full(n, t))
+    e_t = np.zeros((n, 7), dtype=complex)
+    e_t[:, 6] = 1.0 / t_scale
+    grad = fam.project(st, e_t)
+    metric = np.array([a[0] / np.pi] * 3 + [a[1] / np.pi] * 3 + [t_scale])
+    norm2 = np.sum(metric * np.abs(grad) ** 2, axis=-1)
+    Z_ref = -grad / norm2[:, None]
+    Z, gn = fam.z_field(st)
+    rel = np.linalg.norm(Z - Z_ref, axis=-1) / np.linalg.norm(Z_ref, axis=-1)
+    assert np.max(rel) < 1e-13
+    assert np.max(np.abs(gn / np.sqrt(norm2) - 1.0)) < 1e-13
+
+
+def test_z_field_guard_at_singular_point():
+    # u = e_3, w = (1, 0, 0), t = 0: dF vanishes except along dt, so the
+    # gradient of Re t has no tangential part
+    st = State(np.array([[1, 0, 0], [0, 0, 1]]), np.array([[1, 0, 0], [1, 0, 0]]),
+               np.zeros(2))
+    assert np.max(np.abs(FAM.residual(st))) == 0.0
+    FAM.z_field(st[:1])
+    with pytest.raises(FlowSingularityError, match="gradient norm 0.000e"):
+        FAM.z_field(st)
+    with pytest.raises(FlowSingularityError):
+        FAM.z_field(st[1])
+
+
+def test_flow_evaluates_field_four_times_per_step(monkeypatch):
+    calls = []
+    z_field = DegenerationFamily.z_field
+
+    def counted(self, state, *args, **kwargs):
+        calls.append(state.batch_shape)
+        return z_field(self, state, *args, **kwargs)
+
+    monkeypatch.setattr(DegenerationFamily, "z_field", counted)
+    res = FAM.flow(embedded_batch(3), 0.05, h=1e-2)
+    assert res.steps == 5
+    assert calls == [(3,)] * (4 * res.steps)
+
+
 def test_retract_restores_fiber_and_fixes_t():
     rng = np.random.default_rng(12)
     st = embedded_batch(8, seed=2)
