@@ -171,6 +171,20 @@ def parse_ranges(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def parse_step(value) -> float | None:
+    """The merged `h`: null selects error-controlled flow steps, anything
+    else must be a positive finite fixed step."""
+    if value is None:
+        return None
+    try:
+        h = float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"h must be null or a number, got {value!r}")
+    if not 0 < h < math.inf:
+        raise UsageError("h must be null or positive and finite")
+    return h
+
+
 def positive_weights(a: tuple) -> tuple:
     if len(a) == 0 or any(v <= 0 for v in a):
         raise UsageError("weights a must be positive")
@@ -332,7 +346,7 @@ def cmd_flag(args) -> int:
 
 # -- flow ------------------------------------------------------------------------
 
-FLOW_DEFAULTS = {"a": "1,1", "t1": 1.0, "t0": 0.5, "h": 1e-3, "seed": 0}
+FLOW_DEFAULTS = {"a": "1,1", "t1": 1.0, "t0": 0.5, "h": None, "seed": 0}
 
 
 def cmd_flow(args) -> int:
@@ -340,9 +354,7 @@ def cmd_flow(args) -> int:
         "a": args.a, "t1": args.t1, "t0": args.t0, "h": args.h, "seed": args.seed,
     })
     a = positive_weights(parse_floats(cfg["a"]))
-    t1, t0, h = float(cfg["t1"]), float(cfg["t0"]), float(cfg["h"])
-    if not 0 < h < math.inf:
-        raise UsageError("h must be positive and finite")
+    t1, t0, h = float(cfg["t1"]), float(cfg["t0"]), parse_step(cfg["h"])
     if not (math.isfinite(t1) and math.isfinite(t0)):
         raise UsageError("t0 and t1 must be finite")
     fam = DegenerationFamily(a)
@@ -355,7 +367,7 @@ def cmd_flow(args) -> int:
               [[i, float(np.real(t)), float(np.imag(t))] for i, t in enumerate(res.t_path)])
     summary = out / "summary.json"
     write_json(summary, {
-        "config": cfg, "steps": res.steps, "h_effective": res.h,
+        "config": cfg, "steps": res.steps, "rejected": res.rejected, "h_effective": res.h,
         "t_deviation": res.t_deviation, "max_residual": res.max_residual,
         "min_grad_norm": res.min_grad_norm, "direction_err": res.direction_err,
     })
@@ -381,7 +393,7 @@ LAB_DEFAULTS = {
     "schedule_rate": 5.0,
     "per_axis": 32,
     "flow_per_axis": 10,
-    "h": 1e-3,
+    "h": None,
 }
 
 
@@ -414,7 +426,7 @@ def cmd_lab_combined(args) -> int:
             schedule=schedule,
             per_axis=int(cfg["per_axis"]),
             flow_per_axis=int(cfg["flow_per_axis"]),
-            h=float(cfg["h"]),
+            h=parse_step(cfg["h"]),
         )
     except ValueError as e:
         raise UsageError(str(e))
@@ -446,7 +458,7 @@ def cmd_lab_combined(args) -> int:
     return 0
 
 
-GCCHECK_DEFAULTS = {"t": "0.1,0.02", "samples": 20, "seed": 0, "h": 1e-3, "a": "1,1"}
+GCCHECK_DEFAULTS = {"t": "0.1,0.02", "samples": 20, "seed": 0, "h": None, "a": "1,1"}
 
 
 def cmd_lab_gc_check(args) -> int:
@@ -456,7 +468,7 @@ def cmd_lab_gc_check(args) -> int:
     tvals = parse_floats(cfg["t"])
     a = positive_weights(parse_floats(cfg["a"]))
     d = gc_vs_torus_moment_check(tvals, samples=int(cfg["samples"]),
-                                 a=a, seed=int(cfg["seed"]), h=float(cfg["h"]))
+                                 a=a, seed=int(cfg["seed"]), h=parse_step(cfg["h"]))
     rows = [[t, dt] for t, dt in zip(tvals, d)]
     out = out_dir_for(args, "gcq-lab")
     csv = out / "gc_check.csv"

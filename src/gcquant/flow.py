@@ -31,6 +31,7 @@ import numpy as np
 from .flag import pluecker_levels
 
 __all__ = [
+    "FLOW_TOL",
     "FlowSingularityError",
     "State",
     "FlowResult",
@@ -39,6 +40,19 @@ __all__ = [
     "loop_phase",
     "torus_loop",
 ]
+
+
+# Local error bound of one error-controlled flow step, in the sup norm of the
+# flat coordinates (u, w, t) over the batch.  The propagated fifth-order
+# solution is more accurate than the fourth-order estimate this bounds, and a
+# flow segment takes tens of steps, so flowed points stay well inside 1e-8 of
+# the exact flow (the accuracy that flow-route quadrature is checked to).
+FLOW_TOL = 1e-10
+# Smallest step the controller may propose short of the segment's end.  The
+# steps shrink toward zero only where the field blows up, next to a singular
+# point of a fiber, so a proposal below this raises FlowSingularityError
+# instead of creeping on.
+FLOW_MIN_STEP = 1e-12
 
 
 class FlowSingularityError(RuntimeError):
@@ -93,12 +107,13 @@ class FlowResult:
     """Outcome of an integrated flow segment."""
 
     state: State
-    steps: int
-    h: float
+    steps: int                  # accepted steps
+    h: float                    # step length; the mean |tau|/steps if controlled
     t_deviation: float          # |t_final - t_expected|, max over the batch
     max_residual: float         # defining-equation residual after retraction
     min_grad_norm: float        # smallest metric gradient norm encountered
     direction_err: float        # max |Z(Re f) + sign| over evaluations
+    rejected: int = 0           # error-controlled steps rejected and retried
     t_path: Optional[np.ndarray] = None
     states: Optional[list] = field(default=None, repr=False)
 
@@ -111,6 +126,107 @@ def _dots(x, y):
 def _sq(x):
     """Elementwise |x|^2 of a complex array."""
     return x.real ** 2 + x.imag ** 2
+
+
+# Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980).
+# The field is autonomous, so the nodes are not needed.  Row i gives stage
+# i + 2; the last row holds the fifth-order weights, so its point is the new
+# point and its stage feeds only the error estimate, weighted by _DP_ERR =
+# fifth-order minus embedded fourth-order weights.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _stage_sum(y: np.ndarray, h: float, weights: Sequence[float], K: np.ndarray) -> np.ndarray:
+    """y + h sum_j weights[j] K[j] by in-place updates (far cheaper than a
+    tensordot at these sizes)."""
+    out = y.copy()
+    for a, k in zip(weights, K):
+        if a:
+            out += (h * a) * k
+    return out
+
+
+class _FixedStepper:
+    """ceil(span/h) uniform RK4 steps of length span/steps."""
+
+    rejected = 0
+
+    def __init__(self, fam: "DegenerationFamily", sign: float, span: float, h: float):
+        self.fam, self.sign = fam, sign
+        self.n = max(1, math.ceil(span / h)) if span else 0
+        self.h = span / self.n if span else 0.0
+        self.steps = 0
+
+    @property
+    def done(self) -> bool:
+        return self.steps == self.n
+
+    def step(self, cur: State, Z: np.ndarray) -> State:
+        self.steps += 1
+        return self.fam._rk4_step(cur, Z, self.h, self.sign)
+
+
+class _ControlledStepper:
+    """Dormand-Prince 5(4) steps with local error at most FLOW_TOL: 7 field
+    evaluations per accepted step (the caller's start-of-step field is the
+    first), 6 per rejected one, 1 more for the starting step.  Standard
+    controller (safety 0.9, step ratio clamped to [0.2, 5]); the last step is
+    clipped to end at span."""
+
+    def __init__(self, fam: "DegenerationFamily", sign: float, span: float, guard: float):
+        self.fam, self.sign, self.span, self.guard = fam, sign, span, guard
+        self.h = None
+        self.elapsed = 0.0
+        self.steps = self.rejected = 0
+        self.done = span == 0
+
+    def f(self, y: np.ndarray) -> np.ndarray:
+        return self.sign * self.fam.z_field(State.from_vector(y), self.guard)[0]
+
+    def first_step(self, y: np.ndarray, k1: np.ndarray) -> float:
+        """Starting step (Hairer, Norsett and Wanner, Solving ODEs I, II.4)
+        in the sup norm scaled by FLOW_TOL: one field evaluation at y + h0 k1,
+        h0 <= span, gauges the curvature."""
+        d1 = np.max(np.abs(k1))
+        h0 = min(0.01 * np.max(np.abs(y)) / d1, self.span)
+        d2 = np.max(np.abs(self.f(y + h0 * k1) - k1)) / h0
+        return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.2))
+
+    def step(self, cur: State, Z: np.ndarray) -> State:
+        y = cur.vector()
+        K = np.empty((7,) + y.shape, dtype=complex)
+        K[0] = self.sign * Z
+        if self.h is None:
+            self.h = self.first_step(y, K[0])
+        while True:
+            last = self.h >= self.span - self.elapsed
+            if not last and self.h < FLOW_MIN_STEP:
+                raise FlowSingularityError(
+                    f"flow step {self.h:.3e} below {FLOW_MIN_STEP:.1e} "
+                    f"after {self.steps} steps"
+                )
+            h = self.span - self.elapsed if last else self.h
+            for i, row in enumerate(_DP_A):
+                yi = _stage_sum(y, h, row, K)
+                K[i + 1] = self.f(yi)
+            err = np.max(np.abs(_stage_sum(np.zeros_like(y), h, _DP_ERR, K))) / FLOW_TOL
+            ratio = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            self.h = h * ratio
+            if err <= 1.0:
+                break
+            self.rejected += 1
+        self.steps += 1
+        self.elapsed = self.span if last else self.elapsed + h
+        self.done = self.elapsed >= self.span
+        return State.from_vector(yi)
 
 
 class DegenerationFamily:
@@ -309,43 +425,47 @@ class DegenerationFamily:
         self,
         state: State,
         tau: float,
-        h: float = 1e-3,
+        h: Optional[float] = None,
         record: bool = False,
         keep_states: bool = False,
         retract_tol: float = 1e-12,
         guard: float = 1e-8,
     ) -> FlowResult:
         """Integrate the flow for time tau (tau < 0 runs the field backwards,
-        increasing Re t).  Uniform RK4 steps with retraction after each."""
-        if tau == 0:
-            return FlowResult(state, 0, 0.0, 0.0,
-                              float(np.max(np.abs(self.residual(state)))),
-                              float("inf"), 0.0)
-        sign = 1.0 if tau > 0 else -1.0
-        steps = max(1, math.ceil(abs(tau) / h))
-        h_eff = abs(tau) / steps
-        t0 = state.t
+        increasing Re t), retracting onto the fiber after each accepted step.
+
+        h=None takes error-controlled Dormand-Prince 5(4) steps: the local
+        error estimate of each step, in the sup norm of the flat coordinates
+        over the whole batch, must stay below FLOW_TOL; the last step is
+        clipped to end at |tau|, and FlowResult.h is the mean step
+        |tau|/steps.  An explicit h takes ceil(|tau|/h) uniform RK4 steps.
+        Either way the field evaluated at the start of a step feeds the
+        diagnostics and serves as its first stage.
+        """
         cur = state
         max_res = float(np.max(np.abs(self.residual(cur))))
-        min_grad = float("inf")
-        dir_err = 0.0
         t_path = [cur.t.copy()] if record else None
         states = [cur] if keep_states else None
-        for _ in range(steps):
+        span = abs(tau)
+        sign = 1.0 if tau > 0 else -1.0
+        stepper = (_FixedStepper(self, sign, span, h) if h is not None
+                   else _ControlledStepper(self, sign, span, guard))
+        min_grad = float("inf")
+        dir_err = 0.0
+        while not stepper.done:
             Z, gn = self.z_field(cur, guard=guard)
             min_grad = min(min_grad, float(np.min(gn)))
             dir_err = max(dir_err, float(np.max(np.abs(np.real(Z[..., 6]) + 1.0))))
-            cur = self._rk4_step(cur, Z, h_eff, sign)
-            cur = self.retract(cur, tol=retract_tol)
+            cur = self.retract(stepper.step(cur, Z), tol=retract_tol)
             max_res = max(max_res, float(np.max(np.abs(self.residual(cur)))))
             if record:
                 t_path.append(cur.t.copy())
             if keep_states:
                 states.append(cur)
-        t_expected = t0 - sign * abs(tau)
-        t_dev = float(np.max(np.abs(cur.t - t_expected)))
+        t_dev = float(np.max(np.abs(cur.t - (state.t - sign * span))))
         return FlowResult(
-            cur, steps, h_eff, t_dev, max_res, min_grad, dir_err,
+            cur, stepper.steps, span / stepper.steps if stepper.steps else 0.0,
+            t_dev, max_res, min_grad, dir_err, stepper.rejected,
             t_path=np.stack(t_path) if record else None,
             states=states,
         )

@@ -280,7 +280,7 @@ class AdaptiveSchedule:
         measure = self.measure
         if measure is None:
             # the check compares only for t <= 0.2; larger t counts as unmet
-            measure = lambda t: (gc_vs_torus_moment_check([t], samples=3, h=5e-3)[0]
+            measure = lambda t: (gc_vs_torus_moment_check([t], samples=3)[0]
                                  if t <= 0.2 else math.inf)
         # start below the previous window's value to keep monotonicity;
         # t_min is a hard floor even across windows
@@ -556,7 +556,7 @@ class ExperimentConfig:
     schedule: object = field(default_factory=ExpSchedule)
     per_axis: int = 32
     flow_per_axis: int = 10
-    h: float = 1e-3
+    h: Optional[float] = None               # None: error-controlled flow steps
 
     def __post_init__(self):
         if self.nu is None:
@@ -578,8 +578,8 @@ class ExperimentConfig:
             raise ValueError("schedule must be non-increasing on the s-grid")
         if self.per_axis < 4 or self.flow_per_axis < 2:
             raise ValueError("quadrature resolution too small")
-        if not 0 < self.h < math.inf:
-            raise ValueError("h must be positive and finite")
+        if self.h is not None and not 0 < self.h < math.inf:
+            raise ValueError("h must be null or positive and finite")
 
 
 @dataclass
@@ -736,7 +736,7 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
 
 def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
                              a: Sequence[float] = (1.0, 1.0), seed: int = 0,
-                             h: float = 1e-3) -> np.ndarray:
+                             h: Optional[float] = None) -> np.ndarray:
     """Flow random flags from t = 1 down through t_values in one chained flow
     and compare Gelfand-Cetlin eigenvalue data of the start against the
     ambient torus moments at each t through the fixed linear identification;
@@ -748,8 +748,8 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     t_values = [float(t) for t in t_values]
     if not t_values or not all(0 < t <= 0.2 for t in t_values):
         raise ValueError("t values must lie in (0, 0.2]")
-    if not 0 < h < math.inf:
-        raise ValueError("h must be positive and finite")
+    if h is not None and not 0 < h < math.inf:
+        raise ValueError("h must be null or positive and finite")
     model = GCTorusModel(a)
     fam = DegenerationFamily(a)
     flags = random_flags(3, samples, seed=seed)

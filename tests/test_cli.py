@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gcquant.cli as cli
 
@@ -178,6 +182,49 @@ def test_flow_run_reports_exact_time(tmp_path, capsys):
     assert len(traj) - 1 == summary["steps"] + 1
     last = traj[-1].split(",")
     assert abs(float(last[1]) - 0.9) < 1e-12
+
+
+def test_flow_run_zero_time(tmp_path):
+    out = tmp_path / "z"
+    assert run(["flow", "run", "--t1", "0.5", "--t0", "0.5", "--out", str(out)]) == 0
+    traj = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert traj == ["step,re_t,im_t", "0,0.5,0"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps"] == 0 and summary["rejected"] == 0
+
+
+def test_flow_run_through_singular_point_exits_one(tmp_path, capsys, monkeypatch):
+    # a start on the vanishing cycle of the toric fiber's singular point
+    # u = e_3, w = e_12 (see tests/test_flow.py) cannot flow past t = 0
+    from gcquant.flow import DegenerationFamily
+
+    eps = 0.1
+    monkeypatch.setattr(DegenerationFamily, "embed_flag", lambda self, V, t: self.point(
+        np.array([eps, 0, 1]), np.array([1, 0, -eps]), t))
+    rc = run(["flow", "run", "--t1", str(eps ** 2), "--t0", str(-eps ** 2),
+              "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("tolerance failure: flow-singularity: flow step")
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=2000)
+@given(t0=st.floats(-1, 1), t1=st.floats(-1, 1),
+       h=st.none() | st.floats(1e-2, 0.5), seed=st.integers(-2, 2 ** 32))
+@example(t0=0.5, t1=0.5, h=None, seed=0)
+@example(t0=-1.0, t1=1.0, h=None, seed=0)
+@example(t0=2.3575223281716868e-146, t1=2.6243898711795176e-163, h=None, seed=2777)
+def test_flow_run_fuzz_exit_contract(t0, t1, h, seed):
+    argv = ["flow", "run", f"--t0={t0!r}", f"--t1={t1!r}", f"--seed={seed}"]
+    if h is not None:
+        argv.append(f"--h={h!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = run(argv + ["--out", out])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_float_formatting_is_lossless(tmp_path):

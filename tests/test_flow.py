@@ -6,10 +6,13 @@ from gcquant.flow import (
     DegenerationFamily,
     FlowSingularityError,
     State,
+    _ControlledStepper,
     loop_phase,
     torus_loop,
     transport_phase_factors,
 )
+from gcquant.lab import ExperimentConfig, GCTorusModel
+from gcquant.toric import polytope_grid
 
 A = (1.0, 1.0)
 FAM = DegenerationFamily(A)
@@ -114,6 +117,97 @@ def test_flow_evaluates_field_four_times_per_step(monkeypatch):
     assert calls == [(3,)] * (4 * res.steps)
 
 
+def counting_z_field(monkeypatch, limit=None):
+    """Record the batch shape of every z_field call; past `limit` calls the
+    flow counts as hung."""
+    calls = []
+    z_field = DegenerationFamily.z_field
+
+    def counted(self, state, *args, **kwargs):
+        calls.append(state.batch_shape)
+        assert limit is None or len(calls) <= limit, "flow does not stop"
+        return z_field(self, state, *args, **kwargs)
+
+    monkeypatch.setattr(DegenerationFamily, "z_field", counted)
+    return calls
+
+
+def oversize_first_step(monkeypatch, factor=1e3):
+    first_step = _ControlledStepper.first_step
+    monkeypatch.setattr(_ControlledStepper, "first_step",
+                        lambda self, *args: factor * first_step(self, *args))
+
+
+def test_controlled_flow_evaluation_counts(monkeypatch):
+    # 7 field evaluations per accepted step (the start-of-step field is the
+    # first stage), 6 per rejected one, 1 for the starting step
+    calls = counting_z_field(monkeypatch)
+    res = FAM.flow(embedded_batch(3), 0.5)
+    assert res.rejected == 0 and res.steps > 1
+    assert calls == [(3,)] * (7 * res.steps + 1)
+    calls.clear()
+    oversize_first_step(monkeypatch)
+    res = FAM.flow(embedded_batch(3), 0.5)
+    assert res.rejected > 0
+    assert calls == [(3,)] * (7 * res.steps + 6 * res.rejected + 1)
+
+
+@pytest.mark.parametrize("tau", [1e-20, -1e-150])
+def test_controlled_flow_spans_below_step_floor(tau):
+    # the step floor bounds the controller's proposals, not a segment
+    # shorter than the floor
+    st = embedded_batch(2)
+    res = FAM.flow(st, tau)
+    assert res.steps == 1 and res.rejected == 0
+    assert res.t_deviation < 1e-15
+
+
+@pytest.fixture(scope="module")
+def lab_flow_grid():
+    # the flow grid and scheduled t of lab combined at flow_per_axis = 5,
+    # with the chained endpoints of the fixed step h = 1e-3
+    cfg = ExperimentConfig(flow_per_axis=5)
+    model = GCTorusModel(cfg.a)
+    img = model.image_delta()
+    pts, _ = polytope_grid(img, cfg.flow_per_axis)
+    pts = pts[img.support_values(pts).min(axis=-1) > 1e-9]
+    fam = DegenerationFamily(cfg.a)
+    v0 = model.v0_state(pts, fam=fam)
+    ts = sorted({cfg.schedule.t(s) for s in cfg.s_grid})
+    ref, cur, t_prev = [], v0, 0.0
+    for t in ts:
+        cur = fam.flow(cur, -(t - t_prev), h=1e-3).state
+        ref.append(fam.moment(cur))
+        t_prev = t
+    return fam, v0, ts, ref
+
+
+@pytest.mark.parametrize("oversize", [False, True])
+def test_controlled_flow_matches_fine_fixed_step(lab_flow_grid, monkeypatch, oversize):
+    fam, v0, ts, ref = lab_flow_grid
+    if oversize:
+        oversize_first_step(monkeypatch)
+    cur, t_prev, rejected = v0, 0.0, 0
+    for t, x_ref in zip(ts, ref):
+        res = fam.flow(cur, -(t - t_prev))
+        cur, t_prev, rejected = res.state, t, rejected + res.rejected
+        assert np.max(np.abs(cur.t - t)) < 1e-12
+        assert np.max(np.abs(fam.moment(cur) - x_ref)) < 1e-9
+    assert (rejected > 0) == oversize
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.1, 0.3])
+def test_controlled_flow_through_singular_point_raises(monkeypatch, eps):
+    # u = (eps, 0, 1), w = (1, 0, -eps) at t = eps^2 lies on the vanishing
+    # cycle of the singular point of test_z_field_guard_at_singular_point:
+    # its flow reaches that point at t = 0 and cannot go on to t = -eps^2
+    st = FAM.point(np.array([eps, 0, 1]), np.array([1, 0, -eps]), eps ** 2)
+    assert np.max(np.abs(FAM.residual(st))) < 1e-15
+    counting_z_field(monkeypatch, limit=10_000)
+    with pytest.raises(FlowSingularityError):
+        FAM.flow(st, 2 * eps ** 2)
+
+
 def test_retract_restores_fiber_and_fixes_t():
     rng = np.random.default_rng(12)
     st = embedded_batch(8, seed=2)
@@ -137,6 +231,15 @@ def test_flow_step_bookkeeping():
     assert res.t_path.shape[0] == res.steps + 1
     zero = FAM.flow(st, 0.0)
     assert zero.steps == 0 and zero.t_deviation == 0.0
+
+
+@pytest.mark.parametrize("h", [None, 1e-2])
+def test_zero_flow_records_start(h):
+    st = embedded_batch(2)
+    zero = FAM.flow(st, 0.0, h=h, record=True, keep_states=True)
+    assert zero.steps == 0 and zero.rejected == 0 and zero.h == 0.0
+    assert np.array_equal(zero.t_path, st.t[None])
+    assert zero.states == [st]
 
 
 def test_flow_time_exactness_and_residual():
