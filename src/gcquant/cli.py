@@ -27,11 +27,13 @@ from .polytope import (
     gc_polytope,
     gc_variable_names,
     gc_weight,
+    integer_weights,
     lattice_points,
     polytope_to_json,
     weyl_dim,
 )
 from .toric import (
+    ConvergenceError,
     ConvexDeformation,
     QuadraticNu,
     SymplecticPotential,
@@ -42,7 +44,6 @@ from .flag import gc_map, random_flags
 from .flow import DegenerationFamily, FlowSingularityError
 from .lab import (
     AdaptiveSchedule,
-    ConvergenceError,
     ExperimentConfig,
     ExpSchedule,
     GridMeasure,
@@ -171,15 +172,32 @@ def parse_ranges(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def parse_real(key: str, value) -> float:
+    """A merged config number: a JSON number or a numeric string, not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"{key} must be a number, got {value!r}")
+
+
+def parse_int(key: str, value) -> int:
+    """A merged config integer: an int, or an integral number or numeric
+    string; bools, fractions and lists are usage errors, never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not parse_real(key, value).is_integer():
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return int(float(value))
+
+
 def parse_step(value) -> float | None:
     """The merged `h`: null selects error-controlled flow steps, anything
     else must be a positive finite fixed step."""
     if value is None:
         return None
-    try:
-        h = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"h must be null or a number, got {value!r}")
+    h = parse_real("h", value)
     if not 0 < h < math.inf:
         raise UsageError("h must be null or positive and finite")
     return h
@@ -201,8 +219,7 @@ def out_dir_for(args, default: str) -> Path:
 
 
 def cmd_polytope(args) -> int:
-    a = tuple(int(v) for v in parse_floats(args.a))
-    positive_weights(a)
+    a = positive_weights(integer_weights(parse_floats(args.a)))
     n = args.n
     if len(a) != n - 1:
         raise UsageError(f"need n-1 = {n - 1} weights, got {len(a)}")
@@ -258,13 +275,13 @@ def cmd_toric(args) -> int:
     svals = parse_floats(cfg["s"])
     if not all(math.isfinite(s) for s in svals):
         raise UsageError("deformation strengths s must be finite")
-    eps = float(cfg["eps"])
+    eps = parse_real("eps", cfg["eps"])
     if not eps > 0:
         raise UsageError("eps must be positive")
-    per_axis = int(cfg["per_axis"])
+    per_axis = parse_int("per_axis", cfg["per_axis"])
     if per_axis < 1:
         raise UsageError("per_axis must be at least 1")
-    nu = QuadraticNu(float(cfg["nu_scale"]) * np.eye(P.dim))
+    nu = QuadraticNu(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(P.dim))
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu))
 
     pts, log_vol = polytope_grid(P, per_axis)
@@ -314,12 +331,12 @@ def cmd_flag(args) -> int:
     cfg = merge_config(FLAG_DEFAULTS, args.config, {
         "n": args.n, "a": args.a, "count": args.count, "seed": args.seed,
     })
-    n = int(cfg["n"])
+    n = parse_int("n", cfg["n"])
     a = positive_weights(parse_floats(cfg["a"]))
     if len(a) != n - 1:
         raise UsageError(f"need n-1 = {n - 1} weights, got {len(a)}")
-    count = int(cfg["count"])
-    flags = random_flags(n, count, seed=int(cfg["seed"]))
+    count = parse_int("count", cfg["count"])
+    flags = random_flags(n, count, seed=parse_int("seed", cfg["seed"]))
     P = gc_polytope(n, a)
     names = gc_variable_names(n)
     rows = []
@@ -354,11 +371,11 @@ def cmd_flow(args) -> int:
         "a": args.a, "t1": args.t1, "t0": args.t0, "h": args.h, "seed": args.seed,
     })
     a = positive_weights(parse_floats(cfg["a"]))
-    t1, t0, h = float(cfg["t1"]), float(cfg["t0"]), parse_step(cfg["h"])
+    t1, t0, h = parse_real("t1", cfg["t1"]), parse_real("t0", cfg["t0"]), parse_step(cfg["h"])
     if not (math.isfinite(t1) and math.isfinite(t0)):
         raise UsageError("t0 and t1 must be finite")
     fam = DegenerationFamily(a)
-    V = random_flags(3, 1, seed=int(cfg["seed"]))[0]
+    V = random_flags(3, 1, seed=parse_int("seed", cfg["seed"]))[0]
     state = fam.embed_flag(V, t1)
     res = fam.flow(state, t1 - t0, h=h, record=True)
     out = out_dir_for(args, "gcq-flow")
@@ -411,25 +428,22 @@ def cmd_lab_combined(args) -> int:
         "flow_per_axis": args.flow_per_axis, "h": args.h,
     })
     if cfg["schedule"] == "exp":
-        schedule = ExpSchedule(float(cfg["schedule_rate"]))
+        schedule = ExpSchedule(parse_real("schedule_rate", cfg["schedule_rate"]))
     elif cfg["schedule"] == "adaptive":
         schedule = AdaptiveSchedule()
     else:
         raise UsageError(f"unknown schedule policy {cfg['schedule']!r}")
-    try:
-        ecfg = ExperimentConfig(
-            a=positive_weights(parse_floats(cfg["a"])),
-            pattern=_parse_pattern(cfg["pattern"]),
-            nu=QuadraticNu(float(cfg["nu_scale"]) * np.eye(3)),
-            s_grid=parse_floats(cfg["s_grid"]),
-            eps=float(cfg["eps"]),
-            schedule=schedule,
-            per_axis=int(cfg["per_axis"]),
-            flow_per_axis=int(cfg["flow_per_axis"]),
-            h=parse_step(cfg["h"]),
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    ecfg = ExperimentConfig(
+        a=positive_weights(parse_floats(cfg["a"])),
+        pattern=_parse_pattern(cfg["pattern"]),
+        nu=QuadraticNu(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(3)),
+        s_grid=parse_floats(cfg["s_grid"]),
+        eps=parse_real("eps", cfg["eps"]),
+        schedule=schedule,
+        per_axis=parse_int("per_axis", cfg["per_axis"]),
+        flow_per_axis=parse_int("flow_per_axis", cfg["flow_per_axis"]),
+        h=parse_step(cfg["h"]),
+    )
     rep = combined_experiment(ecfg)
 
     out = out_dir_for(args, "gcq-lab")
@@ -467,8 +481,8 @@ def cmd_lab_gc_check(args) -> int:
     })
     tvals = parse_floats(cfg["t"])
     a = positive_weights(parse_floats(cfg["a"]))
-    d = gc_vs_torus_moment_check(tvals, samples=int(cfg["samples"]),
-                                 a=a, seed=int(cfg["seed"]), h=parse_step(cfg["h"]))
+    d = gc_vs_torus_moment_check(tvals, samples=parse_int("samples", cfg["samples"]), a=a,
+                                 seed=parse_int("seed", cfg["seed"]), h=parse_step(cfg["h"]))
     rows = [[t, dt] for t, dt in zip(tvals, d)]
     out = out_dir_for(args, "gcq-lab")
     csv = out / "gc_check.csv"

@@ -25,6 +25,7 @@ __all__ = [
     "simplex_polytope",
     "box_polytope",
     "product_polytope",
+    "integer_weights",
     "gc_weight",
     "gc_variable_names",
     "gc_polytope",
@@ -307,9 +308,16 @@ def product_polytope(factors: list[DelzantPolytope]) -> DelzantPolytope:
 # -- Gelfand-Cetlin ----------------------------------------------------------
 
 
+def integer_weights(a) -> tuple[int, ...]:
+    """The weights as ints; a non-integral weight is an error, not truncated."""
+    if not all(float(x).is_integer() for x in a):
+        raise ValueError(f"weights a must be integers, got {tuple(a)}")
+    return tuple(int(x) for x in a)
+
+
 def gc_weight(a) -> tuple[int, ...]:
     """lambda_i = sum_{k >= i} a_k, with lambda_n = 0 appended."""
-    a = tuple(int(x) for x in a)
+    a = integer_weights(a)
     if any(x <= 0 for x in a):
         raise ValueError("weights a must be positive integers")
     lam = tuple(sum(a[i:]) for i in range(len(a))) + (0,)
@@ -365,7 +373,7 @@ def ambient_polytope(n: int, a) -> DelzantPolytope:
     scaled simplices a_l * Delta^(C(n,l)-1)."""
     from math import comb
 
-    a = tuple(int(x) for x in a)
+    a = integer_weights(a)
     if len(a) != n - 1:
         raise ValueError("need n-1 weights")
     factors = [simplex_polytope(comb(n, l) - 1, a[l - 1], prefix=f"x{l}_") for l in range(1, n)]

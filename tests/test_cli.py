@@ -143,8 +143,18 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["flow", "run", "--h", "nan"],
     ["flow", "run", "--t1", "inf"],
     ["flow", "run", "--t0", "nan"],
+    # a trailing dict stands for a config file with that content
+    ["flow", "run", "--config", {"t1": [1]}],
+    ["lab", "gc-check", "--config", {"samples": [3]}],
+    ["lab", "gc-check", "--config", {"samples": 3.7}],
+    ["flag", "dump", "--config", {"count": True}],
+    ["polytope", "count", "--n", "3", "--a", "1.9,1"],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:")

@@ -30,6 +30,7 @@ from gcquant.toric import (
     QuadraticNu,
     SectionDensity,
     SymplecticPotential,
+    g_can_grad,
     polytope_grid,
 )
 
@@ -170,9 +171,52 @@ def test_slice_point_batched_matches_scalar():
         assert np.max(np.abs(batched[i] - MODEL.slice_point(xi))) < 1e-12
 
 
-def test_slice_point_rejects_wall():
+# one point on each facet of MODEL.image_delta(), interior to the other five;
+# x1_2 >= 0 and a2 - x2_1 - x2_2 >= 0 are constant along k and show up as the
+# walls xi2 >= 0 and xi3 <= a2
+WALL_POINTS = {
+    "xi1>=0": (0.0, 1.0, 1.0),
+    "xi2>=0": (1.0, 0.0, 1.0),
+    "xi3>=0": (0.5, 1.0, 0.0),
+    "xi2<=a1": (0.5, 2.0, 1.5),
+    "xi3<=a2": (1.0, 1.0, 2.0),
+    "xi1+xi2-xi3<=a1": (1.5, 1.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("wall", list(WALL_POINTS))
+def test_slice_point_rejects_wall(wall):
+    xi = np.array(WALL_POINTS[wall])
+    vals = {f.label: v for f, v in zip(MODEL.image_delta().facets,
+                                       MODEL.image_delta().support_values(xi))}
+    assert vals.pop(wall) == 0.0 and min(vals.values()) > 0
     with pytest.raises(ValueError):
-        MODEL.slice_point(np.array([0.0, 1.0, 1.0]))
+        MODEL.slice_point(xi)
+    # one wall point spoils a batch
+    with pytest.raises(ValueError):
+        MODEL.slice_point(np.array([[1.0, 1.0, 1.0], xi]))
+
+
+def test_slice_point_rejects_exterior_point():
+    # xi2 > a1 + xi3: the fiber line misses the ambient polytope altogether
+    with pytest.raises(ValueError):
+        MODEL.slice_point(np.array([1.0, 3.0, 0.5]))
+
+
+@pytest.mark.parametrize("a", [(1.0, 1.0), (2.0, 2.0), (3.0, 1.0)])
+def test_slice_point_is_critical_along_the_fiber(a):
+    # independent oracle: d/ds g_can(x + s k) = grad g_can(x) . k through toric
+    model = GCTorusModel(a)
+    img = model.image_delta()
+    rng = np.random.default_rng(5)
+    cand = rng.uniform(0.0, 1.0, size=(4000, 3)) * [a[0] + a[1], a[0], a[1]]
+    xi = cand[img.support_values(cand).min(axis=-1) > 0.05][:200]
+    assert xi.shape == (200, 3)
+    x = model.slice_point(xi)
+    assert np.max(np.abs(x @ model.A.T - xi)) <= 1e-12
+    assert model.ambient_delta().contains(x, strict=True).all()
+    phi = g_can_grad(model.ambient_delta(), x) @ model.k
+    assert np.max(np.abs(phi)) <= 1e-12
 
 
 @given(st.tuples(st.floats(0.1, 1.9), st.floats(0.1, 1.9), st.floats(0.1, 1.9)))
