@@ -152,10 +152,14 @@ def merge_config(defaults: dict, config_path: str | None, overrides: dict) -> di
 
 
 def parse_floats(text: str) -> tuple:
+    """Comma-separated finite numbers."""
     try:
-        return tuple(float(v) for v in str(text).split(","))
+        vals = tuple(float(v) for v in str(text).split(","))
+        if all(math.isfinite(v) for v in vals):
+            return vals
     except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}")
+        pass
+    raise UsageError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def parse_ranges(text: str) -> list[tuple[int, int]]:
@@ -173,13 +177,17 @@ def parse_ranges(text: str) -> list[tuple[int, int]]:
 
 
 def parse_real(key: str, value) -> float:
-    """A merged config number: a JSON number or a numeric string, not a bool."""
+    """A merged config number: a finite JSON number or numeric string, not a
+    bool; nan and infinities are usage errors."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            x = float(value)
         except (TypeError, ValueError):
             pass
-    raise UsageError(f"{key} must be a number, got {value!r}")
+        else:
+            if math.isfinite(x):
+                return x
+    raise UsageError(f"{key} must be a finite number, got {value!r}")
 
 
 def parse_int(key: str, value) -> int:
@@ -190,17 +198,6 @@ def parse_int(key: str, value) -> int:
     if not parse_real(key, value).is_integer():
         raise UsageError(f"{key} must be an integer, got {value!r}")
     return int(float(value))
-
-
-def parse_step(value) -> float | None:
-    """The merged `h`: null selects error-controlled flow steps, anything
-    else must be a positive finite fixed step."""
-    if value is None:
-        return None
-    h = parse_real("h", value)
-    if not 0 < h < math.inf:
-        raise UsageError("h must be null or positive and finite")
-    return h
 
 
 def positive_weights(a: tuple) -> tuple:
@@ -273,8 +270,6 @@ def cmd_toric(args) -> int:
     if not P.contains(np.array(m), strict=True):
         raise UsageError("m must be an interior point")
     svals = parse_floats(cfg["s"])
-    if not all(math.isfinite(s) for s in svals):
-        raise UsageError("deformation strengths s must be finite")
     eps = parse_real("eps", cfg["eps"])
     if not eps > 0:
         raise UsageError("eps must be positive")
@@ -363,21 +358,19 @@ def cmd_flag(args) -> int:
 
 # -- flow ------------------------------------------------------------------------
 
-FLOW_DEFAULTS = {"a": "1,1", "t1": 1.0, "t0": 0.5, "h": None, "seed": 0}
+FLOW_DEFAULTS = {"a": "1,1", "t1": 1.0, "t0": 0.5, "seed": 0}
 
 
 def cmd_flow(args) -> int:
     cfg = merge_config(FLOW_DEFAULTS, args.config, {
-        "a": args.a, "t1": args.t1, "t0": args.t0, "h": args.h, "seed": args.seed,
+        "a": args.a, "t1": args.t1, "t0": args.t0, "seed": args.seed,
     })
     a = positive_weights(parse_floats(cfg["a"]))
-    t1, t0, h = parse_real("t1", cfg["t1"]), parse_real("t0", cfg["t0"]), parse_step(cfg["h"])
-    if not (math.isfinite(t1) and math.isfinite(t0)):
-        raise UsageError("t0 and t1 must be finite")
+    t1, t0 = parse_real("t1", cfg["t1"]), parse_real("t0", cfg["t0"])
     fam = DegenerationFamily(a)
     V = random_flags(3, 1, seed=parse_int("seed", cfg["seed"]))[0]
     state = fam.embed_flag(V, t1)
-    res = fam.flow(state, t1 - t0, h=h, record=True)
+    res = fam.flow(state, t1 - t0, record=True)
     out = out_dir_for(args, "gcq-flow")
     csv = out / "trajectory.csv"
     write_csv(csv, ["step", "re_t", "im_t"],
@@ -410,22 +403,18 @@ LAB_DEFAULTS = {
     "schedule_rate": 5.0,
     "per_axis": 32,
     "flow_per_axis": 10,
-    "h": None,
 }
 
 
 def _parse_pattern(text: str) -> tuple:
-    rows = []
-    for part in str(text).split(";"):
-        rows.append(tuple(float(v) for v in part.split(",")))
-    return tuple(rows)
+    return tuple(parse_floats(part) for part in str(text).split(";"))
 
 
 def cmd_lab_combined(args) -> int:
     cfg = merge_config(LAB_DEFAULTS, args.config, {
         "a": args.a, "pattern": args.pattern, "s_grid": args.s_grid,
         "eps": args.eps, "per_axis": args.per_axis,
-        "flow_per_axis": args.flow_per_axis, "h": args.h,
+        "flow_per_axis": args.flow_per_axis,
     })
     if cfg["schedule"] == "exp":
         schedule = ExpSchedule(parse_real("schedule_rate", cfg["schedule_rate"]))
@@ -442,7 +431,6 @@ def cmd_lab_combined(args) -> int:
         schedule=schedule,
         per_axis=parse_int("per_axis", cfg["per_axis"]),
         flow_per_axis=parse_int("flow_per_axis", cfg["flow_per_axis"]),
-        h=parse_step(cfg["h"]),
     )
     rep = combined_experiment(ecfg)
 
@@ -472,17 +460,17 @@ def cmd_lab_combined(args) -> int:
     return 0
 
 
-GCCHECK_DEFAULTS = {"t": "0.1,0.02", "samples": 20, "seed": 0, "h": None, "a": "1,1"}
+GCCHECK_DEFAULTS = {"t": "0.1,0.02", "samples": 20, "seed": 0, "a": "1,1"}
 
 
 def cmd_lab_gc_check(args) -> int:
     cfg = merge_config(GCCHECK_DEFAULTS, args.config, {
-        "t": args.t, "samples": args.samples, "seed": args.seed, "h": args.h,
+        "t": args.t, "samples": args.samples, "seed": args.seed,
     })
     tvals = parse_floats(cfg["t"])
     a = positive_weights(parse_floats(cfg["a"]))
     d = gc_vs_torus_moment_check(tvals, samples=parse_int("samples", cfg["samples"]), a=a,
-                                 seed=parse_int("seed", cfg["seed"]), h=parse_step(cfg["h"]))
+                                 seed=parse_int("seed", cfg["seed"]))
     rows = [[t, dt] for t, dt in zip(tvals, d)]
     out = out_dir_for(args, "gcq-lab")
     csv = out / "gc_check.csv"
@@ -542,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--a")
     w.add_argument("--t1", type=float)
     w.add_argument("--t0", type=float)
-    w.add_argument("--h", type=float)
     w.add_argument("--seed", type=int)
     w.add_argument("--out")
     w.set_defaults(func=cmd_flow)
@@ -557,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--eps", type=float)
     lc.add_argument("--per-axis", dest="per_axis", type=int)
     lc.add_argument("--flow-per-axis", dest="flow_per_axis", type=int)
-    lc.add_argument("--h", type=float)
     lc.add_argument("--out")
     lc.set_defaults(func=cmd_lab_combined)
     lg = lsub.add_parser("gc-check")
@@ -565,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--t", help="comma-separated t values, decreasing")
     lg.add_argument("--samples", type=int)
     lg.add_argument("--seed", type=int)
-    lg.add_argument("--h", type=float)
     lg.add_argument("--out")
     lg.set_defaults(func=cmd_lab_gc_check)
 

@@ -40,8 +40,6 @@ from .flag import gc_map, random_flags
 from .flow import DegenerationFamily, FlowSingularityError, State
 
 __all__ = [
-    "smith_normal_form",
-    "adapted_basis",
     "GridMeasure",
     "outside_mass",
     "concentration_sup",
@@ -58,109 +56,6 @@ __all__ = [
     "combined_experiment",
     "gc_vs_torus_moment_check",
 ]
-
-
-# -- integer normal forms -------------------------------------------------------
-
-
-def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U M V = S diagonal with U, V unimodular; exact integer arithmetic.
-
-    Returns (U, S, V) as int arrays.  Diagonal entries are nonnegative and
-    each divides the next.
-    """
-    S = np.array([[int(v) for v in row] for row in M], dtype=object)
-    r, c = S.shape
-    U = np.eye(r, dtype=object)
-    V = np.eye(c, dtype=object)
-
-    def swap_rows(i, j):
-        S[[i, j], :] = S[[j, i], :]
-        U[[i, j], :] = U[[j, i], :]
-
-    def swap_cols(i, j):
-        S[:, [i, j]] = S[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
-
-    def add_row(src, dst, q):  # row_dst += q * row_src
-        S[dst, :] += q * S[src, :]
-        U[dst, :] += q * U[src, :]
-
-    def add_col(src, dst, q):
-        S[:, dst] += q * S[:, src]
-        V[:, dst] += q * V[:, src]
-
-    def eliminate(t):
-        """Clear row/column t below-right of the pivot; pivot assumed set."""
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, r):
-                if S[i, t] != 0:
-                    q = S[i, t] // S[t, t]
-                    add_row(t, i, -q)
-                    if S[i, t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, c):
-                if S[t, j] != 0:
-                    q = S[t, j] // S[t, t]
-                    add_col(t, j, -q)
-                    if S[t, j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-
-    t = 0
-    while t < min(r, c):
-        sub = [(abs(S[i, j]), i, j) for i in range(t, r) for j in range(t, c) if S[i, j] != 0]
-        if not sub:
-            break
-        _, pi, pj = min(sub)
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        eliminate(t)
-        if S[t, t] < 0:
-            S[t, :] *= -1
-            U[t, :] *= -1
-        # restart if the divisibility chain broke behind us
-        back = t
-        while back > 0 and S[back, back] % S[back - 1, back - 1] != 0:
-            back -= 1
-        if back < t:
-            add_col(t, back, 1)
-            t = back
-            continue
-        t += 1
-    return (np.array(U.tolist(), dtype=np.int64),
-            np.array(S.tolist(), dtype=np.int64),
-            np.array(V.tolist(), dtype=np.int64))
-
-
-def adapted_basis(A) -> np.ndarray:
-    """Unimodular P with A P = [I | 0]: the first rank(A) columns map to the
-    standard basis downstairs, the remaining columns span ker A over Z."""
-    A = np.asarray(A, dtype=np.int64)
-    r, c = A.shape
-    U, S, V = smith_normal_form(A)
-    d = np.diagonal(S)
-    if not np.all(d[:r] == 1):
-        raise ValueError("matrix is not surjective onto the integer lattice")
-    W = np.eye(c, dtype=np.int64)
-    W[:r, :r] = U
-    P = V @ W
-    assert np.array_equal(A @ P, np.concatenate([np.eye(r, dtype=np.int64),
-                                                 np.zeros((r, c - r), dtype=np.int64)], axis=1))
-    return P
-
-
-def _int_inverse(P: np.ndarray) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix."""
-    Pinv = np.rint(np.linalg.inv(P.astype(float))).astype(np.int64)
-    if not np.array_equal(P @ Pinv, np.eye(P.shape[0], dtype=np.int64)):
-        raise ValueError("matrix is not unimodular")
-    return Pinv
 
 
 # -- toric quadrature experiments ----------------------------------------------
@@ -238,8 +133,8 @@ class ExpSchedule:
     rate: float = 5.0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     def t(self, s: float) -> float:
         if s < 0:
@@ -296,18 +191,6 @@ class AdaptiveSchedule:
 # -- the n = 3 identification ---------------------------------------------------
 
 
-def _restriction_matrix() -> np.ndarray:
-    """Character restriction on the ambient chart anchored at (u_1, w_12).
-
-    Columns are the residual-torus characters of the affine coordinates
-    (u_2/u_1, u_3/u_1, w_13/w_12, w_23/w_12) expressed in the rank-3 quotient
-    by the binomial direction.
-    """
-    return np.array([[1, 0, 0, 1],
-                     [0, 1, 0, 0],
-                     [0, 0, 1, 1]], dtype=np.int64)
-
-
 class GCTorusModel:
     """Linear identification between Gelfand-Cetlin data and the toric limit
     for n = 3 with weights a = (a_1, a_2).
@@ -323,23 +206,24 @@ class GCTorusModel:
         if len(a) != 2 or min(a) <= 0:
             raise ValueError("a must be two positive weights")
         self.a = a
-        self.A = _restriction_matrix()
+        # character restriction on the ambient chart anchored at (u_1, w_12):
+        # columns are the residual-torus characters of the affine coordinates
+        # (u_2/u_1, u_3/u_1, w_13/w_12, w_23/w_12) in the rank-3 quotient by
+        # the binomial direction
+        self.A = np.array([[1, 0, 0, 1],
+                           [0, 1, 0, 0],
+                           [0, 0, 1, 1]], dtype=np.int64)
         self.k = np.array([1, 0, 1, -1], dtype=np.int64)
-        if np.any(self.A @ self.k != 0):  # pragma: no cover - fixed data
-            raise AssertionError("binomial direction must span ker A")
-        self.basis = adapted_basis(self.A)          # columns p'_1..p'_4
-        ker = self.basis[:, 3]
-        if not (np.array_equal(ker, self.k) or np.array_equal(ker, -self.k)):
-            raise AssertionError("adapted basis kernel column disagrees with the binomial")
-        if np.array_equal(ker, -self.k):
-            self.basis = self.basis.copy()
-            self.basis[:, 3] = self.k
-        self._basis_inv_t = _int_inverse(self.basis).T
         # right inverse used as a base solution of A x = xi
         self.B = np.array([[1, 0, 0],
                            [0, 1, 0],
                            [0, 0, 1],
                            [0, 0, 0]], dtype=np.int64)
+        # A B = I and A k = 0: A maps Z^4 onto Z^3 and [B | k] is a unimodular
+        # basis of Z^4 adapted to it, its own inverse [A; -e_4]
+        if not (np.array_equal(self.A @ self.B, np.eye(3, dtype=np.int64))
+                and not np.any(self.A @ self.k)):  # pragma: no cover - fixed data
+            raise AssertionError("A must split as A B = I with kernel k")
 
     # polytopes
 
@@ -448,14 +332,14 @@ class GCTorusModel:
     def v0_state(self, xi, theta_prime=(0.0, 0.0, 0.0),
                  fam: Optional[DegenerationFamily] = None) -> State:
         """Point of the degenerate fiber over xi with angle coordinates
-        theta_prime in the adapted torus basis (batched over xi rows)."""
+        theta_prime on the quotient torus, batched over xi rows: the phases of
+        (u_2, u_3, w_13, w_23) relative to (u_1, w_12) are theta_prime A."""
         if fam is None:
             fam = DegenerationFamily(self.a)
         a1, a2 = self.a
         x = self.slice_point(xi)
         tp = np.broadcast_to(np.asarray(theta_prime, dtype=float), x.shape[:-1] + (3,))
-        tp4 = np.concatenate([tp, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-        theta = tp4 @ self._basis_inv_t.astype(float).T
+        theta = tp @ self.A.astype(float)
         xu = np.stack([a1 - x[..., 0] - x[..., 1], x[..., 0], x[..., 1]], axis=-1) / a1
         xw = np.stack([a2 - x[..., 2] - x[..., 3], x[..., 2], x[..., 3]], axis=-1) / a2
         pu = np.concatenate([np.zeros(x.shape[:-1] + (1,)), theta[..., 0:2]], axis=-1)
@@ -531,10 +415,10 @@ class ExperimentConfig:
         s = np.asarray(self.s_grid, dtype=float)
         if s.size == 0 or np.any(np.diff(s) <= 0):
             raise ValueError("s-grid must be strictly increasing")
-        if s[0] < 0:
-            raise ValueError("s-grid must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not np.all((0 <= s) & (s < math.inf)):
+            raise ValueError("s-grid must be nonnegative and finite")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if abs(self.schedule.t(0.0) - 1.0) > 1e-12:
             raise ValueError("schedule must satisfy t(0) = 1")
         ts = [self.schedule.t(float(v)) for v in s]
@@ -699,8 +583,7 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
 
 
 def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
-                             a: Sequence[float] = (1.0, 1.0), seed: int = 0,
-                             h: Optional[float] = None) -> np.ndarray:
+                             a: Sequence[float] = (1.0, 1.0), seed: int = 0) -> np.ndarray:
     """Flow random flags from t = 1 down through t_values in one chained flow
     and compare Gelfand-Cetlin eigenvalue data of the start against the
     ambient torus moments at each t through the fixed linear identification;
@@ -712,8 +595,6 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     t_values = [float(t) for t in t_values]
     if not t_values or not all(0 < t <= 0.2 for t in t_values):
         raise ValueError("t values must lie in (0, 0.2]")
-    if h is not None and not 0 < h < math.inf:
-        raise ValueError("h must be null or positive and finite")
     model = GCTorusModel(a)
     fam = DegenerationFamily(a)
     flags = random_flags(3, samples, seed=seed)
@@ -721,7 +602,7 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     cur, t_prev = fam.embed_flag(flags, 1.0), 1.0
     gap = {}
     for t in sorted(set(t_values), reverse=True):
-        cur = fam.flow(cur, t_prev - t, h=h).state
+        cur = fam.flow(cur, t_prev - t).state
         gap[t] = float(np.max(np.abs(model.xi_of_state(fam, cur) - xi_start)))
         t_prev = t
     return np.array([gap[t] for t in t_values])

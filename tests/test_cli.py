@@ -83,13 +83,13 @@ def test_gcq_seed_env_override(tmp_path, monkeypatch):
 
 def test_config_merge_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t0": 0.8, "h": 0.01}))
+    cfg.write_text(json.dumps({"t0": 0.8, "a": "1,2"}))
     out = tmp_path / "f"
     assert run(["flow", "run", "--config", str(cfg), "--t0", "0.9",
                 "--out", str(out)]) == 0
     resolved = manifest(out)["config"]
     assert resolved["t0"] == 0.9   # flag beats file
-    assert resolved["h"] == 0.01   # file beats default
+    assert resolved["a"] == "1,2"  # file beats default
     assert resolved["t1"] == 1.0   # default survives
 
 
@@ -130,24 +130,24 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["toric", "concentrate", "--per-axis", "-3"],
     ["toric", "concentrate", "--eps", "-1"],
     ["toric", "concentrate", "--s", "nan"],
-    ["lab", "combined", "--h", "0"],
     ["flag", "dump", "--count", "-2"],
     ["flag", "dump", "--count", "0"],
     ["lab", "gc-check", "--samples", "-2"],
     ["lab", "gc-check", "--samples", "0"],
-    ["lab", "gc-check", "--h", "0"],
-    ["lab", "gc-check", "--h", "-1"],
-    ["lab", "gc-check", "--h", "inf"],
-    ["lab", "combined", "--h", "inf"],
-    ["flow", "run", "--h", "inf"],
-    ["flow", "run", "--h", "nan"],
     ["flow", "run", "--t1", "inf"],
     ["flow", "run", "--t0", "nan"],
+    ["flow", "run", "--a", "nan,1"],
+    ["lab", "combined", "--s-grid", "0,nan"],
+    ["lab", "combined", "--eps", "nan"],
     # a trailing dict stands for a config file with that content
     ["flow", "run", "--config", {"t1": [1]}],
     ["lab", "gc-check", "--config", {"samples": [3]}],
     ["lab", "gc-check", "--config", {"samples": 3.7}],
     ["flag", "dump", "--config", {"count": True}],
+    ["lab", "gc-check", "--config", {"a": "inf,1"}],
+    ["lab", "combined", "--config", {"nu_scale": "nan"}],
+    ["toric", "concentrate", "--config", {"nu_scale": "nan"}],
+    ["lab", "combined", "--config", {"schedule_rate": "nan"}],
     ["polytope", "count", "--n", "3", "--a", "1.9,1"],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
@@ -159,6 +159,15 @@ def test_invalid_config_exits_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["flow", "run"], ["lab", "combined"], ["lab", "gc-check"]])
+def test_step_size_config_key_rejected(tmp_path, capsys, argv):
+    # flows take error-controlled steps only; a fixed step `h` is no config key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 0.01}))
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config keys: h" in capsys.readouterr().err
 
 
 def test_argparse_usage_errors():
@@ -183,7 +192,7 @@ def test_tolerance_failure_exit_one(tmp_path, capsys, monkeypatch):
 
 def test_flow_run_reports_exact_time(tmp_path, capsys):
     out = tmp_path / "f"
-    assert run(["flow", "run", "--t0", "0.9", "--h", "5e-3", "--out", str(out)]) == 0
+    assert run(["flow", "run", "--t0", "0.9", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["t_deviation"] < 1e-10
     assert summary["max_residual"] < 1e-10
@@ -220,15 +229,12 @@ def test_flow_run_through_singular_point_exits_one(tmp_path, capsys, monkeypatch
 
 
 @settings(max_examples=40, deadline=2000)
-@given(t0=st.floats(-1, 1), t1=st.floats(-1, 1),
-       h=st.none() | st.floats(1e-2, 0.5), seed=st.integers(-2, 2 ** 32))
-@example(t0=0.5, t1=0.5, h=None, seed=0)
-@example(t0=-1.0, t1=1.0, h=None, seed=0)
-@example(t0=2.3575223281716868e-146, t1=2.6243898711795176e-163, h=None, seed=2777)
-def test_flow_run_fuzz_exit_contract(t0, t1, h, seed):
+@given(t0=st.floats(-1, 1), t1=st.floats(-1, 1), seed=st.integers(-2, 2 ** 32))
+@example(t0=0.5, t1=0.5, seed=0)
+@example(t0=-1.0, t1=1.0, seed=0)
+@example(t0=2.3575223281716868e-146, t1=2.6243898711795176e-163, seed=2777)
+def test_flow_run_fuzz_exit_contract(t0, t1, seed):
     argv = ["flow", "run", f"--t0={t0!r}", f"--t1={t1!r}", f"--seed={seed}"]
-    if h is not None:
-        argv.append(f"--h={h!r}")
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -303,7 +309,7 @@ def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):
 
     monkeypatch.setattr(DegenerationFamily, "flow", counted)
     assert run(["lab", "combined", "--s-grid", "0,5,10", "--per-axis", "10",
-                "--flow-per-axis", "4", "--h", "5e-3", "--out", str(tmp_path / "lc")]) == 0
+                "--flow-per-axis", "4", "--out", str(tmp_path / "lc")]) == 0
     assert len(calls) == 3
     calls.clear()
     out = tmp_path / "g"
@@ -314,9 +320,11 @@ def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):
     assert rows[0] == rows[2] != rows[1]
 
 
-def test_torus_moment_drift_gate(tmp_path, capsys):
+def test_torus_moment_drift_gate(tmp_path, capsys, monkeypatch):
     # the residual-torus moments are conserved by the flow: tiny at the
-    # default step, a coarse step breaks them and the run fails
+    # default tolerance, a loose tolerance breaks them and the run fails
+    import gcquant.flow
+
     base = ["lab", "combined", "--per-axis", "10", "--flow-per-axis", "5"]
     fine = tmp_path / "fine"
     assert run(base + ["--out", str(fine)]) == 0
@@ -324,14 +332,15 @@ def test_torus_moment_drift_gate(tmp_path, capsys):
     col = header.split(",").index("torus_moment_drift")
     assert max(float(r.split(",")[col]) for r in rows) < 1e-9
     capsys.readouterr()
-    assert run(base + ["--h", "0.2", "--out", str(tmp_path / "coarse")]) == 1
+    monkeypatch.setattr(gcquant.flow, "FLOW_TOL", 1e-2)
+    assert run(base + ["--out", str(tmp_path / "coarse")]) == 1
     assert "torus-moment-drift" in capsys.readouterr().err
 
 
 def test_lab_combined_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "lc"
     rc = run(["lab", "combined", "--s-grid", "0,5", "--per-axis", "10",
-              "--flow-per-axis", "4", "--h", "5e-3", "--out", str(out)])
+              "--flow-per-axis", "4", "--out", str(out)])
     assert rc == 0
     assert "monotone=true" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())

@@ -13,7 +13,6 @@ from gcquant.lab import (
     GCTorusModel,
     GridMeasure,
     QuadratureError,
-    adapted_basis,
     analytic_decay_rate,
     combined_experiment,
     concentration_sup,
@@ -22,7 +21,6 @@ from gcquant.lab import (
     gc_vs_torus_moment_check,
     outside_mass,
     section_equality_on_v0,
-    smith_normal_form,
 )
 from gcquant.polytope import GCPattern, interval
 from gcquant.toric import (
@@ -35,55 +33,6 @@ from gcquant.toric import (
 )
 
 
-# -- integer linear algebra ------------------------------------------------------
-
-
-@pytest.mark.parametrize("M,diag", [
-    ([[2, 0], [0, 3]], [1, 6]),
-    ([[4, 6], [6, 9]], [1, 0]),
-    ([[0, 0], [0, 0]], [0, 0]),
-    ([[1, 0, 0], [0, 1, 0]], [1, 1]),
-])
-def test_snf_known_cases(M, diag):
-    U, S, V = smith_normal_form(M)
-    assert list(np.diagonal(S)) == diag
-    assert np.array_equal(np.array(U, dtype=np.int64) @ np.array(M, dtype=np.int64)
-                          @ np.array(V, dtype=np.int64), np.array(S, dtype=np.int64))
-
-
-@given(st.lists(st.lists(st.integers(min_value=-9, max_value=9),
-                         min_size=3, max_size=3), min_size=2, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_snf_properties(M):
-    M = np.array(M, dtype=np.int64)
-    U, S, V = smith_normal_form(M)
-    U, S, V = (np.array(X, dtype=np.int64) for X in (U, S, V))
-    assert np.array_equal(U @ M @ V, S)
-    assert abs(round(np.linalg.det(U.astype(float)))) == 1
-    assert abs(round(np.linalg.det(V.astype(float)))) == 1
-    d = np.diagonal(S)
-    assert np.all(d >= 0)
-    for i in range(len(d) - 1):
-        if d[i + 1] != 0:
-            assert d[i] != 0 and d[i + 1] % d[i] == 0
-    # off-diagonal must vanish
-    r, c = S.shape
-    assert all(S[i, j] == 0 for i in range(r) for j in range(c) if i != j)
-
-
-def test_adapted_basis_splits_projection():
-    A = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int64)
-    P = adapted_basis(A)
-    assert np.array_equal(A @ P, np.hstack([np.eye(3, dtype=np.int64),
-                                            np.zeros((3, 1), dtype=np.int64)]))
-    assert abs(round(np.linalg.det(P.astype(float)))) == 1
-
-
-def test_adapted_basis_rejects_non_surjective():
-    with pytest.raises(ValueError):
-        adapted_basis(np.array([[2, 0]], dtype=np.int64))
-
-
 # -- the rank-3 torus identification ---------------------------------------------
 
 
@@ -91,10 +40,11 @@ MODEL = GCTorusModel((2.0, 2.0))
 
 
 def test_model_kernel_direction():
+    assert np.array_equal(MODEL.A @ MODEL.B, np.eye(3, dtype=np.int64))
     assert np.array_equal(MODEL.A @ MODEL.k, np.zeros(3, dtype=np.int64))
-    assert np.array_equal(MODEL.A @ MODEL.basis,
-                          np.hstack([np.eye(3, dtype=np.int64),
-                                     np.zeros((3, 1), dtype=np.int64)]))
+    # [B | k] is a lattice basis of Z^4, so A maps Z^4 onto Z^3
+    P = np.column_stack([MODEL.B, MODEL.k])
+    assert abs(round(np.linalg.det(P.astype(float)))) == 1
 
 
 @pytest.mark.parametrize("a", [(1.0, 1.0), (2.0, 1.0)])
@@ -246,6 +196,17 @@ def test_v0_state_moment_anchors_slice():
     assert np.max(np.abs(fam.moment(st1) - x)) < 1e-12
 
 
+def test_v0_state_angle_map():
+    # the phases of (u_2, u_3, w_13, w_23) relative to (u_1, w_12) are theta' A
+    A = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 1]])
+    rng = np.random.default_rng(5)
+    tp = rng.uniform(-1.0, 1.0, size=(8, 3))
+    st = MODEL.v0_state(np.tile([1.0, 1.0, 1.0], (8, 1)), theta_prime=tp)
+    rel = np.concatenate([st.u[:, 1:] / st.u[:, :1], st.w[:, 1:] / st.w[:, :1]], axis=1)
+    diff = np.angle(rel) / (2 * np.pi) - tp @ A
+    assert np.max(np.abs(diff - np.rint(diff))) < 1e-12
+
+
 def test_section_equality_on_shared_image():
     lifts = MODEL.lifts(np.array([1.0, 1.0, 1.0]))
     dev = section_equality_on_v0(lifts[0], lifts[1], samples=200, seed=1)
@@ -328,8 +289,9 @@ def test_exp_schedule_contract():
     assert np.isclose(sch.t(5.0), math.exp(-1.0))
     with pytest.raises(ValueError):
         sch.t(-1.0)
-    with pytest.raises(ValueError):
-        ExpSchedule(rate=0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ExpSchedule(rate=rate)
 
 
 def test_adaptive_schedule_hits_targets():
@@ -366,8 +328,12 @@ def test_experiment_config_validation():
         ExperimentConfig(s_grid=(5.0, 5.0)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(s_grid=(-1.0, 5.0)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(eps=0.0).validate()
+    for s_grid in ((0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(s_grid=s_grid)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ExperimentConfig(eps=eps)
     with pytest.raises(ValueError):
         ExperimentConfig(per_axis=1).validate()
 
