@@ -226,7 +226,7 @@ def cmd_polytope(args) -> int:
     out = out_dir_for(args, "gcq-polytope")
     artifacts = []
     if args.action in ("gen", "lattice"):
-        rows = [list(p) for p in pts]
+        rows = pts.tolist()
         csv = out / "lattice.csv"
         write_csv(csv, list(gc_variable_names(n)), rows)
         artifacts.append(csv)

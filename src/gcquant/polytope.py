@@ -1,9 +1,11 @@
 """Facet presentations of lattice polytopes, Gelfand-Cetlin patterns and counts.
 
 A polytope is stored as {p : <p, r_j> + c_j >= 0} with primitive integer
-normals r_j.  Everything at this scale is exact: support values at integer
-points, lattice enumeration, and the Weyl dimension count are all integer
-arithmetic.
+normals r_j and integer offsets c_j.  The counting side is exact: the
+bounding box is rational interval propagation, lattice points are enumerated
+on an int64 frontier whose every bound is an integer floor division, and the
+Weyl dimension is an integer product.  Enumeration refuses polytopes whose
+facet values could leave int64 or whose frontier passes MAX_LATTICE_POINTS.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from math import ceil, floor, gcd, inf
 
 import numpy as np
 
@@ -20,6 +22,7 @@ __all__ = [
     "Facet",
     "DelzantPolytope",
     "GCPattern",
+    "MAX_LATTICE_POINTS",
     "UnboundedPolytopeError",
     "interval",
     "simplex_polytope",
@@ -35,6 +38,10 @@ __all__ = [
     "polytope_to_json",
     "polytope_from_json",
 ]
+
+
+# Largest frontier lattice_points expands to; larger polytopes are an error.
+MAX_LATTICE_POINTS = 2**22
 
 
 class UnboundedPolytopeError(ValueError):
@@ -142,63 +149,58 @@ class DelzantPolytope:
     def bounding_box(self) -> list[tuple[float, float]]:
         return [(float(a), float(b)) for a, b in self._interval_bounds()]
 
-    def lattice_points(self) -> list[tuple[int, ...]]:
-        """All integer points, lex-sorted.  Recursive bound propagation, exact."""
-        bounds = self._interval_bounds()
-        facets = self.facets
-        dim = self.dim
-        out: list[tuple[int, ...]] = []
-        point = [0] * dim
+    def lattice_points(self) -> np.ndarray:
+        """All integer points as an (N, dim) int64 array, rows in lex order.
 
-        def ceil_frac(x: Fraction) -> int:
-            return -((-x.numerator) // x.denominator)
-
-        def floor_frac(x: Fraction) -> int:
-            return x.numerator // x.denominator
-
-        def recurse(k: int):
-            if k == dim:
-                out.append(tuple(point))
-                return
-            lo_k = bounds[k][0]
-            hi_k = bounds[k][1]
-            # tighten with every facet: fixed prefix exact, suffix via box bounds
-            for f in facets:
-                rk = f.normal[k]
-                if rk == 0:
-                    continue
-                rest = Fraction(f.offset)
-                for j, rj in enumerate(f.normal):
-                    if j == k or rj == 0:
-                        continue
-                    if j < k:
-                        rest += rj * point[j]
-                    else:
-                        rest += rj * (bounds[j][1] if rj > 0 else bounds[j][0])
-                if rk > 0:
-                    cand = -rest / rk
-                    if cand > lo_k:
-                        lo_k = cand
-                else:
-                    cand = -rest / rk
-                    if cand < hi_k:
-                        hi_k = cand
-            for v in range(ceil_frac(Fraction(lo_k)), floor_frac(Fraction(hi_k)) + 1):
-                point[k] = v
-                # prune with facets fully determined by the prefix
-                feasible = True
-                for f in facets:
-                    if any(f.normal[j] for j in range(k + 1, dim)):
-                        continue
-                    s = f.offset + sum(f.normal[j] * point[j] for j in range(k + 1))
-                    if s < 0:
-                        feasible = False
-                        break
-                if feasible:
-                    recurse(k + 1)
-
-        recurse(0)
-        return out
+        Breadth-first over the coordinates on an int64 frontier of integer
+        prefixes (x_1..x_k).  Facet j reads r_jk x_k + rest >= 0, where rest
+        is c_j plus the exact prefix term plus the largest value of the
+        suffix term on the integer box, so every bound on x_k is one exact
+        floor division.  A facet whose last nonzero coordinate is k has no
+        suffix term: its bound is exact there and holds for every expanded
+        point.  Every facet has such a coordinate, so the rows are exactly
+        the integer points of P.  Raises ValueError when a facet value on
+        the box could leave int64 or a frontier would pass
+        MAX_LATTICE_POINTS.
+        """
+        box = [(ceil(lo), floor(hi)) for lo, hi in self._interval_bounds()]
+        for f in self.facets:
+            reach = abs(f.offset) + sum(abs(r) * max(abs(lo), abs(hi))
+                                        for r, (lo, hi) in zip(f.normal, box))
+            # half the int64 range, so that a difference of two bounds fits too
+            if reach >= 2**62:
+                raise ValueError(f"facet {f.label or f.normal} reaches 2**62 on the "
+                                 "bounding box, too large for int64 enumeration")
+        R = np.array([f.normal for f in self.facets], dtype=np.int64)
+        R = R.reshape(len(self.facets), self.dim)
+        c = np.array([f.offset for f in self.facets], dtype=np.int64)
+        box_lo, box_hi = np.array(box, dtype=np.int64).reshape(self.dim, 2).T
+        top = np.where(R > 0, R * box_hi, R * box_lo)  # max of r_j x_j on the box
+        suffix = np.cumsum(top[:, ::-1], axis=1)[:, ::-1] - top  # sum over j > k
+        # the frontier is stored transposed, one row per coordinate, so that
+        # each expansion writes its rows in place
+        pts = np.zeros((0, 1), dtype=np.int64)
+        for k in range(self.dim):
+            on = R[:, k] != 0
+            rest = (c + suffix[:, k])[on, None] + R[on, :k] @ pts  # facets x prefixes
+            rk = R[on, k, None]
+            up, down = rk[:, 0] > 0, rk[:, 0] < 0
+            lo = np.max(-(rest[up] // rk[up]), axis=0, initial=box_lo[k])
+            cnt = np.min(rest[down] // -rk[down], axis=0, initial=box_hi[k]) - lo + 1
+            del rest  # keep the peak to the old and the new frontier
+            np.clip(cnt, 0, MAX_LATTICE_POINTS + 1, out=cnt)
+            total = int(cnt.sum())
+            if total > MAX_LATTICE_POINTS:
+                raise ValueError(f"lattice enumeration passes MAX_LATTICE_POINTS = "
+                                 f"{MAX_LATTICE_POINTS} points at coordinate {self.labels[k]}")
+            idx = np.repeat(np.arange(pts.shape[1]), cnt)  # the prefix of each new point
+            new = np.empty((k + 1, total), dtype=np.int64)
+            # mode="clip" skips numpy's bounds-check buffer; every index is in range
+            np.take(pts, idx, axis=1, out=new[:k], mode="clip")
+            lo -= np.cumsum(cnt) - cnt  # x_k of a point is lo + its rank among its siblings
+            np.add(lo[idx], np.arange(total), out=new[k])
+            pts = new
+        return pts.T
 
     # -- vertices and the Delzant test --------------------------------------
 
@@ -248,7 +250,7 @@ class DelzantPolytope:
         return True, "all vertices simple and unimodular"
 
 
-def lattice_points(polytope: DelzantPolytope) -> list[tuple[int, ...]]:
+def lattice_points(polytope: DelzantPolytope) -> np.ndarray:
     return polytope.lattice_points()
 
 

@@ -149,6 +149,10 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["toric", "concentrate", "--config", {"nu_scale": "nan"}],
     ["lab", "combined", "--config", {"schedule_rate": "nan"}],
     ["polytope", "count", "--n", "3", "--a", "1.9,1"],
+    # past MAX_LATTICE_POINTS, and past int64
+    ["polytope", "count", "--n", "2", "--a", "3000000000"],
+    ["polytope", "count", "--n", "2", "--a", "1e20"],
+    ["polytope", "count", "--n", "3", "--a", "1e300,1"],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):
@@ -234,7 +238,21 @@ def test_flow_run_through_singular_point_exits_one(tmp_path, capsys, monkeypatch
 @example(t0=-1.0, t1=1.0, seed=0)
 @example(t0=2.3575223281716868e-146, t1=2.6243898711795176e-163, seed=2777)
 def test_flow_run_fuzz_exit_contract(t0, t1, seed):
-    argv = ["flow", "run", f"--t0={t0!r}", f"--t1={t1!r}", f"--seed={seed}"]
+    assert_exit_contract(["flow", "run", f"--t0={t0!r}", f"--t1={t1!r}", f"--seed={seed}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(action=st.sampled_from(["gen", "count", "lattice"]), n=st.integers(-1, 5),
+       a=st.lists(st.integers(-1, 2), min_size=1, max_size=5))
+@example(action="count", n=2, a=[3e9])
+@example(action="lattice", n=2, a=[1e20])
+@example(action="gen", n=2, a=[2 ** 63])
+@example(action="count", n=3, a=[1e300, 1])
+def test_polytope_fuzz_exit_contract(action, n, a):
+    assert_exit_contract(["polytope", action, f"--n={n}", "--a=" + ",".join(map(str, a))])
+
+
+def assert_exit_contract(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):

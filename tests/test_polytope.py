@@ -1,13 +1,17 @@
+import itertools
 import json
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import gcquant.polytope as polytope
 from gcquant.polytope import (
     DelzantPolytope,
     Facet,
     GCPattern,
+    ambient_polytope,
     box_polytope,
     gc_polytope,
     gc_variable_names,
@@ -47,6 +51,95 @@ def test_lattice_count_matches_weyl_dim(n, a, expected):
 def test_lattice_weyl_agreement_random(n, a):
     a = tuple(a[: n - 1]) + (1,) * (n - 1 - len(a))
     assert len(lattice_points(gc_polytope(n, a))) == weyl_dim(gc_weight(a))
+
+
+def brute_lattice(P, box):
+    """Integer points of P by brute force over an integer box containing it,
+    in lex order, with exact integer support values."""
+    return [p for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+            if all(sum(r * x for r, x in zip(f.normal, p)) + f.offset >= 0
+                   for f in P.facets)]
+
+
+# A real triangle with no lattice point, vertices (1/3, 2/3), (1/2, 1) and
+# (3/5, 4/5), cut from the unit square so that interval propagation bounds it.
+LATTICE_FREE = DelzantPolytope(2, box_polytope([(0, 1), (0, 1)]).facets + (
+    Facet((-2, -1), 2), Facet((-1, 2), -1), Facet((2, -1), 0)))
+
+SIDES = st.integers(-3, 1).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, lo + 3)))
+
+
+@st.composite
+def polytopes_with_boxes(draw):
+    """A polytope with an integer box that contains it by construction, so the
+    oracle does not rely on the bounds of the code under test."""
+    kind = draw(st.sampled_from(["gc", "box", "simplex", "product", "ambient", "cut"]))
+    if kind == "gc":
+        n = draw(st.integers(2, 4))
+        a = tuple(draw(st.lists(st.integers(1, 3 if n < 4 else 2),
+                                min_size=n - 1, max_size=n - 1)))
+        lam = gc_weight(a)
+        # interlacing pins lam_l^j between lam_{j+n-l} and lam_j of the top row
+        box = [(lam[j + n - l - 1], lam[j - 1]) for l in range(1, n) for j in range(1, l + 1)]
+        return gc_polytope(n, a), box
+    if kind == "box":
+        sides = draw(st.lists(SIDES, min_size=1, max_size=3))
+        return box_polytope(sides), sides
+    if kind == "simplex":
+        d, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return simplex_polytope(d, s), [(0, s)] * d
+    if kind == "product":
+        d, s = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        lo, hi = draw(SIDES)
+        parts = [simplex_polytope(d, s), interval(lo, hi), LATTICE_FREE]
+        order = draw(st.permutations(range(2 + draw(st.booleans()))))
+        boxes = [[(0, s)] * d, [(lo, hi)], [(0, 1), (0, 1)]]
+        return (product_polytope([parts[i] for i in order]),
+                [side for i in order for side in boxes[i]])
+    if kind == "ambient":
+        a = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        return ambient_polytope(3, a), [(0, a[0])] * 2 + [(0, a[1])] * 2
+    # a box with one more facet of random primitive normal
+    sides = draw(st.lists(SIDES, min_size=2, max_size=3))
+    normal = draw(st.lists(st.integers(-3, 3), min_size=len(sides), max_size=len(sides)))
+    g = gcd(*normal)
+    assume(g != 0)
+    cut = Facet(tuple(r // g for r in normal), draw(st.integers(-4, 4)))
+    P = box_polytope(sides)
+    P = DelzantPolytope(P.dim, P.facets + (cut,), P.labels)
+    try:
+        P.bounding_box()
+    except ValueError:  # empty over the reals
+        assume(False)
+    return P, sides
+
+
+@given(polytopes_with_boxes())
+@settings(max_examples=150, deadline=None)
+@example((LATTICE_FREE, [(0, 1), (0, 1)]))
+# the frontier empties at the second coordinate, after a non-empty first
+@example((product_polytope([interval(0, 2), LATTICE_FREE]), [(0, 2), (0, 1), (0, 1)]))
+def test_lattice_points_match_brute_force(case):
+    P, box = case
+    # widen the box so the oracle's facet filter, not the box, does the cutting
+    expected = brute_lattice(P, [(lo - 1, hi + 1) for lo, hi in box])
+    pts = lattice_points(P)
+    assert [tuple(p) for p in pts] == expected
+    assert pts.dtype == np.int64 and pts.shape == (len(expected), P.dim)
+
+
+def test_lattice_enumeration_limits(monkeypatch):
+    P = gc_polytope(4, (3, 3, 3))
+    monkeypatch.setattr(polytope, "MAX_LATTICE_POINTS", 4096)
+    assert len(lattice_points(P)) == 4096
+    monkeypatch.setattr(polytope, "MAX_LATTICE_POINTS", 4095)
+    with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
+        lattice_points(P)
+    # facet values on the box must stay below 2**62: -x + a >= 0 reaches 2a
+    with pytest.raises(ValueError, match="int64"):
+        lattice_points(gc_polytope(2, (2 ** 61,)))
+    with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
+        lattice_points(gc_polytope(2, (2 ** 61 - 1,)))
 
 
 def test_weyl_dim_staircase_powers():
