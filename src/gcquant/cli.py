@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import ToleranceError, __version__
 from .polytope import (
     box_polytope,
     gc_polytope,
@@ -33,7 +33,6 @@ from .polytope import (
     weyl_dim,
 )
 from .toric import (
-    ConvergenceError,
     ConvexDeformation,
     QuadraticNu,
     SymplecticPotential,
@@ -41,13 +40,12 @@ from .toric import (
     section_log_density,
 )
 from .flag import gc_map, random_flags
-from .flow import DegenerationFamily, FlowSingularityError
+from .flow import DegenerationFamily
 from .lab import (
     AdaptiveSchedule,
     ExperimentConfig,
     ExpSchedule,
     GridMeasure,
-    QuadratureError,
     combined_experiment,
     concentration_sup,
     decay_slope,
@@ -59,14 +57,8 @@ from .lab import (
 __all__ = ["main"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
-
-
-class ToleranceFailure(Exception):
-    def __init__(self, invariant: str, detail: str):
-        super().__init__(f"{invariant}: {detail}")
-        self.invariant = invariant
 
 
 # -- formatting and artifact plumbing -------------------------------------------
@@ -124,9 +116,12 @@ def finish_run(out_dir: Path, command: str, config: dict, artifacts: list[Path])
 # -- configuration merging -------------------------------------------------------
 
 
-def merge_config(defaults: dict, config_path: str | None, overrides: dict) -> dict:
-    """defaults < file < flags; unknown file keys are a usage error."""
+def merge_config(defaults: dict, args) -> dict:
+    """defaults < file (`args.config`) < flags, where the flags are the
+    attributes of `args` named like a key of `defaults`; unknown file keys are
+    a usage error."""
     cfg = dict(defaults)
+    config_path = args.config
     if config_path:
         try:
             loaded = json.loads(Path(config_path).read_text())
@@ -140,9 +135,9 @@ def merge_config(defaults: dict, config_path: str | None, overrides: dict) -> di
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(loaded)
-    for k, v in overrides.items():
-        if v is not None:
-            cfg[k] = v
+    for k in defaults:
+        if getattr(args, k, None) is not None:
+            cfg[k] = getattr(args, k)
     if "seed" in cfg and os.environ.get("GCQ_SEED"):
         try:
             cfg["seed"] = int(os.environ["GCQ_SEED"])
@@ -241,7 +236,7 @@ def cmd_polytope(args) -> int:
     finish_run(out, f"polytope {args.action}", {"n": n, "a": list(a)}, artifacts)
     print(f"lattice={len(pts)} weyl={dim} match={'true' if len(pts) == dim else 'false'}")
     if len(pts) != dim:
-        raise ToleranceFailure("lattice-weyl-match", f"{len(pts)} != {dim}")
+        raise ToleranceError("lattice-weyl-match", f"{len(pts)} != {dim}")
     return 0
 
 
@@ -258,10 +253,7 @@ TORIC_DEFAULTS = {
 
 
 def cmd_toric(args) -> int:
-    cfg = merge_config(TORIC_DEFAULTS, args.config, {
-        "delta": args.delta, "m": args.m, "s": args.s, "eps": args.eps,
-        "nu_scale": args.nu_scale, "per_axis": args.per_axis,
-    })
+    cfg = merge_config(TORIC_DEFAULTS, args)
     ranges = parse_ranges(cfg["delta"])
     P = box_polytope(ranges)
     m = tuple(float(v) for v in parse_floats(cfg["m"]))
@@ -289,9 +281,9 @@ def cmd_toric(args) -> int:
         pair_one = delta_pairing(measure, lambda x: np.ones(x.shape[:-1]))
         pair_x1 = delta_pairing(measure, lambda x: x[..., 0])
         if not (0.0 <= mass <= 1.0):
-            raise ToleranceFailure("mass-range", f"outside mass {mass} at s={s}")
+            raise ToleranceError("mass-range", f"outside mass {mass} at s={s}")
         if abs(pair_one - 1.0) > 1e-9:
-            raise ToleranceFailure("normalization", f"<1, tau> = {pair_one} at s={s}")
+            raise ToleranceError("normalization", f"<1, tau> = {pair_one} at s={s}")
         rows.append([s, mass, sup, pair_one, pair_x1])
         if P.dim == 1:
             profiles.append((s, np.exp(measure.logdens - measure.log_total())))
@@ -323,9 +315,7 @@ FLAG_DEFAULTS = {"n": 3, "a": "1,1", "count": 100, "seed": 0}
 
 
 def cmd_flag(args) -> int:
-    cfg = merge_config(FLAG_DEFAULTS, args.config, {
-        "n": args.n, "a": args.a, "count": args.count, "seed": args.seed,
-    })
+    cfg = merge_config(FLAG_DEFAULTS, args)
     n = parse_int("n", cfg["n"])
     a = positive_weights(parse_floats(cfg["a"]))
     if len(a) != n - 1:
@@ -341,11 +331,11 @@ def cmd_flag(args) -> int:
         flat = pat.flatten(drop_top=True)
         rows.append([i] + list(flat))
         if not pat.interlacing_ok(tol=1e-10):
-            raise ToleranceFailure("interlacing", f"flag {i} violates interlacing")
+            raise ToleranceError("interlacing", f"flag {i} violates interlacing")
         support = float(P.support_values(np.array(flat)).min())
         worst = min(worst, support)
     if worst < -1e-10:
-        raise ToleranceFailure("polytope-containment", f"min support {worst}")
+        raise ToleranceError("polytope-containment", f"min support {worst}")
     out = out_dir_for(args, "gcq-flag")
     csv = out / "patterns.csv"
     write_csv(csv, ["flag"] + list(names), rows)
@@ -362,9 +352,7 @@ FLOW_DEFAULTS = {"a": "1,1", "t1": 1.0, "t0": 0.5, "seed": 0}
 
 
 def cmd_flow(args) -> int:
-    cfg = merge_config(FLOW_DEFAULTS, args.config, {
-        "a": args.a, "t1": args.t1, "t0": args.t0, "seed": args.seed,
-    })
+    cfg = merge_config(FLOW_DEFAULTS, args)
     a = positive_weights(parse_floats(cfg["a"]))
     t1, t0 = parse_real("t1", cfg["t1"]), parse_real("t0", cfg["t0"])
     fam = DegenerationFamily(a)
@@ -385,9 +373,9 @@ def cmd_flow(args) -> int:
     print(f"steps={res.steps} t_deviation={fmt(res.t_deviation)} "
           f"max_residual={fmt(res.max_residual)}")
     if res.t_deviation > 1e-6:
-        raise ToleranceFailure("t-deviation", f"{res.t_deviation} > 1e-6")
+        raise ToleranceError("t-deviation", f"{res.t_deviation} > 1e-6")
     if res.max_residual > 1e-8:
-        raise ToleranceFailure("fiber-residual", f"{res.max_residual} > 1e-8")
+        raise ToleranceError("fiber-residual", f"{res.max_residual} > 1e-8")
     return 0
 
 
@@ -411,11 +399,7 @@ def _parse_pattern(text: str) -> tuple:
 
 
 def cmd_lab_combined(args) -> int:
-    cfg = merge_config(LAB_DEFAULTS, args.config, {
-        "a": args.a, "pattern": args.pattern, "s_grid": args.s_grid,
-        "eps": args.eps, "per_axis": args.per_axis,
-        "flow_per_axis": args.flow_per_axis,
-    })
+    cfg = merge_config(LAB_DEFAULTS, args)
     if cfg["schedule"] == "exp":
         schedule = ExpSchedule(parse_real("schedule_rate", cfg["schedule_rate"]))
     elif cfg["schedule"] == "adaptive":
@@ -448,15 +432,15 @@ def cmd_lab_combined(args) -> int:
     print(f"cells={len(rows)} slope={fmt(rep.slope)} monotone={fmt(rep.monotone)}")
     for c in rep.cells:
         if not (0.0 <= c.outside_mass <= 1.0):
-            raise ToleranceFailure("mass-range", f"outside mass {c.outside_mass} at s={c.s}")
+            raise ToleranceError("mass-range", f"outside mass {c.outside_mass} at s={c.s}")
         if abs(c.pairings["one"] - 1.0) > 1e-6:
-            raise ToleranceFailure("pairing-normalization",
+            raise ToleranceError("pairing-normalization",
                                    f"<1,tau> = {c.pairings['one']} at s={c.s}")
         if c.torus_moment_drift is not None and c.torus_moment_drift > 1e-6:
-            raise ToleranceFailure("torus-moment-drift",
+            raise ToleranceError("torus-moment-drift",
                                    f"{c.torus_moment_drift} > 1e-6 at s={c.s}")
     if not rep.monotone:
-        raise ToleranceFailure("outside-mass-monotone", "mass not strictly decreasing in s")
+        raise ToleranceError("outside-mass-monotone", "mass not strictly decreasing in s")
     return 0
 
 
@@ -464,9 +448,7 @@ GCCHECK_DEFAULTS = {"t": "0.1,0.02", "samples": 20, "seed": 0, "a": "1,1"}
 
 
 def cmd_lab_gc_check(args) -> int:
-    cfg = merge_config(GCCHECK_DEFAULTS, args.config, {
-        "t": args.t, "samples": args.samples, "seed": args.seed,
-    })
+    cfg = merge_config(GCCHECK_DEFAULTS, args)
     tvals = parse_floats(cfg["t"])
     a = positive_weights(parse_floats(cfg["a"]))
     d = gc_vs_torus_moment_check(tvals, samples=parse_int("samples", cfg["samples"]), a=a,
@@ -481,7 +463,7 @@ def cmd_lab_gc_check(args) -> int:
     print(" ".join(f"d({fmt(r[0])})={fmt(r[1])}" for r in rows))
     for (ta, da), (tb, db) in zip(rows, rows[1:]):
         if ta > tb and not db < da:
-            raise ToleranceFailure("moment-trend",
+            raise ToleranceError("moment-trend",
                                    f"discrepancy({tb}) = {db} not below discrepancy({ta}) = {da}")
     return 0
 
@@ -494,6 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"gcq {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    # every subcommand but polytope: its flags are the keys of its *_DEFAULTS
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON object of config keys; flags override it")
+    common.add_argument("--out")
 
     p = sub.add_parser("polytope", help="polytope generation and lattice counts")
     p.add_argument("action", choices=["gen", "count", "lattice"])
@@ -502,56 +488,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_polytope)
 
-    t = sub.add_parser("toric", help="toric concentration experiments")
+    t = sub.add_parser("toric", parents=[common], help="toric concentration experiments")
     t.add_argument("action", choices=["concentrate"])
-    t.add_argument("--config")
     t.add_argument("--delta", help="box as lo..hi[,lo..hi...]")
     t.add_argument("--m", help="lattice point, comma-separated")
     t.add_argument("--s", help="deformation strengths, comma-separated")
     t.add_argument("--eps", type=float)
     t.add_argument("--nu-scale", dest="nu_scale", type=float)
     t.add_argument("--per-axis", dest="per_axis", type=int)
-    t.add_argument("--out")
     t.set_defaults(func=cmd_toric)
 
-    f = sub.add_parser("flag", help="random flag ensembles and their patterns")
+    f = sub.add_parser("flag", parents=[common],
+                       help="random flag ensembles and their patterns")
     f.add_argument("action", choices=["dump"])
-    f.add_argument("--config")
     f.add_argument("--n", type=int)
     f.add_argument("--a")
     f.add_argument("--count", type=int)
     f.add_argument("--seed", type=int)
-    f.add_argument("--out")
     f.set_defaults(func=cmd_flag)
 
-    w = sub.add_parser("flow", help="family flow integration")
+    w = sub.add_parser("flow", parents=[common], help="family flow integration")
     w.add_argument("action", choices=["run"])
-    w.add_argument("--config")
     w.add_argument("--a")
     w.add_argument("--t1", type=float)
     w.add_argument("--t0", type=float)
     w.add_argument("--seed", type=int)
-    w.add_argument("--out")
     w.set_defaults(func=cmd_flow)
 
     l = sub.add_parser("lab", help="combined concentration experiments")
     lsub = l.add_subparsers(dest="action", required=True)
-    lc = lsub.add_parser("combined")
-    lc.add_argument("--config")
+    lc = lsub.add_parser("combined", parents=[common])
     lc.add_argument("--a")
     lc.add_argument("--pattern", help="rows below the top, e.g. '2;3,1'")
     lc.add_argument("--s-grid", dest="s_grid")
     lc.add_argument("--eps", type=float)
     lc.add_argument("--per-axis", dest="per_axis", type=int)
     lc.add_argument("--flow-per-axis", dest="flow_per_axis", type=int)
-    lc.add_argument("--out")
     lc.set_defaults(func=cmd_lab_combined)
-    lg = lsub.add_parser("gc-check")
-    lg.add_argument("--config")
+    lg = lsub.add_parser("gc-check", parents=[common])
     lg.add_argument("--t", help="comma-separated t values, decreasing")
     lg.add_argument("--samples", type=int)
     lg.add_argument("--seed", type=int)
-    lg.add_argument("--out")
     lg.set_defaults(func=cmd_lab_gc_check)
 
     return ap
@@ -562,20 +539,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:  # UsageError included
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except ToleranceFailure as e:
-        print(f"tolerance failure: {e}", file=sys.stderr)
-        return 1
-    except QuadratureError as e:
-        print(f"tolerance failure: quadrature: {e}", file=sys.stderr)
-        return 1
-    except ConvergenceError as e:
-        print(f"tolerance failure: convergence: {e}", file=sys.stderr)
-        return 1
-    except FlowSingularityError as e:
-        print(f"tolerance failure: flow-singularity: {e}", file=sys.stderr)
+    except ToleranceError as e:
+        print(f"tolerance failure: {e.invariant}: {e}", file=sys.stderr)
         return 1
 
 

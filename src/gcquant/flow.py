@@ -13,7 +13,7 @@ u_1 w_23 = u_2 w_13 cutting out the toric limit.
 Points are carried on the unit-sphere charts of the two projective factors
 (|u| = |w| = 1) so the ambient Kaehler metric
 
-    g = (a_1/pi) Re<.,.>  +  (a_2/pi) Re<.,.>  +  t_scale * Re(dt conj dt)
+    g = (a_1/pi) Re<.,.>  +  (a_2/pi) Re<.,.>  +  Re(dt conj dt)
 
 restricts to explicit formulas; tangent spaces of the total space are cut by
 three complex conditions (two sphere/phase gauges, one defining equation).
@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import ToleranceError
 from .flag import pluecker_levels
 
 __all__ = [
@@ -55,8 +56,11 @@ FLOW_TOL = 1e-10
 FLOW_MIN_STEP = 1e-12
 
 
-class FlowSingularityError(RuntimeError):
+class FlowSingularityError(ToleranceError):
     """The flow field or a tangent frame is not defined at the given point."""
+
+    def __init__(self, detail: str):
+        super().__init__("flow-singularity", detail)
 
 
 @dataclass(frozen=True)
@@ -181,15 +185,15 @@ class _ControlledStepper:
     controller (safety 0.9, step ratio clamped to [0.2, 5]); the last step is
     clipped to end at span."""
 
-    def __init__(self, fam: "DegenerationFamily", sign: float, span: float, guard: float):
-        self.fam, self.sign, self.span, self.guard = fam, sign, span, guard
+    def __init__(self, fam: "DegenerationFamily", sign: float, span: float):
+        self.fam, self.sign, self.span = fam, sign, span
         self.h = None
         self.elapsed = 0.0
         self.steps = self.rejected = 0
         self.done = span == 0
 
     def f(self, y: np.ndarray) -> np.ndarray:
-        return self.sign * self.fam.z_field(State.from_vector(y), self.guard)[0]
+        return self.sign * self.fam.z_field(State.from_vector(y))[0]
 
     def first_step(self, y: np.ndarray, k1: np.ndarray) -> float:
         """Starting step (Hairer, Norsett and Wanner, Solving ODEs I, II.4)
@@ -236,19 +240,16 @@ class DegenerationFamily:
     transport and the Fubini-Study scalings of the metric.
     """
 
-    def __init__(self, a: Sequence[float] = (1.0, 1.0), t_scale: float = 1.0):
+    def __init__(self, a: Sequence[float] = (1.0, 1.0)):
         a = tuple(float(x) for x in a)
         if len(a) != 2 or min(a) <= 0:
             raise ValueError("a must be two positive weights")
-        if t_scale <= 0:
-            raise ValueError("t_scale must be positive")
         self.a = a
-        self.t_scale = float(t_scale)
-        # block scales turning the ambient metric into the standard one
+        # block scales turning the ambient metric into the standard one; the
+        # t block is already standard
         su = math.sqrt(a[0] / math.pi)
         sw = math.sqrt(a[1] / math.pi)
-        st = math.sqrt(t_scale)
-        self._scale = np.array([su] * 3 + [sw] * 3 + [st], dtype=float)
+        self._scale = np.array([su] * 3 + [sw] * 3 + [1.0], dtype=float)
         # pi/a_i on the (u, w) coordinates: the inverse metric of those blocks
         self._inv_metric = self._scale[:6] ** -2
 
@@ -268,10 +269,9 @@ class DegenerationFamily:
             raise ValueError("zero homogeneous coordinate vector")
         return State(u / nu, w / nw, np.asarray(t, dtype=complex))
 
-    def point(self, u, w, t, retract: bool = True, tol: float = 1e-12) -> State:
-        """Normalize and (optionally) project onto the hypersurface."""
-        s = self.normalize(u, w, t)
-        return self.retract(s, tol=tol) if retract else s
+    def point(self, u, w, t) -> State:
+        """Normalize and project onto the hypersurface."""
+        return self.retract(self.normalize(u, w, t))
 
     def embed_flag(self, V: np.ndarray, t) -> State:
         """Deformed Pluecker image of a flag (batched): a point of the fiber
@@ -315,7 +315,7 @@ class DegenerationFamily:
         C[..., 2, 3] = t * u[..., 2] / s[3]
         C[..., 2, 4] = -u[..., 1] / s[3]
         C[..., 2, 5] = u[..., 0] / s[3]
-        C[..., 2, 6] = u[..., 2] * w[..., 0] / s[6]
+        C[..., 2, 6] = u[..., 2] * w[..., 0]
         if fiber:
             C[..., 3, 6] = 1.0
         return C
@@ -336,16 +336,17 @@ class DegenerationFamily:
 
     # ------------------------------------------------------------ flow field
 
-    def z_field(self, state: State, guard: float = 1e-8):
+    def z_field(self, state: State):
         """Gradient-Hamiltonian field Z = -grad(Re t)/|grad(Re t)|^2 as flat
-        coordinates (..., 7).  Returns (Z, grad_norm).
+        coordinates (..., 7).  Returns (Z, grad_norm); a grad_norm at or below
+        1e-8 anywhere in the batch raises FlowSingularityError.
 
         Closed form of `project(state, e_t)`.  With a = dF/du, b = dF/dw and
         c = dF/dt (so u.a = w.b = F), the gauge rows u, w are orthogonal to
         each other and to e_t, so one Gram-Schmidt step leaves
         pa = conj(a) - u conj(F)/|u|^2 and pb = conj(b) - w conj(F)/|w|^2.
-        With P = (pi/a_1)|pa|^2 + (pi/a_2)|pb|^2 and Q = |c|^2/t_scale:
-        grad_norm = sqrt(P/(P+Q)/t_scale), Z_u = (pi/a_1) c pa/P,
+        With P = (pi/a_1)|pa|^2 + (pi/a_2)|pb|^2 and Q = |c|^2:
+        grad_norm = sqrt(P/(P+Q)), Z_u = (pi/a_1) c pa/P,
         Z_w = (pi/a_2) c pb/P and Z_t = -1, evaluated as
         -(1 - Q/(P+Q))(P+Q)/P so that its rounding stays visible.  RK stages
         leave the unit spheres, hence the |u|^2, |w|^2 divisors.
@@ -365,13 +366,13 @@ class DegenerationFamily:
         pa -= u * (Fc / _sq(u).sum(axis=-1))[..., None]
         pb -= w * (Fc / _sq(w).sum(axis=-1))[..., None]
         P = _sq(g) @ self._inv_metric
-        Q = _sq(c) / self.t_scale
+        Q = _sq(c)
         PQ = P + Q
-        grad_norm = np.sqrt(P / PQ) / self._scale[6]
-        if not np.all(grad_norm > guard):
+        grad_norm = np.sqrt(P / PQ)
+        if not np.all(grad_norm > 1e-8):
             bad = float(np.min(grad_norm))
             raise FlowSingularityError(
-                f"flow field undefined: gradient norm {bad:.3e} <= {guard:.1e}"
+                f"flow field undefined: gradient norm {bad:.3e} <= 1.0e-08"
             )
         Z = np.empty(state.batch_shape + (7,), dtype=complex)
         np.multiply(g, (c / P)[..., None] * self._inv_metric, out=Z[..., 0:6])
@@ -380,18 +381,19 @@ class DegenerationFamily:
 
     # ------------------------------------------------------------ retraction
 
-    def retract(self, state: State, tol: float = 1e-12, max_iter: int = 20) -> State:
+    def retract(self, state: State) -> State:
         """Pull (u, w) back onto the hypersurface at fixed t: Gauss-Newton on
-        the defining equation plus per-factor renormalization."""
+        the defining equation plus per-factor renormalization, until the
+        residual is at most 1e-12 max(1, |t|), within 20 steps."""
         u = state.u.copy()
         w = state.w.copy()
         t = state.t
         scale = np.maximum(1.0, np.abs(t))
-        for _ in range(max_iter):
+        for _ in range(20):
             u /= np.linalg.norm(u, axis=-1, keepdims=True)
             w /= np.linalg.norm(w, axis=-1, keepdims=True)
             F = u[..., 0] * w[..., 2] - u[..., 1] * w[..., 1] + t * u[..., 2] * w[..., 0]
-            if np.all(np.abs(F) <= tol * scale):
+            if np.all(np.abs(F) <= 1e-12 * scale):
                 return State(u, w, t)
             J = np.stack(
                 [
@@ -428,8 +430,6 @@ class DegenerationFamily:
         h: Optional[float] = None,
         record: bool = False,
         keep_states: bool = False,
-        retract_tol: float = 1e-12,
-        guard: float = 1e-8,
     ) -> FlowResult:
         """Integrate the flow for time tau (tau < 0 runs the field backwards,
         increasing Re t), retracting onto the fiber after each accepted step.
@@ -449,14 +449,14 @@ class DegenerationFamily:
         span = abs(tau)
         sign = 1.0 if tau > 0 else -1.0
         stepper = (_FixedStepper(self, sign, span, h) if h is not None
-                   else _ControlledStepper(self, sign, span, guard))
+                   else _ControlledStepper(self, sign, span))
         min_grad = float("inf")
         dir_err = 0.0
         while not stepper.done:
-            Z, gn = self.z_field(cur, guard=guard)
+            Z, gn = self.z_field(cur)
             min_grad = min(min_grad, float(np.min(gn)))
             dir_err = max(dir_err, float(np.max(np.abs(np.real(Z[..., 6]) + 1.0))))
-            cur = self.retract(stepper.step(cur, Z), tol=retract_tol)
+            cur = self.retract(stepper.step(cur, Z))
             max_res = max(max_res, float(np.max(np.abs(self.residual(cur)))))
             if record:
                 t_path.append(cur.t.copy())
@@ -472,23 +472,19 @@ class DegenerationFamily:
 
     # --------------------------------------------------------------- frames
 
-    def tangent_frame(self, state: State, fiber: bool = False) -> np.ndarray:
-        """Metric-orthonormal real frame of the tangent space at a single
-        point, shape (2k, 7) complex with k = 4 (total space) or 3 (fiber):
-        entries come in pairs (n, i n)."""
+    def tangent_frame(self, state: State) -> np.ndarray:
+        """Metric-orthonormal real frame of the fiber tangent space at a single
+        point, shape (6, 7) complex: entries come in pairs (n, i n)."""
         if state.batch_shape != ():
             raise ValueError("tangent_frame expects a single point")
-        C = self._rows(state, fiber=fiber)
-        m = C.shape[-2]
-        sv = np.linalg.svd(C, compute_uv=False)
+        C = self._rows(state, fiber=True)
+        _, sv, Vh = np.linalg.svd(C, full_matrices=True)
         if sv[-1] < 1e-10:
             raise FlowSingularityError(
                 f"tangent conditions drop rank (smallest singular value {sv[-1]:.3e})"
             )
-        _, _, Vh = np.linalg.svd(C, full_matrices=True)
-        null = np.conj(Vh[m:])            # (7-m, 7) orthonormal, scaled coords
-        k = null.shape[0]
-        frame = np.empty((2 * k, 7), dtype=complex)
+        null = np.conj(Vh[C.shape[-2]:])  # (3, 7) orthonormal, scaled coords
+        frame = np.empty((2 * null.shape[0], 7), dtype=complex)
         frame[0::2] = null
         frame[1::2] = 1j * null
         return frame / self._scale
@@ -503,52 +499,42 @@ class DegenerationFamily:
         zh = vectors * self._scale
         return np.imag(zh @ np.conj(zh.T))
 
-    def _dz_apply(self, state: State, vectors: np.ndarray, eps: float) -> np.ndarray:
+    def _dz_apply(self, state: State, vectors: np.ndarray) -> np.ndarray:
         """Directional derivatives DZ(x)[v] by central differences, batched
         over the stack of vectors (k, 7)."""
+        eps = 1e-6
         y = state.vector()
-        k = vectors.shape[0]
         plus = State.from_vector(y[None, :] + eps * vectors)
         minus = State.from_vector(y[None, :] - eps * vectors)
         Zp, _ = self.z_field(plus)
         Zm, _ = self.z_field(minus)
         return (Zp - Zm) / (2.0 * eps)
 
-    def transport_frame(
-        self,
-        state: State,
-        vectors: np.ndarray,
-        tau: float,
-        h: float = 1e-3,
-        fiber: bool = True,
-        fd_eps: float = 1e-6,
-        retract_tol: float = 1e-12,
-    ):
-        """Carry tangent vectors along the flow by the linearized flow map.
+    def transport_frame(self, state: State, vectors: np.ndarray, tau: float,
+                        h: float = 1e-3):
+        """Carry fiber tangent vectors along the flow by the linearized flow map.
 
-        Each step advances the base point by RK4 + retraction and the frame by
-        an explicit midpoint rule for the variational equation v' = DZ(x) v,
-        with DZ applied through central finite differences; the result is then
-        projected back onto the (fiber) tangent space at the new point.  The
-        scheme is second order in h.  Returns (final_state, final_vectors).
+        The base path is `flow(state, tau, h=h)`: fixed RK4 steps with
+        retraction.  Over each step the frame advances by an explicit midpoint
+        rule for the variational equation v' = DZ(x) v, with DZ applied through
+        central finite differences, and is then projected onto the fiber
+        tangent space at the step's end.  The scheme is second order in h.
+        Returns (final_state, final_vectors).
         """
         if state.batch_shape != ():
             raise ValueError("transport_frame expects a single point")
-        sign = 1.0 if tau >= 0 else -1.0
-        steps = max(1, math.ceil(abs(tau) / h))
-        h_eff = abs(tau) / steps
-        cur = state
+        res = self.flow(state, tau, h=h, keep_states=True)
+        sign = 1.0 if tau > 0 else -1.0
         V = np.array(vectors, dtype=complex)
-        for _ in range(steps):
+        for cur, nxt in zip(res.states, res.states[1:]):
             Z, _ = self.z_field(cur)
-            mid = State.from_vector(cur.vector() + 0.5 * h_eff * sign * Z)
-            dz0 = sign * self._dz_apply(cur, V, fd_eps)
-            vhalf = V + 0.5 * h_eff * dz0
-            dzm = sign * self._dz_apply(mid, vhalf, fd_eps)
-            V = V + h_eff * dzm
-            cur = self.retract(self._rk4_step(cur, Z, h_eff, sign), tol=retract_tol)
-            V = self.project(cur, V, fiber=fiber)
-        return cur, V
+            mid = State.from_vector(cur.vector() + 0.5 * res.h * sign * Z)
+            dz0 = sign * self._dz_apply(cur, V)
+            vhalf = V + 0.5 * res.h * dz0
+            dzm = sign * self._dz_apply(mid, vhalf)
+            V = V + res.h * dzm
+            V = self.project(nxt, V, fiber=True)
+        return res.state, V
 
 
 # -------------------------------------------------------------- line bundle

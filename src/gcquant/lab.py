@@ -144,16 +144,15 @@ class ExpSchedule:
 
 @dataclass
 class AdaptiveSchedule:
-    """Per integer window [n, n+1), shrink t geometrically until a measured
-    flow-vs-toric discrepancy falls below 1/(n+2); failure to reach the target
-    at t_min is recorded, not raised.
+    """Per integer window [n, n+1), halve t until a measured flow-vs-toric
+    discrepancy falls below 1/(n+2); failure to reach the target at t_min is
+    recorded, not raised.
 
     `measure(t)` returns the discrepancy used for the test; the default probes
     a small flag ensemble.
     """
 
     measure: Optional[Callable[[float], float]] = None
-    shrink: float = 0.5
     t_min: float = 1e-4
     _cache: dict = field(default_factory=dict, repr=False)
     unmet: set = field(default_factory=set)
@@ -177,10 +176,10 @@ class AdaptiveSchedule:
         # start below the previous window's value to keep monotonicity;
         # t_min is a hard floor even across windows
         t_prev = self.t(s - 1.0) if window >= 1 else 1.0
-        t_cur = max(t_prev * self.shrink, self.t_min)
+        t_cur = max(t_prev * 0.5, self.t_min)
         gap = measure(t_cur)
         while gap > self.target(window) and t_cur > self.t_min:
-            t_cur = max(t_cur * self.shrink, self.t_min)
+            t_cur = max(t_cur * 0.5, self.t_min)
             gap = measure(t_cur)
         if gap > self.target(window):
             self.unmet.add(window)
@@ -356,17 +355,16 @@ class GCTorusModel:
 # -- section restriction on the degenerate fiber --------------------------------
 
 
-def section_equality_on_v0(m, mprime, samples: int = 500, seed: int = 0,
-                           log_radius: float = 0.5) -> float:
+def section_equality_on_v0(m, mprime, samples: int = 500, seed: int = 0) -> float:
     """max |w^m - w^m'| / max(1, |w^m|) over torus samples of the binomial
-    subvariety w_4 = w_1 w_3; exact 0 when A m = A m' (the monomials agree on
-    the subvariety), bounded away from 0 otherwise."""
+    subvariety w_4 = w_1 w_3 with |log |w_i|| <= 0.5; exact 0 when A m = A m'
+    (the monomials agree on the subvariety), bounded away from 0 otherwise."""
     m = np.asarray(m, dtype=np.int64)
     mp = np.asarray(mprime, dtype=np.int64)
     if m.shape != (4,) or mp.shape != (4,):
         raise ValueError("lifts must be integer 4-vectors")
     rng = np.random.default_rng(seed)
-    logr = rng.uniform(-log_radius, log_radius, size=(samples, 3))
+    logr = rng.uniform(-0.5, 0.5, size=(samples, 3))
     ang = rng.uniform(0.0, 1.0, size=(samples, 3))
     w123 = np.exp(logr + 2j * np.pi * ang)
     w = np.concatenate([w123, (w123[:, 0] * w123[:, 2])[:, None]], axis=1)

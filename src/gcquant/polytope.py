@@ -204,8 +204,9 @@ class DelzantPolytope:
 
     # -- vertices and the Delzant test --------------------------------------
 
-    def vertices(self, tol: float = 1e-9) -> np.ndarray:
-        """Brute-force vertex enumeration.  Only sensible for dim <= 6."""
+    def vertices(self) -> np.ndarray:
+        """Brute-force vertex enumeration: facet intersections within 1e-9 of
+        the polytope.  Only sensible for dim <= 6."""
         if self.dim > 6:
             raise ValueError("vertex enumeration limited to dimension <= 6")
         R = self.normal_matrix
@@ -217,7 +218,7 @@ class DelzantPolytope:
             if abs(np.linalg.det(A)) < 1e-12:
                 continue
             v = np.linalg.solve(A, b)
-            if not self.contains(v, tol=tol):
+            if not self.contains(v, tol=1e-9):
                 continue
             if not any(np.max(np.abs(v - w)) < 1e-8 for w in verts):
                 verts.append(v)
@@ -229,14 +230,14 @@ class DelzantPolytope:
     def barycenter(self) -> np.ndarray:
         return self.vertices().mean(axis=0)
 
-    def is_delzant(self, tol: float = 1e-9) -> tuple[bool, str]:
+    def is_delzant(self) -> tuple[bool, str]:
         """Check the unimodular-vertex condition exhaustively.
 
         Returns (ok, reason).  Fails with a reason on non-simple vertices or
         non-unimodular normal sets; callers that only need containment or
         counting are expected to skip this check.
         """
-        verts = self.vertices(tol=tol)
+        verts = self.vertices()
         R = self.normal_matrix
         c = self.offsets
         for v in verts:

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
+from . import ToleranceError
 from .polytope import DelzantPolytope
 
 FOUR_PI = 4.0 * np.pi
@@ -42,12 +43,18 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
-    pass
+class ConvergenceError(ToleranceError):
+    """An iterative solve did not reach its tolerance."""
+
+    def __init__(self, detail: str):
+        super().__init__("convergence", detail)
 
 
-class QuadratureError(RuntimeError):
-    pass
+class QuadratureError(ToleranceError):
+    """A quadrature did not reach its tolerance or has no points to use."""
+
+    def __init__(self, detail: str):
+        super().__init__("quadrature", detail)
 
 
 # -- canonical potential ------------------------------------------------------
@@ -250,21 +257,21 @@ def moment_to_complex(pot: SymplecticPotential, x, theta) -> np.ndarray:
     return np.exp(TWO_PI * (y + 1j * theta))
 
 
-def complex_to_moment_log(pot: SymplecticPotential, y, theta,
-                          tol: float = 1e-13, max_iter: int = 100):
-    """Invert grad g(x) = y by damped Newton from the vertex barycenter."""
+def complex_to_moment_log(pot: SymplecticPotential, y, theta):
+    """Invert grad g(x) = y by damped Newton from the vertex barycenter, to a
+    residual of 1e-13 max(1, |y|) within 100 steps."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     P = pot.polytope
     x = np.tile(P.barycenter(), (y.shape[0], 1))
-    scale = np.maximum(1.0, np.abs(y).max(axis=-1))
-    for _ in range(max_iter):
+    bound = 1e-13 * np.maximum(1.0, np.abs(y).max(axis=-1))
+    for _ in range(100):
         r = pot.grad(x) - y
         rnorm = np.abs(r).max(axis=-1)
-        if np.all(rnorm <= tol * scale):
+        if np.all(rnorm <= bound):
             break
         step = -np.linalg.solve(pot.hess(x), r[..., None])[..., 0]
         alpha = np.ones(y.shape[0])
-        active = rnorm > tol * scale
+        active = rnorm > bound
         for _ in range(60):
             xn = x + alpha[:, None] * step
             inside = P.contains(xn, strict=True)
@@ -317,14 +324,14 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
     return pts[mask], vol
 
 
-def log_l1_norm(pot: SymplecticPotential, m, rel_tol: float = 1e-6,
-                base: int = 64, max_points: int = 2_000_000):
+def log_l1_norm(pot: SymplecticPotential, m, rel_tol: float = 1e-6):
     """log integral of the density over Delta (angle mass 1), with dyadic
-    midpoint refinement; the last two levels give the error estimate."""
+    midpoint refinement from 64 points per axis up to 2e6 points; the last
+    two levels give the error estimate."""
     prev = None
-    per_axis = base
+    per_axis = 64
     dim = pot.polytope.dim
-    while per_axis ** dim <= max_points:
+    while per_axis ** dim <= 2_000_000:
         pts, logvol = polytope_grid(pot.polytope, per_axis)
         vals = section_log_density(pot, m, pts)
         cur = float(logsumexp(vals) + logvol)
@@ -352,17 +359,18 @@ def transport_phase(xs, thetas) -> complex:
     return complex(np.exp(2j * np.pi * np.sum(mid * dth)))
 
 
-def holonomy(x, direction: int, k: int = 1, samples: int = 64) -> complex:
+def holonomy(x, direction: int, k: int = 1) -> complex:
     """Holonomy of the prequantum connection around the theta_{direction}
-    circle at moment point x, traversed k times."""
+    circle at moment point x, traversed k times (64 path segments)."""
     x = np.asarray(x, dtype=float)
-    t = np.linspace(0.0, float(k), samples + 1)
-    thetas = np.zeros((samples + 1, x.size))
+    t = np.linspace(0.0, float(k), 65)
+    thetas = np.zeros((t.size, x.size))
     thetas[:, direction] = t
-    xs = np.tile(x, (samples + 1, 1))
+    xs = np.tile(x, (t.size, 1))
     return transport_phase(xs, thetas)
 
 
-def bohr_sommerfeld_test(x, tol: float = 1e-9) -> bool:
+def bohr_sommerfeld_test(x) -> bool:
+    """Whether every coordinate of x is within 1e-9 of an integer."""
     x = np.asarray(x, dtype=float)
-    return bool(np.all(np.abs(x - np.round(x)) < tol))
+    return bool(np.all(np.abs(x - np.round(x)) < 1e-9))

@@ -140,7 +140,7 @@ def test_c05_flow_time_direction_and_symplectic_pairing():
     assert np.max(np.abs(np.imag(Z[..., 6]))) < 1e-8
 
     p = fam.embed_flag(random_flags(3, 1, seed=101), 1.0)[0]
-    frame = fam.tangent_frame(p, fiber=True)
+    frame = fam.tangent_frame(p)
     o0 = fam.omega_matrix(frame)
 
     def drift(h):

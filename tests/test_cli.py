@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gcquant.cli as cli
+from gcquant.flow import FlowSingularityError
+from gcquant.toric import ConvergenceError, QuadratureError
 
 
 def run(argv):
@@ -183,6 +186,42 @@ def test_argparse_usage_errors():
     assert exc.value.code == 2
 
 
+def leaf_parsers(parser, path=()):
+    """(subcommand path, parser) of every parser that runs a command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def test_every_flag_is_a_config_key():
+    # merge_config takes exactly the flags whose dest is a key of the
+    # subcommand's defaults, so a flag without a key would be ignored
+    defaults = {cli.cmd_toric: cli.TORIC_DEFAULTS, cli.cmd_flag: cli.FLAG_DEFAULTS,
+                cli.cmd_flow: cli.FLOW_DEFAULTS, cli.cmd_lab_combined: cli.LAB_DEFAULTS,
+                cli.cmd_lab_gc_check: cli.GCCHECK_DEFAULTS}
+    flags = {}
+    for path, parser in leaf_parsers(cli.build_parser()):
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        flags[path] = sorted(o for a in options for o in a.option_strings)
+        keys = defaults.get(parser.get_default("func"))
+        if keys is None:  # polytope reads its two flags directly
+            continue
+        assert {a.dest for a in options} - {"config", "out"} <= set(keys), path
+    assert flags == {
+        "polytope": ["--a", "--n", "--out"],
+        "toric": ["--config", "--delta", "--eps", "--m", "--nu-scale", "--out",
+                  "--per-axis", "--s"],
+        "flag": ["--a", "--config", "--count", "--n", "--out", "--seed"],
+        "flow": ["--a", "--config", "--out", "--seed", "--t0", "--t1"],
+        "lab combined": ["--a", "--config", "--eps", "--flow-per-axis", "--out",
+                         "--pattern", "--per-axis", "--s-grid"],
+        "lab gc-check": ["--config", "--out", "--samples", "--seed", "--t"],
+    }
+
+
 def test_tolerance_failure_exit_one(tmp_path, capsys, monkeypatch):
     # deterministic failure injection: trend check sees a non-decreasing pair
     fake = {0.1: 0.5, 0.02: 1.0}
@@ -192,6 +231,19 @@ def test_tolerance_failure_exit_one(tmp_path, capsys, monkeypatch):
               "--out", str(tmp_path / "g")])
     assert rc == 1
     assert "moment-trend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, name", [(QuadratureError, "quadrature"),
+                                         (ConvergenceError, "convergence"),
+                                         (FlowSingularityError, "flow-singularity")])
+def test_library_tolerance_errors_exit_one(tmp_path, capsys, monkeypatch, error, name):
+    # the exit code follows the exception type: each is a named ToleranceError
+    def fail(*args, **kwargs):
+        raise error("detail")
+
+    monkeypatch.setattr(cli, "gc_vs_torus_moment_check", fail)
+    assert run(["lab", "gc-check", "--out", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr().err == f"tolerance failure: {name}: detail\n"
 
 
 def test_flow_run_reports_exact_time(tmp_path, capsys):
@@ -250,6 +302,85 @@ def test_flow_run_fuzz_exit_contract(t0, t1, seed):
 @example(action="count", n=3, a=[1e300, 1])
 def test_polytope_fuzz_exit_contract(action, n, a):
     assert_exit_contract(["polytope", action, f"--n={n}", "--a=" + ",".join(map(str, a))])
+
+
+NUMBERS = st.one_of(st.integers(-3, 12), st.floats(-20, 20),
+                    st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["nan", "-inf", "1,1", "0..3", "1;2"]))
+# what a hand-edited config file may hold: wrong types, nan strings, lists
+JSON_VALUES = st.one_of(st.none(), st.booleans(), NUMBERS, TEXT,
+                        st.lists(NUMBERS, max_size=3),
+                        st.dictionaries(st.text(max_size=2), NUMBERS, max_size=1))
+
+
+def mostly(valid):
+    """`valid` twice as often as an arbitrary number."""
+    return st.one_of(valid, valid, NUMBERS)
+
+
+def csv_of(values):
+    return ",".join(map(repr, values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), per_axis=st.integers(-1, 12))
+def test_toric_concentrate_fuzz_exit_contract(data, dim, per_axis):
+    lo = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    width = data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+    m = [l + w * f for l, w, f in zip(lo, width, data.draw(
+        st.lists(mostly(st.floats(0, 1)), min_size=dim, max_size=dim)))]
+    s = data.draw(st.lists(mostly(st.floats(0, 60)), min_size=1, max_size=3))
+    eps = data.draw(mostly(st.floats(0.05, 1)))
+    nu_scale = data.draw(mostly(st.floats(0, 3)))
+    assert_exit_contract(["toric", "concentrate",
+                          "--delta=" + ",".join(f"{l}..{l + w}" for l, w in zip(lo, width)),
+                          "--m=" + csv_of(m), "--s=" + csv_of(s), f"--eps={eps!r}",
+                          f"--nu-scale={nu_scale!r}", f"--per-axis={per_axis}"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 4), a=st.lists(mostly(st.integers(1, 4)), min_size=1, max_size=3),
+       count=st.integers(-1, 4), seed=st.integers(-2, 2 ** 32))
+def test_flag_dump_fuzz_exit_contract(n, a, count, seed):
+    assert_exit_contract(["flag", "dump", f"--n={n}", "--a=" + csv_of(a),
+                          f"--count={count}", f"--seed={seed}"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.lists(mostly(st.floats(0, 0.2)), min_size=1, max_size=3),
+       samples=st.integers(-1, 3), seed=st.integers(-2, 2 ** 32))
+def test_lab_gc_check_fuzz_exit_contract(t, samples, seed):
+    assert_exit_contract(["lab", "gc-check", "--t=" + csv_of(t),
+                          f"--samples={samples}", f"--seed={seed}"])
+
+
+@settings(max_examples=8, deadline=None)
+@given(a=st.lists(mostly(st.integers(2, 3)), min_size=2, max_size=2),
+       shift=st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+       s_grid=st.lists(st.floats(0, 40), min_size=1, max_size=3, unique=True),
+       eps=mostly(st.floats(0.2, 1)))
+@example(a=[2, 2], shift=[0, 0, 0], s_grid=[0, 5, 10], eps=1.0)
+def test_lab_combined_fuzz_exit_contract(a, shift, s_grid, eps):
+    # patterns around the default 2;3,1, which is interior for a = (2, 2)
+    p = [v + d for v, d in zip((2, 3, 1), shift)]
+    assert_exit_contract(["lab", "combined", "--per-axis=8", "--flow-per-axis=4",
+                          "--a=" + csv_of(a), f"--pattern={p[0]!r};{p[1]!r},{p[2]!r}",
+                          "--s-grid=" + csv_of(sorted(s_grid)), f"--eps={eps!r}"])
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, defaults in [(["flow", "run"], cli.FLOW_DEFAULTS),
+                                             (["flag", "dump"], cli.FLAG_DEFAULTS),
+                                             (["toric", "concentrate"], cli.TORIC_DEFAULTS)]
+    for key in defaults])
+@settings(max_examples=10, deadline=None)
+@given(value=JSON_VALUES)
+def test_config_file_fuzz_exit_contract(command, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/cfg.json"
+        with open(cfg, "w") as f:
+            json.dump({key: value}, f)
+        assert_exit_contract(command + ["--config", cfg])
 
 
 def assert_exit_contract(argv):

@@ -69,19 +69,19 @@ def test_z_field_time_component_is_minus_one():
 
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
 def test_z_field_matches_generic_projection(t):
-    # Z = -grad(Re t)/|grad|^2 with grad = project(e_t / t_scale), through the
-    # generic Gram solve, on states off the unit spheres (as RK stages are)
-    a, t_scale = (2.0, 0.7), 3.3
-    fam = DegenerationFamily(a, t_scale=t_scale)
+    # Z = -grad(Re t)/|grad|^2 with grad = project(e_t), through the generic
+    # Gram solve, on states off the unit spheres (as RK stages are)
+    a = (2.0, 0.7)
+    fam = DegenerationFamily(a)
     rng = np.random.default_rng(17)
     n = 64
     u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     w = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     st = State(u, w, np.full(n, t))
     e_t = np.zeros((n, 7), dtype=complex)
-    e_t[:, 6] = 1.0 / t_scale
+    e_t[:, 6] = 1.0
     grad = fam.project(st, e_t)
-    metric = np.array([a[0] / np.pi] * 3 + [a[1] / np.pi] * 3 + [t_scale])
+    metric = np.array([a[0] / np.pi] * 3 + [a[1] / np.pi] * 3 + [1.0])
     norm2 = np.sum(metric * np.abs(grad) ** 2, axis=-1)
     Z_ref = -grad / norm2[:, None]
     Z, gn = fam.z_field(st)
@@ -274,7 +274,7 @@ def test_frame_transport_preserves_omega_second_order():
     # the flow preserves the symplectic pairing but not the metric, so only
     # the omega drift is an invariant; it must vanish at second order in h
     st = embedded_batch(1, seed=9)[0]
-    frame = FAM.tangent_frame(st, fiber=True)
+    frame = FAM.tangent_frame(st)
     o0 = FAM.omega_matrix(frame)
 
     def drift(h):
