@@ -3,15 +3,15 @@ coordinate changes, section densities, quadrature, and fiber holonomy.
 
 All densities are handled as logarithms; deformation strengths s of order 1e3
 would overflow doubles otherwise.  The angle torus always carries total mass 1.
+A quadrature measure computes its log normalizer once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from . import ToleranceError
 from .polytope import DelzantPolytope
@@ -35,6 +35,7 @@ __all__ = [
     "moment_to_log_complex",
     "complex_to_moment",
     "complex_to_moment_log",
+    "GridMeasure",
     "polytope_grid",
     "log_l1_norm",
     "transport_phase",
@@ -65,7 +66,7 @@ def g_can_value(P: DelzantPolytope, x) -> np.ndarray:
     l = P.support_values(x)
     if np.any(l < -1e-12):
         raise ValueError("point outside the polytope")
-    return xlogy(np.maximum(l, 0.0), np.maximum(l, 0.0)).sum(axis=-1) / FOUR_PI
+    return (l * np.log(l, out=np.zeros_like(l), where=l > 0)).sum(axis=-1) / FOUR_PI
 
 
 def g_can_grad(P: DelzantPolytope, x) -> np.ndarray:
@@ -235,9 +236,6 @@ class SectionDensity:
     def log_magnitude(self, x) -> np.ndarray:
         return section_log_density(self.potential, self.m, x)
 
-    def __call__(self, x) -> np.ndarray:
-        return self.log_magnitude(x)
-
 
 # -- moment <-> complex --------------------------------------------------------
 
@@ -305,6 +303,28 @@ def complex_to_moment(pot: SymplecticPotential, w):
 # -- quadrature -----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class GridMeasure:
+    """Midpoint quadrature measure: equal cells of volume exp(log_vol) whose
+    sample points carry log densities `logdens` (N,) and labels (N, d).
+    Exclusion distances and test functions are evaluated on the labels.
+    `log_total` is the log of the total mass, computed once."""
+
+    labels: np.ndarray
+    logdens: np.ndarray
+    log_vol: float
+    log_total: float = field(init=False)
+
+    def __post_init__(self):
+        top = np.max(self.logdens)
+        total = top + np.log(np.sum(np.exp(self.logdens - top))) + self.log_vol
+        object.__setattr__(self, "log_total", float(total))
+
+    def outside(self, center, eps: float) -> np.ndarray:
+        """Mask of the sample points whose label lies outside the eps-ball."""
+        return np.linalg.norm(self.labels - np.asarray(center, dtype=float), axis=-1) > eps
+
+
 def polytope_grid(P: DelzantPolytope, per_axis: int):
     """Midpoint tensor grid on the bounding box, masked to the polytope.
 
@@ -333,8 +353,7 @@ def log_l1_norm(pot: SymplecticPotential, m, rel_tol: float = 1e-6):
     dim = pot.polytope.dim
     while per_axis ** dim <= 2_000_000:
         pts, logvol = polytope_grid(pot.polytope, per_axis)
-        vals = section_log_density(pot, m, pts)
-        cur = float(logsumexp(vals) + logvol)
+        cur = GridMeasure(pts, section_log_density(pot, m, pts), logvol).log_total
         if prev is not None:
             err = abs(cur - prev)
             if err <= rel_tol:

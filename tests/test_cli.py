@@ -3,7 +3,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,9 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["toric", "concentrate", "--per-axis", "-3"],
     ["toric", "concentrate", "--eps", "-1"],
     ["toric", "concentrate", "--s", "nan"],
+    ["toric", "concentrate", "--s", "5,5"],
+    ["toric", "concentrate", "--s", "20,10"],
+    ["toric", "concentrate", "--s=-5,10"],
     ["flag", "dump", "--count", "-2"],
     ["flag", "dump", "--count", "0"],
     ["lab", "gc-check", "--samples", "-2"],
@@ -175,6 +182,18 @@ def test_step_size_config_key_rejected(tmp_path, capsys, argv):
     cfg.write_text(json.dumps({"h": 0.01}))
     assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown config keys: h" in capsys.readouterr().err
+
+
+def test_cli_import_is_numpy_only():
+    # a fresh interpreter, so that scipy imported by other tests does not count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, gcquant.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_argparse_usage_errors():
@@ -329,7 +348,10 @@ def test_toric_concentrate_fuzz_exit_contract(data, dim, per_axis):
     width = data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
     m = [l + w * f for l, w, f in zip(lo, width, data.draw(
         st.lists(mostly(st.floats(0, 1)), min_size=dim, max_size=dim)))]
-    s = data.draw(st.lists(mostly(st.floats(0, 60)), min_size=1, max_size=3))
+    # half the s lists are valid grids, so that some runs get through to exit 0
+    s = data.draw(st.one_of(
+        st.lists(st.floats(0, 60), min_size=1, max_size=3, unique=True).map(sorted),
+        st.lists(mostly(st.floats(0, 60)), min_size=1, max_size=3)))
     eps = data.draw(mostly(st.floats(0.05, 1)))
     nu_scale = data.draw(mostly(st.floats(0, 3)))
     assert_exit_contract(["toric", "concentrate",

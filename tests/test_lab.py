@@ -22,7 +22,7 @@ from gcquant.lab import (
     outside_mass,
     section_equality_on_v0,
 )
-from gcquant.polytope import GCPattern, interval
+from gcquant.polytope import GCPattern, box_polytope, interval
 from gcquant.toric import (
     ConvexDeformation,
     QuadraticNu,
@@ -261,6 +261,45 @@ def test_delta_pairing_normalization_is_exact():
     assert abs(val - 1.0) < 1e-2  # concentrating near m = 1
 
 
+@pytest.mark.parametrize("dim, per_axis", [(1, 2048), (3, 24)])
+@pytest.mark.parametrize("s", [0.0, 40.0, 2000.0])
+def test_measure_matches_logsumexp_oracle(dim, per_axis, s):
+    # the normalizer computed once per measure against the logsumexp and
+    # max-shift formulas it replaced; at s = 2000 the outside masses are
+    # near 1e-250
+    from scipy.special import logsumexp
+
+    P = box_polytope([(0, 3)] * dim)
+    m = np.ones(dim)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(dim)))).at_s(s)
+    measure = grid_measure(P, SectionDensity(pot, m), per_axis)
+    lw = measure.logdens + measure.log_vol
+    log_total = logsumexp(lw)
+    mask = measure.outside(m, 0.3)
+    oracle = {
+        "log_total": log_total,
+        "outside_mass": np.exp(logsumexp(lw[mask]) - log_total),
+        "concentration_sup": np.exp(np.max(measure.logdens[mask]) - log_total),
+        "delta_pairing": (np.sum(measure.labels[:, 0] * np.exp(lw - np.max(lw)))
+                          / np.sum(np.exp(lw - np.max(lw)))),
+    }
+    got = {
+        "log_total": measure.log_total,
+        "outside_mass": outside_mass(measure, m, 0.3),
+        "concentration_sup": concentration_sup(measure, m, 0.3),
+        "delta_pairing": delta_pairing(measure, lambda x: x[..., 0]),
+    }
+    # a mass exp(u - log_total) is only as exact as the doubles holding u and
+    # log_total: on the cube at s = 2000, log_total is 1.9e4 and its spacing
+    # 3.6e-12, and the oracle itself is 2.2e-12 off a 200-bit sum
+    slack = 2 * np.spacing(abs(log_total))
+    for name, want in oracle.items():
+        rtol = 1e-12 if name in ("log_total", "delta_pairing") else 1e-12 + slack
+        assert abs(got[name] - want) <= rtol * abs(want), name
+    if s == 2000.0:
+        assert got["outside_mass"] < 1e-200
+
+
 def test_decay_slope_recovers_exact_exponential():
     s = np.array([5.0, 10.0, 20.0, 40.0])
     rate = -0.37
@@ -436,10 +475,15 @@ def test_s0_cell_equals_undeformed_baseline():
     deformer = ConvexDeformation(cfg.nu, iota_star=model.A.astype(float))
     pot = SymplecticPotential(model.ambient_delta(), 0.0, deformer).at_s(0.0)
     dens = SectionDensity(pot, tuple(lift.astype(float)))
-    lw = dens.log_magnitude(model.slice_point(pts)) + log_vol
+    logdens = dens.log_magnitude(model.slice_point(pts))
     mask = np.linalg.norm(pts - xi_star, axis=-1) > cfg.eps
-    baseline = float(np.exp(logsumexp(lw[mask]) - logsumexp(lw)))
+    top = np.max(logdens)
+    log_total = top + np.log(np.sum(np.exp(logdens - top))) + log_vol
+    baseline = float(np.sum(np.exp(logdens[mask] + log_vol - log_total)))
     assert cell0.outside_mass == baseline
+    lw = logdens + log_vol
+    oracle = float(np.exp(logsumexp(lw[mask]) - logsumexp(lw)))
+    assert abs(cell0.outside_mass - oracle) <= 1e-13 * oracle
 
 
 def test_gc_vs_torus_trend():
