@@ -236,6 +236,9 @@ class SectionDensity:
     def log_magnitude(self, x) -> np.ndarray:
         return section_log_density(self.potential, self.m, x)
 
+    def __call__(self, x) -> np.ndarray:
+        return self.log_magnitude(x)
+
 
 # -- moment <-> complex --------------------------------------------------------
 

@@ -233,6 +233,7 @@ def test_section_density_object_matches_function():
     dens = SectionDensity(pot, np.array([1.0]))
     x = interior_points(P, 20)
     assert np.allclose(dens.log_magnitude(x), section_log_density(pot, np.array([1.0]), x))
+    assert np.allclose(dens(x), dens.log_magnitude(x))
 
 
 def test_log_l1_norm_against_adaptive_quadrature():
