@@ -283,8 +283,6 @@ def cmd_toric(args) -> int:
         pair_x1 = delta_pairing(measure, lambda x: x[..., 0])
         if not (0.0 <= mass <= 1.0):
             raise ToleranceError("mass-range", f"outside mass {mass} at s={s}")
-        if abs(pair_one - 1.0) > 1e-9:
-            raise ToleranceError("normalization", f"<1, tau> = {pair_one} at s={s}")
         rows.append([s, mass, sup, pair_one, pair_x1])
         if P.dim == 1:
             profiles.append((s, np.exp(measure.logdens - measure.log_total)))
@@ -434,9 +432,6 @@ def cmd_lab_combined(args) -> int:
     for c in rep.cells:
         if not (0.0 <= c.outside_mass <= 1.0):
             raise ToleranceError("mass-range", f"outside mass {c.outside_mass} at s={c.s}")
-        if abs(c.pairings["one"] - 1.0) > 1e-6:
-            raise ToleranceError("pairing-normalization",
-                                   f"<1,tau> = {c.pairings['one']} at s={c.s}")
         if c.torus_moment_drift is not None and c.torus_moment_drift > 1e-6:
             raise ToleranceError("torus-moment-drift",
                                    f"{c.torus_moment_drift} > 1e-6 at s={c.s}")

@@ -29,7 +29,6 @@ __all__ = [
     "g_can_value",
     "g_can_grad",
     "g_can_hess",
-    "alpha_m",
     "section_log_density",
     "moment_to_complex",
     "moment_to_log_complex",
@@ -89,13 +88,15 @@ def g_can_hess(P: DelzantPolytope, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticNu:
-    """nu(p) = p^T Q p / 2 on the restricted coordinates."""
+    """nu(p) = p^T Q p / 2 on the restricted coordinates; Q positive definite."""
 
     Q: np.ndarray
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
         object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
+        if not self.eig_range()[0] > 0.0:
+            raise ValueError("nu must be positive definite")
 
     def value(self, p):
         p = np.asarray(p, dtype=float)
@@ -159,26 +160,17 @@ class SymplecticPotential:
     """g = g_can + s * nu(iota_star .) on Int Delta."""
 
     polytope: DelzantPolytope
-    s: float = 0.0
-    deformer: Optional[ConvexDeformation] = None
+    s: float
+    deformer: ConvexDeformation
 
     def value(self, x):
-        v = g_can_value(self.polytope, x)
-        if self.deformer is not None and self.s != 0.0:
-            v = v + self.s * self.deformer.value(x)
-        return v
+        return g_can_value(self.polytope, x) + self.s * self.deformer.value(x)
 
     def grad(self, x):
-        g = g_can_grad(self.polytope, x)
-        if self.deformer is not None and self.s != 0.0:
-            g = g + self.s * self.deformer.grad(x)
-        return g
+        return g_can_grad(self.polytope, x) + self.s * self.deformer.grad(x)
 
     def hess(self, x):
-        H = g_can_hess(self.polytope, x)
-        if self.deformer is not None and self.s != 0.0:
-            H = H + self.s * self.deformer.hess(x)
-        return H
+        return g_can_hess(self.polytope, x) + self.s * self.deformer.hess(x)
 
     def at_s(self, s: float) -> "SymplecticPotential":
         return SymplecticPotential(self.polytope, s, self.deformer)
@@ -187,25 +179,20 @@ class SymplecticPotential:
 # -- section densities ---------------------------------------------------------
 
 
-def alpha_m(pot: SymplecticPotential, m, x) -> np.ndarray:
-    """alpha_m(x) = <x - m, grad(nu o iota)(x)> - (nu o iota)(x); zero deformer -> 0."""
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if pot.deformer is None:
-        return np.zeros(x.shape[:-1])
-    g = pot.deformer.grad(x)
-    return np.einsum("...i,...i->...", x - m, g) - pot.deformer.value(x)
-
-
 def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
     """log |pullback of sigma^m| at moment point x (theta-independent).
 
     The canonical part uses the boundary-continuous closed form
     sum_j [ l_j(m)/2 * log l_j(x) + (l_j(m) - l_j(x))/2 ],
-    which agrees with 2 pi (g - <x - m, grad g>) in the interior; the
-    deformation part is added analytically.  Returns -inf on boundary walls
-    not containing m.  The (points, facets) work array is updated in place:
-    this runs on grids of about 10^6 points.
+    which agrees with 2 pi (g - <x - m, grad g>) in the interior.  The
+    deformation part of that expression is -2 pi s a(x), with
+    a(x) = <x - m, grad nu~(x)> - nu~(x) and nu~ = nu o iota_star.  Every nu
+    is a quadratic form without a linear term, so a(x) - a(m) = nu~(x - m)
+    exactly, and that is what is subtracted.  The section is thereby rescaled
+    by the constant exp(2 pi s a(m)), which cancels from every normalized
+    output, and the log density at m is the canonical part for every s.
+    Returns -inf on boundary walls not containing m.  The (points, facets)
+    work array is updated in place: this runs on grids of about 10^6 points.
     """
     P = pot.polytope
     x = np.asarray(x, dtype=float)
@@ -221,8 +208,7 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
         lx *= 0.5 * lm
     lx[..., lm == 0.0] = 0.0  # 0 * log 0 = 0 on shared walls
     out = lx.sum(axis=-1) + linear
-    if pot.deformer is not None and pot.s != 0.0:
-        out = out - TWO_PI * pot.s * alpha_m(pot, m, x)
+    out -= TWO_PI * pot.s * pot.deformer.value(x - m)
     return out
 
 
@@ -235,9 +221,6 @@ class SectionDensity:
 
     def log_magnitude(self, x) -> np.ndarray:
         return section_log_density(self.potential, self.m, x)
-
-    def __call__(self, x) -> np.ndarray:
-        return self.log_magnitude(x)
 
 
 # -- moment <-> complex --------------------------------------------------------

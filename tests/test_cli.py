@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gcquant.cli as cli
+import gcquant.toric
 from gcquant.flow import FlowSingularityError
 from gcquant.toric import ConvergenceError, QuadratureError
 
@@ -163,6 +164,10 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["polytope", "count", "--n", "2", "--a", "3000000000"],
     ["polytope", "count", "--n", "2", "--a", "1e20"],
     ["polytope", "count", "--n", "3", "--a", "1e300,1"],
+    # nu must be positive definite
+    ["toric", "concentrate", "--nu-scale=-1"],
+    ["lab", "combined", "--config", {"nu_scale": 0}],
+    ["lab", "combined", "--config", {"nu_scale": -1}],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):
@@ -250,6 +255,20 @@ def test_tolerance_failure_exit_one(tmp_path, capsys, monkeypatch):
               "--out", str(tmp_path / "g")])
     assert rc == 1
     assert "moment-trend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["toric", "concentrate"], cli),
+    (["lab", "combined"], gcquant.toric),
+])
+def test_vanishing_density_exits_one(tmp_path, capsys, monkeypatch, argv, module):
+    # a density that vanishes everywhere has no normalizer, so every mass is nan
+    monkeypatch.setattr(module, "section_log_density",
+                        lambda pot, m, x: np.full(np.shape(x)[:-1], -np.inf))
+    with np.errstate(invalid="ignore"):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "tolerance failure: mass-range: outside mass nan at s=")
 
 
 @pytest.mark.parametrize("error, name", [(QuadratureError, "quadrature"),
@@ -360,6 +379,24 @@ def test_toric_concentrate_fuzz_exit_contract(data, dim, per_axis):
                           f"--nu-scale={nu_scale!r}", f"--per-axis={per_axis}"])
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), per_axis=st.integers(12, 16))
+def test_toric_concentrate_fuzz_valid_input_exits_zero(data, dim, per_axis):
+    # valid input only: integer boxes of width 2-4 around an interior lattice
+    # point m, so a grid point lies within (w / 2 p) sqrt(3) < 0.3 <= eps of m
+    lo = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    width = data.draw(st.lists(st.integers(2, 4), min_size=dim, max_size=dim))
+    m = [l + data.draw(st.integers(1, w - 1)) for l, w in zip(lo, width)]
+    s = data.draw(st.lists(st.floats(1, 60), min_size=2, max_size=3, unique=True).map(sorted))
+    eps = data.draw(st.floats(0.3, 0.45))
+    nu_scale = data.draw(st.floats(0.1, 3))
+    argv = ["toric", "concentrate",
+            "--delta=" + ",".join(f"{l}..{l + w}" for l, w in zip(lo, width)),
+            "--m=" + csv_of(m), "--s=" + csv_of(s), f"--eps={eps!r}",
+            f"--nu-scale={nu_scale!r}", f"--per-axis={per_axis}"]
+    assert exit_code(argv) == (0, "")
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(0, 4), a=st.lists(mostly(st.integers(1, 4)), min_size=1, max_size=3),
        count=st.integers(-1, 4), seed=st.integers(-2, 2 ** 32))
@@ -405,13 +442,19 @@ def test_config_file_fuzz_exit_contract(command, key, value):
         assert_exit_contract(command + ["--config", cfg])
 
 
-def assert_exit_contract(argv):
+def exit_code(argv):
+    """(exit code, stderr) of a run into a temporary directory."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         rc = run(argv + ["--out", out])
+    return rc, err.getvalue()
+
+
+def assert_exit_contract(argv):
+    rc, err = exit_code(argv)
     assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 def test_float_formatting_is_lossless(tmp_path):

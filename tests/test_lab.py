@@ -300,6 +300,54 @@ def test_measure_matches_logsumexp_oracle(dim, per_axis, s):
         assert got["outside_mass"] < 1e-200
 
 
+@pytest.mark.parametrize("s, rtol", [(40.0, 1e-14), (2000.0, 1e-13)])
+def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
+    # [0, 3]^3 at 24 points per axis, m = (1, 1, 1), eps = 0.3.  The density
+    # is a product over the axes, f(x) = log(x)/2 + log(3 - x) - pi s (x - 1)^2
+    # on each.  Every point inside the ball has its three indices in the
+    # window W of the 4 points nearest 1, so the outside mass is the sum over
+    # the triples not in W^3, S^3 - S_W^3 = S_O (S^2 + S S_W + S_W^2) with
+    # S = S_W + S_O the 1-D sums, plus the 8 triples of W^3 outside the ball:
+    # positive terms only, as 1 - inside/S^3 would cancel at s = 2000
+    import mpmath
+
+    P = box_polytope([(0, 3)] * 3)
+    m = np.ones(3)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(3))))
+    measure = grid_measure(P, SectionDensity(pot.at_s(s), m), 24)
+    got_mass = outside_mass(measure, m, 0.3)
+    got_sup = concentration_sup(measure, m, 0.3)
+
+    with mpmath.workprec(200):
+        xs = [(mpmath.mpf(k) + 0.5) / 8 for k in range(24)]
+        f = [mpmath.log(x) / 2 + mpmath.log(3 - x) - mpmath.pi * s * (x - 1) ** 2 for x in xs]
+        window = [6, 7, 8, 9]
+        s_w = mpmath.fsum(mpmath.exp(f[i]) for i in window)
+        s_o = mpmath.fsum(mpmath.exp(f[i]) for i in range(24) if i not in window)
+        total = (s_w + s_o) ** 3
+        # squared offsets from 1 are dyadic, so these sums are exact doubles
+        d2 = np.array([float((x - 1) ** 2) for x in xs])
+        D = d2[:, None, None] + d2[None, :, None] + d2[None, None, :]
+        corners = [(i, j, k) for i in window for j in window for k in window if D[i, j, k] > 0.09]
+        assert len(corners) == 8 and np.count_nonzero(D <= 0.09) == 56
+        outside = (s_o * ((s_w + s_o) ** 2 + (s_w + s_o) * s_w + s_w ** 2)
+                   + mpmath.fsum(mpmath.exp(f[i] + f[j] + f[k]) for i, j, k in corners))
+        want_mass = outside / total
+        # the outside maximum is among the points whose double sum is near it
+        fl = np.array([float(v) for v in f])
+        F = fl[:, None, None] + fl[None, :, None] + fl[None, None, :]
+        top = np.max(F[D > 0.09])
+        near = np.argwhere((D > 0.09) & (F >= top - 1e-6))
+        log_top = max(f[i] + f[j] + f[k] for i, j, k in near)
+        want_sup = mpmath.exp(log_top) / (total / 8 ** 3)
+        assert abs(got_mass - want_mass) <= rtol * want_mass
+        assert abs(got_sup - want_sup) <= rtol * want_sup
+
+    # the deformation term vanishes at m: the peak does not grow with s
+    at_m = [SectionDensity(pot.at_s(v), m).log_magnitude(m[None])[0] for v in (0.0, s)]
+    assert at_m[0] == at_m[1]
+
+
 def test_decay_slope_recovers_exact_exponential():
     s = np.array([5.0, 10.0, 20.0, 40.0])
     rate = -0.37

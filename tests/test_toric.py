@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from gcquant.lab import GCTorusModel
 from gcquant.polytope import box_polytope, gc_polytope, interval
 from gcquant.toric import (
     ConvexDeformation,
     QuadraticNu,
     SectionDensity,
     SymplecticPotential,
-    alpha_m,
     bohr_sommerfeld_test,
     complex_to_moment,
     complex_to_moment_log,
@@ -104,6 +104,15 @@ def test_deformation_extreme_curvatures():
     assert d.c2() == 1.0
 
 
+@pytest.mark.parametrize("Q", [-np.eye(2), np.zeros((2, 2)), [[1.0, 2.0], [2.0, 1.0]],
+                               [[np.nan]]])
+def test_quadratic_nu_must_be_positive_definite(Q):
+    # the closed-form density needs nu >= 0; only the symmetric part counts
+    with pytest.raises(ValueError, match="positive definite"):
+        QuadraticNu(np.asarray(Q))
+    QuadraticNu(np.array([[1.0, 5.0], [-5.0, 1.0]]))
+
+
 def test_deformation_restriction_chain_rule():
     A = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, -1.0]])
     d = ConvexDeformation(QuadraticNu(np.diag([1.0, 3.0])), iota_star=A)
@@ -185,17 +194,33 @@ def test_density_deformation_factor_is_gaussian():
         assert np.max(np.abs(diff - expected)) < 1e-9 * s
 
 
-def test_alpha_m_formula_and_positivity():
-    P = interval(0, 3)
-    pot = potential(P, 7.0)
-    m = np.array([1.0])
-    x = interior_points(P, 40)
-    a = alpha_m(pot, m, x)
-    manual = (x[:, 0] - m[0]) * x[:, 0] - 0.5 * x[:, 0] ** 2
-    assert np.max(np.abs(a - manual)) < 1e-12
-    # convexity gap: alpha_m(x) >= alpha_m(m) with equality only at m
-    am = alpha_m(pot, m, m)
-    assert np.all(a >= am - 1e-12)
+def alpha_reference(deformer, m, x):
+    """alpha_m(x) = <x - m, grad nu~(x)> - nu~(x) with nu~ = nu o iota_star."""
+    return np.einsum("...i,...i->...", x - m, deformer.grad(x)) - deformer.value(x)
+
+
+def test_deformation_term_is_shifted_alpha():
+    # nu has no linear term, so alpha_m(x) - alpha_m(m) = nu(iota_star(x - m)),
+    # under the identity restriction and under the lab's 3 x 4 A
+    model = GCTorusModel((2.0, 2.0))
+    cases = [
+        (box_polytope([(0, 3), (0, 2)]),
+         ConvexDeformation(QuadraticNu(np.array([[2.0, 0.5], [0.5, 1.0]])))),
+        (model.ambient_delta(),
+         ConvexDeformation(QuadraticNu(np.eye(3)), iota_star=model.A.astype(float))),
+    ]
+    for P, deformer in cases:
+        x = interior_points(P, 200)
+        m = interior_points(P, 1)[0]
+        shifted = deformer.value(x - m)
+        want = alpha_reference(deformer, m, x) - alpha_reference(deformer, m, m)
+        assert np.max(np.abs(shifted - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.all(shifted >= 0.0)
+        # the density subtracts 2 pi s times it from the canonical part
+        pot = SymplecticPotential(P, 0.0, deformer)
+        diff = section_log_density(pot.at_s(7.0), m, x) - section_log_density(pot, m, x)
+        ref = -2 * np.pi * 7.0 * want
+        assert np.max(np.abs(diff - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_density_wall_and_outside_behavior():
@@ -208,8 +233,9 @@ def test_density_wall_and_outside_behavior():
 
 
 def test_density_matches_out_of_place_reference():
-    # the in-place evaluation keeps the arithmetic of the plain formula bit
-    # for bit, on walls and on walls shared with m (0 log 0 = 0) included
+    # the in-place evaluation keeps the arithmetic of the plain formula, with
+    # the deformation term shifted to vanish at m, bit for bit, on walls and
+    # on walls shared with m (0 log 0 = 0) included
     P = box_polytope([(0, 3), (0, 2)])
     pts, _ = polytope_grid(P, 12)
     x = np.concatenate([pts, [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]])
@@ -222,8 +248,7 @@ def test_density_matches_out_of_place_reference():
                 loglx = np.where(lx > 0.0, np.log(np.where(lx > 0.0, lx, 1.0)), -np.inf)
                 terms = np.where(lm == 0.0, 0.0, 0.5 * lm * loglx)
             ref = terms.sum(axis=-1) + 0.5 * (lm - lx).sum(axis=-1)
-            if s != 0.0:
-                ref = ref - 2 * np.pi * s * alpha_m(pot, m, x)
+            ref = ref - 2 * np.pi * s * pot.deformer.value(x - m)
             assert np.array_equal(section_log_density(pot, m, x), ref)
 
 
@@ -233,7 +258,6 @@ def test_section_density_object_matches_function():
     dens = SectionDensity(pot, np.array([1.0]))
     x = interior_points(P, 20)
     assert np.allclose(dens.log_magnitude(x), section_log_density(pot, np.array([1.0]), x))
-    assert np.allclose(dens(x), dens.log_magnitude(x))
 
 
 def test_log_l1_norm_against_adaptive_quadrature():
