@@ -281,8 +281,6 @@ def cmd_toric(args) -> int:
         sup = concentration_sup(measure, m, eps)
         pair_one = delta_pairing(measure, lambda x: np.ones(x.shape[:-1]))
         pair_x1 = delta_pairing(measure, lambda x: x[..., 0])
-        if not (0.0 <= mass <= 1.0):
-            raise ToleranceError("mass-range", f"outside mass {mass} at s={s}")
         rows.append([s, mass, sup, pair_one, pair_x1])
         if P.dim == 1:
             profiles.append((s, np.exp(measure.logdens - measure.log_total)))
@@ -305,6 +303,9 @@ def cmd_toric(args) -> int:
         artifacts.append(dat)
     finish_run(out, "toric concentrate", cfg, artifacts)
     print(f"cells={len(rows)} slope={fmt(slope)}")
+    for s, mass, *_ in rows:
+        if not (0.0 <= mass <= 1.0):
+            raise ToleranceError("mass-range", f"outside mass {mass} at s={s}")
     return 0
 
 
@@ -325,16 +326,15 @@ def cmd_flag(args) -> int:
     names = gc_variable_names(n)
     rows = []
     worst = 0.0
+    bad = []
     for i, V in enumerate(flags):
         pat = gc_map(V, a)
         flat = pat.flatten(drop_top=True)
         rows.append([i] + list(flat))
         if not pat.interlacing_ok(tol=1e-10):
-            raise ToleranceError("interlacing", f"flag {i} violates interlacing")
+            bad.append(i)
         support = float(P.support_values(np.array(flat)).min())
         worst = min(worst, support)
-    if worst < -1e-10:
-        raise ToleranceError("polytope-containment", f"min support {worst}")
     out = out_dir_for(args, "gcq-flag")
     csv = out / "patterns.csv"
     write_csv(csv, ["flag"] + list(names), rows)
@@ -342,6 +342,10 @@ def cmd_flag(args) -> int:
     write_json(summary, {"config": cfg, "count": count, "min_support": worst})
     finish_run(out, "flag dump", cfg, [csv, summary])
     print(f"flags={count} min_support={fmt(worst)}")
+    if bad:
+        raise ToleranceError("interlacing", f"flag {bad[0]} violates interlacing")
+    if worst < -1e-10:
+        raise ToleranceError("polytope-containment", f"min support {worst}")
     return 0
 
 
@@ -357,11 +361,12 @@ def cmd_flow(args) -> int:
     fam = DegenerationFamily(a)
     V = random_flags(3, 1, seed=parse_int("seed", cfg["seed"]))[0]
     state = fam.embed_flag(V, t1)
-    res = fam.flow(state, t1 - t0, record=True)
+    res = fam.flow(state, t1 - t0, keep_states=True)
     out = out_dir_for(args, "gcq-flow")
     csv = out / "trajectory.csv"
     write_csv(csv, ["step", "re_t", "im_t"],
-              [[i, float(np.real(t)), float(np.imag(t))] for i, t in enumerate(res.t_path)])
+              [[i, float(np.real(st.t)), float(np.imag(st.t))]
+               for i, st in enumerate(res.states)])
     summary = out / "summary.json"
     write_json(summary, {
         "config": cfg, "steps": res.steps, "rejected": res.rejected, "h_effective": res.h,

@@ -10,7 +10,6 @@ also runs on symbolic entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 

@@ -118,7 +118,6 @@ class FlowResult:
     min_grad_norm: float        # smallest metric gradient norm encountered
     direction_err: float        # max |Z(Re f) + sign| over evaluations
     rejected: int = 0           # error-controlled steps rejected and retried
-    t_path: Optional[np.ndarray] = None
     states: Optional[list] = field(default=None, repr=False)
 
 
@@ -428,7 +427,6 @@ class DegenerationFamily:
         state: State,
         tau: float,
         h: Optional[float] = None,
-        record: bool = False,
         keep_states: bool = False,
     ) -> FlowResult:
         """Integrate the flow for time tau (tau < 0 runs the field backwards,
@@ -444,7 +442,6 @@ class DegenerationFamily:
         """
         cur = state
         max_res = float(np.max(np.abs(self.residual(cur))))
-        t_path = [cur.t.copy()] if record else None
         states = [cur] if keep_states else None
         span = abs(tau)
         sign = 1.0 if tau > 0 else -1.0
@@ -458,16 +455,12 @@ class DegenerationFamily:
             dir_err = max(dir_err, float(np.max(np.abs(np.real(Z[..., 6]) + 1.0))))
             cur = self.retract(stepper.step(cur, Z))
             max_res = max(max_res, float(np.max(np.abs(self.residual(cur)))))
-            if record:
-                t_path.append(cur.t.copy())
             if keep_states:
                 states.append(cur)
         t_dev = float(np.max(np.abs(cur.t - (state.t - sign * span))))
         return FlowResult(
             cur, stepper.steps, span / stepper.steps if stepper.steps else 0.0,
-            t_dev, max_res, min_grad, dir_err, stepper.rejected,
-            t_path=np.stack(t_path) if record else None,
-            states=states,
+            t_dev, max_res, min_grad, dir_err, stepper.rejected, states,
         )
 
     # --------------------------------------------------------------- frames

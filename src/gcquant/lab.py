@@ -24,7 +24,6 @@ from .polytope import (
     Facet,
     GCPattern,
     ambient_polytope,
-    gc_polytope,
 )
 from .toric import (
     TWO_PI,
@@ -209,16 +208,8 @@ class GCTorusModel:
                            [0, 1, 0],
                            [0, 0, 1],
                            [0, 0, 0]], dtype=np.int64)
-        # A B = I and A k = 0: A maps Z^4 onto Z^3 and [B | k] is a unimodular
-        # basis of Z^4 adapted to it, its own inverse [A; -e_4]
-        if not (np.array_equal(self.A @ self.B, np.eye(3, dtype=np.int64))
-                and not np.any(self.A @ self.k)):  # pragma: no cover - fixed data
-            raise AssertionError("A must split as A B = I with kernel k")
 
     # polytopes
-
-    def gc_delta(self) -> DelzantPolytope:
-        return gc_polytope(3, self.a)
 
     def ambient_delta(self) -> DelzantPolytope:
         return ambient_polytope(3, self.a)
@@ -262,11 +253,6 @@ class GCTorusModel:
         M, c = self.i_affine()
         return lam @ M.T + c
 
-    def pattern_of_xi(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        M, c = self.i_affine()
-        return (xi - c) @ np.linalg.inv(M).T
-
     def xi_of_state(self, fam: DegenerationFamily, state: State) -> np.ndarray:
         return fam.moment(state) @ self.A.T.astype(float)
 
@@ -305,8 +291,6 @@ class GCTorusModel:
         xi = np.asarray(xi, dtype=float)
         P = self.ambient_delta()
         slopes = P.normal_matrix @ self.k
-        if sorted(slopes) != [-1, -1, 0, 0, 1, 1]:  # pragma: no cover - fixed data
-            raise AssertionError("facet slopes along the binomial must be two +1, two -1, two 0")
         x0 = xi @ self.B.T.astype(float)
         L = P.support_values(x0)
         den = L[..., slopes != 0].sum(axis=-1)
@@ -399,14 +383,9 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        s = checked_s_grid(self.s_grid)
+        checked_s_grid(self.s_grid)
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        if abs(self.schedule.t(0.0) - 1.0) > 1e-12:
-            raise ValueError("schedule must satisfy t(0) = 1")
-        ts = [self.schedule.t(float(v)) for v in s]
-        if np.any(np.diff(ts) > 1e-12):
-            raise ValueError("schedule must be non-increasing on the s-grid")
         if self.per_axis < 4 or self.flow_per_axis < 2:
             raise ValueError("quadrature resolution too small")
         if self.h is not None and not 0 < self.h < math.inf:
@@ -443,7 +422,6 @@ class ConcentrationReport:
     slope: Optional[float]
     monotone: bool
     incomplete: bool
-    config: ExperimentConfig
 
 
 def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
@@ -467,17 +445,9 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     deformer = ConvexDeformation(cfg.nu, iota_star=model.A.astype(float))
     ambient = model.ambient_delta()
     pot0 = SymplecticPotential(ambient, 0.0, deformer)
-
-    def interior_grid(per_axis):
-        # grid centers landing on a wall to roundoff carry no density but
-        # break the slice map; drop them
-        pts, log_vol = polytope_grid(img, per_axis)
-        keep = img.support_values(pts).min(axis=-1) > 1e-9
-        return pts[keep], log_vol
-
-    xi_pts, log_vol = interior_grid(cfg.per_axis)
+    xi_pts, log_vol = polytope_grid(img, cfg.per_axis)
     x_slice = model.slice_point(xi_pts)
-    xi_flow, _ = interior_grid(cfg.flow_per_axis)
+    xi_flow, _ = polytope_grid(img, cfg.flow_per_axis)
     x_flow_slice = model.slice_point(xi_flow)
     fam = DegenerationFamily(cfg.a)
     v0 = model.v0_state(xi_flow, fam=fam)
@@ -558,7 +528,6 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
         xi_star=tuple(float(v) for v in xi_star),
         lift=tuple(int(v) for v in lift),
         cells=cells, slope=slope, monotone=monotone, incomplete=incomplete,
-        config=cfg,
     )
 
 

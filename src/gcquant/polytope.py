@@ -36,7 +36,6 @@ __all__ = [
     "weyl_dim",
     "lattice_points",
     "polytope_to_json",
-    "polytope_from_json",
 ]
 
 
@@ -68,7 +67,8 @@ class Facet:
 
 @dataclass(frozen=True)
 class DelzantPolytope:
-    """Facet-presented polytope in R^dim.  Delzant-ness is checked, not assumed."""
+    """Facet-presented polytope in R^dim.  Delzant-ness is not assumed; it is
+    checked on request by `is_delzant`, which Gelfand-Cetlin polytopes fail."""
 
     dim: int
     facets: tuple[Facet, ...]
@@ -147,6 +147,10 @@ class DelzantPolytope:
         return list(zip(lo, hi))
 
     def bounding_box(self) -> list[tuple[float, float]]:
+        """The box of `_interval_bounds` in floats.  Interval propagation cannot
+        bound some bounded polytopes without axis-aligned facets, where every
+        facet needs a bound on another coordinate first; those raise
+        UnboundedPolytopeError.  Every polytope the CLI builds is bounded by it."""
         return [(float(a), float(b)) for a, b in self._interval_bounds()]
 
     def lattice_points(self) -> np.ndarray:
@@ -394,10 +398,6 @@ class GCPattern:
             if len(row) != l:
                 raise ValueError("row l must have l entries")
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
     def interlacing_ok(self, tol: float = 0.0) -> bool:
         for l in range(len(self.rows) - 1):
             hi, lo = self.rows[l + 1], self.rows[l]
@@ -410,21 +410,6 @@ class GCPattern:
         """Row-major vector over rows 1..n-1 (polytope variable order)."""
         rows = self.rows[:-1] if drop_top else self.rows
         return np.array([x for row in rows for x in row], dtype=float)
-
-    @staticmethod
-    def from_flat(vec, top_row) -> "GCPattern":
-        vec = list(vec)
-        rows: list[tuple[float, ...]] = []
-        k = 0
-        l = 1
-        while k < len(vec):
-            rows.append(tuple(vec[k : k + l]))
-            k += l
-            l += 1
-        rows.append(tuple(top_row))
-        if len(rows[-1]) != len(rows):
-            raise ValueError("flat vector length does not match top row")
-        return GCPattern(tuple(rows))
 
 
 # -- counting ----------------------------------------------------------------
@@ -461,11 +446,3 @@ def polytope_to_json(P: DelzantPolytope) -> str:
     }
     return json.dumps(data, indent=2, sort_keys=True)
 
-
-def polytope_from_json(text: str) -> DelzantPolytope:
-    data = json.loads(text)
-    facets = tuple(
-        Facet(tuple(f["normal"]), int(f["offset"]), f.get("label", ""))
-        for f in data["facets"]
-    )
-    return DelzantPolytope(int(data["dim"]), facets, tuple(data["labels"]))

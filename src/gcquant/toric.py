@@ -9,7 +9,7 @@ A quadrature measure computes its log normalizer once, when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -314,8 +314,9 @@ class GridMeasure:
 def polytope_grid(P: DelzantPolytope, per_axis: int):
     """Midpoint tensor grid on the bounding box, masked to the polytope.
 
-    Returns (points, log_cell_volume) with points strictly off the walls up to
-    measure zero.
+    Returns (points, log_cell_volume) with every point more than 1e-9 inside
+    every wall: centers on a wall to roundoff carry no density, but they break
+    maps defined on the interior only, such as the slice map of `lab`.
     """
     box = P.bounding_box()
     axes = []
@@ -326,7 +327,7 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
         vol += np.log(h)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    mask = P.contains(pts, strict=True)
+    mask = P.contains(pts, tol=1e-9, strict=True)
     return pts[mask], vol
 
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import gcquant.cli as cli
 import gcquant.toric
 from gcquant.flow import FlowSingularityError
+from gcquant.polytope import GCPattern
 from gcquant.toric import ConvergenceError, QuadratureError
 
 
@@ -269,6 +270,19 @@ def test_vanishing_density_exits_one(tmp_path, capsys, monkeypatch, argv, module
         assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(
         "tolerance failure: mass-range: outside mass nan at s=")
+    # the failing run's data is written before the exit
+    for name in ("cells.csv", "summary.json", "manifest.json"):
+        assert (tmp_path / "o" / name).is_file()
+
+
+def test_flag_dump_interlacing_failure_writes_patterns(tmp_path, capsys, monkeypatch):
+    bad = GCPattern(((2.5,), (2.0, 0.0), (2.0, 1.0, 0.0)))
+    monkeypatch.setattr(cli, "gc_map", lambda V, a: bad)
+    out = tmp_path / "f"
+    assert run(["flag", "dump", "--count", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "tolerance failure: interlacing: flag 0 violates interlacing\n"
+    assert len((out / "patterns.csv").read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("error, name", [(QuadratureError, "quadrature"),
@@ -427,19 +441,38 @@ def test_lab_combined_fuzz_exit_contract(a, shift, s_grid, eps):
                           "--s-grid=" + csv_of(sorted(s_grid)), f"--eps={eps!r}"])
 
 
-@pytest.mark.parametrize("command, key", [
-    (command, key) for command, defaults in [(["flow", "run"], cli.FLOW_DEFAULTS),
-                                             (["flag", "dump"], cli.FLAG_DEFAULTS),
-                                             (["toric", "concentrate"], cli.TORIC_DEFAULTS)]
-    for key in defaults])
+CONFIG_KEYS = [(command, key) for command, defaults in [
+    (["flow", "run"], cli.FLOW_DEFAULTS),
+    (["flag", "dump"], cli.FLAG_DEFAULTS),
+    (["toric", "concentrate"], cli.TORIC_DEFAULTS),
+    (["lab", "combined"], cli.LAB_DEFAULTS),
+    (["lab", "gc-check"], cli.GCCHECK_DEFAULTS),
+] for key in defaults]
+
+
+def config_exit_code(command, config):
+    """(exit code, stderr) of a run with `config` as its config file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        return exit_code(command + ["--config", str(path)])
+
+
+@pytest.mark.parametrize("command, key", CONFIG_KEYS)
 @settings(max_examples=10, deadline=None)
 @given(value=JSON_VALUES)
 def test_config_file_fuzz_exit_contract(command, key, value):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = f"{tmp}/cfg.json"
-        with open(cfg, "w") as f:
-            json.dump({key: value}, f)
-        assert_exit_contract(command + ["--config", cfg])
+    rc, err = config_exit_code(command, {key: value})
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [None, True, False, [1], [], {"a": 1}, {}])
+@pytest.mark.parametrize("command, key", CONFIG_KEYS)
+def test_config_value_of_wrong_type_exits_two(command, key, value):
+    rc, err = config_exit_code(command, {key: value})
+    assert rc == 2
+    assert err.startswith("usage error: ")
 
 
 def exit_code(argv):
