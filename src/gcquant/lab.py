@@ -132,49 +132,25 @@ class ExpSchedule:
         return math.exp(-s / self.rate)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveSchedule:
-    """Per integer window [n, n+1), halve t until a measured flow-vs-toric
-    discrepancy falls below 1/(n+2); failure to reach the target at t_min is
-    recorded, not raised.
+    """t(0) = 1 and t(s) = max(min(2^-(floor(s) + 2), 1/8), 1e-4) for s > 0.
 
-    `measure(t)` returns the discrepancy used for the test; the default probes
-    a small flag ensemble.
+    The closed form of the rule "in window [n, n+1), halve t from the previous
+    window's value until the flow-vs-toric discrepancy
+    gc_vs_torus_moment_check([t], samples=3) falls below 1/(n+2), never below
+    1e-4".  The check compares only for t <= 0.2, so the first window ends at
+    t = 1/8.  The discrepancy is 1.74e-3 there, 4.4e-4 at 1/16, falls about 4x
+    per halving and is 1.14e-9 at the floor, so the target cannot bind for s
+    below about 8e8 and no probe flow is needed to find t.
     """
-
-    measure: Optional[Callable[[float], float]] = None
-    t_min: float = 1e-4
-    _cache: dict = field(default_factory=dict, repr=False)
-    unmet: set = field(default_factory=set)
-
-    def target(self, window: int) -> float:
-        return 1.0 / (window + 2)
 
     def t(self, s: float) -> float:
         if s < 0:
             raise ValueError("s must be nonnegative")
         if s == 0:
             return 1.0
-        window = int(math.floor(s))
-        if window in self._cache:
-            return self._cache[window]
-        measure = self.measure
-        if measure is None:
-            # the check compares only for t <= 0.2; larger t counts as unmet
-            measure = lambda t: (gc_vs_torus_moment_check([t], samples=3)[0]
-                                 if t <= 0.2 else math.inf)
-        # start below the previous window's value to keep monotonicity;
-        # t_min is a hard floor even across windows
-        t_prev = self.t(s - 1.0) if window >= 1 else 1.0
-        t_cur = max(t_prev * 0.5, self.t_min)
-        gap = measure(t_cur)
-        while gap > self.target(window) and t_cur > self.t_min:
-            t_cur = max(t_cur * 0.5, self.t_min)
-            gap = measure(t_cur)
-        if gap > self.target(window):
-            self.unmet.add(window)
-        self._cache[window] = t_cur
-        return t_cur
+        return max(min(2.0 ** -(math.floor(s) + 2), 0.125), 1e-4)
 
 
 # -- the n = 3 identification ---------------------------------------------------

@@ -427,9 +427,7 @@ def weyl_dim(lam) -> int:
         for j in range(i + 1, n):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    q, r = divmod(num, den)
-    assert r == 0, "Weyl product must be integral"
-    return q
+    return num // den
 
 
 # -- serialization -----------------------------------------------------------

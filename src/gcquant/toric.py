@@ -18,6 +18,8 @@ from .polytope import DelzantPolytope
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
+# largest tensor grid polytope_grid builds: 256 points per axis in 3-D
+MAX_GRID_POINTS = 2**24
 
 __all__ = [
     "ConvergenceError",
@@ -35,6 +37,7 @@ __all__ = [
     "complex_to_moment",
     "complex_to_moment_log",
     "GridMeasure",
+    "MAX_GRID_POINTS",
     "polytope_grid",
     "log_l1_norm",
     "transport_phase",
@@ -98,17 +101,6 @@ class QuadraticNu:
         if not self.eig_range()[0] > 0.0:
             raise ValueError("nu must be positive definite")
 
-    def value(self, p):
-        p = np.asarray(p, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", p, self.Q, p)
-
-    def grad(self, p):
-        return np.asarray(p, dtype=float) @ self.Q
-
-    def hess(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.broadcast_to(self.Q, p.shape[:-1] + self.Q.shape).copy()
-
     def eig_range(self) -> tuple[float, float]:
         w = np.linalg.eigvalsh(self.Q)
         return float(w[0]), float(w[-1])
@@ -116,7 +108,8 @@ class QuadraticNu:
 
 @dataclass(frozen=True)
 class ConvexDeformation:
-    """x -> nu(iota_star x); iota_star = None means the identity restriction.
+    """x -> nu(iota_star x) = x^T H x / 2 with H = iota_star^T Q iota_star;
+    iota_star = None means the identity restriction.
 
     c1/c2 are *half* the extreme Hessian eigenvalues of nu: the Taylor bound
     along segments, alpha(p) - alpha(m) >= c1 |p - m|^2, carries the 1/2 from
@@ -125,28 +118,23 @@ class ConvexDeformation:
 
     nu: QuadraticNu
     iota_star: Optional[np.ndarray] = None
+    H: np.ndarray = field(init=False, repr=False)
 
-    def restrict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.iota_star is None:
-            return x
-        return x @ np.asarray(self.iota_star, dtype=float).T
+    def __post_init__(self):
+        Q = self.nu.Q
+        A = np.eye(len(Q)) if self.iota_star is None else np.asarray(self.iota_star, dtype=float)
+        object.__setattr__(self, "H", A.T @ Q @ A)
 
     def value(self, x):
-        return self.nu.value(self.restrict(x))
+        x = np.asarray(x, dtype=float)
+        return 0.5 * np.einsum("...i,ij,...j->...", x, self.H, x)
 
     def grad(self, x):
-        g = self.nu.grad(self.restrict(x))
-        if self.iota_star is None:
-            return g
-        return g @ np.asarray(self.iota_star, dtype=float)
+        return np.asarray(x, dtype=float) @ self.H
 
     def hess(self, x):
-        A = None if self.iota_star is None else np.asarray(self.iota_star, dtype=float)
-        H = self.nu.hess(self.restrict(x))
-        if A is None:
-            return H
-        return np.einsum("ri,...rs,sj->...ij", A, H, A)
+        """H broadcast over the points of x, as a read-only view."""
+        return np.broadcast_to(self.H, np.shape(x)[:-1] + self.H.shape)
 
     def c1(self) -> float:
         return 0.5 * self.nu.eig_range()[0]
@@ -317,7 +305,11 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
     Returns (points, log_cell_volume) with every point more than 1e-9 inside
     every wall: centers on a wall to roundoff carry no density, but they break
     maps defined on the interior only, such as the slice map of `lab`.
+    ValueError past MAX_GRID_POINTS points on the box.
     """
+    if per_axis ** P.dim > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {per_axis}^{P.dim} points passes MAX_GRID_POINTS = "
+                         f"{MAX_GRID_POINTS}")
     box = P.bounding_box()
     axes = []
     vol = 0.0

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import gcquant.cli as cli
 import gcquant.toric
 from gcquant.flow import FlowSingularityError
+from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
 from gcquant.polytope import GCPattern
 from gcquant.toric import ConvergenceError, QuadratureError
 
@@ -169,6 +172,11 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["toric", "concentrate", "--nu-scale=-1"],
     ["lab", "combined", "--config", {"nu_scale": 0}],
     ["lab", "combined", "--config", {"nu_scale": -1}],
+    # quadrature grids past MAX_GRID_POINTS
+    ["toric", "concentrate", "--delta", "0..3,0..3,0..3", "--m", "1,1,1",
+     "--per-axis", "100000"],
+    ["lab", "combined", "--per-axis", "100000"],
+    ["lab", "combined", "--flow-per-axis", "100000"],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):
@@ -188,6 +196,43 @@ def test_step_size_config_key_rejected(tmp_path, capsys, argv):
     cfg.write_text(json.dumps({"h": 0.01}))
     assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown config keys: h" in capsys.readouterr().err
+
+
+class Captured(Exception):
+    """Raised by a stubbed library call to hand its arguments to the test."""
+
+
+def captured_call(monkeypatch, name, argv):
+    """(args, kwargs) with which `gcq argv` calls cli.<name>."""
+    def stub(*args, **kwargs):
+        raise Captured(args, kwargs)
+
+    monkeypatch.setattr(cli, name, stub)
+    with pytest.raises(Captured) as exc, tempfile.TemporaryDirectory() as out:
+        run(argv + ["--out", out])
+    return exc.value.args
+
+
+def test_lab_defaults_match_library_defaults(monkeypatch):
+    # LAB_DEFAULTS and ExperimentConfig() state the lab combined defaults twice
+    (got,), _ = captured_call(monkeypatch, "combined_experiment", ["lab", "combined"])
+    want = ExperimentConfig()
+    for f in dataclasses.fields(ExperimentConfig):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "nu":
+            assert np.array_equal(a.Q, b.Q)
+        elif f.name == "schedule":
+            assert type(a) is type(b) and a.rate == b.rate
+        else:
+            assert a == b, f.name
+
+
+def test_gc_check_defaults_match_library_defaults(monkeypatch):
+    _, got = captured_call(monkeypatch, "gc_vs_torus_moment_check", ["lab", "gc-check"])
+    params = inspect.signature(gc_vs_torus_moment_check).parameters
+    assert set(got) == {name for name, p in params.items() if p.default is not p.empty}
+    for name, value in got.items():
+        assert value == params[name].default, name
 
 
 def test_cli_import_is_numpy_only():
@@ -597,20 +642,39 @@ def test_lab_combined_cli_end_to_end(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def test_lab_combined_adaptive_schedule(tmp_path):
-    # the default adaptive measure only compares at t <= 0.2, so every s > 0
-    # must land there instead of failing at the first probe t = 0.5
-    out = tmp_path / "ad"
+def adaptive_t(tmp_path, s_grid: str) -> dict:
+    """{s: t} of a small `lab combined` run on the adaptive schedule."""
+    out = tmp_path / f"ad{s_grid}"
     cfg = tmp_path / "adaptive.json"
     cfg.write_text(json.dumps({"schedule": "adaptive"}))
-    rc = run(["lab", "combined", "--config", str(cfg), "--s-grid", "0,1",
+    rc = run(["lab", "combined", "--config", str(cfg), "--s-grid", s_grid,
               "--per-axis", "12", "--flow-per-axis", "3", "--out", str(out)])
     assert rc == 0
     header, *rows = [r.split(",") for r in (out / "cells.csv").read_text().split()]
     s, t = header.index("s"), header.index("t")
-    assert [float(r[s]) for r in rows] == [0.0, 1.0]
-    assert float(rows[0][t]) == 1.0
-    assert 0 < float(rows[1][t]) <= 0.2
+    return {float(r[s]): float(r[t]) for r in rows}
+
+
+def test_lab_combined_adaptive_schedule(tmp_path):
+    # every s > 0 is scheduled at t <= 1/8, inside the range t <= 0.2 where
+    # the flow-vs-toric check behind the schedule compares
+    ts = adaptive_t(tmp_path, "0,1")
+    assert list(ts) == [0.0, 1.0]
+    assert ts[0.0] == 1.0
+    assert 0 < ts[1.0] <= 0.2
+
+
+def test_lab_combined_adaptive_t_depends_on_s_alone(tmp_path):
+    coarse = adaptive_t(tmp_path, "0,1.5,2")
+    fine = adaptive_t(tmp_path, "0,1,1.5,2")
+    assert coarse[1.5] == fine[1.5] == 0.125
+    assert coarse[2.0] == fine[2.0] == 0.0625
+
+
+def test_lab_combined_adaptive_large_s(tmp_path, capsys):
+    # s = 1500 sits at the floor t = 1e-4, however many windows lie below it
+    assert adaptive_t(tmp_path, "0,1500") == {0.0: 1.0, 1500.0: 1e-4}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -382,30 +383,31 @@ def test_exp_schedule_contract():
             ExpSchedule(rate=rate)
 
 
-def test_adaptive_schedule_hits_targets():
-    calls = []
+def test_adaptive_schedule_is_the_halving_rule_in_closed_form():
+    # the probing rule the closed form replaces, with the real discrepancy as
+    # its measure, evaluated window by window in ascending s as a grid is
+    @functools.lru_cache(maxsize=None)
+    def measure(t):
+        return gc_vs_torus_moment_check([t], samples=3)[0] if t <= 0.2 else math.inf
 
-    def fake_measure(t):
-        calls.append(t)
-        return 2.0 * t  # discrepancy proportional to t
-
-    sch = AdaptiveSchedule(measure=fake_measure)
-    t1 = sch.t(1.0)
-    assert 2.0 * t1 <= 1.0 / 3  # target for window 1
+    sch = AdaptiveSchedule()
     assert sch.t(0.0) == 1.0
-    n = len(calls)
-    assert sch.t(1.7) == t1  # same window, cached, no new measurements
-    assert len(calls) == n
-    t2 = sch.t(2.0)
-    assert t2 < t1
-    assert not sch.unmet
-
-
-def test_adaptive_schedule_records_unmet_targets():
-    sch = AdaptiveSchedule(measure=lambda t: 1.0, t_min=1e-2)
-    t5 = sch.t(5.0)
-    assert t5 >= 1e-2
-    assert 5 in sch.unmet
+    t_prev = 1.0  # window 1 starts from t(0), not from window 0
+    for n in range(41):
+        target = 1.0 / (n + 2)
+        t = max(t_prev * 0.5, 1e-4)
+        while measure(t) > target and t > 1e-4:
+            t = max(t * 0.5, 1e-4)
+        assert measure(t) <= target
+        assert sch.t(n + 0.5) == t
+        if n > 0:
+            assert sch.t(float(n)) == t
+            t_prev = t
+    # far below every target 1/(n+2) with n < 1e8: the floor holds beyond s = 40
+    assert measure(1e-4) < 1e-8
+    assert sch.t(1e300) == 1e-4
+    with pytest.raises(ValueError):
+        sch.t(-1.0)
 
 
 # -- experiment configuration and runs -------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from gcquant import toric
 from gcquant.lab import GCTorusModel
 from gcquant.polytope import box_polytope, gc_polytope, interval
 from gcquant.toric import (
@@ -117,7 +118,8 @@ def test_deformation_restriction_chain_rule():
     A = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, -1.0]])
     d = ConvexDeformation(QuadraticNu(np.diag([1.0, 3.0])), iota_star=A)
     x = np.array([0.3, -0.2, 0.5])
-    assert np.isclose(d.value(x), d.nu.value(A @ x))
+    p = A @ x
+    assert np.isclose(d.value(x), 0.5 * p @ d.nu.Q @ p)
     g_fd = fd_grad(d.value, x)
     assert np.max(np.abs(d.grad(x) - g_fd)) < 1e-6
     assert np.allclose(d.hess(x), A.T @ d.nu.Q @ A)
@@ -283,6 +285,14 @@ def test_polytope_grid_interior_and_volume():
     B = box_polytope([(0, 2), (0, 1)])
     pts2, lv2 = polytope_grid(B, 64)
     assert np.isclose(np.exp(lv2) * len(pts2), 2.0)
+
+
+def test_polytope_grid_point_limit(monkeypatch):
+    B = box_polytope([(0, 1), (0, 1), (0, 1)])
+    monkeypatch.setattr(toric, "MAX_GRID_POINTS", 8 ** 3)
+    assert polytope_grid(B, 8)[0].shape == (8 ** 3, 3)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        polytope_grid(B, 9)
 
 
 def test_polytope_grid_masks_wall_cells():
