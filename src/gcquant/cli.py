@@ -32,14 +32,7 @@ from .polytope import (
     polytope_to_json,
     weyl_dim,
 )
-from .toric import (
-    ConvexDeformation,
-    GridMeasure,
-    QuadraticNu,
-    SymplecticPotential,
-    polytope_grid,
-    section_log_density,
-)
+from .toric import ConvexDeformation, QuadraticNu, SymplecticPotential, polytope_grid
 from .flag import gc_map, random_flags
 from .flow import DegenerationFamily
 from .lab import (
@@ -48,11 +41,9 @@ from .lab import (
     ExpSchedule,
     checked_s_grid,
     combined_experiment,
-    concentration_sup,
+    concentration_sweep,
     decay_slope,
-    delta_pairing,
     gc_vs_torus_moment_check,
-    outside_mass,
 )
 
 __all__ = ["main"]
@@ -78,40 +69,48 @@ def fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list, rows: list):
-    lines = [",".join(header)]
+def table_text(header: list, rows, sep: str = ",") -> str:
+    lines = [sep.join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(sep.join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_csv(path: Path, header: list, rows: list):
+    path.write_text(table_text(header, rows))
 
 
 def write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json_text(obj))
 
 
-def write_gnuplot(path: Path, comment: str, columns: list[str], table: np.ndarray):
-    lines = [f"# {comment}", "# " + " ".join(columns)]
-    for row in np.atleast_2d(table):
-        lines.append(" ".join(fmt(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def finish_run(out_dir: Path, command: str, config: dict, artifacts: list[Path]):
-    manifest = {
+def write_run(args, command: str, config: dict, files: dict, line: str, failures: list) -> int:
+    """The tail of every run: write `files` (name -> text) into `--out` or
+    gcq-<first word of command>, then manifest.json with a sha256 per file read
+    back from disk; print `line`; then raise the first of `failures`, the
+    (invariant, detail) pairs of the failed gates in check order.  So a failing
+    run's data is on disk before it exits 1."""
+    out = Path(args.out if args.out else f"gcq-{command.split()[0]}")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files}
+    write_json(out / "manifest.json", {
         "tool": "gcq",
         "version": __version__,
         "command": command,
         "config": config,
         "created": datetime.now(timezone.utc).isoformat(),
-        "artifacts": [
-            {"path": p.name, "sha256": _sha256(p)} for p in sorted(artifacts)
-        ],
-    }
-    write_json(out_dir / "manifest.json", manifest)
+        "artifacts": [{"path": name, "sha256": digests[name]} for name in sorted(files)],
+    })
+    print(line)
+    if failures:
+        raise ToleranceError(*failures[0])
+    return 0
 
 
 # -- configuration merging -------------------------------------------------------
@@ -202,12 +201,6 @@ def positive_weights(a: tuple) -> tuple:
     return a
 
 
-def out_dir_for(args, default: str) -> Path:
-    d = Path(args.out if args.out else default)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 # -- polytope --------------------------------------------------------------------
 
 
@@ -219,26 +212,17 @@ def cmd_polytope(args) -> int:
     P = gc_polytope(n, a)
     pts = lattice_points(P)
     dim = weyl_dim(gc_weight(a))
-    out = out_dir_for(args, "gcq-polytope")
-    artifacts = []
+    match = len(pts) == dim
+    files = {}
     if args.action in ("gen", "lattice"):
-        rows = pts.tolist()
-        csv = out / "lattice.csv"
-        write_csv(csv, list(gc_variable_names(n)), rows)
-        artifacts.append(csv)
+        files["lattice.csv"] = table_text(list(gc_variable_names(n)), pts.tolist())
     if args.action == "gen":
-        pj = out / "polytope.json"
-        pj.write_text(polytope_to_json(P) + "\n")
-        artifacts.append(pj)
-    summary = out / "summary.json"
-    write_json(summary, {"n": n, "a": list(a), "lattice": len(pts), "weyl": dim,
-                         "match": len(pts) == dim})
-    artifacts.append(summary)
-    finish_run(out, f"polytope {args.action}", {"n": n, "a": list(a)}, artifacts)
-    print(f"lattice={len(pts)} weyl={dim} match={'true' if len(pts) == dim else 'false'}")
-    if len(pts) != dim:
-        raise ToleranceError("lattice-weyl-match", f"{len(pts)} != {dim}")
-    return 0
+        files["polytope.json"] = polytope_to_json(P) + "\n"
+    files["summary.json"] = json_text({"n": n, "a": list(a), "lattice": len(pts), "weyl": dim,
+                                       "match": match})
+    return write_run(args, f"polytope {args.action}", {"n": n, "a": list(a)}, files,
+                     f"lattice={len(pts)} weyl={dim} match={fmt(match)}",
+                     [] if match else [("lattice-weyl-match", f"{len(pts)} != {dim}")])
 
 
 # -- toric -----------------------------------------------------------------------
@@ -273,40 +257,28 @@ def cmd_toric(args) -> int:
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu))
 
     pts, log_vol = polytope_grid(P, per_axis)
+    phis = {"one": lambda x: np.ones(x.shape[:-1]), "x1": lambda x: x[..., 0]}
     rows = []
     profiles = []
-    for s in svals:
-        measure = GridMeasure(pts, section_log_density(pot.at_s(float(s)), m, pts), log_vol)
-        mass = outside_mass(measure, m, eps)
-        sup = concentration_sup(measure, m, eps)
-        pair_one = delta_pairing(measure, lambda x: np.ones(x.shape[:-1]))
-        pair_x1 = delta_pairing(measure, lambda x: x[..., 0])
-        rows.append([s, mass, sup, pair_one, pair_x1])
+    sweep = concentration_sweep(pot, m, pts, svals, pts, log_vol, m, eps, phis)
+    for s, (measure, mass, sup, pairings) in zip(svals, sweep):
+        rows.append([s, mass, sup, pairings["one"], pairings["x1"]])
         if P.dim == 1:
-            profiles.append((s, np.exp(measure.logdens - measure.log_total)))
+            profiles.append(np.exp(measure.logdens - measure.log_total))
 
-    out = out_dir_for(args, "gcq-toric")
-    artifacts = []
-    csv = out / "cells.csv"
-    write_csv(csv, ["s", "outside_mass", "sup_outside", "pairing_one", "pairing_x1"], rows)
-    artifacts.append(csv)
+    files = {"cells.csv": table_text(["s", "outside_mass", "sup_outside", "pairing_one",
+                                      "pairing_x1"], rows)}
     pos = [(r[0], r[1]) for r in rows if r[0] > 0 and r[1] > 0]
     slope = decay_slope(*zip(*pos)) if len(pos) >= 2 else None
-    summary = out / "summary.json"
-    write_json(summary, {"config": cfg, "slope": slope})
-    artifacts.append(summary)
+    files["summary.json"] = json_text({"config": cfg, "slope": slope})
     if profiles:
-        table = np.column_stack([pts[:, 0]] + [p[1] for p in profiles])
-        dat = out / "profile.dat"
-        write_gnuplot(dat, "normalized density profiles",
-                      ["x"] + [f"s={fmt(p[0])}" for p in profiles], table)
-        artifacts.append(dat)
-    finish_run(out, "toric concentrate", cfg, artifacts)
-    print(f"cells={len(rows)} slope={fmt(slope)}")
-    for s, mass, *_ in rows:
-        if not (0.0 <= mass <= 1.0):
-            raise ToleranceError("mass-range", f"outside mass {mass} at s={s}")
-    return 0
+        columns = ["x"] + [f"s={fmt(s)}" for s in svals]
+        files["profile.dat"] = "# normalized density profiles\n# " + table_text(
+            columns, np.column_stack([pts[:, 0]] + profiles), sep=" ")
+    return write_run(args, "toric concentrate", cfg, files,
+                     f"cells={len(rows)} slope={fmt(slope)}",
+                     [("mass-range", f"outside mass {mass} at s={s}")
+                      for s, mass, *_ in rows if not 0.0 <= mass <= 1.0])
 
 
 # -- flag ------------------------------------------------------------------------
@@ -323,30 +295,22 @@ def cmd_flag(args) -> int:
     count = parse_int("count", cfg["count"])
     flags = random_flags(n, count, seed=parse_int("seed", cfg["seed"]))
     P = gc_polytope(n, a)
-    names = gc_variable_names(n)
     rows = []
     worst = 0.0
-    bad = []
+    failures = []
     for i, V in enumerate(flags):
         pat = gc_map(V, a)
         flat = pat.flatten(drop_top=True)
         rows.append([i] + list(flat))
         if not pat.interlacing_ok(tol=1e-10):
-            bad.append(i)
-        support = float(P.support_values(np.array(flat)).min())
-        worst = min(worst, support)
-    out = out_dir_for(args, "gcq-flag")
-    csv = out / "patterns.csv"
-    write_csv(csv, ["flag"] + list(names), rows)
-    summary = out / "summary.json"
-    write_json(summary, {"config": cfg, "count": count, "min_support": worst})
-    finish_run(out, "flag dump", cfg, [csv, summary])
-    print(f"flags={count} min_support={fmt(worst)}")
-    if bad:
-        raise ToleranceError("interlacing", f"flag {bad[0]} violates interlacing")
+            failures.append(("interlacing", f"flag {i} violates interlacing"))
+        worst = min(worst, float(P.support_values(np.array(flat)).min()))
     if worst < -1e-10:
-        raise ToleranceError("polytope-containment", f"min support {worst}")
-    return 0
+        failures.append(("polytope-containment", f"min support {worst}"))
+    files = {"patterns.csv": table_text(["flag"] + list(gc_variable_names(n)), rows),
+             "summary.json": json_text({"config": cfg, "count": count, "min_support": worst})}
+    return write_run(args, "flag dump", cfg, files, f"flags={count} min_support={fmt(worst)}",
+                     failures)
 
 
 # -- flow ------------------------------------------------------------------------
@@ -362,25 +326,24 @@ def cmd_flow(args) -> int:
     V = random_flags(3, 1, seed=parse_int("seed", cfg["seed"]))[0]
     state = fam.embed_flag(V, t1)
     res = fam.flow(state, t1 - t0, keep_states=True)
-    out = out_dir_for(args, "gcq-flow")
-    csv = out / "trajectory.csv"
-    write_csv(csv, ["step", "re_t", "im_t"],
-              [[i, float(np.real(st.t)), float(np.imag(st.t))]
-               for i, st in enumerate(res.states)])
-    summary = out / "summary.json"
-    write_json(summary, {
-        "config": cfg, "steps": res.steps, "rejected": res.rejected, "h_effective": res.h,
-        "t_deviation": res.t_deviation, "max_residual": res.max_residual,
-        "min_grad_norm": res.min_grad_norm, "direction_err": res.direction_err,
-    })
-    finish_run(out, "flow run", cfg, [csv, summary])
-    print(f"steps={res.steps} t_deviation={fmt(res.t_deviation)} "
-          f"max_residual={fmt(res.max_residual)}")
+    files = {
+        "trajectory.csv": table_text(["step", "re_t", "im_t"],
+                                     [[i, float(np.real(st.t)), float(np.imag(st.t))]
+                                      for i, st in enumerate(res.states)]),
+        "summary.json": json_text({
+            "config": cfg, "steps": res.steps, "rejected": res.rejected, "h_effective": res.h,
+            "t_deviation": res.t_deviation, "max_residual": res.max_residual,
+            "min_grad_norm": res.min_grad_norm, "direction_err": res.direction_err,
+        }),
+    }
+    failures = []
     if res.t_deviation > 1e-6:
-        raise ToleranceError("t-deviation", f"{res.t_deviation} > 1e-6")
+        failures.append(("t-deviation", f"{res.t_deviation} > 1e-6"))
     if res.max_residual > 1e-8:
-        raise ToleranceError("fiber-residual", f"{res.max_residual} > 1e-8")
-    return 0
+        failures.append(("fiber-residual", f"{res.max_residual} > 1e-8"))
+    return write_run(args, "flow run", cfg, files,
+                     f"steps={res.steps} t_deviation={fmt(res.t_deviation)} "
+                     f"max_residual={fmt(res.max_residual)}", failures)
 
 
 # -- lab -------------------------------------------------------------------------
@@ -421,28 +384,26 @@ def cmd_lab_combined(args) -> int:
         flow_per_axis=parse_int("flow_per_axis", cfg["flow_per_axis"]),
     )
     rep = combined_experiment(ecfg)
-
-    out = out_dir_for(args, "gcq-lab")
     rows = [c.as_row() for c in rep.cells]
     header = list(rows[0].keys())
-    csv = out / "cells.csv"
-    write_csv(csv, header, [[r[k] for k in header] for r in rows])
-    summary = out / "summary.json"
-    write_json(summary, {
-        "config": cfg, "xi_star": list(rep.xi_star), "lift": list(rep.lift),
-        "slope": rep.slope, "monotone": rep.monotone, "incomplete": rep.incomplete,
-    })
-    finish_run(out, "lab combined", cfg, [csv, summary])
-    print(f"cells={len(rows)} slope={fmt(rep.slope)} monotone={fmt(rep.monotone)}")
+    files = {
+        "cells.csv": table_text(header, [[r[k] for k in header] for r in rows]),
+        "summary.json": json_text({
+            "config": cfg, "xi_star": list(rep.xi_star), "lift": list(rep.lift),
+            "slope": rep.slope, "monotone": rep.monotone, "incomplete": rep.incomplete,
+        }),
+    }
+    failures = []
     for c in rep.cells:
         if not (0.0 <= c.outside_mass <= 1.0):
-            raise ToleranceError("mass-range", f"outside mass {c.outside_mass} at s={c.s}")
+            failures.append(("mass-range", f"outside mass {c.outside_mass} at s={c.s}"))
         if c.torus_moment_drift is not None and c.torus_moment_drift > 1e-6:
-            raise ToleranceError("torus-moment-drift",
-                                   f"{c.torus_moment_drift} > 1e-6 at s={c.s}")
+            failures.append(("torus-moment-drift", f"{c.torus_moment_drift} > 1e-6 at s={c.s}"))
     if not rep.monotone:
-        raise ToleranceError("outside-mass-monotone", "mass not strictly decreasing in s")
-    return 0
+        failures.append(("outside-mass-monotone", "mass not strictly decreasing in s"))
+    return write_run(args, "lab combined", cfg, files,
+                     f"cells={len(rows)} slope={fmt(rep.slope)} monotone={fmt(rep.monotone)}",
+                     failures)
 
 
 GCCHECK_DEFAULTS = {"t": "0.1,0.02", "samples": 20, "seed": 0, "a": "1,1"}
@@ -455,18 +416,14 @@ def cmd_lab_gc_check(args) -> int:
     d = gc_vs_torus_moment_check(tvals, samples=parse_int("samples", cfg["samples"]), a=a,
                                  seed=parse_int("seed", cfg["seed"]))
     rows = [[t, dt] for t, dt in zip(tvals, d)]
-    out = out_dir_for(args, "gcq-lab")
-    csv = out / "gc_check.csv"
-    write_csv(csv, ["t", "discrepancy"], rows)
-    summary = out / "summary.json"
-    write_json(summary, {"config": cfg, "rows": [[float(r[0]), float(r[1])] for r in rows]})
-    finish_run(out, "lab gc-check", cfg, [csv, summary])
-    print(" ".join(f"d({fmt(r[0])})={fmt(r[1])}" for r in rows))
-    for (ta, da), (tb, db) in zip(rows, rows[1:]):
-        if ta > tb and not db < da:
-            raise ToleranceError("moment-trend",
-                                   f"discrepancy({tb}) = {db} not below discrepancy({ta}) = {da}")
-    return 0
+    files = {"gc_check.csv": table_text(["t", "discrepancy"], rows),
+             "summary.json": json_text({"config": cfg,
+                                        "rows": [[float(r[0]), float(r[1])] for r in rows]})}
+    return write_run(args, "lab gc-check", cfg, files,
+                     " ".join(f"d({fmt(r[0])})={fmt(r[1])}" for r in rows),
+                     [("moment-trend",
+                       f"discrepancy({tb}) = {db} not below discrepancy({ta}) = {da}")
+                      for (ta, da), (tb, db) in zip(rows, rows[1:]) if ta > tb and not db < da])
 
 
 # -- argument parsing ------------------------------------------------------------

@@ -34,6 +34,7 @@ from .toric import (
     SectionDensity,
     SymplecticPotential,
     polytope_grid,
+    section_log_density,
 )
 from .flag import gc_map, random_flags
 from .flow import DegenerationFamily, FlowSingularityError, State
@@ -43,6 +44,7 @@ __all__ = [
     "outside_mass",
     "concentration_sup",
     "delta_pairing",
+    "concentration_sweep",
     "analytic_decay_rate",
     "decay_slope",
     "checked_s_grid",
@@ -84,6 +86,27 @@ def delta_pairing(measure: GridMeasure, phi: Callable[[np.ndarray], np.ndarray])
     w = np.exp(measure.logdens + measure.log_vol - measure.log_total)
     vals = np.broadcast_to(np.asarray(phi(measure.labels), dtype=float), w.shape)
     return float(np.sum(vals * w) / np.sum(w))
+
+
+def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
+                        labels: np.ndarray, log_vol: float, center, eps: float, phis: dict):
+    """Yield (measure, outside mass, sup outside, pairings) for each s of
+    s_values: the normalized density of the section m under pot.at_s(s) at the
+    moment points x, on midpoint cells of volume exp(log_vol) labeled by
+    `labels`, reduced outside the eps-ball around `center` and paired with each
+    test function of `phis` (name -> function of the labels).
+
+    The canonical part b = section_log_density(pot.at_s(0), m, x) and the
+    deformation term q = nu(iota_star(x - m)) are evaluated once; each s is
+    then b - 2 pi s q, bit for bit section_log_density(pot.at_s(s), m, x).
+    """
+    b = section_log_density(pot.at_s(0.0), m, x)
+    q = pot.deformer.value(x - np.asarray(m, dtype=float))
+    for s in s_values:
+        measure = GridMeasure(labels, b - TWO_PI * s * q, log_vol)
+        mass = outside_mass(measure, center, eps)
+        sup = concentration_sup(measure, center, eps)
+        yield measure, mass, sup, {name: delta_pairing(measure, phi) for name, phi in phis.items()}
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:
@@ -455,14 +478,9 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             except FlowSingularityError:
                 pass
 
-    def cell(s: float) -> CellResult:
+    def cell(s: float, mass_out: float, sup_out: float, pairings: dict) -> CellResult:
         t = t_of[s]
         dens = SectionDensity(pot0.at_s(s), tuple(lift.astype(float)))
-        reported = GridMeasure(xi_pts, dens.log_magnitude(x_slice), log_vol)
-        mass_out = outside_mass(reported, xi_star, cfg.eps)
-        sup_out = concentration_sup(reported, xi_star, cfg.eps)
-        pairings = {name: delta_pairing(reported, phi) for name, phi in phis.items()}
-
         mass_out_flow = None
         failures = 0
         spot_dev = None
@@ -493,7 +511,10 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             torus_moment_drift=drift,
         )
 
-    cells = [cell(s) for s in svals]
+    reported = concentration_sweep(pot0, lift.astype(float), x_slice, svals, xi_pts, log_vol,
+                                   xi_star, cfg.eps, phis)
+    cells = [cell(s, mass, sup, pairings)
+             for s, (_, mass, sup, pairings) in zip(svals, reported)]
 
     masses = [c.outside_mass for c in cells]
     pos = [(c.s, m) for c, m in zip(cells, masses) if c.s > 0 and m > 0]

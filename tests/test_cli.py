@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gcquant.cli as cli
-import gcquant.toric
-from gcquant.flow import FlowSingularityError
+import gcquant.lab
+from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
 from gcquant.polytope import GCPattern
 from gcquant.toric import ConvergenceError, QuadratureError
@@ -33,6 +33,14 @@ def manifest(out):
 
 def artifact_hashes(out):
     return {a["path"]: a["sha256"] for a in manifest(out)["artifacts"]}
+
+
+def assert_manifest_matches_disk(out):
+    """The manifest lists every data file in `out` with the digest of its bytes."""
+    hashes = artifact_hashes(out)
+    assert set(hashes) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for name, digest in hashes.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_polytope_count_line_and_exit(tmp_path, capsys):
@@ -303,13 +311,11 @@ def test_tolerance_failure_exit_one(tmp_path, capsys, monkeypatch):
     assert "moment-trend" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, module", [
-    (["toric", "concentrate"], cli),
-    (["lab", "combined"], gcquant.toric),
-])
-def test_vanishing_density_exits_one(tmp_path, capsys, monkeypatch, argv, module):
-    # a density that vanishes everywhere has no normalizer, so every mass is nan
-    monkeypatch.setattr(module, "section_log_density",
+@pytest.mark.parametrize("argv", [["toric", "concentrate"], ["lab", "combined"]])
+def test_vanishing_density_exits_one(tmp_path, capsys, monkeypatch, argv):
+    # a density that vanishes everywhere has no normalizer, so every mass is
+    # nan; both commands sweep s through the name `lab` resolves
+    monkeypatch.setattr(gcquant.lab, "section_log_density",
                         lambda pot, m, x: np.full(np.shape(x)[:-1], -np.inf))
     with np.errstate(invalid="ignore"):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -328,6 +334,54 @@ def test_flag_dump_interlacing_failure_writes_patterns(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == \
         "tolerance failure: interlacing: flag 0 violates interlacing\n"
     assert len((out / "patterns.csv").read_text().splitlines()) == 4
+
+
+def _mass_above_one(sweep):
+    def swept(*args):
+        for measure, mass, sup, pairings in sweep(*args):
+            yield measure, mass + 1.0, sup, pairings
+    return swept
+
+
+def _deviating_flow(flow):
+    def flowed(self, *args, **kwargs):
+        return dataclasses.replace(flow(self, *args, **kwargs), t_deviation=1.0)
+    return flowed
+
+
+# (argv, owner, name, wrap, invariant, data files): owner.name is the library
+# call the command makes, and wrap(original) breaks the command's gate
+GATE_FAILURES = [
+    pytest.param(["polytope", "gen", "--n", "3", "--a", "1,1"], cli, "weyl_dim",
+                 lambda weyl_dim: lambda weight: weyl_dim(weight) + 1, "lattice-weyl-match",
+                 {"lattice.csv", "polytope.json", "summary.json"}, id="polytope"),
+    pytest.param(["toric", "concentrate"], cli, "concentration_sweep", _mass_above_one,
+                 "mass-range", {"cells.csv", "summary.json", "profile.dat"}, id="toric"),
+    pytest.param(["flag", "dump", "--count", "3"], cli, "gc_map",
+                 lambda gc_map: lambda V, a: GCPattern(((2.5,), (2.0, 0.0), (2.0, 1.0, 0.0))),
+                 "interlacing", {"patterns.csv", "summary.json"}, id="flag"),
+    pytest.param(["flow", "run"], DegenerationFamily, "flow", _deviating_flow, "t-deviation",
+                 {"trajectory.csv", "summary.json"}, id="flow"),
+    pytest.param(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
+                  "--s-grid", "0,5"], cli, "combined_experiment",
+                 lambda experiment: lambda cfg: dataclasses.replace(experiment(cfg),
+                                                                    monotone=False),
+                 "outside-mass-monotone", {"cells.csv", "summary.json"}, id="lab-combined"),
+    pytest.param(["lab", "gc-check", "--samples", "2"], cli, "gc_vs_torus_moment_check",
+                 lambda check: lambda *args, **kwargs: check(*args, **kwargs)[::-1],
+                 "moment-trend", {"gc_check.csv", "summary.json"}, id="lab-gc-check"),
+]
+
+
+@pytest.mark.parametrize("argv, owner, name, wrap, invariant, files", GATE_FAILURES)
+def test_failed_gate_exits_one_after_writing_its_data(tmp_path, capsys, monkeypatch, argv,
+                                                      owner, name, wrap, invariant, files):
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"tolerance failure: {invariant}: ")
+    assert set(artifact_hashes(out)) == files
+    assert_manifest_matches_disk(out)
 
 
 @pytest.mark.parametrize("error, name", [(QuadratureError, "quadrature"),
@@ -464,6 +518,33 @@ def test_flag_dump_fuzz_exit_contract(n, a, count, seed):
                           f"--count={count}", f"--seed={seed}"])
 
 
+def assert_exits_zero(argv):
+    """argv exits 0 silently, and its manifest matches the files it wrote."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv + ["--out", out]) == 0
+        assert_manifest_matches_disk(Path(out))
+    assert err.getvalue() == ""
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), count=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_flag_dump_fuzz_valid_input_exits_zero(data, n, count, seed):
+    a = data.draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    assert_exits_zero(["flag", "dump", f"--n={n}", "--a=" + csv_of(a), f"--count={count}",
+                       f"--seed={seed}"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), action=st.sampled_from(["gen", "count", "lattice"]),
+       n=st.integers(2, 4))
+def test_polytope_fuzz_valid_input_exits_zero(data, action, n):
+    a = data.draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    assert_exits_zero(["polytope", action, f"--n={n}", "--a=" + csv_of(a)])
+
+
 @settings(max_examples=20, deadline=None)
 @given(t=st.lists(mostly(st.floats(0, 0.2)), min_size=1, max_size=3),
        samples=st.integers(-1, 3), seed=st.integers(-2, 2 ** 32))
@@ -555,8 +636,8 @@ def test_float_formatting_is_lossless(tmp_path):
 
 
 def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
-    # the grid is built once and the density evaluated once per s, at the
-    # names the CLI resolves
+    # the grid is built once and the density evaluated once for the whole
+    # s-sweep, at the names the CLI and the sweep resolve
     from gcquant.lab import GridMeasure, outside_mass
 
     calls = {"grid": 0, "density": 0}
@@ -573,12 +654,13 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
         return outside_mass(measure, center, eps)
 
     monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
-    monkeypatch.setattr(cli, "section_log_density",
-                        counted("density", cli.section_log_density))
-    monkeypatch.setattr(cli, "outside_mass", recording_outside_mass)
+    monkeypatch.setattr(gcquant.lab, "section_log_density",
+                        counted("density", gcquant.lab.section_log_density))
+    monkeypatch.setattr(gcquant.lab, "outside_mass", recording_outside_mass)
     assert run(["toric", "concentrate", "--delta", "0..3", "--m", "1", "--s", "5,10,20",
                 "--eps", "0.3", "--per-axis", "1024", "--out", str(tmp_path / "t")]) == 0
-    assert calls == {"grid": 1, "density": 3}
+    assert calls == {"grid": 1, "density": 1}
+    assert len(measures) == 3
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
     raw = measures[1]  # s = 10
@@ -586,6 +668,12 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     m_img = outside_mass(doubled, np.array([2.0]), 0.6)
     m_raw = outside_mass(raw, np.array([1.0]), 0.3)
     assert abs(m_img - m_raw) < 1e-12
+    # lab combined's reported grid: one evaluation for all five s (the flow
+    # route evaluates per t through SectionDensity)
+    calls["density"] = 0
+    assert run(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
+                "--out", str(tmp_path / "lc")]) == 0
+    assert calls["density"] == 1
 
 
 def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):

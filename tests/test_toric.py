@@ -237,12 +237,15 @@ def test_density_wall_and_outside_behavior():
 def test_density_matches_out_of_place_reference():
     # the in-place evaluation keeps the arithmetic of the plain formula, with
     # the deformation term shifted to vanish at m, bit for bit, on walls and
-    # on walls shared with m (0 log 0 = 0) included
+    # on walls shared with m (0 log 0 = 0) included; so does the s-sweep of
+    # lab.concentration_sweep, b - 2 pi s q with b and q evaluated once
     P = box_polytope([(0, 3), (0, 2)])
     pts, _ = polytope_grid(P, 12)
     x = np.concatenate([pts, [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]])
     for m in (np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([3.0, 0.0])):
-        for s in (0.0, 7.0):
+        b = section_log_density(potential(P, 0.0), m, x)
+        q = potential(P, 0.0).deformer.value(x - m)
+        for s in (0.0, 7.0, 2000.0):
             pot = potential(P, s)
             lx = np.maximum(P.support_values(x), 0.0)
             lm = P.support_values(m)
@@ -252,6 +255,7 @@ def test_density_matches_out_of_place_reference():
             ref = terms.sum(axis=-1) + 0.5 * (lm - lx).sum(axis=-1)
             ref = ref - 2 * np.pi * s * pot.deformer.value(x - m)
             assert np.array_equal(section_log_density(pot, m, x), ref)
+            assert np.array_equal(b - toric.TWO_PI * s * q, ref)
 
 
 def test_section_density_object_matches_function():
