@@ -70,6 +70,12 @@ def fmt(v) -> str:
 
 
 def table_text(header: list, rows, sep: str = ",") -> str:
+    """Header line, then one line per row of `rows` with each value as `fmt`
+    renders it.  An integer ndarray is formatted in one pass: "%d" of an int
+    is str(int)."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        line = sep.join(["%d"] * rows.shape[1]) + "\n"
+        return sep.join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
     lines = [sep.join(header)]
     for row in rows:
         lines.append(sep.join(fmt(v) for v in row))
@@ -215,7 +221,7 @@ def cmd_polytope(args) -> int:
     match = len(pts) == dim
     files = {}
     if args.action in ("gen", "lattice"):
-        files["lattice.csv"] = table_text(list(gc_variable_names(n)), pts.tolist())
+        files["lattice.csv"] = table_text(list(gc_variable_names(n)), pts)
     if args.action == "gen":
         files["polytope.json"] = polytope_to_json(P) + "\n"
     files["summary.json"] = json_text({"n": n, "a": list(a), "lattice": len(pts), "weyl": dim,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .toric import (
     QuadratureError,
     SectionDensity,
     SymplecticPotential,
+    outside_ball,
     polytope_grid,
     section_log_density,
 )
@@ -63,28 +64,27 @@ __all__ = [
 # -- toric quadrature experiments ----------------------------------------------
 
 
-def outside_mass(measure: GridMeasure, center, eps: float) -> float:
-    """L^1 mass of the normalized density outside the eps-ball around `center`."""
-    mask = measure.outside(center, eps)
-    if not mask.any():
+def outside_mass(measure: GridMeasure, outside: np.ndarray) -> float:
+    """L^1 mass of the normalized density on the points of the mask `outside`
+    (`outside_ball` of the labels)."""
+    if not outside.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
-    if mask.all():
+    if outside.all():
         raise QuadratureError("exclusion ball contains no quadrature point")
-    return float(np.sum(np.exp(measure.logdens[mask] + measure.log_vol - measure.log_total)))
+    return float(np.sum(measure.weights[outside]))
 
 
-def concentration_sup(measure: GridMeasure, center, eps: float) -> float:
-    """Sup of the L^1-normalized density over grid points outside the ball."""
-    mask = measure.outside(center, eps)
-    if not mask.any():
+def concentration_sup(measure: GridMeasure, outside: np.ndarray) -> float:
+    """Sup of the L^1-normalized density over the points of the mask `outside`."""
+    if not outside.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
-    return float(np.exp(np.max(measure.logdens[mask]) - measure.log_total))
+    return float(np.exp(np.max(measure.logdens[outside]) - measure.log_total))
 
 
-def delta_pairing(measure: GridMeasure, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """<phi, normalized density> with phi evaluated on the labels; phi == 1 gives 1."""
-    w = np.exp(measure.logdens + measure.log_vol - measure.log_total)
-    vals = np.broadcast_to(np.asarray(phi(measure.labels), dtype=float), w.shape)
+def delta_pairing(measure: GridMeasure, values) -> float:
+    """<phi, normalized density> from phi's `values` on the labels; phi == 1 gives 1."""
+    w = measure.weights
+    vals = np.broadcast_to(np.asarray(values, dtype=float), w.shape)
     return float(np.sum(vals * w) / np.sum(w))
 
 
@@ -96,17 +96,21 @@ def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
     `labels`, reduced outside the eps-ball around `center` and paired with each
     test function of `phis` (name -> function of the labels).
 
-    The canonical part b = section_log_density(pot.at_s(0), m, x) and the
-    deformation term q = nu(iota_star(x - m)) are evaluated once; each s is
-    then b - 2 pi s q, bit for bit section_log_density(pot.at_s(s), m, x).
+    Everything that does not depend on s is evaluated once: the canonical
+    part b = section_log_density(pot.at_s(0), m, x), the deformation term
+    q = nu(iota_star(x - m)), the exclusion mask and each test function's
+    values on the labels.  Each s is then b - 2 pi s q, bit for bit
+    section_log_density(pot.at_s(s), m, x).
     """
     b = section_log_density(pot.at_s(0.0), m, x)
     q = pot.deformer.value(x - np.asarray(m, dtype=float))
+    outside = outside_ball(labels, center, eps)
+    values = {name: phi(labels) for name, phi in phis.items()}
     for s in s_values:
         measure = GridMeasure(labels, b - TWO_PI * s * q, log_vol)
-        mass = outside_mass(measure, center, eps)
-        sup = concentration_sup(measure, center, eps)
-        yield measure, mass, sup, {name: delta_pairing(measure, phi) for name, phi in phis.items()}
+        mass = outside_mass(measure, outside)
+        sup = concentration_sup(measure, outside)
+        yield measure, mass, sup, {name: delta_pairing(measure, v) for name, v in values.items()}
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:
@@ -492,9 +496,9 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             failures = int((~ok).sum())
             if ok.any():
                 flowed = GridMeasure(xi_flow[ok], dens.log_magnitude(x[ok]), log_vol)
-                out = flowed.outside(xi_star, cfg.eps)
+                out = outside_ball(flowed.labels, xi_star, cfg.eps)
                 # a ball covering none or all of the coarse points gives 0 or 1
-                mass_out_flow = (outside_mass(flowed, xi_star, cfg.eps)
+                mass_out_flow = (outside_mass(flowed, out)
                                  if 0 < out.sum() < out.size else float(out.all()))
                 spot_dev = float(np.max(np.abs(
                     flowed.logdens - dens.log_magnitude(x_flow_slice[ok]))))

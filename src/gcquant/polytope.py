@@ -96,7 +96,9 @@ class DelzantPolytope:
     def support_values(self, p) -> np.ndarray:
         """All l_j(p) = <p, r_j> + c_j, batched over leading axes of p."""
         p = np.asarray(p, dtype=float)
-        return p @ self.normal_matrix.T + self.offsets
+        out = p @ self.normal_matrix.T
+        out += self.offsets  # in place: one (points, facets) array on large grids
+        return out
 
     def contains(self, p, tol: float = 0.0, strict: bool = False) -> np.ndarray | bool:
         vals = self.support_values(p)

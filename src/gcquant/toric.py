@@ -3,7 +3,8 @@ coordinate changes, section densities, quadrature, and fiber holonomy.
 
 All densities are handled as logarithms; deformation strengths s of order 1e3
 would overflow doubles otherwise.  The angle torus always carries total mass 1.
-A quadrature measure computes its log normalizer once, when it is built.
+A quadrature measure computes its log normalizer and its normalized cell
+weights once, when it is built.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "complex_to_moment",
     "complex_to_moment_log",
     "GridMeasure",
+    "outside_ball",
     "MAX_GRID_POINTS",
     "polytope_grid",
     "log_l1_norm",
@@ -178,7 +180,8 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
     is a quadratic form without a linear term, so a(x) - a(m) = nu~(x - m)
     exactly, and that is what is subtracted.  The section is thereby rescaled
     by the constant exp(2 pi s a(m)), which cancels from every normalized
-    output, and the log density at m is the canonical part for every s.
+    output, and the log density at m is the canonical part for every s; at
+    s = 0 the deformation term is not evaluated.
     Returns -inf on boundary walls not containing m.  The (points, facets)
     work array is updated in place: this runs on grids of about 10^6 points.
     """
@@ -196,7 +199,8 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
         lx *= 0.5 * lm
     lx[..., lm == 0.0] = 0.0  # 0 * log 0 = 0 on shared walls
     out = lx.sum(axis=-1) + linear
-    out -= TWO_PI * pot.s * pot.deformer.value(x - m)
+    if pot.s:
+        out -= TWO_PI * pot.s * pot.deformer.value(x - m)
     return out
 
 
@@ -282,21 +286,26 @@ class GridMeasure:
     """Midpoint quadrature measure: equal cells of volume exp(log_vol) whose
     sample points carry log densities `logdens` (N,) and labels (N, d).
     Exclusion distances and test functions are evaluated on the labels.
-    `log_total` is the log of the total mass, computed once."""
+    `log_total` is the log of the total mass and `weights` (N,) the cells'
+    shares exp(logdens + log_vol - log_total) of it, both computed once."""
 
     labels: np.ndarray
     logdens: np.ndarray
     log_vol: float
     log_total: float = field(init=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         top = np.max(self.logdens)
         total = top + np.log(np.sum(np.exp(self.logdens - top))) + self.log_vol
         object.__setattr__(self, "log_total", float(total))
+        object.__setattr__(self, "weights",
+                           np.exp(self.logdens + self.log_vol - self.log_total))
 
-    def outside(self, center, eps: float) -> np.ndarray:
-        """Mask of the sample points whose label lies outside the eps-ball."""
-        return np.linalg.norm(self.labels - np.asarray(center, dtype=float), axis=-1) > eps
+
+def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:
+    """Mask of the labels (N, d) that lie outside the eps-ball around `center`."""
+    return np.linalg.norm(labels - np.asarray(center, dtype=float), axis=-1) > eps
 
 
 def polytope_grid(P: DelzantPolytope, per_axis: int):

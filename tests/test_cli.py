@@ -19,8 +19,8 @@ import gcquant.cli as cli
 import gcquant.lab
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
-from gcquant.polytope import GCPattern
-from gcquant.toric import ConvergenceError, QuadratureError
+from gcquant.polytope import GCPattern, gc_polytope, lattice_points
+from gcquant.toric import ConvergenceError, QuadratureError, outside_ball
 
 
 def run(argv):
@@ -57,6 +57,9 @@ def test_polytope_gen_writes_lattice_and_polytope(tmp_path):
     rows = (out / "lattice.csv").read_text().strip().splitlines()
     assert rows[0] == "lam1_1,lam2_1,lam2_2"
     assert len(rows) - 1 == 15
+    # the one-pass integer table is the value-by-value one
+    pts = lattice_points(gc_polytope(3, (2, 1)))
+    assert (out / "lattice.csv").read_text() == cli.table_text(rows[0].split(","), pts.tolist())
     json.loads((out / "polytope.json").read_text())
     names = {a["path"] for a in manifest(out)["artifacts"]}
     assert names == {"lattice.csv", "polytope.json", "summary.json"}
@@ -553,6 +556,29 @@ def test_lab_gc_check_fuzz_exit_contract(t, samples, seed):
                           f"--samples={samples}", f"--seed={seed}"])
 
 
+@settings(max_examples=15, deadline=None)
+@given(t1=st.floats(0.02, 0.2), ratios=st.lists(st.floats(0.1, 0.5), max_size=2),
+       samples=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_lab_gc_check_fuzz_valid_input_exits_zero(t1, ratios, samples, seed):
+    # valid input only: t decreasing by at least half per step, so that each
+    # discrepancy falls clearly below the one before it
+    t = [t1]
+    for r in ratios:
+        t.append(t[-1] * r)
+    assert_exits_zero(["lab", "gc-check", "--t=" + csv_of(t), f"--samples={samples}",
+                       f"--seed={seed}"])
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=st.lists(st.floats(0.3, 3), min_size=2, max_size=2), t1=st.floats(0.02, 1),
+       t0=st.floats(0.02, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_flow_run_fuzz_valid_input_exits_zero(a, t1, t0, seed):
+    # valid input only: positive weights, both ends of the flow away from the
+    # singular fiber at t = 0
+    assert_exits_zero(["flow", "run", "--a=" + csv_of(a), f"--t1={t1!r}", f"--t0={t0!r}",
+                       f"--seed={seed}"])
+
+
 @settings(max_examples=8, deadline=None)
 @given(a=st.lists(mostly(st.integers(2, 3)), min_size=2, max_size=2),
        shift=st.lists(st.floats(-1, 1), min_size=3, max_size=3),
@@ -616,6 +642,18 @@ def assert_exit_contract(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows", [
+    np.array([[-3, 0, 2 ** 62], [7, -2 ** 63, 1]]),
+    np.array([[1, 2], [255, 0]], dtype=np.uint8),
+    np.zeros((0, 3), dtype=np.int64),
+], ids=["int64", "uint8", "empty"])
+@pytest.mark.parametrize("sep", [",", " "])
+def test_integer_table_matches_per_value_formatting(rows, sep):
+    # the one-pass path for integer arrays writes what fmt writes value by value
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    assert cli.table_text(header, rows, sep=sep) == cli.table_text(header, rows.tolist(), sep=sep)
+
+
 def test_float_formatting_is_lossless(tmp_path):
     out = tmp_path / "t"
     assert run(["toric", "concentrate", "--delta", "0..3", "--s", "7",
@@ -631,16 +669,19 @@ def test_float_formatting_is_lossless(tmp_path):
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(1)))).at_s(7.0)
     dens = SectionDensity(pot, (1.0,))
     pts, log_vol = polytope_grid(P, 64)
-    ref = outside_mass(GridMeasure(pts, dens.log_magnitude(pts), log_vol), (1.0,), 0.3)
+    ref = outside_mass(GridMeasure(pts, dens.log_magnitude(pts), log_vol),
+                       outside_ball(pts, (1.0,), 0.3))
     assert float(vals["outside_mass"]) == ref
 
 
 def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
-    # the grid is built once and the density evaluated once for the whole
-    # s-sweep, at the names the CLI and the sweep resolve
+    # the grid is built once, and the density, the exclusion mask and each
+    # test function are evaluated once for the whole s-sweep, at the names
+    # the CLI and the sweep resolve
     from gcquant.lab import GridMeasure, outside_mass
 
-    calls = {"grid": 0, "density": 0}
+    calls = {"grid": 0, "density": 0, "mask": 0}
+    phi_calls = {}
     measures = []
 
     def counted(key, fn):
@@ -649,31 +690,51 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def recording_outside_mass(measure, center, eps):
+    def counted_phi(name, phi):
+        def wrapper(labels):
+            phi_calls[name] = phi_calls.get(name, 0) + 1
+            return phi(labels)
+        return wrapper
+
+    def counting_phis(sweep):
+        def swept(*args):
+            *head, phis = args
+            return sweep(*head, {name: counted_phi(name, phi) for name, phi in phis.items()})
+        return swept
+
+    def recording_outside_mass(measure, outside):
         measures.append(measure)
-        return outside_mass(measure, center, eps)
+        return outside_mass(measure, outside)
 
     monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
     monkeypatch.setattr(gcquant.lab, "section_log_density",
                         counted("density", gcquant.lab.section_log_density))
     monkeypatch.setattr(gcquant.lab, "outside_mass", recording_outside_mass)
+    monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", outside_ball))
+    monkeypatch.setattr(cli, "concentration_sweep", counting_phis(cli.concentration_sweep))
+    monkeypatch.setattr(gcquant.lab, "concentration_sweep",
+                        counting_phis(gcquant.lab.concentration_sweep))
     assert run(["toric", "concentrate", "--delta", "0..3", "--m", "1", "--s", "5,10,20",
                 "--eps", "0.3", "--per-axis", "1024", "--out", str(tmp_path / "t")]) == 0
-    assert calls == {"grid": 1, "density": 1}
+    assert calls == {"grid": 1, "density": 1, "mask": 1}
+    assert phi_calls == {"one": 1, "x1": 1}
     assert len(measures) == 3
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
     raw = measures[1]  # s = 10
     doubled = GridMeasure(2.0 * raw.labels, raw.logdens, raw.log_vol)
-    m_img = outside_mass(doubled, np.array([2.0]), 0.6)
-    m_raw = outside_mass(raw, np.array([1.0]), 0.3)
+    m_img = outside_mass(doubled, outside_ball(doubled.labels, np.array([2.0]), 0.6))
+    m_raw = outside_mass(raw, outside_ball(raw.labels, np.array([1.0]), 0.3))
     assert abs(m_img - m_raw) < 1e-12
-    # lab combined's reported grid: one evaluation for all five s (the flow
-    # route evaluates per t through SectionDensity)
+    # lab combined's reported grid: one evaluation of the density and of each
+    # test function for all five s (the flow route evaluates per t through
+    # SectionDensity)
     calls["density"] = 0
+    phi_calls.clear()
     assert run(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
                 "--out", str(tmp_path / "lc")]) == 0
     assert calls["density"] == 1
+    assert phi_calls == {"one": 1, "xi1": 1, "dist2": 1}
 
 
 def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from gcquant.lab import (
     analytic_decay_rate,
     combined_experiment,
     concentration_sup,
+    concentration_sweep,
     decay_slope,
     delta_pairing,
     gc_vs_torus_moment_check,
@@ -30,7 +31,9 @@ from gcquant.toric import (
     SectionDensity,
     SymplecticPotential,
     g_can_grad,
+    outside_ball,
     polytope_grid,
+    section_log_density,
 )
 
 
@@ -244,22 +247,27 @@ def test_outside_mass_against_adaptive_quadrature():
     total, _ = quad(f, 0.0, 3.0, epsabs=0, epsrel=1e-11, limit=300)
     out = (quad(f, 0.0, 1.0 - eps, epsabs=0, epsrel=1e-11, limit=300)[0]
            + quad(f, 1.0 + eps, 3.0, epsabs=0, epsrel=1e-11, limit=300)[0])
-    got = outside_mass(grid_measure(P, dens, 2048), np.array([1.0]), eps)
+    measure = grid_measure(P, dens, 2048)
+    mask = outside_ball(measure.labels, np.array([1.0]), eps)
+    got = outside_mass(measure, mask)
     assert abs(got - out / total) < 1e-4
-    sup = concentration_sup(grid_measure(P, dens, 2048), np.array([1.0]), eps)
+    sup = concentration_sup(measure, mask)
     assert 0 < sup < f(1.0) / total
 
 
 def test_outside_mass_empty_exclusion_raises():
     P, dens = gaussian_density(5.0)
+    measure = grid_measure(P, dens, 64)
     with pytest.raises(QuadratureError):
-        outside_mass(grid_measure(P, dens, 64), np.array([1.0]), 10.0)
+        outside_mass(measure, outside_ball(measure.labels, np.array([1.0]), 10.0))
 
 
 def test_delta_pairing_normalization_is_exact():
     P, dens = gaussian_density(40.0)
-    assert delta_pairing(grid_measure(P, dens, 256), lambda x: np.ones(x.shape[:-1])) == 1.0
-    val = delta_pairing(grid_measure(P, dens, 1024), lambda x: x[..., 0])
+    measure = grid_measure(P, dens, 256)
+    assert delta_pairing(measure, np.ones(len(measure.labels))) == 1.0
+    measure = grid_measure(P, dens, 1024)
+    val = delta_pairing(measure, measure.labels[:, 0])
     assert abs(val - 1.0) < 1e-2  # concentrating near m = 1
 
 
@@ -277,7 +285,7 @@ def test_measure_matches_logsumexp_oracle(dim, per_axis, s):
     measure = grid_measure(P, SectionDensity(pot, m), per_axis)
     lw = measure.logdens + measure.log_vol
     log_total = logsumexp(lw)
-    mask = measure.outside(m, 0.3)
+    mask = outside_ball(measure.labels, m, 0.3)
     oracle = {
         "log_total": log_total,
         "outside_mass": np.exp(logsumexp(lw[mask]) - log_total),
@@ -287,9 +295,9 @@ def test_measure_matches_logsumexp_oracle(dim, per_axis, s):
     }
     got = {
         "log_total": measure.log_total,
-        "outside_mass": outside_mass(measure, m, 0.3),
-        "concentration_sup": concentration_sup(measure, m, 0.3),
-        "delta_pairing": delta_pairing(measure, lambda x: x[..., 0]),
+        "outside_mass": outside_mass(measure, mask),
+        "concentration_sup": concentration_sup(measure, mask),
+        "delta_pairing": delta_pairing(measure, measure.labels[:, 0]),
     }
     # a mass exp(u - log_total) is only as exact as the doubles holding u and
     # log_total: on the cube at s = 2000, log_total is 1.9e4 and its spacing
@@ -317,8 +325,9 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
     m = np.ones(3)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(3))))
     measure = grid_measure(P, SectionDensity(pot.at_s(s), m), 24)
-    got_mass = outside_mass(measure, m, 0.3)
-    got_sup = concentration_sup(measure, m, 0.3)
+    mask = outside_ball(measure.labels, m, 0.3)
+    got_mass = outside_mass(measure, mask)
+    got_sup = concentration_sup(measure, mask)
 
     with mpmath.workprec(200):
         xs = [(mpmath.mpf(k) + 0.5) / 8 for k in range(24)]
@@ -348,6 +357,44 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
     # the deformation term vanishes at m: the peak does not grow with s
     at_m = [SectionDensity(pot.at_s(v), m).log_magnitude(m[None])[0] for v in (0.0, s)]
     assert at_m[0] == at_m[1]
+
+
+@pytest.mark.parametrize("dim, per_axis", [(1, 256), (3, 24)])
+def test_sweep_matches_standalone_quadrature_bit_for_bit(dim, per_axis):
+    # the sweep evaluates the canonical part, the deformation term, the
+    # exclusion mask and the test functions once per grid, and each measure
+    # its weights once; every value must still be the one computed from the
+    # density at that s alone, and by the per-call formulas the weights replaced
+    P = box_polytope([(0, 3)] * dim)
+    m = np.ones(dim)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(dim))))
+    x, log_vol = polytope_grid(P, per_axis)
+    phis = {"one": lambda y: np.ones(y.shape[:-1]), "x1": lambda y: y[..., 0]}
+    svals = [0.0, 7.0, 2000.0]
+    mask = outside_ball(x, m, 0.3)
+    for s, (measure, mass, sup, pairings) in zip(
+            svals, concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, phis)):
+        ref = GridMeasure(x, section_log_density(pot.at_s(s), m, x), log_vol)
+        assert np.array_equal(measure.logdens, ref.logdens)
+        assert mass == outside_mass(ref, mask)
+        assert sup == concentration_sup(ref, mask)
+        assert pairings == {name: delta_pairing(ref, phi(x)) for name, phi in phis.items()}
+        assert pairings["one"] == 1.0
+        w = np.exp(ref.logdens + log_vol - ref.log_total)
+        assert mass == float(np.sum(np.exp(ref.logdens[mask] + log_vol - ref.log_total)))
+        assert pairings["x1"] == float(np.sum(x[:, 0] * w) / np.sum(w))
+
+
+@pytest.mark.parametrize("eps, message", [(10.0, "covers the whole quadrature grid"),
+                                          (1e-3, "contains no quadrature point")])
+def test_sweep_raises_for_a_ball_without_inside_or_outside(eps, message):
+    # 1 is 7.8e-3 from the nearest midpoint of the 64-point grid on [0, 3]
+    P = interval(0, 3)
+    m = np.array([1.0])
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(1))))
+    x, log_vol = polytope_grid(P, 64)
+    with pytest.raises(QuadratureError, match=message):
+        next(concentration_sweep(pot, m, x, [5.0], x, log_vol, m, eps, {}))
 
 
 def test_decay_slope_recovers_exact_exponential():
