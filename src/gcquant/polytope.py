@@ -94,11 +94,26 @@ class DelzantPolytope:
         return np.array([f.offset for f in self.facets], dtype=float)
 
     def support_values(self, p) -> np.ndarray:
-        """All l_j(p) = <p, r_j> + c_j, batched over leading axes of p."""
+        """All l_j(p) = <p, r_j> + c_j, batched over leading axes of p.
+
+        A batch is filled facet-major, row j = c_j + sum_k r_jk p[..., k] over
+        the nonzero r_jk, by elementwise operations and no BLAS call; the
+        result is the (..., facets) view of that (facets, ...) array.
+        """
         p = np.asarray(p, dtype=float)
-        out = p @ self.normal_matrix.T
-        out += self.offsets  # in place: one (points, facets) array on large grids
-        return out
+        if p.ndim < 2:
+            return p @ self.normal_matrix.T + self.offsets
+        out = np.empty((len(self.facets),) + p.shape[:-1])
+        for row, f in zip(out, self.facets):
+            row.fill(f.offset)
+            for k, r in enumerate(f.normal):
+                if r == 1:
+                    row += p[..., k]
+                elif r == -1:
+                    row -= p[..., k]
+                elif r:
+                    row += r * p[..., k]
+        return np.moveaxis(out, 0, -1)
 
     def contains(self, p, tol: float = 0.0, strict: bool = False) -> np.ndarray | bool:
         vals = self.support_values(p)

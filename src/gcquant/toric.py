@@ -128,8 +128,20 @@ class ConvexDeformation:
         object.__setattr__(self, "H", A.T @ Q @ A)
 
     def value(self, x):
+        """x^T H x / 2 over the leading axes of x, as sum_k x_k (x H)_k, by
+        elementwise column operations and no BLAS call; zero entries of H
+        (every off-diagonal one of a diagonal nu) are skipped."""
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, self.H, x)
+        out = np.zeros(x.shape[:-1])
+        for k, col in enumerate(self.H.T):
+            nz = np.flatnonzero(col)
+            if nz.size:
+                y = x[..., nz[0]] * col[nz[0]]
+                for j in nz[1:]:
+                    y += x[..., j] * col[j]
+                y *= x[..., k]
+                out += y
+        return 0.5 * out
 
     def grad(self, x):
         return np.asarray(x, dtype=float) @ self.H
@@ -182,8 +194,10 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
     by the constant exp(2 pi s a(m)), which cancels from every normalized
     output, and the log density at m is the canonical part for every s; at
     s = 0 the deformation term is not evaluated.
-    Returns -inf on boundary walls not containing m.  The (points, facets)
-    work array is updated in place: this runs on grids of about 10^6 points.
+    Returns -inf on boundary walls not containing m.  The support values are
+    the only (points, facets) array and are updated in place; the linear term
+    is summed one facet at a time, in facet order.  This runs on grids of
+    about 10^6 points.
     """
     P = pot.polytope
     x = np.asarray(x, dtype=float)
@@ -193,12 +207,17 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
         raise ValueError("point outside the polytope")
     np.maximum(lx, 0.0, out=lx)
     lm = P.support_values(m)
-    linear = 0.5 * (lm - lx).sum(axis=-1)
+    rows = np.moveaxis(lx, -1, 0)
+    linear = lm[0] - rows[0]
+    for j in range(1, len(lm)):
+        linear += lm[j] - rows[j]
+    linear *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(lx, out=lx)  # -inf on walls
         lx *= 0.5 * lm
     lx[..., lm == 0.0] = 0.0  # 0 * log 0 = 0 on shared walls
     out = lx.sum(axis=-1) + linear
+    del lx, rows  # the deformation term runs without the (points, facets) array
     if pot.s:
         out -= TWO_PI * pot.s * pot.deformer.value(x - m)
     return out
@@ -304,8 +323,17 @@ class GridMeasure:
 
 
 def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:
-    """Mask of the labels (N, d) that lie outside the eps-ball around `center`."""
-    return np.linalg.norm(labels - np.asarray(center, dtype=float), axis=-1) > eps
+    """Mask of the labels (N, d) that lie outside the eps-ball around `center`.
+    The squared distance is summed one coordinate at a time, in order, with
+    (N,) temporaries only; for d < 8 np.linalg.norm sums in the same order,
+    so the mask is the norm's bit for bit."""
+    center = np.asarray(center, dtype=float)
+    sq = np.zeros(labels.shape[:-1])
+    for k, c in enumerate(center):
+        d = labels[..., k] - c
+        d *= d
+        sq += d
+    return np.sqrt(sq, out=sq) > eps
 
 
 def polytope_grid(P: DelzantPolytope, per_axis: int):
@@ -319,17 +347,16 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
     if per_axis ** P.dim > MAX_GRID_POINTS:
         raise ValueError(f"a grid of {per_axis}^{P.dim} points passes MAX_GRID_POINTS = "
                          f"{MAX_GRID_POINTS}")
-    box = P.bounding_box()
-    axes = []
+    pts = np.empty((per_axis,) * P.dim + (P.dim,))
     vol = 0.0
-    for lo, hi in box:
+    for k, (lo, hi) in enumerate(P.bounding_box()):
         h = (hi - lo) / per_axis
-        axes.append(lo + h * (np.arange(per_axis) + 0.5))
+        axis = lo + h * (np.arange(per_axis) + 0.5)
+        pts[..., k] = axis.reshape((per_axis,) + (1,) * (P.dim - 1 - k))
         vol += np.log(h)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = pts.reshape(-1, P.dim)
     mask = P.contains(pts, tol=1e-9, strict=True)
-    return pts[mask], vol
+    return pts.compress(mask, axis=0), vol
 
 
 def log_l1_norm(pot: SymplecticPotential, m, rel_tol: float = 1e-6):

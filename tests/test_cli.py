@@ -593,6 +593,30 @@ def test_lab_combined_fuzz_exit_contract(a, shift, s_grid, eps):
                           "--s-grid=" + csv_of(sorted(s_grid)), f"--eps={eps!r}"])
 
 
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), a=st.lists(st.integers(2, 4), min_size=2, max_size=2),
+       per_axis=st.integers(8, 12), flow_per_axis=st.integers(3, 5),
+       s0=st.floats(0, 5), steps=st.lists(st.floats(3, 12), min_size=1, max_size=3),
+       ball=st.floats(1.1, 2))
+def test_lab_combined_fuzz_valid_input_exits_zero(data, a, per_axis, flow_per_axis, s0, steps,
+                                                  ball):
+    # valid input only: integer weights, a strictly interlacing integer
+    # pattern (an interior lattice point), an s-grid rising by at least 3 per
+    # step, and eps past the half diagonal of the largest grid cell, so that
+    # the ball holds a grid point
+    a1, a2 = a
+    mu1 = data.draw(st.integers(a2 + 1, a1 + a2 - 1))
+    mu2 = data.draw(st.integers(1, a2 - 1))
+    lam = data.draw(st.integers(mu2 + 1, mu1 - 1))
+    s_grid = [s0]
+    for step in steps:
+        s_grid.append(s_grid[-1] + step)
+    eps = ball * 3 ** 0.5 / 2 * (a1 + a2) / per_axis
+    assert_exits_zero(["lab", "combined", f"--a={a1},{a2}", f"--pattern={lam};{mu1},{mu2}",
+                       "--s-grid=" + csv_of(s_grid), f"--eps={eps!r}",
+                       f"--per-axis={per_axis}", f"--flow-per-axis={flow_per_axis}"])
+
+
 CONFIG_KEYS = [(command, key) for command, defaults in [
     (["flow", "run"], cli.FLOW_DEFAULTS),
     (["flag", "dump"], cli.FLAG_DEFAULTS),

@@ -5,6 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gcquant.polytope as polytope
 from gcquant.polytope import (
@@ -182,6 +183,33 @@ def test_support_values_sign_convention():
     assert sv.shape == (2, len(P.facets))
     assert np.all(sv >= 0)
     assert np.any(P.support_values(np.array([-0.1])) < 0)
+
+
+def primitive_rows(dim, entries):
+    return st.lists(st.sampled_from(entries), min_size=dim, max_size=dim).filter(
+        lambda r: gcd(*r) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), lead=st.sampled_from([(), (1,), (7,), (3, 4)]))
+def test_support_values_match_matrix_product(data, dim, lead):
+    # random integer normals in [-2, 2]; the first row has no zero entry, so
+    # every example has a row with several nonzero entries once dim > 1
+    rows = [data.draw(primitive_rows(dim, (-2, -1, 1, 2)))]
+    rows += data.draw(st.lists(primitive_rows(dim, (-2, -1, 0, 1, 2)), max_size=5))
+    offsets = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+    P = DelzantPolytope(dim, tuple(Facet(tuple(r), c) for r, c in zip(rows, offsets)))
+    p = data.draw(hnp.arrays(np.float64, lead + (dim,), elements=st.floats(-100, 100)))
+    sv = P.support_values(p)
+    assert sv.shape == lead + (len(rows),)
+    assert sv.flags.writeable
+    R, c = np.array(rows, dtype=float), np.array(offsets, dtype=float)
+    # dim + 1 roundings each side, each within half an ulp of the row scale
+    scale = np.abs(p) @ np.abs(R).T + np.abs(c)
+    assert np.all(np.abs(sv - (p @ R.T + c)) <= (dim + 1) * np.finfo(float).eps * scale)
+    low = sv.min(axis=-1)
+    assert np.array_equal(P.contains(p), low >= 0)
+    assert np.array_equal(P.contains(p, strict=True), low > 0)
 
 
 def test_gc_polytope_structure():

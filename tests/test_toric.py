@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from gcquant.toric import (
     log_l1_norm,
     moment_to_complex,
     moment_to_log_complex,
+    outside_ball,
     polytope_grid,
     section_log_density,
     transport_phase,
@@ -123,6 +126,39 @@ def test_deformation_restriction_chain_rule():
     g_fd = fd_grad(d.value, x)
     assert np.max(np.abs(d.grad(x) - g_fd)) < 1e-6
     assert np.allclose(d.hess(x), A.T @ d.nu.Q @ A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), restricted=st.booleans(),
+       lead=st.sampled_from([(), (5,), (2, 3)]))
+def test_deformation_value_matches_quadratic_form(data, dim, restricted, lead):
+    floats = st.floats(-2, 2)
+    k = data.draw(st.integers(1, dim)) if restricted else dim
+    L = np.array(data.draw(st.lists(st.lists(floats, min_size=k, max_size=k),
+                                    min_size=k, max_size=k)))
+    A = (np.array(data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim,
+                                                max_size=dim), min_size=k, max_size=k)),
+                  dtype=float) if restricted else None)
+    d = ConvexDeformation(QuadraticNu(L @ L.T + np.eye(k)), iota_star=A)
+    x = np.array(data.draw(st.lists(floats, min_size=dim * int(np.prod(lead)),
+                                    max_size=dim * int(np.prod(lead))))).reshape(lead + (dim,))
+    val = d.value(x)
+    assert np.shape(val) == lead
+    ref = 0.5 * np.einsum("...i,ij,...j->...", x, d.H, x)
+    scale = 0.5 * np.einsum("...i,ij,...j->...", np.abs(x), np.abs(d.H), np.abs(x))
+    assert np.all(np.abs(val - ref) <= 4 * dim * np.finfo(float).eps * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_outside_ball_matches_norm_bit_for_bit(data, dim, seed):
+    # eps runs through the labels' own distances, so a distance that differs
+    # from np.linalg.norm's in its last bit flips a mask bit
+    labels = np.random.default_rng(seed).uniform(-3, 3, size=(50, dim))
+    center = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
+    dist = np.linalg.norm(labels - center, axis=-1)
+    for eps in dist:
+        assert np.array_equal(outside_ball(labels, center, eps), dist > eps)
 
 
 # -- Legendre round trip ---------------------------------------------------------
@@ -234,6 +270,22 @@ def test_density_wall_and_outside_behavior():
         section_log_density(pot, m, np.array([[-0.5]]))
 
 
+@pytest.mark.parametrize("s", [0.0, 10.0])
+def test_density_allocates_one_support_matrix(s):
+    # the support values are the only (points, facets) array: a second one,
+    # such as an (lm - lx) temporary, lifts the traced peak past 2 of them
+    P = box_polytope([(0, 3)] * 3)
+    x, _ = polytope_grid(P, 96)
+    support_bytes = x.shape[0] * len(P.facets) * x.itemsize
+    tracemalloc.start()
+    try:
+        section_log_density(potential(P, s), np.array([1.0, 1.0, 1.0]), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * support_bytes
+
+
 def test_density_matches_out_of_place_reference():
     # the in-place evaluation keeps the arithmetic of the plain formula, with
     # the deformation term shifted to vanish at m, bit for bit, on walls and
@@ -289,6 +341,15 @@ def test_polytope_grid_interior_and_volume():
     B = box_polytope([(0, 2), (0, 1)])
     pts2, lv2 = polytope_grid(B, 64)
     assert np.isclose(np.exp(lv2) * len(pts2), 2.0)
+
+
+def test_polytope_grid_matches_meshgrid_order():
+    # the points of meshgrid(indexing="ij") stacked, in that order, bit for bit
+    B = box_polytope([(0, 2), (-1, 1), (0, 3)])
+    pts, _ = polytope_grid(B, 5)
+    axes = [lo + (hi - lo) / 5 * (np.arange(5) + 0.5) for lo, hi in B.bounding_box()]
+    ref = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert np.array_equal(pts, ref)
 
 
 def test_polytope_grid_point_limit(monkeypatch):
