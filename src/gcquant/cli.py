@@ -263,7 +263,7 @@ def cmd_toric(args) -> int:
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu))
 
     pts, log_vol = polytope_grid(P, per_axis)
-    phis = {"one": lambda x: np.ones(x.shape[:-1]), "x1": lambda x: x[..., 0]}
+    phis = {"one": lambda x: 1.0, "x1": lambda x: x[..., 0]}
     rows = []
     profiles = []
     sweep = concentration_sweep(pot, m, pts, svals, pts, log_vol, m, eps, phis)

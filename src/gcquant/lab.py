@@ -33,6 +33,7 @@ from .toric import (
     QuadratureError,
     SectionDensity,
     SymplecticPotential,
+    blocks,
     outside_ball,
     polytope_grid,
     section_log_density,
@@ -78,7 +79,8 @@ def concentration_sup(measure: GridMeasure, outside: np.ndarray) -> float:
     """Sup of the L^1-normalized density over the points of the mask `outside`."""
     if not outside.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
-    return float(np.exp(np.max(measure.logdens[outside]) - measure.log_total))
+    top = np.max(measure.logdens, where=outside, initial=-np.inf)
+    return float(np.exp(top - measure.log_total))
 
 
 def delta_pairing(measure: GridMeasure, values) -> float:
@@ -99,12 +101,20 @@ def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
     Everything that does not depend on s is evaluated once: the canonical
     part b = section_log_density(pot.at_s(0), m, x), the deformation term
     q = nu(iota_star(x - m)), the exclusion mask and each test function's
-    values on the labels.  Each s is then b - 2 pi s q, bit for bit
+    values on the labels.  b, q and the mask are filled block by block
+    (`blocks`), so no (points, facets) or (points, d) temporary spans the
+    grid; every value is per point, so the bits are those of one whole-grid
+    call.  Each s is then b - 2 pi s q, bit for bit
     section_log_density(pot.at_s(s), m, x).
     """
-    b = section_log_density(pot.at_s(0.0), m, x)
-    q = pot.deformer.value(x - np.asarray(m, dtype=float))
-    outside = outside_ball(labels, center, eps)
+    pot0 = pot.at_s(0.0)
+    m = np.asarray(m, dtype=float)
+    b, q = np.empty(len(x)), np.empty(len(x))
+    outside = np.empty(len(x), dtype=bool)
+    for blk in blocks(len(x)):
+        b[blk] = section_log_density(pot0, m, x[blk])
+        q[blk] = pot.deformer.value(x[blk] - m)
+        outside[blk] = outside_ball(labels[blk], center, eps)
     values = {name: phi(labels) for name, phi in phis.items()}
     for s in s_values:
         measure = GridMeasure(labels, b - TWO_PI * s * q, log_vol)
@@ -360,7 +370,7 @@ def section_equality_on_v0(m, mprime, samples: int = 500, seed: int = 0) -> floa
 
 def _default_test_functions(xi_star: np.ndarray) -> dict:
     return {
-        "one": lambda xi: np.ones(xi.shape[:-1]),
+        "one": lambda xi: 1.0,
         "xi1": lambda xi: xi[..., 0],
         "dist2": lambda xi: np.sum((xi - xi_star) ** 2, axis=-1),
     }

@@ -21,6 +21,9 @@ FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
 # largest tensor grid polytope_grid builds: 256 points per axis in 3-D
 MAX_GRID_POINTS = 2**24
+# points per block of a grid pass: a block's (facets, points) support array
+# of a 3-D polytope (6 x 2^14 float64, 786 KB) stays in L2
+BLOCK = 2**14
 
 __all__ = [
     "ConvergenceError",
@@ -40,6 +43,8 @@ __all__ = [
     "GridMeasure",
     "outside_ball",
     "MAX_GRID_POINTS",
+    "BLOCK",
+    "blocks",
     "polytope_grid",
     "log_l1_norm",
     "transport_phase",
@@ -196,8 +201,8 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
     s = 0 the deformation term is not evaluated.
     Returns -inf on boundary walls not containing m.  The support values are
     the only (points, facets) array and are updated in place; the linear term
-    is summed one facet at a time, in facet order.  This runs on grids of
-    about 10^6 points.
+    is summed one facet at a time, in facet order.  The s-sweep of `lab`
+    calls it on blocks of BLOCK grid points.
     """
     P = pot.polytope
     x = np.asarray(x, dtype=float)
@@ -336,13 +341,20 @@ def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:
     return np.sqrt(sq, out=sq) > eps
 
 
+def blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK indices that cover range(n)."""
+    return [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
+
+
 def polytope_grid(P: DelzantPolytope, per_axis: int):
     """Midpoint tensor grid on the bounding box, masked to the polytope.
 
     Returns (points, log_cell_volume) with every point more than 1e-9 inside
     every wall: centers on a wall to roundoff carry no density, but they break
     maps defined on the interior only, such as the slice map of `lab`.
-    ValueError past MAX_GRID_POINTS points on the box.
+    ValueError past MAX_GRID_POINTS points on the box.  The wall mask is
+    evaluated block by block (`blocks`); when it keeps every point, as on a
+    box, the points are returned uncopied.
     """
     if per_axis ** P.dim > MAX_GRID_POINTS:
         raise ValueError(f"a grid of {per_axis}^{P.dim} points passes MAX_GRID_POINTS = "
@@ -355,8 +367,10 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
         pts[..., k] = axis.reshape((per_axis,) + (1,) * (P.dim - 1 - k))
         vol += np.log(h)
     pts = pts.reshape(-1, P.dim)
-    mask = P.contains(pts, tol=1e-9, strict=True)
-    return pts.compress(mask, axis=0), vol
+    mask = np.empty(len(pts), dtype=bool)
+    for b in blocks(len(pts)):
+        mask[b] = P.contains(pts[b], tol=1e-9, strict=True)
+    return (pts if mask.all() else pts.compress(mask, axis=0)), vol
 
 
 def log_l1_norm(pot: SymplecticPotential, m, rel_tol: float = 1e-6):

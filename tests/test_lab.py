@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from gcquant import toric
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import (
     AdaptiveSchedule,
@@ -383,6 +384,51 @@ def test_sweep_matches_standalone_quadrature_bit_for_bit(dim, per_axis):
         w = np.exp(ref.logdens + log_vol - ref.log_total)
         assert mass == float(np.sum(np.exp(ref.logdens[mask] + log_vol - ref.log_total)))
         assert pairings["x1"] == float(np.sum(x[:, 0] * w) / np.sum(w))
+
+
+@pytest.mark.parametrize("P, m, walls", [
+    (box_polytope([(0, 3), (0, 2)]), (1.0, 1.0), [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]),
+    (box_polytope([(0, 3), (0, 2)]), (0.0, 1.0), [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]),
+    (gc_polytope(3, (1, 1)), (1.0, 1.5, 0.5), [[0.0, 1.0, 0.0], [1.0, 1.0, 0.5], [2.0, 2.0, 1.0]]),
+    (gc_polytope(3, (1, 1)), (1.0, 1.0, 0.0), [[0.0, 1.0, 0.0], [1.0, 1.0, 0.5], [2.0, 2.0, 1.0]]),
+])
+@pytest.mark.parametrize("block", ["above", "equal", "k_plus_r", 1])
+def test_sweep_blocks_match_one_block(monkeypatch, P, m, walls, block):
+    # b, q and the exclusion mask are filled block by block; N < BLOCK,
+    # N = BLOCK and N = k BLOCK + r must all give the single-block sweep bit
+    # for bit, with m on a wall and grid points on walls (-inf densities)
+    m = np.array(m)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(P.dim))))
+    pts, log_vol = polytope_grid(P, 10)
+    x = np.concatenate([pts[: len(pts) // 2], walls, pts[len(pts) // 2:]])
+    phis = {"one": lambda y: 1.0, "x1": lambda y: y[..., 0]}
+    svals = [0.0, 7.0, 2000.0]
+
+    def sweep():
+        return [(measure.logdens, mass, sup, pairings) for measure, mass, sup, pairings
+                in concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, phis)]
+
+    want = sweep()
+    n = len(x)
+    size = {"above": n + 5, "equal": n, "k_plus_r": (n - 3) // 4}.get(block, block)
+    monkeypatch.setattr(toric, "BLOCK", size)
+    got = sweep()
+    for (logdens, *rest), (want_logdens, *want_rest) in zip(got, want, strict=True):
+        assert np.array_equal(logdens, want_logdens)
+        assert rest == want_rest
+    assert np.isneginf(want[0][0]).any()
+
+
+def test_concentration_sup_reads_the_mask_in_place():
+    # the max over the mask, as the max of the masked copy; -inf on walls
+    logdens = np.array([0.5, -np.inf, 2.0, -1.0, 3.0])
+    measure = GridMeasure(np.zeros((5, 1)), logdens, 0.0)
+    for mask in ([0, 1, 1, 1, 0], [0, 1, 0, 1, 0], [0, 1, 0, 0, 0], [1, 1, 1, 1, 1]):
+        mask = np.array(mask, dtype=bool)
+        want = float(np.exp(np.max(logdens[mask]) - measure.log_total))
+        assert concentration_sup(measure, mask) == want
+    with pytest.raises(QuadratureError, match="covers the whole quadrature grid"):
+        concentration_sup(measure, np.zeros(5, dtype=bool))
 
 
 @pytest.mark.parametrize("eps, message", [(10.0, "covers the whole quadrature grid"),

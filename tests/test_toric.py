@@ -360,6 +360,39 @@ def test_polytope_grid_point_limit(monkeypatch):
         polytope_grid(B, 9)
 
 
+@pytest.mark.parametrize("P, box", [(box_polytope([(0, 3), (0, 2), (0, 1)]), True),
+                                    (gc_polytope(3, (1, 1)), False)])
+@pytest.mark.parametrize("block", ["above", "equal", "k_plus_r", 1])
+def test_polytope_grid_blocks_match_one_block(monkeypatch, P, box, block):
+    # the wall mask is evaluated block by block over the box points; N < BLOCK,
+    # N = BLOCK and N = k BLOCK + r must all give the single-block grid; on
+    # gc_polytope(3, (1, 1)) wall cells straddle the block boundaries
+    per_axis = 8
+    n = per_axis ** P.dim
+    want, want_vol = polytope_grid(P, per_axis)
+    size = {"above": n + 5, "equal": n, "k_plus_r": (n - 3) // 4}.get(block, block)
+    monkeypatch.setattr(toric, "BLOCK", size)
+    got, vol = polytope_grid(P, per_axis)
+    assert np.array_equal(got, want)
+    assert vol == want_vol
+    assert (len(got) == n) == box
+
+
+def test_polytope_grid_on_a_box_stays_below_four_grid_arrays():
+    # the box points are the only (points, d) array: the mask is evaluated in
+    # blocks, and a mask that keeps every point returns the points uncopied
+    P = box_polytope([(0, 3)] * 3)
+    n = 96 ** 3
+    tracemalloc.start()
+    try:
+        pts, _ = polytope_grid(P, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (n, 3)
+    assert peak < 4 * n * pts.itemsize
+
+
 def test_polytope_grid_masks_wall_cells():
     # non-box polytope: grid keeps only strictly interior midpoints
     P = gc_polytope(3, (1, 1))
