@@ -36,14 +36,13 @@ from .toric import ConvexDeformation, QuadraticNu, SymplecticPotential, polytope
 from .flag import gc_map, random_flags
 from .flow import DegenerationFamily
 from .lab import (
-    AdaptiveSchedule,
     ExperimentConfig,
     ExpSchedule,
     checked_s_grid,
     combined_experiment,
     concentration_sweep,
-    decay_slope,
     gc_vs_torus_moment_check,
+    mass_decay_slope,
 )
 
 __all__ = ["main"]
@@ -267,15 +266,16 @@ def cmd_toric(args) -> int:
     rows = []
     profiles = []
     sweep = concentration_sweep(pot, m, pts, svals, pts, log_vol, m, eps, phis)
-    for s, (measure, mass, sup, pairings) in zip(svals, sweep):
+    for s in svals:
+        measure, mass, sup, pairings = next(sweep)
         rows.append([s, mass, sup, pairings["one"], pairings["x1"]])
         if P.dim == 1:
             profiles.append(np.exp(measure.logdens - measure.log_total))
+        del measure  # not alive while the sweep builds the next s's measure
 
     files = {"cells.csv": table_text(["s", "outside_mass", "sup_outside", "pairing_one",
                                       "pairing_x1"], rows)}
-    pos = [(r[0], r[1]) for r in rows if r[0] > 0 and r[1] > 0]
-    slope = decay_slope(*zip(*pos)) if len(pos) >= 2 else None
+    slope = mass_decay_slope(svals, [r[1] for r in rows])
     files["summary.json"] = json_text({"config": cfg, "slope": slope})
     if profiles:
         columns = ["x"] + [f"s={fmt(s)}" for s in svals]
@@ -360,7 +360,6 @@ LAB_DEFAULTS = {
     "s_grid": "0,5,10,20,40",
     "eps": 0.3,
     "nu_scale": 1.0,
-    "schedule": "exp",
     "schedule_rate": 5.0,
     "per_axis": 32,
     "flow_per_axis": 10,
@@ -373,19 +372,13 @@ def _parse_pattern(text: str) -> tuple:
 
 def cmd_lab_combined(args) -> int:
     cfg = merge_config(LAB_DEFAULTS, args)
-    if cfg["schedule"] == "exp":
-        schedule = ExpSchedule(parse_real("schedule_rate", cfg["schedule_rate"]))
-    elif cfg["schedule"] == "adaptive":
-        schedule = AdaptiveSchedule()
-    else:
-        raise UsageError(f"unknown schedule policy {cfg['schedule']!r}")
     ecfg = ExperimentConfig(
         a=positive_weights(parse_floats(cfg["a"])),
         pattern=_parse_pattern(cfg["pattern"]),
         nu=QuadraticNu(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(3)),
         s_grid=parse_floats(cfg["s_grid"]),
         eps=parse_real("eps", cfg["eps"]),
-        schedule=schedule,
+        schedule=ExpSchedule(parse_real("schedule_rate", cfg["schedule_rate"])),
         per_axis=parse_int("per_axis", cfg["per_axis"]),
         flow_per_axis=parse_int("flow_per_axis", cfg["flow_per_axis"]),
     )

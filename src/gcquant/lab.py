@@ -31,7 +31,6 @@ from .toric import (
     GridMeasure,
     QuadraticNu,
     QuadratureError,
-    SectionDensity,
     SymplecticPotential,
     blocks,
     outside_ball,
@@ -49,9 +48,9 @@ __all__ = [
     "concentration_sweep",
     "analytic_decay_rate",
     "decay_slope",
+    "mass_decay_slope",
     "checked_s_grid",
     "ExpSchedule",
-    "AdaptiveSchedule",
     "GCTorusModel",
     "section_equality_on_v0",
     "ExperimentConfig",
@@ -121,6 +120,7 @@ def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
         mass = outside_mass(measure, outside)
         sup = concentration_sup(measure, outside)
         yield measure, mass, sup, {name: delta_pairing(measure, v) for name, v in values.items()}
+        del measure  # not alive while the next s builds its measure
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:
@@ -140,6 +140,13 @@ def decay_slope(s_values: Sequence[float], values: Sequence[float]) -> float:
     return float(np.polyfit(s, np.log(v), 1)[0])
 
 
+def mass_decay_slope(s_values: Sequence[float], masses: Sequence[float]) -> Optional[float]:
+    """`decay_slope` of the outside masses over the samples with s > 0 and a
+    positive mass; None with fewer than two such samples."""
+    pos = [(s, m) for s, m in zip(s_values, masses) if s > 0 and m > 0]
+    return decay_slope(*zip(*pos)) if len(pos) >= 2 else None
+
+
 def checked_s_grid(s_values: Sequence[float]) -> np.ndarray:
     """s_values as an array; ValueError unless strictly increasing, nonnegative, finite."""
     s = np.asarray(s_values, dtype=float)
@@ -150,7 +157,7 @@ def checked_s_grid(s_values: Sequence[float]) -> np.ndarray:
     return s
 
 
-# -- deformation schedules ------------------------------------------------------
+# -- the deformation schedule ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -167,27 +174,6 @@ class ExpSchedule:
         if s < 0:
             raise ValueError("s must be nonnegative")
         return math.exp(-s / self.rate)
-
-
-@dataclass(frozen=True)
-class AdaptiveSchedule:
-    """t(0) = 1 and t(s) = max(min(2^-(floor(s) + 2), 1/8), 1e-4) for s > 0.
-
-    The closed form of the rule "in window [n, n+1), halve t from the previous
-    window's value until the flow-vs-toric discrepancy
-    gc_vs_torus_moment_check([t], samples=3) falls below 1/(n+2), never below
-    1e-4".  The check compares only for t <= 0.2, so the first window ends at
-    t = 1/8.  The discrepancy is 1.74e-3 there, 4.4e-4 at 1/16, falls about 4x
-    per halving and is 1.14e-9 at the floor, so the target cannot bind for s
-    below about 8e8 and no probe flow is needed to find t.
-    """
-
-    def t(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        if s == 0:
-            return 1.0
-        return max(min(2.0 ** -(math.floor(s) + 2), 0.125), 1e-4)
 
 
 # -- the n = 3 identification ---------------------------------------------------
@@ -385,7 +371,7 @@ class ExperimentConfig:
     nu: Optional[QuadraticNu] = None        # on xi-space; default identity quadratic
     s_grid: tuple = (0.0, 5.0, 10.0, 20.0, 40.0)
     eps: float = 0.3
-    schedule: object = field(default_factory=ExpSchedule)
+    schedule: ExpSchedule = field(default_factory=ExpSchedule)
     per_axis: int = 32
     flow_per_axis: int = 10
     h: Optional[float] = None               # None: error-controlled flow steps
@@ -417,7 +403,6 @@ class CellResult:
     outside_mass_flow: Optional[float]  # flow-route cross check
     flow_points: int
     flow_failures: int
-    spot_logdens_dev: Optional[float]   # max |log dens(flow end) - log dens(slice)|
     torus_moment_drift: Optional[float]  # max change of the residual-torus moments
 
     def as_row(self) -> dict:
@@ -454,14 +439,13 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     if not img.contains(xi_star, strict=True):
         raise ValueError("pattern must be an interior point (boundary patterns "
                          "are out of scope)")
-    lift = model.lifts(xi_star)[0]
+    lift = model.lifts(xi_star)[0].astype(float)
     deformer = ConvexDeformation(cfg.nu, iota_star=model.A.astype(float))
     ambient = model.ambient_delta()
     pot0 = SymplecticPotential(ambient, 0.0, deformer)
     xi_pts, log_vol = polytope_grid(img, cfg.per_axis)
     x_slice = model.slice_point(xi_pts)
     xi_flow, _ = polytope_grid(img, cfg.flow_per_axis)
-    x_flow_slice = model.slice_point(xi_flow)
     fam = DegenerationFamily(cfg.a)
     v0 = model.v0_state(xi_flow, fam=fam)
     phis = _default_test_functions(xi_star)
@@ -494,10 +478,8 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
 
     def cell(s: float, mass_out: float, sup_out: float, pairings: dict) -> CellResult:
         t = t_of[s]
-        dens = SectionDensity(pot0.at_s(s), tuple(lift.astype(float)))
         mass_out_flow = None
         failures = 0
-        spot_dev = None
         drift = None
         if t > 0:
             x = end_x[t]
@@ -505,13 +487,12 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             ok = ambient.contains(x, tol=1e-12)
             failures = int((~ok).sum())
             if ok.any():
-                flowed = GridMeasure(xi_flow[ok], dens.log_magnitude(x[ok]), log_vol)
+                flowed = GridMeasure(xi_flow[ok],
+                                     section_log_density(pot0.at_s(s), lift, x[ok]), log_vol)
                 out = outside_ball(flowed.labels, xi_star, cfg.eps)
                 # a ball covering none or all of the coarse points gives 0 or 1
                 mass_out_flow = (outside_mass(flowed, out)
                                  if 0 < out.sum() < out.size else float(out.all()))
-                spot_dev = float(np.max(np.abs(
-                    flowed.logdens - dens.log_magnitude(x_flow_slice[ok]))))
                 moved = model.conserved_coordinates(x[ok] @ model.A.T)
                 drift = float(np.max(np.abs(moved - conserved0[ok])))
 
@@ -521,18 +502,16 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             outside_mass_flow=mass_out_flow,
             flow_points=int(n_flow) if t > 0 else 0,
             flow_failures=failures,
-            spot_logdens_dev=spot_dev,
             torus_moment_drift=drift,
         )
 
-    reported = concentration_sweep(pot0, lift.astype(float), x_slice, svals, xi_pts, log_vol,
+    reported = concentration_sweep(pot0, lift, x_slice, svals, xi_pts, log_vol,
                                    xi_star, cfg.eps, phis)
     cells = [cell(s, mass, sup, pairings)
              for s, (_, mass, sup, pairings) in zip(svals, reported)]
 
     masses = [c.outside_mass for c in cells]
-    pos = [(c.s, m) for c, m in zip(cells, masses) if c.s > 0 and m > 0]
-    slope = decay_slope(*zip(*pos)) if len(pos) >= 2 else None
+    slope = mass_decay_slope(svals, masses)
     monotone = all(b < a for a, b in zip(masses, masses[1:]))
     incomplete = any(c.flow_failures > 0 for c in cells)
     return ConcentrationReport(

@@ -200,13 +200,21 @@ def test_invalid_config_exits_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["flow", "run"], ["lab", "combined"], ["lab", "gc-check"]])
-def test_step_size_config_key_rejected(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv", [
     # flows take error-controlled steps only; a fixed step `h` is no config key
+    ["flow", "run", {"h": 0.01}],
+    ["lab", "combined", {"h": 0.01}],
+    ["lab", "gc-check", {"h": 0.01}],
+    # t(s) = exp(-s/schedule_rate) is the only schedule; there is no policy key
+    ["lab", "combined", {"schedule": "adaptive"}],
+])
+def test_step_size_config_key_rejected(tmp_path, capsys, argv):
+    *argv, config = argv
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"h": 0.01}))
+    cfg.write_text(json.dumps(config))
     assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown config keys: h" in capsys.readouterr().err
+    (key,) = config
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 class Captured(Exception):
@@ -617,13 +625,18 @@ def test_lab_combined_fuzz_valid_input_exits_zero(data, a, per_axis, flow_per_ax
                        f"--per-axis={per_axis}", f"--flow-per-axis={flow_per_axis}"])
 
 
-CONFIG_KEYS = [(command, key) for command, defaults in [
+# lab combined's former `schedule` key is fuzzed too: a config file that still
+# sets it must exit 2 like any unknown key, whatever the value.  It is listed
+# where it stood among the keys, so that every case keeps its id.
+LAB_KEYS = list(cli.LAB_DEFAULTS)
+LAB_KEYS.insert(LAB_KEYS.index("schedule_rate"), "schedule")
+CONFIG_KEYS = [(command, key) for command, keys in [
     (["flow", "run"], cli.FLOW_DEFAULTS),
     (["flag", "dump"], cli.FLAG_DEFAULTS),
     (["toric", "concentrate"], cli.TORIC_DEFAULTS),
-    (["lab", "combined"], cli.LAB_DEFAULTS),
+    (["lab", "combined"], LAB_KEYS),
     (["lab", "gc-check"], cli.GCCHECK_DEFAULTS),
-] for key in defaults]
+] for key in keys]
 
 
 def config_exit_code(command, config):
@@ -750,14 +763,18 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     m_img = outside_mass(doubled, outside_ball(doubled.labels, np.array([2.0]), 0.6))
     m_raw = outside_mass(raw, outside_ball(raw.labels, np.array([1.0]), 0.3))
     assert abs(m_img - m_raw) < 1e-12
-    # lab combined's reported grid: one evaluation of the density and of each
-    # test function for all five s (the flow route evaluates per t through
-    # SectionDensity)
+    # lab combined: one evaluation of the density and of each test function
+    # on the reported grid for all s, and one on the flowed points of each
+    # cell with t > 0 (t(5000) = exp(-1000) underflows to 0: no flow there)
     calls["density"] = 0
     phi_calls.clear()
-    assert run(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
-                "--out", str(tmp_path / "lc")]) == 0
-    assert calls["density"] == 1
+    out = tmp_path / "lc"
+    assert run(["lab", "combined", "--s-grid", "0,5,10,5000", "--per-axis", "10",
+                "--flow-per-axis", "4", "--out", str(out)]) == 0
+    header, *rows = [r.split(",") for r in (out / "cells.csv").read_text().split()]
+    ts = [float(r[header.index("t")]) for r in rows]
+    assert ts[-1] == 0.0 and sum(t > 0 for t in ts) == 3
+    assert calls["density"] == 1 + 3
     assert phi_calls == {"one": 1, "xi1": 1, "dist2": 1}
 
 
@@ -813,41 +830,8 @@ def test_lab_combined_cli_end_to_end(tmp_path, capsys):
     assert summary["lift"] == [0, 1, 0, 1]
     rows = (out / "cells.csv").read_text().strip().splitlines()
     assert len(rows) == 3
-
-
-def adaptive_t(tmp_path, s_grid: str) -> dict:
-    """{s: t} of a small `lab combined` run on the adaptive schedule."""
-    out = tmp_path / f"ad{s_grid}"
-    cfg = tmp_path / "adaptive.json"
-    cfg.write_text(json.dumps({"schedule": "adaptive"}))
-    rc = run(["lab", "combined", "--config", str(cfg), "--s-grid", s_grid,
-              "--per-axis", "12", "--flow-per-axis", "3", "--out", str(out)])
-    assert rc == 0
-    header, *rows = [r.split(",") for r in (out / "cells.csv").read_text().split()]
-    s, t = header.index("s"), header.index("t")
-    return {float(r[s]): float(r[t]) for r in rows}
-
-
-def test_lab_combined_adaptive_schedule(tmp_path):
-    # every s > 0 is scheduled at t <= 1/8, inside the range t <= 0.2 where
-    # the flow-vs-toric check behind the schedule compares
-    ts = adaptive_t(tmp_path, "0,1")
-    assert list(ts) == [0.0, 1.0]
-    assert ts[0.0] == 1.0
-    assert 0 < ts[1.0] <= 0.2
-
-
-def test_lab_combined_adaptive_t_depends_on_s_alone(tmp_path):
-    coarse = adaptive_t(tmp_path, "0,1.5,2")
-    fine = adaptive_t(tmp_path, "0,1,1.5,2")
-    assert coarse[1.5] == fine[1.5] == 0.125
-    assert coarse[2.0] == fine[2.0] == 0.0625
-
-
-def test_lab_combined_adaptive_large_s(tmp_path, capsys):
-    # s = 1500 sits at the floor t = 1e-4, however many windows lie below it
-    assert adaptive_t(tmp_path, "0,1500") == {0.0: 1.0, 1500.0: 1e-4}
-    assert "Traceback" not in capsys.readouterr().err
+    assert rows[0] == ("s,t,outside_mass,sup_outside,outside_mass_flow,flow_points,"
+                       "flow_failures,torus_moment_drift,pairing_dist2,pairing_one,pairing_xi1")
 
 
 def test_version_flag():

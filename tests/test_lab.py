@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from scipy.integrate import quad
 from gcquant import toric
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import (
-    AdaptiveSchedule,
     ExperimentConfig,
     ExpSchedule,
     GCTorusModel,
@@ -22,6 +20,7 @@ from gcquant.lab import (
     decay_slope,
     delta_pairing,
     gc_vs_torus_moment_check,
+    mass_decay_slope,
     outside_mass,
     section_equality_on_v0,
 )
@@ -451,6 +450,10 @@ def test_decay_slope_recovers_exact_exponential():
         decay_slope([1.0], [1.0])
     with pytest.raises(ValueError):
         decay_slope([1.0, 2.0], [1.0, -1.0])
+    # the samples a mass slope is fitted to: s > 0 and a positive mass
+    masses = np.exp(rate * s)
+    assert mass_decay_slope([0.0, *s, 80.0], [1.0, *masses, 0.0]) == decay_slope(s, masses)
+    assert mass_decay_slope([0.0, 5.0, 10.0], [1.0, 0.5, 0.0]) is None
 
 
 def test_analytic_decay_rate_quadratic():
@@ -460,7 +463,7 @@ def test_analytic_decay_rate_quadratic():
                       2 * np.pi * (0.5 * 0.09 - 1.5 * 0.01))
 
 
-# -- schedules -------------------------------------------------------------------
+# -- the schedule ----------------------------------------------------------------
 
 
 def test_exp_schedule_contract():
@@ -474,33 +477,6 @@ def test_exp_schedule_contract():
     for rate in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ExpSchedule(rate=rate)
-
-
-def test_adaptive_schedule_is_the_halving_rule_in_closed_form():
-    # the probing rule the closed form replaces, with the real discrepancy as
-    # its measure, evaluated window by window in ascending s as a grid is
-    @functools.lru_cache(maxsize=None)
-    def measure(t):
-        return gc_vs_torus_moment_check([t], samples=3)[0] if t <= 0.2 else math.inf
-
-    sch = AdaptiveSchedule()
-    assert sch.t(0.0) == 1.0
-    t_prev = 1.0  # window 1 starts from t(0), not from window 0
-    for n in range(41):
-        target = 1.0 / (n + 2)
-        t = max(t_prev * 0.5, 1e-4)
-        while measure(t) > target and t > 1e-4:
-            t = max(t * 0.5, 1e-4)
-        assert measure(t) <= target
-        assert sch.t(n + 0.5) == t
-        if n > 0:
-            assert sch.t(float(n)) == t
-            t_prev = t
-    # far below every target 1/(n+2) with n < 1e8: the floor holds beyond s = 40
-    assert measure(1e-4) < 1e-8
-    assert sch.t(1e300) == 1e-4
-    with pytest.raises(ValueError):
-        sch.t(-1.0)
 
 
 # -- experiment configuration and runs -------------------------------------------
