@@ -33,7 +33,7 @@ from .polytope import (
     weyl_dim,
 )
 from .toric import ConvexDeformation, QuadraticNu, SymplecticPotential, polytope_grid
-from .flag import gc_map, random_flags
+from .flag import gc_rows, random_flags
 from .flow import DegenerationFamily
 from .lab import (
     ExperimentConfig,
@@ -200,17 +200,11 @@ def parse_int(key: str, value) -> int:
     return int(float(value))
 
 
-def positive_weights(a: tuple) -> tuple:
-    if len(a) == 0 or any(v <= 0 for v in a):
-        raise UsageError("weights a must be positive")
-    return a
-
-
 # -- polytope --------------------------------------------------------------------
 
 
 def cmd_polytope(args) -> int:
-    a = positive_weights(integer_weights(parse_floats(args.a)))
+    a = integer_weights(parse_floats(args.a))
     n = args.n
     if len(a) != n - 1:
         raise UsageError(f"need n-1 = {n - 1} weights, got {len(a)}")
@@ -295,28 +289,20 @@ FLAG_DEFAULTS = {"n": 3, "a": "1,1", "count": 100, "seed": 0}
 def cmd_flag(args) -> int:
     cfg = merge_config(FLAG_DEFAULTS, args)
     n = parse_int("n", cfg["n"])
-    a = positive_weights(parse_floats(cfg["a"]))
+    a = parse_floats(cfg["a"])
     if len(a) != n - 1:
         raise UsageError(f"need n-1 = {n - 1} weights, got {len(a)}")
+    P = gc_polytope(n, a)
     count = parse_int("count", cfg["count"])
     flags = random_flags(n, count, seed=parse_int("seed", cfg["seed"]))
-    P = gc_polytope(n, a)
-    rows = []
-    worst = 0.0
-    failures = []
-    for i, V in enumerate(flags):
-        pat = gc_map(V, a)
-        flat = pat.flatten(drop_top=True)
-        rows.append([i] + list(flat))
-        if not pat.interlacing_ok(tol=1e-10):
-            failures.append(("interlacing", f"flag {i} violates interlacing"))
-        worst = min(worst, float(P.support_values(np.array(flat)).min()))
-    if worst < -1e-10:
-        failures.append(("polytope-containment", f"min support {worst}"))
-    files = {"patterns.csv": table_text(["flag"] + list(gc_variable_names(n)), rows),
+    # rows 1..n-1 of every flag's pattern, row-major: the polytope's coordinates
+    pats = np.concatenate(gc_rows(flags, a)[:-1], axis=-1)
+    worst = float(P.support_values(pats).min())
+    files = {"patterns.csv": table_text(["flag"] + list(gc_variable_names(n)),
+                                        [[i] + list(p) for i, p in enumerate(pats)]),
              "summary.json": json_text({"config": cfg, "count": count, "min_support": worst})}
     return write_run(args, "flag dump", cfg, files, f"flags={count} min_support={fmt(worst)}",
-                     failures)
+                     [("polytope-containment", f"min support {worst}")] if worst < -1e-10 else [])
 
 
 # -- flow ------------------------------------------------------------------------
@@ -326,7 +312,7 @@ FLOW_DEFAULTS = {"a": "1,1", "t1": 1.0, "t0": 0.5, "seed": 0}
 
 def cmd_flow(args) -> int:
     cfg = merge_config(FLOW_DEFAULTS, args)
-    a = positive_weights(parse_floats(cfg["a"]))
+    a = parse_floats(cfg["a"])
     t1, t0 = parse_real("t1", cfg["t1"]), parse_real("t0", cfg["t0"])
     fam = DegenerationFamily(a)
     V = random_flags(3, 1, seed=parse_int("seed", cfg["seed"]))[0]
@@ -373,7 +359,7 @@ def _parse_pattern(text: str) -> tuple:
 def cmd_lab_combined(args) -> int:
     cfg = merge_config(LAB_DEFAULTS, args)
     ecfg = ExperimentConfig(
-        a=positive_weights(parse_floats(cfg["a"])),
+        a=parse_floats(cfg["a"]),
         pattern=_parse_pattern(cfg["pattern"]),
         nu=QuadraticNu(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(3)),
         s_grid=parse_floats(cfg["s_grid"]),
@@ -411,7 +397,7 @@ GCCHECK_DEFAULTS = {"t": "0.1,0.02", "samples": 20, "seed": 0, "a": "1,1"}
 def cmd_lab_gc_check(args) -> int:
     cfg = merge_config(GCCHECK_DEFAULTS, args)
     tvals = parse_floats(cfg["t"])
-    a = positive_weights(parse_floats(cfg["a"]))
+    a = parse_floats(cfg["a"])
     d = gc_vs_torus_moment_check(tvals, samples=parse_int("samples", cfg["samples"]), a=a,
                                  seed=parse_int("seed", cfg["seed"]))
     rows = [[t, dt] for t, dt in zip(tvals, d)]

@@ -121,11 +121,6 @@ class FlowResult:
     states: Optional[list] = field(default=None, repr=False)
 
 
-def _dots(x, y):
-    """Hermitian inner products <x, y> = sum conj(x) y along the last axis."""
-    return np.sum(np.conj(x) * y, axis=-1)
-
-
 def _sq(x):
     """Elementwise |x|^2 of a complex array."""
     return x.real ** 2 + x.imag ** 2
@@ -401,7 +396,7 @@ class DegenerationFamily:
                 ],
                 axis=-1,
             )
-            step = -np.conj(J) * (F / np.real(_dots(J, J)))[..., None]
+            step = -np.conj(J) * (F / _sq(J).sum(axis=-1))[..., None]
             u = u + step[..., 0:3]
             w = w + step[..., 3:6]
         F = u[..., 0] * w[..., 2] - u[..., 1] * w[..., 1] + t * u[..., 2] * w[..., 0]

@@ -37,7 +37,7 @@ from .toric import (
     polytope_grid,
     section_log_density,
 )
-from .flag import gc_map, random_flags
+from .flag import gc_rows, random_flags
 from .flow import DegenerationFamily, FlowSingularityError, State
 
 __all__ = [
@@ -540,7 +540,7 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     model = GCTorusModel(a)
     fam = DegenerationFamily(a)
     flags = random_flags(3, samples, seed=seed)
-    xi_start = np.stack([model.xi_of_pattern(gc_map(V, a)) for V in flags])
+    xi_start = model.xi_of_pattern(np.concatenate(gc_rows(flags, a)[:-1], axis=-1))
     cur, t_prev = fam.embed_flag(flags, 1.0), 1.0
     gap = {}
     for t in sorted(set(t_values), reverse=True):

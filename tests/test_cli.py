@@ -19,7 +19,8 @@ import gcquant.cli as cli
 import gcquant.lab
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
-from gcquant.polytope import GCPattern, gc_polytope, lattice_points
+from gcquant.flag import gc_map, random_flags
+from gcquant.polytope import gc_polytope, lattice_points
 from gcquant.toric import ConvergenceError, QuadratureError, outside_ball
 
 
@@ -188,6 +189,13 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
      "--per-axis", "100000"],
     ["lab", "combined", "--per-axis", "100000"],
     ["lab", "combined", "--flow-per-axis", "100000"],
+    # weights must be positive: the library that takes them (gc_weight, the
+    # family, the torus model) rejects a zero; polytope takes --a only
+    ["polytope", "count", "--n", "3", "--a", "0,1"],
+    ["flag", "dump", "--config", {"a": "0,1"}],
+    ["flow", "run", "--config", {"a": "0,1"}],
+    ["lab", "combined", "--config", {"a": "0,1"}],
+    ["lab", "gc-check", "--config", {"a": "0,1"}],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):
@@ -337,14 +345,55 @@ def test_vanishing_density_exits_one(tmp_path, capsys, monkeypatch, argv):
         assert (tmp_path / "o" / name).is_file()
 
 
+def _rows_off_polytope(V, a):
+    """gc_rows of every flag of V as the pattern 2.5; 2, 0; 2, 1, 0, whose row
+    1 breaks interlacing with row 2 by 0.5."""
+    count = len(V)
+    return [np.full((count, 1), 2.5), np.tile([2.0, 0.0], (count, 1)),
+            np.tile([2.0, 1.0, 0.0], (count, 1))]
+
+
 def test_flag_dump_interlacing_failure_writes_patterns(tmp_path, capsys, monkeypatch):
-    bad = GCPattern(((2.5,), (2.0, 0.0), (2.0, 1.0, 0.0)))
-    monkeypatch.setattr(cli, "gc_map", lambda V, a: bad)
+    # a pattern that breaks interlacing below the top row leaves the polytope
+    # by the same margin, so the containment gate names it
+    monkeypatch.setattr(cli, "gc_rows", _rows_off_polytope)
     out = tmp_path / "f"
     assert run(["flag", "dump", "--count", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
-        "tolerance failure: interlacing: flag 0 violates interlacing\n"
+        "tolerance failure: polytope-containment: min support -0.5\n"
     assert len((out / "patterns.csv").read_text().splitlines()) == 4
+    assert json.loads((out / "summary.json").read_text())["min_support"] == -0.5
+
+
+FLAG_RUNS = [pytest.param([], id="n3"),
+             pytest.param(["--n", "4", "--a", "1,2,1", "--count", "50", "--seed", "3"], id="n4")]
+
+
+def flag_dump_patterns(out, argv):
+    """(summary, patterns.csv rows as floats) of a flag dump into `out`."""
+    assert run(["flag", "dump"] + argv + ["--out", str(out)]) == 0
+    lines = (out / "patterns.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+    return json.loads((out / "summary.json").read_text()), rows
+
+
+@pytest.mark.parametrize("argv", FLAG_RUNS)
+def test_flag_dump_patterns_are_the_per_flag_gc_map(tmp_path, argv):
+    summary, rows = flag_dump_patterns(tmp_path / "f", argv)
+    cfg = summary["config"]
+    flags = random_flags(cfg["n"], cfg["count"], seed=cfg["seed"])
+    a = cli.parse_floats(cfg["a"])
+    want = np.array([gc_map(V, a).flatten() for V in flags])
+    assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("argv", FLAG_RUNS)
+def test_flag_dump_min_support_is_the_patterns_margin(tmp_path, capsys, argv):
+    summary, rows = flag_dump_patterns(tmp_path / "f", argv)
+    cfg = summary["config"]
+    margin = float(gc_polytope(cfg["n"], cli.parse_floats(cfg["a"])).support_values(rows).min())
+    assert summary["min_support"] == margin > 0
+    assert capsys.readouterr().out.endswith(f" min_support={cli.fmt(margin)}\n")
 
 
 def _mass_above_one(sweep):
@@ -368,9 +417,9 @@ GATE_FAILURES = [
                  {"lattice.csv", "polytope.json", "summary.json"}, id="polytope"),
     pytest.param(["toric", "concentrate"], cli, "concentration_sweep", _mass_above_one,
                  "mass-range", {"cells.csv", "summary.json", "profile.dat"}, id="toric"),
-    pytest.param(["flag", "dump", "--count", "3"], cli, "gc_map",
-                 lambda gc_map: lambda V, a: GCPattern(((2.5,), (2.0, 0.0), (2.0, 1.0, 0.0))),
-                 "interlacing", {"patterns.csv", "summary.json"}, id="flag"),
+    pytest.param(["flag", "dump", "--count", "3"], cli, "gc_rows",
+                 lambda gc_rows: _rows_off_polytope, "polytope-containment",
+                 {"patterns.csv", "summary.json"}, id="flag"),
     pytest.param(["flow", "run"], DegenerationFamily, "flow", _deviating_flow, "t-deviation",
                  {"trajectory.csv", "summary.json"}, id="flow"),
     pytest.param(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
@@ -625,18 +674,32 @@ def test_lab_combined_fuzz_valid_input_exits_zero(data, a, per_axis, flow_per_ax
                        f"--per-axis={per_axis}", f"--flow-per-axis={flow_per_axis}"])
 
 
-# lab combined's former `schedule` key is fuzzed too: a config file that still
-# sets it must exit 2 like any unknown key, whatever the value.  It is listed
-# where it stood among the keys, so that every case keeps its id.
-LAB_KEYS = list(cli.LAB_DEFAULTS)
-LAB_KEYS.insert(LAB_KEYS.index("schedule_rate"), "schedule")
-CONFIG_KEYS = [(command, key) for command, keys in [
-    (["flow", "run"], cli.FLOW_DEFAULTS),
-    (["flag", "dump"], cli.FLAG_DEFAULTS),
-    (["toric", "concentrate"], cli.TORIC_DEFAULTS),
-    (["lab", "combined"], LAB_KEYS),
-    (["lab", "gc-check"], cli.GCCHECK_DEFAULTS),
-] for key in keys]
+# Every config key of every command, each case with the id command<k>-<key>
+# for a number k fixed per command and key: deleting a key renames no other
+# case (lab combined's `schedule`, deleted, was 19), and a new key takes the
+# next free number.
+CONFIG_CASE_NUMBERS = {
+    "flow run": {"a": 0, "t1": 1, "t0": 2, "seed": 3},
+    "flag dump": {"n": 4, "a": 5, "count": 6, "seed": 7},
+    "toric concentrate": {"delta": 8, "m": 9, "s": 10, "eps": 11, "nu_scale": 12,
+                          "per_axis": 13},
+    "lab combined": {"a": 14, "pattern": 15, "s_grid": 16, "eps": 17, "nu_scale": 18,
+                     "schedule_rate": 20, "per_axis": 21, "flow_per_axis": 22},
+    "lab gc-check": {"t": 23, "samples": 24, "seed": 25, "a": 26},
+}
+CONFIG_KEYS = [pytest.param(command.split(), key, id=f"command{k}-{key}")
+               for command, numbers in CONFIG_CASE_NUMBERS.items()
+               for key, k in numbers.items()]
+
+
+def test_config_fuzz_covers_every_key():
+    defaults = {"flow run": cli.FLOW_DEFAULTS, "flag dump": cli.FLAG_DEFAULTS,
+                "toric concentrate": cli.TORIC_DEFAULTS, "lab combined": cli.LAB_DEFAULTS,
+                "lab gc-check": cli.GCCHECK_DEFAULTS}
+    assert {c: set(keys) for c, keys in CONFIG_CASE_NUMBERS.items()} == \
+        {c: set(keys) for c, keys in defaults.items()}
+    numbers = [k for keys in CONFIG_CASE_NUMBERS.values() for k in keys.values()]
+    assert len(set(numbers)) == len(numbers)
 
 
 def config_exit_code(command, config):
