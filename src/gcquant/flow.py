@@ -17,7 +17,8 @@ Points are carried on the unit-sphere charts of the two projective factors
 
 restricts to explicit formulas; tangent spaces of the total space are cut by
 three complex conditions (two sphere/phase gauges, one defining equation).
-All core routines are batched over leading axes.
+All core routines are batched over leading axes.  A `State` stores one
+contiguous coordinate-major (7, ...) array, and the flow kernels run on its rows.
 """
 
 from __future__ import annotations
@@ -63,39 +64,64 @@ class FlowSingularityError(ToleranceError):
         super().__init__("flow-singularity", detail)
 
 
-@dataclass(frozen=True)
+def _points_last(rows: np.ndarray) -> np.ndarray:
+    """View of coordinate-major rows (k, ...) as points (..., k)."""
+    return rows.transpose(tuple(range(1, rows.ndim)) + (0,))
+
+
+def _coords_first(points: np.ndarray) -> np.ndarray:
+    """View of points (..., k) as coordinate-major rows (k, ...)."""
+    return points.transpose((-1,) + tuple(range(points.ndim - 1)))
+
+
 class State:
     """A batch of points of the total space: unit vectors u, w and scalar t.
 
     u has shape (..., 3) (homogeneous coordinates on the first P^2), w has
     shape (..., 3) holding (w_12, w_13, w_23), and t matches the batch shape.
+    All three are views of one contiguous coordinate-major array y (7, ...)
+    with rows (u_1, u_2, u_3, w_12, w_13, w_23, t).
     """
 
-    u: np.ndarray
-    w: np.ndarray
-    t: np.ndarray
+    __slots__ = ("y",)
 
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        w = np.asarray(self.w, dtype=complex)
-        t = np.asarray(self.t, dtype=complex)
+    def __init__(self, u, w, t):
+        u = np.asarray(u, dtype=complex)
+        w = np.asarray(w, dtype=complex)
+        t = np.asarray(t, dtype=complex)
         if u.shape[-1] != 3 or w.shape[-1] != 3:
             raise ValueError("u and w must have trailing dimension 3")
         if u.shape[:-1] != w.shape[:-1] or t.shape != u.shape[:-1]:
             raise ValueError("batch shapes of u, w, t must agree")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "t", t)
+        self.y = np.empty((7,) + t.shape, dtype=complex)
+        self.y[0:3], self.y[3:6], self.y[6] = _coords_first(u), _coords_first(w), t
+
+    @classmethod
+    def _of_rows(cls, y: np.ndarray) -> "State":
+        """The state whose coordinate rows are y (7, ...), without a copy."""
+        st = object.__new__(cls)
+        st.y = y
+        return st
+
+    @property
+    def u(self) -> np.ndarray:
+        return _points_last(self.y[0:3])
+
+    @property
+    def w(self) -> np.ndarray:
+        return _points_last(self.y[3:6])
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.y[6, ...]
 
     @property
     def batch_shape(self) -> tuple:
-        return self.u.shape[:-1]
+        return self.y.shape[1:]
 
     def vector(self) -> np.ndarray:
-        """Flat complex coordinates (..., 7) = (u, w, t)."""
-        return np.concatenate(
-            [self.u, self.w, self.t[..., None]], axis=-1
-        )
+        """Flat complex coordinates (..., 7) = (u, w, t), as a copy."""
+        return _points_last(self.y).copy()
 
     @staticmethod
     def from_vector(z: np.ndarray) -> "State":
@@ -103,7 +129,9 @@ class State:
         return State(z[..., 0:3], z[..., 3:6], z[..., 6])
 
     def __getitem__(self, idx) -> "State":
-        return State(self.u[idx], self.w[idx], self.t[idx])
+        """The points that idx selects on the batch axes."""
+        pts = (idx if isinstance(idx, tuple) else (idx,)) + (slice(None),)
+        return State(self.u[pts], self.w[pts], self.t[idx])
 
 
 @dataclass
@@ -115,8 +143,8 @@ class FlowResult:
     h: float                    # step length; the mean |tau|/steps if controlled
     t_deviation: float          # |t_final - t_expected|, max over the batch
     max_residual: float         # defining-equation residual after retraction
-    min_grad_norm: float        # smallest metric gradient norm encountered
-    direction_err: float        # max |Z(Re f) + sign| over evaluations
+    min_grad_norm: float        # smallest gradient norm at accepted step starts, not stages
+    direction_err: float        # max |Re Z_t + 1| at the same step starts
     rejected: int = 0           # error-controlled steps rejected and retried
     states: Optional[list] = field(default=None, repr=False)
 
@@ -124,6 +152,19 @@ class FlowResult:
 def _sq(x):
     """Elementwise |x|^2 of a complex array."""
     return x.real ** 2 + x.imag ** 2
+
+
+def _grad_uw(y: np.ndarray) -> np.ndarray:
+    """(dF/du, dF/dw) as rows (6, n) at the flat coordinate rows y (7, n)."""
+    u1, u2, u3, w12, w13, w23, t = y
+    g = np.empty((6, y.shape[1]), dtype=complex)
+    g[0] = w23
+    np.negative(w13, out=g[1])
+    np.multiply(t, w12, out=g[2])
+    np.multiply(t, u3, out=g[3])
+    np.negative(u2, out=g[4])
+    g[5] = u1
+    return g
 
 
 # Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980).
@@ -187,7 +228,7 @@ class _ControlledStepper:
         self.done = span == 0
 
     def f(self, y: np.ndarray) -> np.ndarray:
-        return self.sign * self.fam.z_field(State.from_vector(y))[0]
+        return self.sign * _coords_first(self.fam.z_field(State._of_rows(y))[0])
 
     def first_step(self, y: np.ndarray, k1: np.ndarray) -> float:
         """Starting step (Hairer, Norsett and Wanner, Solving ODEs I, II.4)
@@ -199,9 +240,9 @@ class _ControlledStepper:
         return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.2))
 
     def step(self, cur: State, Z: np.ndarray) -> State:
-        y = cur.vector()
+        y = cur.y
         K = np.empty((7,) + y.shape, dtype=complex)
-        K[0] = self.sign * Z
+        K[0] = self.sign * _coords_first(Z)
         if self.h is None:
             self.h = self.first_step(y, K[0])
         while True:
@@ -224,7 +265,7 @@ class _ControlledStepper:
         self.steps += 1
         self.elapsed = self.span if last else self.elapsed + h
         self.done = self.elapsed >= self.span
-        return State.from_vector(yi)
+        return State._of_rows(yi)
 
 
 class DegenerationFamily:
@@ -251,8 +292,8 @@ class DegenerationFamily:
 
     def residual(self, state: State) -> np.ndarray:
         """Defining equation F = u_1 w_23 - u_2 w_13 + t u_3 w_12."""
-        u, w, t = state.u, state.w, state.t
-        return u[..., 0] * w[..., 2] - u[..., 1] * w[..., 1] + t * u[..., 2] * w[..., 0]
+        u1, u2, u3, w12, w13, w23, t = state.y.reshape(7, -1)
+        return (u1 * w23 - u2 * w13 + t * u3 * w12).reshape(state.batch_shape)
 
     def normalize(self, u, w, t) -> State:
         u = np.asarray(u, dtype=complex)
@@ -278,14 +319,11 @@ class DegenerationFamily:
         """Ambient torus moment coordinates (..., 4) in the chart anchored at
         (u_1, w_12): (a_1|u_2|^2, a_1|u_3|^2, a_2|w_13|^2, a_2|w_23|^2)."""
         a1, a2 = self.a
-        u2 = np.abs(state.u) ** 2
-        w2 = np.abs(state.w) ** 2
-        u2 = u2 / np.sum(u2, axis=-1, keepdims=True)
-        w2 = w2 / np.sum(w2, axis=-1, keepdims=True)
-        return np.stack(
-            [a1 * u2[..., 1], a1 * u2[..., 2], a2 * w2[..., 1], a2 * w2[..., 2]],
-            axis=-1,
-        )
+        u2 = np.abs(state.y[0:3]) ** 2
+        w2 = np.abs(state.y[3:6]) ** 2
+        u2 = u2 / np.sum(u2, axis=0)
+        w2 = w2 / np.sum(w2, axis=0)
+        return np.stack([a1 * u2[1], a1 * u2[2], a2 * w2[1], a2 * w2[2]], axis=-1)
 
     # ------------------------------------------------------- linear algebra
 
@@ -345,21 +383,17 @@ class DegenerationFamily:
         -(1 - Q/(P+Q))(P+Q)/P so that its rounding stays visible.  RK stages
         leave the unit spheres, hence the |u|^2, |w|^2 divisors.
         """
-        u, w, t = state.u, state.w, state.t
-        g = np.empty(state.batch_shape + (6,), dtype=complex)
-        g[..., 0] = w[..., 2]
-        g[..., 1] = -w[..., 1]
-        g[..., 2] = t * w[..., 0]
-        g[..., 3] = t * u[..., 2]
-        g[..., 4] = -u[..., 1]
-        g[..., 5] = u[..., 0]
-        pa, pb = g[..., 0:3], g[..., 3:6]
-        Fc = np.conj(np.sum(u * pa, axis=-1))
-        c = u[..., 2] * w[..., 0]
+        y = state.y.reshape(7, -1)
+        u, w = y[0:3], y[3:6]
+        g = _grad_uw(y)
+        pa, pb = g[0:3], g[3:6]
+        Fc = np.conj(np.sum(u * pa, axis=0))
+        c = u[2] * w[0]
         np.conjugate(g, out=g)
-        pa -= u * (Fc / _sq(u).sum(axis=-1))[..., None]
-        pb -= w * (Fc / _sq(w).sum(axis=-1))[..., None]
-        P = _sq(g) @ self._inv_metric
+        norm2 = _sq(y[0:6])
+        pa -= u * (Fc / norm2[0:3].sum(axis=0))
+        pb -= w * (Fc / norm2[3:6].sum(axis=0))
+        P = self._inv_metric @ _sq(g)
         Q = _sq(c)
         PQ = P + Q
         grad_norm = np.sqrt(P / PQ)
@@ -368,10 +402,10 @@ class DegenerationFamily:
             raise FlowSingularityError(
                 f"flow field undefined: gradient norm {bad:.3e} <= 1.0e-08"
             )
-        Z = np.empty(state.batch_shape + (7,), dtype=complex)
-        np.multiply(g, (c / P)[..., None] * self._inv_metric, out=Z[..., 0:6])
-        Z[..., 6] = -(1.0 - Q / PQ) * PQ / P
-        return Z, grad_norm
+        Z = np.empty_like(y)
+        np.multiply(g, (c / P) * self._inv_metric[:, None], out=Z[0:6])
+        Z[6] = -(1.0 - Q / PQ) * PQ / P
+        return _points_last(Z.reshape(state.y.shape)), grad_norm.reshape(state.batch_shape)
 
     # ------------------------------------------------------------ retraction
 
@@ -379,28 +413,19 @@ class DegenerationFamily:
         """Pull (u, w) back onto the hypersurface at fixed t: Gauss-Newton on
         the defining equation plus per-factor renormalization, until the
         residual is at most 1e-12 max(1, |t|), within 20 steps."""
-        u = state.u.copy()
-        w = state.w.copy()
-        t = state.t
-        scale = np.maximum(1.0, np.abs(t))
+        out = State._of_rows(state.y.copy())
+        y = out.y.reshape(7, -1)
+        scale = np.maximum(1.0, np.abs(y[6]))
         for _ in range(20):
-            u /= np.linalg.norm(u, axis=-1, keepdims=True)
-            w /= np.linalg.norm(w, axis=-1, keepdims=True)
-            F = u[..., 0] * w[..., 2] - u[..., 1] * w[..., 1] + t * u[..., 2] * w[..., 0]
+            y[0:3] /= np.linalg.norm(y[0:3], axis=0)
+            y[3:6] /= np.linalg.norm(y[3:6], axis=0)
+            F = self.residual(out).reshape(-1)
             if np.all(np.abs(F) <= 1e-12 * scale):
-                return State(u, w, t)
-            J = np.stack(
-                [
-                    w[..., 2], -w[..., 1], t * w[..., 0],
-                    t * u[..., 2], -u[..., 1], u[..., 0],
-                ],
-                axis=-1,
-            )
-            step = -np.conj(J) * (F / _sq(J).sum(axis=-1))[..., None]
-            u = u + step[..., 0:3]
-            w = w + step[..., 3:6]
-        F = u[..., 0] * w[..., 2] - u[..., 1] * w[..., 1] + t * u[..., 2] * w[..., 0]
-        worst = float(np.max(np.abs(F) / scale))
+                return out
+            # the whole Gauss-Newton step comes from the u, w before it
+            J = _grad_uw(y)
+            y[0:6] += -np.conj(J) * (F / _sq(J).sum(axis=0))
+        worst = float(np.max(np.abs(self.residual(out).reshape(-1)) / scale))
         raise FlowSingularityError(f"retraction stalled at residual {worst:.3e}")
 
     # ----------------------------------------------------------- integration

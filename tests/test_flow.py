@@ -32,6 +32,79 @@ def test_state_vector_round_trip():
         State(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(2))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def random_parts(shape, seed=0):
+    """Generic complex (u, w, t) of one batch shape, off the unit spheres."""
+    rng = np.random.default_rng(seed)
+
+    def c(s):
+        return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+    return c(shape + (3,)), c(shape + (3,)), c(shape)
+
+
+BATCH_SHAPES = [(), (1,), (5,), (2, 3)]
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+def test_state_holds_its_parts_bit_for_bit(shape):
+    u, w, t = random_parts(shape)
+    st = State(u, w, t)
+    assert st.batch_shape == shape
+    assert same_bits(st.u, u) and same_bits(st.w, w) and same_bits(st.t, t)
+    v = st.vector()
+    assert same_bits(v, np.concatenate([u, w, t[..., None]], axis=-1))
+    back = State.from_vector(v)
+    assert same_bits(back.u, u) and same_bits(back.w, w) and same_bits(back.t, t)
+    # vector() is a copy: writing into it leaves the state as it was
+    v[...] = 0.0
+    assert same_bits(st.u, u) and same_bits(st.w, w) and same_bits(st.t, t)
+
+
+@pytest.mark.parametrize("shape, indices", [
+    ((5,), [3, slice(1, 3), np.array([True, False, True, True, False]), (Ellipsis, 0)]),
+    ((2, 3), [1, slice(1, 3), np.array([[True, False, True], [False, False, True]]),
+              (Ellipsis, 0)]),
+])
+def test_state_indexing_selects_points(shape, indices):
+    u, w, t = random_parts(shape, seed=1)
+    st = State(u, w, t)
+    for idx in indices:
+        pts = (idx if isinstance(idx, tuple) else (idx,)) + (slice(None),)
+        sub = st[idx]
+        assert same_bits(sub.u, u[pts]) and same_bits(sub.w, w[pts]) and same_bits(sub.t, t[idx])
+
+
+def reshaped(st, shape):
+    return State(st.u.reshape(shape + (3,)), st.w.reshape(shape + (3,)), st.t.reshape(shape))
+
+
+@pytest.mark.parametrize("shape, flat", [((2, 3), (6,)), ((), (1,))])
+def test_kernels_do_not_depend_on_batch_shape(shape, flat):
+    # the same points in another batch shape give the same bits; a single
+    # point is the one-point batch
+    u, w, t = random_parts(shape, seed=2)
+    flags = random_flags(3, int(np.prod(shape)), seed=4).reshape(shape + (3, 3))
+    on = FAM.embed_flag(flags, t)
+    noisy = State(on.u + 1e-4 * u, on.w + 1e-4 * w, on.t)
+    assert np.max(np.abs(FAM.residual(noisy))) > 1e-6
+    for st in (FAM.normalize(u, w, t), noisy):
+        ref = reshaped(st, flat)
+        Z, gn = FAM.z_field(st)
+        Z_ref, gn_ref = FAM.z_field(ref)
+        assert same_bits(Z, Z_ref.reshape(shape + (7,)))
+        assert same_bits(gn, gn_ref.reshape(shape))
+        assert same_bits(FAM.residual(st), FAM.residual(ref).reshape(shape))
+        assert same_bits(FAM.moment(st), FAM.moment(ref).reshape(shape + (4,)))
+    fixed, fixed_ref = FAM.retract(noisy), FAM.retract(reshaped(noisy, flat))
+    assert same_bits(fixed.vector(), fixed_ref.vector().reshape(shape + (7,)))
+
+
 def test_embed_flag_lies_on_family():
     st = embedded_batch(16)
     assert np.max(np.abs(FAM.residual(st))) < 1e-13
@@ -231,6 +304,45 @@ def test_retract_restores_fiber_and_fixes_t():
     assert np.max(np.abs(FAM.residual(fixed))) < 1e-12
     assert np.array_equal(fixed.t, st.t)
     assert np.max(np.abs(fixed.vector() - noisy.vector())) < 1e-3
+
+
+def retract_reference(state):
+    """The retraction on point-major (N, 3) u and w: Gauss-Newton on the
+    defining equation plus per-factor renormalization."""
+    u, w, t = state.u.copy(), state.w.copy(), state.t
+    scale = np.maximum(1.0, np.abs(t))
+    for _ in range(20):
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        w /= np.linalg.norm(w, axis=-1, keepdims=True)
+        F = u[..., 0] * w[..., 2] - u[..., 1] * w[..., 1] + t * u[..., 2] * w[..., 0]
+        if np.all(np.abs(F) <= 1e-12 * scale):
+            return np.concatenate([u, w, t[..., None]], axis=-1)
+        J = np.stack([w[..., 2], -w[..., 1], t * w[..., 0],
+                      t * u[..., 2], -u[..., 1], u[..., 0]], axis=-1)
+        step = -np.conj(J) * (F / (np.abs(J) ** 2).sum(axis=-1))[..., None]
+        u = u + step[..., 0:3]
+        w = w + step[..., 3:6]
+    raise AssertionError("reference retraction stalled")
+
+
+def test_retract_matches_point_major_reference(lab_flow_grid):
+    rng = np.random.default_rng(21)
+    n = 475
+    t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    on = FAM.embed_flag(random_flags(3, n, seed=22), t)
+
+    def noise():
+        return 1e-4 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+
+    noisy = State(on.u + noise(), on.w + noise(), on.t)
+    assert np.max(np.abs(FAM.residual(noisy))) > 1e-6
+    # lab combined's flow grid flowed for 0.05, then one Dormand-Prince step
+    # before its retraction
+    fam, v0 = lab_flow_grid[:2]
+    cur = fam.flow(v0, -0.05).state
+    raw = _ControlledStepper(fam, -1.0, 0.05).step(cur, fam.z_field(cur)[0])
+    for st in (noisy, raw):
+        assert np.max(np.abs(fam.retract(st).vector() - retract_reference(st))) < 1e-14
 
 
 def test_flow_step_bookkeeping():
