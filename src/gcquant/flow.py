@@ -119,15 +119,6 @@ class State:
     def batch_shape(self) -> tuple:
         return self.y.shape[1:]
 
-    def vector(self) -> np.ndarray:
-        """Flat complex coordinates (..., 7) = (u, w, t), as a copy."""
-        return _points_last(self.y).copy()
-
-    @staticmethod
-    def from_vector(z: np.ndarray) -> "State":
-        z = np.asarray(z, dtype=complex)
-        return State(z[..., 0:3], z[..., 3:6], z[..., 6])
-
     def __getitem__(self, idx) -> "State":
         """The points that idx selects on the batch axes."""
         pts = (idx if isinstance(idx, tuple) else (idx,)) + (slice(None),)
@@ -140,7 +131,7 @@ class FlowResult:
 
     state: State
     steps: int                  # accepted steps
-    h: float                    # step length; the mean |tau|/steps if controlled
+    h: float                    # mean step length |tau|/steps
     t_deviation: float          # |t_final - t_expected|, max over the batch
     max_residual: float         # defining-equation residual after retraction
     min_grad_norm: float        # smallest gradient norm at accepted step starts, not stages
@@ -193,42 +184,20 @@ def _stage_sum(y: np.ndarray, h: float, weights: Sequence[float], K: np.ndarray)
     return out
 
 
-class _FixedStepper:
-    """ceil(span/h) uniform RK4 steps of length span/steps."""
-
-    rejected = 0
-
-    def __init__(self, fam: "DegenerationFamily", sign: float, span: float, h: float):
-        self.fam, self.sign = fam, sign
-        self.n = max(1, math.ceil(span / h)) if span else 0
-        self.h = span / self.n if span else 0.0
-        self.steps = 0
-
-    @property
-    def done(self) -> bool:
-        return self.steps == self.n
-
-    def step(self, cur: State, Z: np.ndarray) -> State:
-        self.steps += 1
-        return self.fam._rk4_step(cur, Z, self.h, self.sign)
-
-
 class _ControlledStepper:
-    """Dormand-Prince 5(4) steps with local error at most FLOW_TOL: 7 field
-    evaluations per accepted step (the caller's start-of-step field is the
-    first), 6 per rejected one, 1 more for the starting step.  Standard
-    controller (safety 0.9, step ratio clamped to [0.2, 5]); the last step is
-    clipped to end at span."""
+    """Dormand-Prince 5(4) steps of y' = f(y) on coordinate rows y, with local
+    error at most FLOW_TOL in the sup norm over all of y: 7 field evaluations
+    per accepted step (the caller's start-of-step k1 = f(y) is the first), 6
+    per rejected one, 1 more for the starting step.  Standard controller
+    (safety 0.9, step ratio clamped to [0.2, 5]); the last step is clipped to
+    end at span."""
 
-    def __init__(self, fam: "DegenerationFamily", sign: float, span: float):
-        self.fam, self.sign, self.span = fam, sign, span
+    def __init__(self, f, span: float):
+        self.f, self.span = f, span
         self.h = None
         self.elapsed = 0.0
         self.steps = self.rejected = 0
         self.done = span == 0
-
-    def f(self, y: np.ndarray) -> np.ndarray:
-        return self.sign * _coords_first(self.fam.z_field(State._of_rows(y))[0])
 
     def first_step(self, y: np.ndarray, k1: np.ndarray) -> float:
         """Starting step (Hairer, Norsett and Wanner, Solving ODEs I, II.4)
@@ -239,12 +208,12 @@ class _ControlledStepper:
         d2 = np.max(np.abs(self.f(y + h0 * k1) - k1)) / h0
         return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.2))
 
-    def step(self, cur: State, Z: np.ndarray) -> State:
-        y = cur.y
+    def step(self, y: np.ndarray, k1: np.ndarray) -> np.ndarray:
+        """The rows one accepted step on from y, where k1 = f(y)."""
         K = np.empty((7,) + y.shape, dtype=complex)
-        K[0] = self.sign * _coords_first(Z)
+        K[0] = k1
         if self.h is None:
-            self.h = self.first_step(y, K[0])
+            self.h = self.first_step(y, k1)
         while True:
             last = self.h >= self.span - self.elapsed
             if not last and self.h < FLOW_MIN_STEP:
@@ -265,7 +234,7 @@ class _ControlledStepper:
         self.steps += 1
         self.elapsed = self.span if last else self.elapsed + h
         self.done = self.elapsed >= self.span
-        return State._of_rows(yi)
+        return yi
 
 
 class DegenerationFamily:
@@ -430,34 +399,15 @@ class DegenerationFamily:
 
     # ----------------------------------------------------------- integration
 
-    def _rk4_step(self, state: State, Z: np.ndarray, h: float, sign: float) -> State:
-        """One RK4 step; Z = z_field(state) is the caller's first stage."""
-        def f(s: State) -> np.ndarray:
-            return sign * self.z_field(s)[0]
-
-        y = state.vector()
-        k1 = sign * Z
-        k2 = f(State.from_vector(y + 0.5 * h * k1))
-        k3 = f(State.from_vector(y + 0.5 * h * k2))
-        k4 = f(State.from_vector(y + h * k3))
-        return State.from_vector(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-    def flow(
-        self,
-        state: State,
-        tau: float,
-        h: Optional[float] = None,
-        keep_states: bool = False,
-    ) -> FlowResult:
+    def flow(self, state: State, tau: float, keep_states: bool = False) -> FlowResult:
         """Integrate the flow for time tau (tau < 0 runs the field backwards,
         increasing Re t), retracting onto the fiber after each accepted step.
 
-        h=None takes error-controlled Dormand-Prince 5(4) steps: the local
+        The steps are error-controlled Dormand-Prince 5(4) steps: the local
         error estimate of each step, in the sup norm of the flat coordinates
         over the whole batch, must stay below FLOW_TOL; the last step is
         clipped to end at |tau|, and FlowResult.h is the mean step
-        |tau|/steps.  An explicit h takes ceil(|tau|/h) uniform RK4 steps.
-        Either way the field evaluated at the start of a step feeds the
+        |tau|/steps.  The field evaluated at the start of a step feeds the
         diagnostics and serves as its first stage.
         """
         cur = state
@@ -465,15 +415,18 @@ class DegenerationFamily:
         states = [cur] if keep_states else None
         span = abs(tau)
         sign = 1.0 if tau > 0 else -1.0
-        stepper = (_FixedStepper(self, sign, span, h) if h is not None
-                   else _ControlledStepper(self, sign, span))
+
+        def f(y: np.ndarray) -> np.ndarray:
+            return sign * _coords_first(self.z_field(State._of_rows(y))[0])
+
+        stepper = _ControlledStepper(f, span)
         min_grad = float("inf")
         dir_err = 0.0
         while not stepper.done:
             Z, gn = self.z_field(cur)
             min_grad = min(min_grad, float(np.min(gn)))
             dir_err = max(dir_err, float(np.max(np.abs(np.real(Z[..., 6]) + 1.0))))
-            cur = self.retract(stepper.step(cur, Z))
+            cur = self.retract(State._of_rows(stepper.step(cur.y, sign * _coords_first(Z))))
             max_res = max(max_res, float(np.max(np.abs(self.residual(cur)))))
             if keep_states:
                 states.append(cur)
@@ -512,42 +465,39 @@ class DegenerationFamily:
         zh = vectors * self._scale
         return np.imag(zh @ np.conj(zh.T))
 
-    def _dz_apply(self, state: State, vectors: np.ndarray) -> np.ndarray:
-        """Directional derivatives DZ(x)[v] by central differences, batched
-        over the stack of vectors (k, 7)."""
-        eps = 1e-6
-        y = state.vector()
-        plus = State.from_vector(y[None, :] + eps * vectors)
-        minus = State.from_vector(y[None, :] - eps * vectors)
-        Zp, _ = self.z_field(plus)
-        Zm, _ = self.z_field(minus)
-        return (Zp - Zm) / (2.0 * eps)
+    def transport_frame(self, state: State, vectors: np.ndarray, tau: float):
+        """Carry fiber tangent vectors (k, 7) at a single point along the flow
+        by the linearized flow map.
 
-    def transport_frame(self, state: State, vectors: np.ndarray, tau: float,
-                        h: float = 1e-3):
-        """Carry fiber tangent vectors along the flow by the linearized flow map.
-
-        The base path is `flow(state, tau, h=h)`: fixed RK4 steps with
-        retraction.  Over each step the frame advances by an explicit midpoint
-        rule for the variational equation v' = DZ(x) v, with DZ applied through
-        central finite differences, and is then projected onto the fiber
-        tangent space at the step's end.  The scheme is second order in h.
+        The point and its k vectors ride the same error-controlled
+        Dormand-Prince steps as (7, 1 + k) rows, the step error measured over
+        all of them.  Each stage evaluates the field at the point and the
+        variational field v' = DZ(x) v by central differences, through one
+        field call on the 1 + 2k points x and x +- 1e-6 v.  After each
+        accepted step the point is retracted onto the fiber and the vectors
+        are projected onto the fiber tangent space there.
         Returns (final_state, final_vectors).
         """
         if state.batch_shape != ():
             raise ValueError("transport_frame expects a single point")
-        res = self.flow(state, tau, h=h, keep_states=True)
+        eps = 1e-6
+        k = len(vectors)
         sign = 1.0 if tau > 0 else -1.0
-        V = np.array(vectors, dtype=complex)
-        for cur, nxt in zip(res.states, res.states[1:]):
-            Z, _ = self.z_field(cur)
-            mid = State.from_vector(cur.vector() + 0.5 * res.h * sign * Z)
-            dz0 = sign * self._dz_apply(cur, V)
-            vhalf = V + 0.5 * res.h * dz0
-            dzm = sign * self._dz_apply(mid, vhalf)
-            V = V + res.h * dzm
-            V = self.project(nxt, V, fiber=True)
-        return res.state, V
+
+        def f(y: np.ndarray) -> np.ndarray:
+            x, v = y[:, :1], y[:, 1:]
+            Z = self.z_field(State._of_rows(np.hstack([x, x + eps * v, x - eps * v])))[0].T
+            return sign * np.hstack([Z[:, :1], (Z[:, 1:k + 1] - Z[:, k + 1:]) / (2.0 * eps)])
+
+        cur = state
+        y = np.column_stack([state.y, np.asarray(vectors, dtype=complex).T])
+        stepper = _ControlledStepper(f, abs(tau))
+        while not stepper.done:
+            y = stepper.step(y, f(y))
+            cur = self.retract(State._of_rows(y[:, 0]))
+            y[:, 0] = cur.y
+            y[:, 1:] = self.project(cur, y[:, 1:].T, fiber=True).T
+        return cur, y[:, 1:].T
 
 
 # -------------------------------------------------------------- line bundle

@@ -374,7 +374,6 @@ class ExperimentConfig:
     schedule: ExpSchedule = field(default_factory=ExpSchedule)
     per_axis: int = 32
     flow_per_axis: int = 10
-    h: Optional[float] = None               # None: error-controlled flow steps
 
     def __post_init__(self):
         if self.nu is None:
@@ -387,8 +386,6 @@ class ExperimentConfig:
             raise ValueError("eps must be positive and finite")
         if self.per_axis < 4 or self.flow_per_axis < 2:
             raise ValueError("quadrature resolution too small")
-        if self.h is not None and not 0 < self.h < math.inf:
-            raise ValueError("h must be null or positive and finite")
 
 
 @dataclass
@@ -462,7 +459,7 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     def chain(idx):
         cur, t_prev = v0[idx], 0.0
         for t in ts:
-            cur = fam.flow(cur, -(t - t_prev), h=cfg.h).state
+            cur = fam.flow(cur, -(t - t_prev)).state
             end_x[t][idx] = fam.moment(cur)
             t_prev = t
 

@@ -17,6 +17,7 @@ from gcquant.flag import (
     pluecker_levels,
     random_flags,
 )
+from gcquant import flow
 from gcquant.flow import DegenerationFamily, loop_phase, torus_loop
 from gcquant.lab import (
     ExperimentConfig,
@@ -127,13 +128,14 @@ def test_c04_legendre_round_trip_1000_points():
     report("c04", f"round-trip dev {worst:.2e} < 1e-10 over 1000 points, s up to 100")
 
 
-def test_c05_flow_time_direction_and_symplectic_pairing():
-    """tau = 0.5 at h = 1e-3: |dt - tau| < 1e-10; field normalization
-    |Z(Re f) + 1|, |Z(Im f)| < 1e-8; pairing drift < 1e-6, halving ratio in
-    [3, 6]."""
+def test_c05_flow_time_direction_and_symplectic_pairing(monkeypatch):
+    """tau = 0.5: |dt - tau| < 1e-10; field normalization |Z(Re f) + 1|,
+    |Z(Im f)| < 1e-8; pairing drift < 1e-6 at FLOW_TOL = 1e-10, the drift
+    ratio between FLOW_TOL = 1e-8 and 1e-10 in [20, 500]; the moved frame
+    fiber tangent within 1e-12."""
     fam = DegenerationFamily((1.0, 1.0))
     st = fam.embed_flag(random_flags(3, 4, seed=100), 1.0)
-    res = fam.flow(st, 0.5, h=1e-3)
+    res = fam.flow(st, 0.5)
     assert res.t_deviation < 1e-10
     assert res.direction_err < 1e-8
     Z, _ = fam.z_field(res.state)
@@ -143,26 +145,33 @@ def test_c05_flow_time_direction_and_symplectic_pairing():
     p = fam.embed_flag(random_flags(3, 1, seed=101), 1.0)[0]
     frame = fam.tangent_frame(p)
     o0 = fam.omega_matrix(frame)
+    tangency = 0.0
 
-    def drift(h):
-        _, moved = fam.transport_frame(p, frame, 0.5, h=h)
+    def drift(tol):
+        nonlocal tangency
+        monkeypatch.setattr(flow, "FLOW_TOL", tol)
+        end, moved = fam.transport_frame(p, frame, 0.5)
+        assert abs(end.t - (p.t - 0.5)) < 1e-10
+        tangency = max(tangency, float(np.abs(fam.project(end, moved, fiber=True) - moved).max()))
         return float(np.abs(fam.omega_matrix(moved) - o0).max())
 
-    d1, d2 = drift(1e-3), drift(5e-4)
-    assert d1 < 1e-6
-    assert 3.0 < d1 / d2 < 6.0
-    report("c05", f"dt dev {res.t_deviation:.2e}, pairing drift {d1:.2e}, "
-                  f"halving ratio {d1 / d2:.3f}")
+    d8, d10 = drift(1e-8), drift(1e-10)
+    assert d10 < 1e-6
+    assert 20.0 <= d8 / d10 <= 500.0
+    assert tangency < 1e-12
+    report("c05", f"dt dev {res.t_deviation:.2e}, pairing drift {d10:.2e}, "
+                  f"tolerance ratio {d8 / d10:.1f}, tangency {tangency:.1e}")
 
 
 def test_c06_prequantum_transport_and_loop_holonomy():
-    """Holonomy of 5 fiber loops agrees within 1e-5 between the start of a
-    flow and its states at tau = 0.15 (midpoint) and tau = 0.3 (end)."""
+    """Holonomy of 5 fiber loops agrees within 1e-5 between the start of two
+    chained 0.15 flows and their ends at tau = 0.15 (midpoint) and tau = 0.3
+    (end)."""
     a = (1.0, 1.0)
     fam = DegenerationFamily(a)
     base = fam.embed_flag(random_flags(3, 1, seed=102), 1.0)[0]
-    res = fam.flow(base, 0.3, h=1e-3, keep_states=True)
-    mid = res.states[len(res.states) // 2]
+    mid = fam.flow(base, 0.15).state
+    end = fam.flow(mid, 0.15).state
     assert abs(mid.t - (base.t - 0.15)) < 1e-10
 
     def holonomy(state, k):
@@ -172,7 +181,7 @@ def test_c06_prequantum_transport_and_loop_holonomy():
     worst = {"mid": 0.0, "end": 0.0}
     for k in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 1)]:
         hb = holonomy(base, k)
-        for name, state in (("mid", mid), ("end", res.state)):
+        for name, state in (("mid", mid), ("end", end)):
             worst[name] = max(worst[name], abs(holonomy(state, k) - hb))
     assert max(worst.values()) < 1e-5
     report("c06", f"loop dev {worst['mid']:.2e} at tau 0.15, {worst['end']:.2e} at tau 0.3 "

@@ -22,16 +22,6 @@ def embedded_batch(count=8, t=1.0, seed=0):
     return FAM.embed_flag(random_flags(3, count, seed=seed), t)
 
 
-def test_state_vector_round_trip():
-    st = embedded_batch(3)
-    back = State.from_vector(st.vector())
-    assert np.array_equal(back.u, st.u)
-    assert np.array_equal(back.w, st.w)
-    assert np.array_equal(back.t, st.t)
-    with pytest.raises(ValueError):
-        State(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(2))
-
-
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and a.dtype == b.dtype
@@ -53,17 +43,19 @@ BATCH_SHAPES = [(), (1,), (5,), (2, 3)]
 
 @pytest.mark.parametrize("shape", BATCH_SHAPES)
 def test_state_holds_its_parts_bit_for_bit(shape):
-    u, w, t = random_parts(shape)
+    u, w, t = (np.array(x) for x in random_parts(shape))
     st = State(u, w, t)
     assert st.batch_shape == shape
     assert same_bits(st.u, u) and same_bits(st.w, w) and same_bits(st.t, t)
-    v = st.vector()
-    assert same_bits(v, np.concatenate([u, w, t[..., None]], axis=-1))
-    back = State.from_vector(v)
-    assert same_bits(back.u, u) and same_bits(back.w, w) and same_bits(back.t, t)
-    # vector() is a copy: writing into it leaves the state as it was
-    v[...] = 0.0
-    assert same_bits(st.u, u) and same_bits(st.w, w) and same_bits(st.t, t)
+    assert same_bits(st.y, np.concatenate([np.moveaxis(u, -1, 0), np.moveaxis(w, -1, 0),
+                                           t[None]]))
+    # the state copies its parts: writing into them leaves it as it was
+    parts = u.copy(), w.copy(), t.copy()
+    for x in (u, w, t):
+        x[...] = 0.0
+    assert all(same_bits(a, b) for a, b in zip((st.u, st.w, st.t), parts))
+    with pytest.raises(ValueError):
+        State(u, w, np.zeros(shape + (2,)))
 
 
 @pytest.mark.parametrize("shape, indices", [
@@ -102,7 +94,7 @@ def test_kernels_do_not_depend_on_batch_shape(shape, flat):
         assert same_bits(FAM.residual(st), FAM.residual(ref).reshape(shape))
         assert same_bits(FAM.moment(st), FAM.moment(ref).reshape(shape + (4,)))
     fixed, fixed_ref = FAM.retract(noisy), FAM.retract(reshaped(noisy, flat))
-    assert same_bits(fixed.vector(), fixed_ref.vector().reshape(shape + (7,)))
+    assert same_bits(fixed.y, fixed_ref.y.reshape((7,) + shape))
 
 
 def test_embed_flag_lies_on_family():
@@ -176,20 +168,6 @@ def test_z_field_guard_at_singular_point():
         FAM.z_field(st[1])
 
 
-def test_flow_evaluates_field_four_times_per_step(monkeypatch):
-    calls = []
-    z_field = DegenerationFamily.z_field
-
-    def counted(self, state, *args, **kwargs):
-        calls.append(state.batch_shape)
-        return z_field(self, state, *args, **kwargs)
-
-    monkeypatch.setattr(DegenerationFamily, "z_field", counted)
-    res = FAM.flow(embedded_batch(3), 0.05, h=1e-2)
-    assert res.steps == 5
-    assert calls == [(3,)] * (4 * res.steps)
-
-
 def counting_z_field(monkeypatch, limit=None):
     """Record the batch shape of every z_field call; past `limit` calls the
     flow counts as hung."""
@@ -238,7 +216,10 @@ def test_controlled_flow_spans_below_step_floor(tau):
 @pytest.fixture(scope="module")
 def lab_flow_grid():
     # the flow grid and scheduled t of lab combined at flow_per_axis = 5,
-    # with the chained endpoints of the fixed step h = 1e-3
+    # with reference moments at each t from scipy's DOP853 on the
+    # unretracted field at a tolerance far below FLOW_TOL
+    from scipy.integrate import solve_ivp
+
     cfg = ExperimentConfig(flow_per_axis=5)
     model = GCTorusModel(cfg.a)
     img = model.image_delta()
@@ -247,16 +228,19 @@ def lab_flow_grid():
     fam = DegenerationFamily(cfg.a)
     v0 = model.v0_state(pts, fam=fam)
     ts = sorted({cfg.schedule.t(s) for s in cfg.s_grid})
-    ref, cur, t_prev = [], v0, 0.0
-    for t in ts:
-        cur = fam.flow(cur, -(t - t_prev), h=1e-3).state
-        ref.append(fam.moment(cur))
-        t_prev = t
+
+    def backwards(_, y):
+        return -fam.z_field(State._of_rows(y.reshape(v0.y.shape)))[0].T.ravel()
+
+    sol = solve_ivp(backwards, (0.0, ts[-1]), v0.y.ravel(), method="DOP853", t_eval=ts,
+                    rtol=1e-12, atol=1e-13)
+    assert sol.success
+    ref = [fam.moment(State._of_rows(y.reshape(v0.y.shape))) for y in sol.y.T]
     return fam, v0, ts, ref
 
 
 @pytest.mark.parametrize("oversize", [False, True])
-def test_controlled_flow_matches_fine_fixed_step(lab_flow_grid, monkeypatch, oversize):
+def test_controlled_flow_matches_dop853_reference(lab_flow_grid, monkeypatch, oversize):
     fam, v0, ts, ref = lab_flow_grid
     if oversize:
         oversize_first_step(monkeypatch)
@@ -303,7 +287,7 @@ def test_retract_restores_fiber_and_fixes_t():
     fixed = FAM.retract(noisy)
     assert np.max(np.abs(FAM.residual(fixed))) < 1e-12
     assert np.array_equal(fixed.t, st.t)
-    assert np.max(np.abs(fixed.vector() - noisy.vector())) < 1e-3
+    assert np.max(np.abs(fixed.y - noisy.y)) < 1e-3
 
 
 def retract_reference(state):
@@ -340,32 +324,39 @@ def test_retract_matches_point_major_reference(lab_flow_grid):
     # before its retraction
     fam, v0 = lab_flow_grid[:2]
     cur = fam.flow(v0, -0.05).state
-    raw = _ControlledStepper(fam, -1.0, 0.05).step(cur, fam.z_field(cur)[0])
+
+    def backwards(y):
+        return -fam.z_field(State._of_rows(y))[0].T
+
+    raw = State._of_rows(_ControlledStepper(backwards, 0.05).step(cur.y, backwards(cur.y)))
     for st in (noisy, raw):
-        assert np.max(np.abs(fam.retract(st).vector() - retract_reference(st))) < 1e-14
+        assert np.max(np.abs(fam.retract(st).y.T - retract_reference(st))) < 1e-14
 
 
 def test_flow_step_bookkeeping():
     st = embedded_batch(2)
-    res = FAM.flow(st, 0.105, h=1e-2, keep_states=True)
-    assert res.steps == 11
+    res = FAM.flow(st, 0.105, keep_states=True)
+    assert res.steps > 1
     assert np.isclose(res.h * res.steps, 0.105)
     assert len(res.states) == res.steps + 1
+    # one state per accepted step, each further down in Re t
+    re_t = np.array([s.t.real for s in res.states])
+    assert np.all(np.diff(re_t, axis=0) < 0)
+    assert np.max(np.abs(re_t[-1] - 0.895)) < 1e-12
     zero = FAM.flow(st, 0.0)
     assert zero.steps == 0 and zero.t_deviation == 0.0
 
 
-@pytest.mark.parametrize("h", [None, 1e-2])
-def test_zero_flow_records_start(h):
+def test_zero_flow_records_start():
     st = embedded_batch(2)
-    zero = FAM.flow(st, 0.0, h=h, keep_states=True)
+    zero = FAM.flow(st, 0.0, keep_states=True)
     assert zero.steps == 0 and zero.rejected == 0 and zero.h == 0.0
     assert zero.states == [st]
 
 
 def test_flow_time_exactness_and_residual():
     st = embedded_batch(8, seed=4)
-    res = FAM.flow(st, 0.1, h=1e-3)
+    res = FAM.flow(st, 0.1)
     assert res.t_deviation < 1e-12
     assert res.max_residual < 1e-10
     assert res.direction_err < 1e-10
@@ -374,15 +365,15 @@ def test_flow_time_exactness_and_residual():
 
 def test_flow_reverses_exactly():
     st = embedded_batch(4, seed=5)
-    fwd = FAM.flow(st, 0.1, h=2e-3)
-    back = FAM.flow(fwd.state, -0.1, h=2e-3)
-    assert np.max(np.abs(back.state.vector() - st.vector())) < 1e-10
+    fwd = FAM.flow(st, 0.1)
+    back = FAM.flow(fwd.state, -0.1)
+    assert np.max(np.abs(back.state.y - st.y)) < 1e-10
 
 
 def test_flow_conserves_torus_hamiltonians():
     st = embedded_batch(8, seed=7)
     x0 = FAM.moment(st)
-    res = FAM.flow(st, 0.15, h=1e-3)
+    res = FAM.flow(st, 0.15)
     x1 = FAM.moment(res.state)
     # the two circle actions surviving on the limit fiber
     c0 = x0[:, 0] + x0[:, 1] + x0[:, 3], x0[:, 1] + x0[:, 2] + x0[:, 3]
@@ -393,20 +384,14 @@ def test_flow_conserves_torus_hamiltonians():
 
 def test_frame_transport_preserves_omega_second_order():
     # the flow preserves the symplectic pairing but not the metric, so only
-    # the omega drift is an invariant; it must vanish at second order in h
+    # the omega drift is an invariant.  At tau = 0.1 the drift already sits on
+    # the rounding floor of the central differences, so its scaling with the
+    # tolerance is left to c05
     st = embedded_batch(1, seed=9)[0]
     frame = FAM.tangent_frame(st)
-    o0 = FAM.omega_matrix(frame)
-
-    def drift(h):
-        end, moved = FAM.transport_frame(st, frame, 0.1, h=h)
-        g1 = FAM.gram(moved)
-        assert np.linalg.eigvalsh(g1).min() > 0.1  # frame stays well conditioned
-        return np.abs(FAM.omega_matrix(moved) - o0).max()
-
-    d4, d2 = drift(4e-3), drift(2e-3)
-    assert d4 < 1e-6
-    assert 3.0 < d4 / d2 < 6.0
+    end, moved = FAM.transport_frame(st, frame, 0.1)
+    assert np.linalg.eigvalsh(FAM.gram(moved)).min() > 0.1  # frame stays well conditioned
+    assert np.abs(FAM.omega_matrix(moved) - FAM.omega_matrix(frame)).max() < 1e-6
 
 
 def test_torus_loop_phase_matches_weight_formula():
@@ -437,14 +422,14 @@ def test_loop_holonomy_flow_invariant():
     st = embedded_batch(1, seed=13)[0]
     k = (1, 0, -1)
     before = loop_phase(*(lambda p: (p.u, p.w))(torus_loop(st, k, samples=8192)), A)
-    moved = FAM.flow(st, 0.1, h=1e-3).state
+    moved = FAM.flow(st, 0.1).state
     after = loop_phase(*(lambda p: (p.u, p.w))(torus_loop(moved, k, samples=8192)), A)
     assert abs(before - after) < 1e-5
 
 
 def test_transport_phase_factors_unit_modulus():
     st = embedded_batch(1, seed=15)[0]
-    res = FAM.flow(st, 0.05, h=1e-3, keep_states=True)
+    res = FAM.flow(st, 0.05, keep_states=True)
     u_path = np.stack([s.u for s in res.states])
     w_path = np.stack([s.w for s in res.states])
     ph = transport_phase_factors(u_path, w_path, A)

@@ -507,7 +507,7 @@ def test_combined_experiment_boundary_pattern_rejected():
 def test_combined_experiment_small_run():
     cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
                            s_grid=(0.0, 5.0, 10.0), per_axis=12,
-                           flow_per_axis=5, h=2e-3)
+                           flow_per_axis=5)
     rep = combined_experiment(cfg)
     assert [c.s for c in rep.cells] == [0.0, 5.0, 10.0]
     assert rep.cells[0].t == 1.0
@@ -540,14 +540,14 @@ def test_chained_flow_matches_independent_flows(monkeypatch):
 
     monkeypatch.setattr(DegenerationFamily, "flow", recording)
     cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
-                           s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=5, h=5e-3)
+                           s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=5)
     rep = combined_experiment(cfg)
     monkeypatch.undo()
     fam, v0, _ = segments[0]
     ts = sorted(c.t for c in rep.cells if c.t > 0)
     assert len(segments) == len(ts) == 3
     for t, (_, _, chained) in zip(ts, segments):
-        alone = fam.flow(v0, -t, h=cfg.h)
+        alone = fam.flow(v0, -t)
         assert np.max(np.abs(fam.moment(chained.state) - fam.moment(alone.state))) < 1e-10
 
 
@@ -566,7 +566,7 @@ def test_point_failing_late_keeps_earlier_t(monkeypatch):
         return orig(self, state, tau, **kw)
 
     monkeypatch.setattr(DegenerationFamily, "flow", failing)
-    cfg = ExperimentConfig(s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=4, h=2e-2)
+    cfg = ExperimentConfig(s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=4)
     rep = combined_experiment(cfg)
     assert [c.flow_failures for c in rep.cells] == [1, 0, 0]
     assert rep.incomplete
@@ -580,8 +580,7 @@ def test_s0_cell_equals_undeformed_baseline():
     from gcquant.toric import polytope_grid
 
     cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
-                           s_grid=(0.0, 5.0), per_axis=14, flow_per_axis=4,
-                           h=5e-3)
+                           s_grid=(0.0, 5.0), per_axis=14, flow_per_axis=4)
     rep = combined_experiment(cfg)
     cell0 = rep.cells[0]
     assert cell0.t == 1.0
