@@ -145,6 +145,12 @@ def _sq(x):
     return x.real ** 2 + x.imag ** 2
 
 
+def _defining(y: np.ndarray) -> np.ndarray:
+    """F = u_1 w_23 - u_2 w_13 + t u_3 w_12 at the flat coordinate rows y (7, n)."""
+    u1, u2, u3, w12, w13, w23, t = y
+    return u1 * w23 - u2 * w13 + t * u3 * w12
+
+
 def _grad_uw(y: np.ndarray) -> np.ndarray:
     """(dF/du, dF/dw) as rows (6, n) at the flat coordinate rows y (7, n)."""
     u1, u2, u3, w12, w13, w23, t = y
@@ -158,62 +164,75 @@ def _grad_uw(y: np.ndarray) -> np.ndarray:
     return g
 
 
-# Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980).
-# The field is autonomous, so the nodes are not needed.  Row i gives stage
-# i + 2; the last row holds the fifth-order weights, so its point is the new
-# point and its stage feeds only the error estimate, weighted by _DP_ERR =
-# fifth-order minus embedded fourth-order weights.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def _stage_sum(y: np.ndarray, h: float, weights: Sequence[float], K: np.ndarray) -> np.ndarray:
-    """y + h sum_j weights[j] K[j] by in-place updates (far cheaper than a
-    tensordot at these sizes)."""
-    out = y.copy()
-    for a, k in zip(weights, K):
-        if a:
-            out += (h * a) * k
-    return out
+# Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980) as
+# one lower-triangular tableau.  The field is autonomous, so the nodes are
+# not needed.  Row i < 6 weights stages 1 .. i + 1 into the point of stage
+# i + 2; row 5 holds the fifth-order weights, so its point is the new point
+# and its stage feeds only the error estimate, weighted by row 6 = fifth-order
+# minus embedded fourth-order weights.
+_DP = np.array([
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+])
 
 
 class _ControlledStepper:
-    """Dormand-Prince 5(4) steps of y' = f(y) on coordinate rows y, with local
-    error at most FLOW_TOL in the sup norm over all of y: 7 field evaluations
-    per accepted step (the caller's start-of-step k1 = f(y) is the first), 6
-    per rejected one, 1 more for the starting step.  Standard controller
-    (safety 0.9, step ratio clamped to [0.2, 5]); the last step is clipped to
-    end at span."""
+    """Dormand-Prince 5(4) steps of y' = sign(tau) f(y) over |tau| on
+    coordinate rows y of a fixed shape, with local error at most FLOW_TOL in
+    the sup norm over all of y.
 
-    def __init__(self, f, span: float):
-        self.f, self.span = f, span
+    f(y, out) writes the field at y into out, a stage row of the buffer K;
+    the caller writes f(y) into K[0] before each `step`.  Each stage point
+    and the error estimate are one contraction of a tableau row, scaled by
+    the signed step, with the real view of K.  7 field evaluations per
+    accepted step (K[0] the first), 6 per rejected one, 1 more for the
+    starting step.  Standard controller (safety 0.9, step ratio clamped to
+    [0.2, 5]), but the step accepted after a rejection proposes no longer a
+    step (Hairer, Norsett and Wanner, Solving ODEs I, II.4, as in their
+    DOPRI5); the last step is clipped to end at |tau|."""
+
+    def __init__(self, f, tau: float, shape: tuple):
+        self.f = f
+        self.span, self.sign = abs(tau), (1.0 if tau > 0 else -1.0)
+        self.K = np.empty((7,) + shape, dtype=complex)
+        self._Kr = self.K.reshape(7, -1).view(float)
         self.h = None
         self.elapsed = 0.0
         self.steps = self.rejected = 0
-        self.done = span == 0
+        self.done = tau == 0
 
-    def first_step(self, y: np.ndarray, k1: np.ndarray) -> float:
+    def first_step(self, y: np.ndarray) -> float:
         """Starting step (Hairer, Norsett and Wanner, Solving ODEs I, II.4)
         in the sup norm scaled by FLOW_TOL: one field evaluation at y + h0 k1,
         h0 <= span, gauges the curvature."""
+        k1 = self.K[0]
         d1 = np.max(np.abs(k1))
         h0 = min(0.01 * np.max(np.abs(y)) / d1, self.span)
-        d2 = np.max(np.abs(self.f(y + h0 * k1) - k1)) / h0
+        self.f(y + (self.sign * h0) * k1, self.K[1])
+        d2 = np.max(np.abs(self.K[1] - k1)) / h0
         return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.2))
 
-    def step(self, y: np.ndarray, k1: np.ndarray) -> np.ndarray:
-        """The rows one accepted step on from y, where k1 = f(y)."""
-        K = np.empty((7,) + y.shape, dtype=complex)
-        K[0] = k1
+    def attempt(self, y: np.ndarray, h: float):
+        """One Dormand-Prince step of length h from y, with K[0] = f(y):
+        the new rows and the error estimate's sup norm over FLOW_TOL."""
+        hA = (self.sign * h) * _DP
+        Kr = self._Kr
+        yr = y.reshape(-1).view(float)
+        for i in range(6):
+            yi = (yr + np.dot(hA[i, :i + 1], Kr[:i + 1])).view(complex).reshape(y.shape)
+            self.f(yi, self.K[i + 1])
+        return yi, float(np.max(np.abs(np.dot(hA[6], Kr).view(complex)))) / FLOW_TOL
+
+    def step(self, y: np.ndarray) -> np.ndarray:
+        """The rows one accepted step on from y, where K[0] holds f(y)."""
         if self.h is None:
-            self.h = self.first_step(y, k1)
+            self.h = self.first_step(y)
+        retried = False
         while True:
             last = self.h >= self.span - self.elapsed
             if not last and self.h < FLOW_MIN_STEP:
@@ -222,19 +241,36 @@ class _ControlledStepper:
                     f"after {self.steps} steps"
                 )
             h = self.span - self.elapsed if last else self.h
-            for i, row in enumerate(_DP_A):
-                yi = _stage_sum(y, h, row, K)
-                K[i + 1] = self.f(yi)
-            err = np.max(np.abs(_stage_sum(np.zeros_like(y), h, _DP_ERR, K))) / FLOW_TOL
+            yi, err = self.attempt(y, h)
             ratio = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            self.h = h * ratio
             if err <= 1.0:
+                self.h = h * (min(ratio, 1.0) if retried else ratio)
                 break
+            self.h = h * ratio
+            retried = True
             self.rejected += 1
         self.steps += 1
         self.elapsed = self.span if last else self.elapsed + h
         self.done = self.elapsed >= self.span
         return yi
+
+
+def _retract_rows(y: np.ndarray) -> float:
+    """Retract the flat coordinate rows y (7, n) in place (see
+    DegenerationFamily.retract) and return the max |F| it last checked."""
+    scale = np.maximum(1.0, np.abs(y[6]))
+    for _ in range(20):
+        y[0:3] /= np.linalg.norm(y[0:3], axis=0)
+        y[3:6] /= np.linalg.norm(y[3:6], axis=0)
+        F = _defining(y)
+        absF = np.abs(F)
+        if (absF <= 1e-12 * scale).all():
+            return float(np.max(absF))
+        # the whole Gauss-Newton step comes from the u, w before it
+        J = _grad_uw(y)
+        y[0:6] += -np.conj(J) * (F / _sq(J).sum(axis=0))
+    worst = float(np.max(np.abs(_defining(y)) / scale))
+    raise FlowSingularityError(f"retraction stalled at residual {worst:.3e}")
 
 
 class DegenerationFamily:
@@ -261,8 +297,7 @@ class DegenerationFamily:
 
     def residual(self, state: State) -> np.ndarray:
         """Defining equation F = u_1 w_23 - u_2 w_13 + t u_3 w_12."""
-        u1, u2, u3, w12, w13, w23, t = state.y.reshape(7, -1)
-        return (u1 * w23 - u2 * w13 + t * u3 * w12).reshape(state.batch_shape)
+        return _defining(state.y.reshape(7, -1)).reshape(state.batch_shape)
 
     def normalize(self, u, w, t) -> State:
         u = np.asarray(u, dtype=complex)
@@ -337,10 +372,12 @@ class DegenerationFamily:
 
     # ------------------------------------------------------------ flow field
 
-    def z_field(self, state: State):
+    def z_field(self, state: State, *, _out: Optional[np.ndarray] = None):
         """Gradient-Hamiltonian field Z = -grad(Re t)/|grad(Re t)|^2 as flat
         coordinates (..., 7).  Returns (Z, grad_norm); a grad_norm at or below
-        1e-8 anywhere in the batch raises FlowSingularityError.
+        1e-8 anywhere in the batch raises FlowSingularityError.  The flow's
+        stepper passes _out, a stage row of its stage buffer shaped like
+        state.y, and Z is then written there and returned as a view of it.
 
         Closed form of `project(state, e_t)`.  With a = dF/du, b = dF/dw and
         c = dF/dt (so u.a = w.b = F), the gauge rows u, w are orthogonal to
@@ -356,22 +393,22 @@ class DegenerationFamily:
         u, w = y[0:3], y[3:6]
         g = _grad_uw(y)
         pa, pb = g[0:3], g[3:6]
-        Fc = np.conj(np.sum(u * pa, axis=0))
+        Fc = np.conj(u[0] * pa[0] + u[1] * pa[1] + u[2] * pa[2])
         c = u[2] * w[0]
         np.conjugate(g, out=g)
-        norm2 = _sq(y[0:6])
-        pa -= u * (Fc / norm2[0:3].sum(axis=0))
-        pb -= w * (Fc / norm2[3:6].sum(axis=0))
+        n2 = _sq(y[0:6])
+        pa -= u * (Fc / (n2[0] + n2[1] + n2[2]))
+        pb -= w * (Fc / (n2[3] + n2[4] + n2[5]))
         P = self._inv_metric @ _sq(g)
         Q = _sq(c)
         PQ = P + Q
         grad_norm = np.sqrt(P / PQ)
-        if not np.all(grad_norm > 1e-8):
+        if not (grad_norm > 1e-8).all():
             bad = float(np.min(grad_norm))
             raise FlowSingularityError(
                 f"flow field undefined: gradient norm {bad:.3e} <= 1.0e-08"
             )
-        Z = np.empty_like(y)
+        Z = np.empty_like(y) if _out is None else _out.reshape(y.shape)
         np.multiply(g, (c / P) * self._inv_metric[:, None], out=Z[0:6])
         Z[6] = -(1.0 - Q / PQ) * PQ / P
         return _points_last(Z.reshape(state.y.shape)), grad_norm.reshape(state.batch_shape)
@@ -383,19 +420,8 @@ class DegenerationFamily:
         the defining equation plus per-factor renormalization, until the
         residual is at most 1e-12 max(1, |t|), within 20 steps."""
         out = State._of_rows(state.y.copy())
-        y = out.y.reshape(7, -1)
-        scale = np.maximum(1.0, np.abs(y[6]))
-        for _ in range(20):
-            y[0:3] /= np.linalg.norm(y[0:3], axis=0)
-            y[3:6] /= np.linalg.norm(y[3:6], axis=0)
-            F = self.residual(out).reshape(-1)
-            if np.all(np.abs(F) <= 1e-12 * scale):
-                return out
-            # the whole Gauss-Newton step comes from the u, w before it
-            J = _grad_uw(y)
-            y[0:6] += -np.conj(J) * (F / _sq(J).sum(axis=0))
-        worst = float(np.max(np.abs(self.residual(out).reshape(-1)) / scale))
-        raise FlowSingularityError(f"retraction stalled at residual {worst:.3e}")
+        _retract_rows(out.y.reshape(7, -1))
+        return out
 
     # ----------------------------------------------------------- integration
 
@@ -407,32 +433,34 @@ class DegenerationFamily:
         error estimate of each step, in the sup norm of the flat coordinates
         over the whole batch, must stay below FLOW_TOL; the last step is
         clipped to end at |tau|, and FlowResult.h is the mean step
-        |tau|/steps.  The field evaluated at the start of a step feeds the
-        diagnostics and serves as its first stage.
+        |tau|/steps.  The field is written straight into the stepper's stage
+        rows; the one evaluated at the start of a step feeds the diagnostics
+        and serves as its first stage.  Each new point is retracted in place,
+        and the retraction's last residual check gives max_residual.
         """
         cur = state
         max_res = float(np.max(np.abs(self.residual(cur))))
         states = [cur] if keep_states else None
-        span = abs(tau)
-        sign = 1.0 if tau > 0 else -1.0
 
-        def f(y: np.ndarray) -> np.ndarray:
-            return sign * _coords_first(self.z_field(State._of_rows(y))[0])
+        def f(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+            return self.z_field(State._of_rows(y), _out=out)[1]
 
-        stepper = _ControlledStepper(f, span)
+        stepper = _ControlledStepper(f, tau, state.y.shape)
+        k1 = stepper.K[0]
         min_grad = float("inf")
         dir_err = 0.0
         while not stepper.done:
-            Z, gn = self.z_field(cur)
+            gn = f(cur.y, k1)
             min_grad = min(min_grad, float(np.min(gn)))
-            dir_err = max(dir_err, float(np.max(np.abs(np.real(Z[..., 6]) + 1.0))))
-            cur = self.retract(State._of_rows(stepper.step(cur.y, sign * _coords_first(Z))))
-            max_res = max(max_res, float(np.max(np.abs(self.residual(cur)))))
+            dir_err = max(dir_err, float(np.max(np.abs(k1[6].real + 1.0))))
+            y = stepper.step(cur.y)
+            max_res = max(max_res, _retract_rows(y.reshape(7, -1)))
+            cur = State._of_rows(y)
             if keep_states:
                 states.append(cur)
-        t_dev = float(np.max(np.abs(cur.t - (state.t - sign * span))))
+        t_dev = float(np.max(np.abs(cur.t - (state.t - tau))))
         return FlowResult(
-            cur, stepper.steps, span / stepper.steps if stepper.steps else 0.0,
+            cur, stepper.steps, stepper.span / stepper.steps if stepper.steps else 0.0,
             t_dev, max_res, min_grad, dir_err, stepper.rejected, states,
         )
 
@@ -482,18 +510,20 @@ class DegenerationFamily:
             raise ValueError("transport_frame expects a single point")
         eps = 1e-6
         k = len(vectors)
-        sign = 1.0 if tau > 0 else -1.0
 
-        def f(y: np.ndarray) -> np.ndarray:
+        def f(y: np.ndarray, out: np.ndarray) -> None:
             x, v = y[:, :1], y[:, 1:]
             Z = self.z_field(State._of_rows(np.hstack([x, x + eps * v, x - eps * v])))[0].T
-            return sign * np.hstack([Z[:, :1], (Z[:, 1:k + 1] - Z[:, k + 1:]) / (2.0 * eps)])
+            out[:, :1] = Z[:, :1]
+            np.subtract(Z[:, 1:k + 1], Z[:, k + 1:], out=out[:, 1:])
+            out[:, 1:] /= 2.0 * eps
 
         cur = state
         y = np.column_stack([state.y, np.asarray(vectors, dtype=complex).T])
-        stepper = _ControlledStepper(f, abs(tau))
+        stepper = _ControlledStepper(f, tau, y.shape)
         while not stepper.done:
-            y = stepper.step(y, f(y))
+            f(y, stepper.K[0])
+            y = stepper.step(y)
             cur = self.retract(State._of_rows(y[:, 0]))
             y[:, 0] = cur.y
             y[:, 1:] = self.project(cur, y[:, 1:].T, fiber=True).T

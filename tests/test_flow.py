@@ -3,6 +3,8 @@ import pytest
 
 from gcquant.flag import pluecker_levels, random_flag, random_flags
 from gcquant.flow import (
+    _DP,
+    FLOW_TOL,
     DegenerationFamily,
     FlowSingularityError,
     State,
@@ -265,10 +267,11 @@ def test_controlled_flow_through_singular_point_raises(monkeypatch, eps):
         FAM.flow(st, 2 * eps ** 2)
 
 
-@pytest.mark.parametrize("eps, steps, rejected", [(0.03, 63, 62), (0.1, 70, 67), (0.3, 74, 60)])
+@pytest.mark.parametrize("eps, steps, rejected", [(0.03, 45, 22), (0.1, 51, 24), (0.3, 60, 25)])
 def test_controlled_flow_rejections_near_singular_point(eps, steps, rejected):
     # the start above, flowed to just short of the singular point: the step
-    # controller rejects about one step per accepted step on the approach.
+    # controller rejects about one step per two accepted ones on the approach,
+    # since the step accepted after a rejection proposes no longer a step.
     # Exact pins, so that a better controller shows as smaller counts.
     st = FAM.point(np.array([eps, 0, 1]), np.array([1, 0, -eps]), eps ** 2)
     res = FAM.flow(st, 0.999999 * eps ** 2)
@@ -309,6 +312,72 @@ def retract_reference(state):
     raise AssertionError("reference retraction stalled")
 
 
+# Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980),
+# written out weight by weight: the stage rows, whose last row holds the
+# fifth-order weights, and the embedded fourth-order weights.
+DP_STAGES = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_FOURTH = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def dp_step_reference(f, y, h):
+    """One Dormand-Prince step of y' = f(y) on point-major y (N, 7), each
+    stage sum taken weight by weight: the fifth-order point and the error
+    estimate, the fifth- minus the fourth-order increment, with the stages."""
+    k = [f(y)]
+    for row in DP_STAGES:
+        yi = y.copy()
+        for a, kj in zip(row, k):
+            yi = yi + (h * a) * kj
+        k.append(f(yi))
+    fifth = DP_STAGES[-1] + (0.0,)
+    err = sum((h * (b5 - b4)) * kj for b5, b4, kj in zip(fifth, DP_FOURTH, k))
+    return yi, err, np.array(k)
+
+
+def test_dormand_prince_tableau():
+    A = _DP
+    assert A.shape == (7, 7) and np.array_equal(A, np.tril(A))
+    for row, ref in zip(A, DP_STAGES):
+        assert np.array_equal(row[:len(ref)], ref)
+    # row sums are the nodes; the fifth-order weights sum to 1 and the error
+    # weights, fifth- minus fourth-order, to 0
+    nodes = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+    assert np.max(np.abs(A[:6].sum(axis=1) - nodes)) < 1e-15
+    assert abs(A[5].sum() - 1.0) < 1e-15
+    assert abs(A[6].sum()) < 1e-15
+    assert np.max(np.abs(A[6] - (A[5] - DP_FOURTH))) < 1e-16
+
+
+@pytest.mark.parametrize("n", [1, 20, 475])
+def test_stepper_matches_point_major_reference(n):
+    # one backward step (the sign rides the tableau row) of the contracted
+    # stepper against the weight-by-weight reference on the signed field
+    st = embedded_batch(n, t=0.7, seed=n)
+
+    def field(y, out):
+        FAM.z_field(State._of_rows(y), _out=out)
+
+    stepper = _ControlledStepper(field, -0.5, st.y.shape)
+    field(st.y, stepper.K[0])
+    h = 0.05
+    new, err = stepper.attempt(st.y, h)
+    ref, ref_err, k = dp_step_reference(
+        lambda y: -FAM.z_field(State._of_rows(y.T))[0], st.y.T.copy(), h)
+    assert np.max(np.abs(new.T - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the error estimate cancels terms of size h |K| down to about 1e-10, so
+    # it agrees relative to that size
+    assert abs(err * FLOW_TOL - np.max(np.abs(ref_err))) <= 1e-14 * h * np.max(np.abs(k))
+    # and the estimate itself lies far above that agreement (about 1e-5 FLOW_TOL)
+    assert err > 1e-3
+
+
 def test_retract_matches_point_major_reference(lab_flow_grid):
     rng = np.random.default_rng(21)
     n = 475
@@ -325,10 +394,12 @@ def test_retract_matches_point_major_reference(lab_flow_grid):
     fam, v0 = lab_flow_grid[:2]
     cur = fam.flow(v0, -0.05).state
 
-    def backwards(y):
-        return -fam.z_field(State._of_rows(y))[0].T
+    def field(y, out):
+        fam.z_field(State._of_rows(y), _out=out)
 
-    raw = State._of_rows(_ControlledStepper(backwards, 0.05).step(cur.y, backwards(cur.y)))
+    stepper = _ControlledStepper(field, -0.05, cur.y.shape)
+    field(cur.y, stepper.K[0])
+    raw = State._of_rows(stepper.step(cur.y))
     for st in (noisy, raw):
         assert np.max(np.abs(fam.retract(st).y.T - retract_reference(st))) < 1e-14
 
@@ -361,6 +432,15 @@ def test_flow_time_exactness_and_residual():
     assert res.max_residual < 1e-10
     assert res.direction_err < 1e-10
     assert np.allclose(res.state.t, 0.9, atol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.3, -0.3])
+def test_flow_max_residual_is_largest_over_its_states(tau):
+    # the retraction hands back the residual it last checked: it must be the
+    # largest residual of the states the flow passes through
+    res = FAM.flow(embedded_batch(8, seed=7), tau, keep_states=True)
+    assert res.steps > 1
+    assert res.max_residual == max(float(np.max(np.abs(FAM.residual(s)))) for s in res.states)
 
 
 def test_flow_reverses_exactly():
