@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import ToleranceError, __version__
 from .polytope import (
+    MAX_LATTICE_POINTS,
     box_polytope,
     gc_polytope,
     gc_variable_names,
@@ -37,7 +37,6 @@ from .flag import gc_rows, random_flags
 from .flow import DegenerationFamily
 from .lab import (
     ExperimentConfig,
-    ExpSchedule,
     checked_s_grid,
     combined_experiment,
     concentration_sweep,
@@ -143,11 +142,6 @@ def merge_config(defaults: dict, args) -> dict:
     for k in defaults:
         if getattr(args, k, None) is not None:
             cfg[k] = getattr(args, k)
-    if "seed" in cfg and os.environ.get("GCQ_SEED"):
-        try:
-            cfg["seed"] = int(os.environ["GCQ_SEED"])
-        except ValueError:
-            raise UsageError("GCQ_SEED must be an integer")
     return cfg
 
 
@@ -208,6 +202,11 @@ def cmd_polytope(args) -> int:
     n = args.n
     if len(a) != n - 1:
         raise UsageError(f"need n-1 = {n - 1} weights, got {len(a)}")
+    # every factor of weyl_dim is at least 2, so the lattice has at least
+    # 2^(n(n-1)/2) points: past MAX_LATTICE_POINTS from n = 8 on
+    if n * (n - 1) // 2 >= MAX_LATTICE_POINTS.bit_length():
+        raise UsageError(f"n = {n}: the lattice has at least 2^{n * (n - 1) // 2} points, "
+                         f"past MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
     P = gc_polytope(n, a)
     pts = lattice_points(P)
     dim = weyl_dim(gc_weight(a))
@@ -357,10 +356,10 @@ def cmd_lab_combined(args) -> int:
     ecfg = ExperimentConfig(
         a=parse_floats(cfg["a"]),
         pattern=_parse_pattern(cfg["pattern"]),
-        nu=QuadraticNu(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(3)),
         s_grid=parse_floats(cfg["s_grid"]),
         eps=parse_real("eps", cfg["eps"]),
-        schedule=ExpSchedule(parse_real("schedule_rate", cfg["schedule_rate"])),
+        nu_scale=parse_real("nu_scale", cfg["nu_scale"]),
+        schedule_rate=parse_real("schedule_rate", cfg["schedule_rate"]),
         per_axis=parse_int("per_axis", cfg["per_axis"]),
         flow_per_axis=parse_int("flow_per_axis", cfg["flow_per_axis"]),
     )

@@ -14,17 +14,12 @@ that runs the deformation and the family flow together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .polytope import (
-    DelzantPolytope,
-    Facet,
-    GCPattern,
-    ambient_polytope,
-)
+from .polytope import DelzantPolytope, Facet, ambient_polytope
 from .toric import (
     TWO_PI,
     ConvexDeformation,
@@ -50,7 +45,6 @@ __all__ = [
     "decay_slope",
     "mass_decay_slope",
     "checked_s_grid",
-    "ExpSchedule",
     "GCTorusModel",
     "section_equality_on_v0",
     "ExperimentConfig",
@@ -157,25 +151,6 @@ def checked_s_grid(s_values: Sequence[float]) -> np.ndarray:
     return s
 
 
-# -- the deformation schedule ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExpSchedule:
-    """t(s) = exp(-s/rate): continuous, decreasing, t(0) = 1."""
-
-    rate: float = 5.0
-
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be positive and finite")
-
-    def t(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        return math.exp(-s / self.rate)
-
-
 # -- the n = 3 identification ---------------------------------------------------
 
 
@@ -238,9 +213,9 @@ class GCTorusModel:
         return M, c
 
     def xi_of_pattern(self, pattern) -> np.ndarray:
-        if isinstance(pattern, GCPattern):
-            lam = np.asarray(pattern.flatten(drop_top=True), dtype=float)
-        elif isinstance(pattern, np.ndarray) and pattern.shape[-1] == 3:
+        """xi of flattened patterns (..., 3), or of one pattern's rows below
+        the top, ((lam1_1,), (lam2_1, lam2_2))."""
+        if isinstance(pattern, np.ndarray) and pattern.shape[-1] == 3:
             lam = np.asarray(pattern, dtype=float)
         else:
             flat = []
@@ -354,6 +329,15 @@ def section_equality_on_v0(m, mprime, samples: int = 500, seed: int = 0) -> floa
 # -- the combined experiment ----------------------------------------------------
 
 
+def _chained(fam: DegenerationFamily, state: State, t0: float, ts):
+    """Yield (t, state) for each t of ts in turn: the state flowed from t0 to t,
+    each segment starting where the last one ended."""
+    for t in ts:
+        state = fam.flow(state, t0 - t).state
+        yield t, state
+        t0 = t
+
+
 def _default_test_functions(xi_star: np.ndarray) -> dict:
     return {
         "one": lambda xi: 1.0,
@@ -368,22 +352,23 @@ class ExperimentConfig:
 
     a: tuple = (2.0, 2.0)
     pattern: tuple = ((2.0,), (3.0, 1.0))   # rows below the pinned top row
-    nu: Optional[QuadraticNu] = None        # on xi-space; default identity quadratic
     s_grid: tuple = (0.0, 5.0, 10.0, 20.0, 40.0)
     eps: float = 0.3
-    schedule: ExpSchedule = field(default_factory=ExpSchedule)
+    nu_scale: float = 1.0                   # nu = nu_scale |xi|^2 / 2 on xi-space
+    schedule_rate: float = 5.0              # t(s) = exp(-s / schedule_rate)
     per_axis: int = 32
     flow_per_axis: int = 10
 
     def __post_init__(self):
-        if self.nu is None:
-            self.nu = QuadraticNu(np.eye(3))
         self.validate()
 
     def validate(self):
         checked_s_grid(self.s_grid)
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
+        QuadraticNu(self.nu_scale * np.eye(3))  # positive definite: nu_scale > 0
+        if not 0 < self.schedule_rate < math.inf:
+            raise ValueError("schedule_rate must be positive and finite")
         if self.per_axis < 4 or self.flow_per_axis < 2:
             raise ValueError("quadrature resolution too small")
 
@@ -437,7 +422,8 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
         raise ValueError("pattern must be an interior point (boundary patterns "
                          "are out of scope)")
     lift = model.lifts(xi_star)[0].astype(float)
-    deformer = ConvexDeformation(cfg.nu, iota_star=model.A.astype(float))
+    deformer = ConvexDeformation(QuadraticNu(cfg.nu_scale * np.eye(3)),
+                                 iota_star=model.A.astype(float))
     ambient = model.ambient_delta()
     pot0 = SymplecticPotential(ambient, 0.0, deformer)
     xi_pts, log_vol = polytope_grid(img, cfg.per_axis)
@@ -452,32 +438,26 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     # one flow from the degenerate fiber up through the scheduled t (nested);
     # at t = 0 the two routes coincide by construction and no flow is run
     svals = [float(s) for s in cfg.s_grid]
-    t_of = {s: float(cfg.schedule.t(s)) for s in svals}
-    ts = sorted({t for t in t_of.values() if t > 0})
+    t_of = [math.exp(-s / cfg.schedule_rate) for s in svals]
+    ts = sorted({t for t in t_of if t > 0})
     end_x = {t: np.full((n_flow, 4), np.nan) for t in ts}
-
-    def chain(idx):
-        cur, t_prev = v0[idx], 0.0
-        for t in ts:
-            cur = fam.flow(cur, -(t - t_prev)).state
-            end_x[t][idx] = fam.moment(cur)
-            t_prev = t
-
     try:
-        chain(slice(None))
+        for t, cur in _chained(fam, v0, 0.0, ts):
+            end_x[t][:] = fam.moment(cur)
     except FlowSingularityError:
         # a failing point keeps its moments for the t it reached
         for i in range(n_flow):
             try:
-                chain(i)
+                for t, cur in _chained(fam, v0[i], 0.0, ts):
+                    end_x[t][i] = fam.moment(cur)
             except FlowSingularityError:
                 pass
 
-    def cell(s: float, mass_out: float, sup_out: float, pairings: dict) -> CellResult:
-        t = t_of[s]
-        mass_out_flow = None
-        failures = 0
-        drift = None
+    reported = concentration_sweep(pot0, lift, x_slice, svals, xi_pts, log_vol,
+                                   xi_star, cfg.eps, phis)
+    cells = []
+    for s, t, (_, mass_out, sup_out, pairings) in zip(svals, t_of, reported):
+        mass_out_flow, failures, drift = None, 0, None
         if t > 0:
             x = end_x[t]
             # failed points (NaN) and points drifting out of the polytope
@@ -492,20 +472,14 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
                                  if 0 < out.sum() < out.size else float(out.all()))
                 moved = model.conserved_coordinates(x[ok] @ model.A.T)
                 drift = float(np.max(np.abs(moved - conserved0[ok])))
-
-        return CellResult(
+        cells.append(CellResult(
             s=s, t=t,
             outside_mass=mass_out, sup_outside=sup_out, pairings=pairings,
             outside_mass_flow=mass_out_flow,
-            flow_points=int(n_flow) if t > 0 else 0,
+            flow_points=n_flow if t > 0 else 0,
             flow_failures=failures,
             torus_moment_drift=drift,
-        )
-
-    reported = concentration_sweep(pot0, lift, x_slice, svals, xi_pts, log_vol,
-                                   xi_star, cfg.eps, phis)
-    cells = [cell(s, mass, sup, pairings)
-             for s, (_, mass, sup, pairings) in zip(svals, reported)]
+        ))
 
     masses = [c.outside_mass for c in cells]
     slope = mass_decay_slope(svals, masses)
@@ -538,10 +512,7 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     fam = DegenerationFamily(a)
     flags = random_flags(3, samples, seed=seed)
     xi_start = model.xi_of_pattern(np.concatenate(gc_rows(flags, a)[:-1], axis=-1))
-    cur, t_prev = fam.embed_flag(flags, 1.0), 1.0
-    gap = {}
-    for t in sorted(set(t_values), reverse=True):
-        cur = fam.flow(cur, t_prev - t).state
-        gap[t] = float(np.max(np.abs(model.xi_of_state(fam, cur) - xi_start)))
-        t_prev = t
+    gap = {t: float(np.max(np.abs(model.xi_of_state(fam, cur) - xi_start)))
+           for t, cur in _chained(fam, fam.embed_flag(flags, 1.0), 1.0,
+                                  sorted(set(t_values), reverse=True))}
     return np.array([gap[t] for t in t_values])

@@ -96,13 +96,14 @@ def test_flag_dump_seed_sensitivity(tmp_path):
     assert artifact_hashes(a)["patterns.csv"] != artifact_hashes(c)["patterns.csv"]
 
 
-def test_gcq_seed_env_override(tmp_path, monkeypatch):
+def test_seed_comes_from_flags_not_environment(tmp_path, monkeypatch):
+    # defaults < --config < flags: no environment variable overrides the seed
     monkeypatch.setenv("GCQ_SEED", "7")
-    out = tmp_path / "s"
-    assert run(["flag", "dump", "--count", "2", "--seed", "1", "--out", str(out)]) == 0
-    assert manifest(out)["config"]["seed"] == 7
-    monkeypatch.setenv("GCQ_SEED", "not-an-int")
-    assert run(["flag", "dump", "--count", "2", "--out", str(tmp_path / "x")]) == 2
+    flagged, default = tmp_path / "s", tmp_path / "d"
+    assert run(["flag", "dump", "--count", "2", "--seed", "1", "--out", str(flagged)]) == 0
+    assert manifest(flagged)["config"]["seed"] == 1
+    assert run(["flag", "dump", "--count", "2", "--out", str(default)]) == 0
+    assert manifest(default)["config"]["seed"] == 0
 
 
 def test_config_merge_precedence(tmp_path):
@@ -196,6 +197,9 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["flow", "run", "--config", {"a": "0,1"}],
     ["lab", "combined", "--config", {"a": "0,1"}],
     ["lab", "gc-check", "--config", {"a": "0,1"}],
+    # from n = 8 on the lattice has at least 2^28 points: refused before enumeration
+    ["polytope", "count", "--n", "8", "--a", ",".join(["1"] * 7)],
+    ["polytope", "count", "--n", "200", "--a", ",".join(["1"] * 199)],
 ])
 def test_invalid_config_exits_two(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):
@@ -244,14 +248,10 @@ def test_lab_defaults_match_library_defaults(monkeypatch):
     # LAB_DEFAULTS and ExperimentConfig() state the lab combined defaults twice
     (got,), _ = captured_call(monkeypatch, "combined_experiment", ["lab", "combined"])
     want = ExperimentConfig()
-    for f in dataclasses.fields(ExperimentConfig):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "nu":
-            assert np.array_equal(a.Q, b.Q)
-        elif f.name == "schedule":
-            assert type(a) is type(b) and a.rate == b.rate
-        else:
-            assert a == b, f.name
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(cli.LAB_DEFAULTS) == names
+    for name in names:
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def test_gc_check_defaults_match_library_defaults(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -229,7 +231,7 @@ def lab_flow_grid():
     pts = pts[img.support_values(pts).min(axis=-1) > 1e-9]
     fam = DegenerationFamily(cfg.a)
     v0 = model.v0_state(pts, fam=fam)
-    ts = sorted({cfg.schedule.t(s) for s in cfg.s_grid})
+    ts = sorted({math.exp(-s / cfg.schedule_rate) for s in cfg.s_grid})
 
     def backwards(_, y):
         return -fam.z_field(State._of_rows(y.reshape(v0.y.shape)))[0].T.ravel()

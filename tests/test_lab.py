@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gcquant import toric
+from gcquant.flag import gc_rows, random_flags
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import (
     ExperimentConfig,
-    ExpSchedule,
     GCTorusModel,
     GridMeasure,
     QuadratureError,
@@ -71,7 +71,7 @@ def test_affine_map_carries_vertices_to_vertices(a):
 
 def test_xi_of_pattern_input_forms():
     pat = GCPattern(((2.0,), (3.0, 1.0), (4.0, 2.0, 0.0)))
-    xi1 = MODEL.xi_of_pattern(pat)
+    xi1 = MODEL.xi_of_pattern(pat.flatten())
     xi2 = MODEL.xi_of_pattern(np.array([2.0, 3.0, 1.0]))
     xi3 = MODEL.xi_of_pattern(((2.0,), (3.0, 1.0)))
     assert np.allclose(xi1, xi2)
@@ -199,6 +199,15 @@ def test_v0_state_moment_anchors_slice():
     st1 = MODEL.v0_state(xi, theta_prime=(0.2, -0.3, 0.11), fam=fam)
     assert np.max(np.abs(st1.u - st0.u)) > 1e-3
     assert np.max(np.abs(fam.moment(st1) - x)) < 1e-12
+
+
+def test_v0_state_fiber_check_can_fail():
+    # the constructed point lies on the fiber only up to rounding, which the
+    # weight ratio 1e4 lifts past the check's 1e-10
+    model = GCTorusModel((1.0, 1e4))
+    xi, _ = polytope_grid(model.image_delta(), 10)
+    with pytest.raises(FlowSingularityError, match="misses the fiber"):
+        model.v0_state(xi)
 
 
 def test_v0_state_angle_map():
@@ -467,16 +476,18 @@ def test_analytic_decay_rate_quadratic():
 
 
 def test_exp_schedule_contract():
-    sch = ExpSchedule(rate=5.0)
-    assert sch.t(0.0) == 1.0
-    ts = [sch.t(s) for s in (0.0, 1.0, 5.0, 20.0)]
+    # t(s) = exp(-s / schedule_rate): t(0) = 1, decreasing, nonnegative s only
+    cfg = ExperimentConfig(s_grid=(0.0, 1.0, 5.0, 20.0), schedule_rate=5.0,
+                           per_axis=6, flow_per_axis=2)
+    ts = [c.t for c in combined_experiment(cfg).cells]
+    assert ts[0] == 1.0
     assert all(b < a for a, b in zip(ts, ts[1:]))
-    assert np.isclose(sch.t(5.0), math.exp(-1.0))
+    assert np.isclose(ts[2], math.exp(-1.0))
     with pytest.raises(ValueError):
-        sch.t(-1.0)
+        ExperimentConfig(s_grid=(-1.0, 5.0))
     for rate in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            ExpSchedule(rate=rate)
+            ExperimentConfig(schedule_rate=rate)
 
 
 # -- experiment configuration and runs -------------------------------------------
@@ -493,6 +504,9 @@ def test_experiment_config_validation():
     for eps in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ExperimentConfig(eps=eps)
+    for scale in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            ExperimentConfig(nu_scale=scale)
     with pytest.raises(ValueError):
         ExperimentConfig(per_axis=1).validate()
 
@@ -584,6 +598,7 @@ def test_s0_cell_equals_undeformed_baseline():
     rep = combined_experiment(cfg)
     cell0 = rep.cells[0]
     assert cell0.t == 1.0
+    assert rep.cells[1].t == math.exp(-5.0 / cfg.schedule_rate)
 
     model = GCTorusModel(cfg.a)
     xi_star = model.xi_of_pattern(cfg.pattern)
@@ -591,7 +606,8 @@ def test_s0_cell_equals_undeformed_baseline():
     pts, log_vol = polytope_grid(img, cfg.per_axis)
     pts = pts[img.support_values(pts).min(axis=-1) > 1e-9]
     lift = model.lifts(xi_star)[0]
-    deformer = ConvexDeformation(cfg.nu, iota_star=model.A.astype(float))
+    deformer = ConvexDeformation(QuadraticNu(cfg.nu_scale * np.eye(3)),
+                                 iota_star=model.A.astype(float))
     pot = SymplecticPotential(model.ambient_delta(), 0.0, deformer).at_s(0.0)
     dens = SectionDensity(pot, tuple(lift.astype(float)))
     logdens = dens.log_magnitude(model.slice_point(pts))
@@ -603,6 +619,20 @@ def test_s0_cell_equals_undeformed_baseline():
     lw = logdens + log_vol
     oracle = float(np.exp(logsumexp(lw[mask]) - logsumexp(lw)))
     assert abs(cell0.outside_mass - oracle) <= 1e-13 * oracle
+
+
+def test_gc_check_chained_gaps_match_independent_flows():
+    # the one flow chained down through the t values gives the gaps of
+    # independent flows from t = 1 to each t
+    ts, a, samples, seed = [0.2, 0.05, 0.1, 0.02], (1.0, 1.0), 6, 3
+    chained = gc_vs_torus_moment_check(ts, samples=samples, a=a, seed=seed)
+    model, fam = GCTorusModel(a), DegenerationFamily(a)
+    flags = random_flags(3, samples, seed=seed)
+    xi_start = model.xi_of_pattern(np.concatenate(gc_rows(flags, a)[:-1], axis=-1))
+    v1 = fam.embed_flag(flags, 1.0)
+    for t, gap in zip(ts, chained):
+        alone = fam.flow(v1, 1.0 - t).state
+        assert abs(gap - np.max(np.abs(model.xi_of_state(fam, alone) - xi_start))) < 1e-10
 
 
 def test_gc_vs_torus_trend():
