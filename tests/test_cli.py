@@ -212,6 +212,28 @@ def test_invalid_config_exits_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+class _Drawn(Exception):
+    pass
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise _Drawn
+
+
+@pytest.mark.parametrize("argv", [["flag", "dump", "--count"], ["lab", "gc-check", "--samples"]])
+def test_flag_count_bound_exits_two_before_drawing(tmp_path, capsys, monkeypatch, argv):
+    # a count past MAX_FLAGS is refused before any flag is drawn; MAX_FLAGS
+    # itself passes the bound and reaches random_flags
+    monkeypatch.setattr(cli, "random_flags", _refuse_to_draw)
+    monkeypatch.setattr(gcquant.lab, "random_flags", _refuse_to_draw)
+    out = ["--out", str(tmp_path / "o")]
+    assert run(argv + [str(cli.MAX_FLAGS + 1)] + out) == 2
+    assert capsys.readouterr().err == (f"usage error: {argv[-1][2:]} = {cli.MAX_FLAGS + 1} "
+                                       f"passes MAX_FLAGS = {cli.MAX_FLAGS}\n")
+    with pytest.raises(_Drawn):
+        run(argv + [str(cli.MAX_FLAGS)] + out)
+
+
 @pytest.mark.parametrize("argv", [
     # flows take error-controlled steps only; a fixed step `h` is no config key
     ["flow", "run", {"h": 0.01}],
@@ -398,8 +420,8 @@ def test_flag_dump_min_support_is_the_patterns_margin(tmp_path, capsys, argv):
 
 def _mass_above_one(sweep):
     def swept(*args):
-        for measure, mass, sup, pairings in sweep(*args):
-            yield measure, mass + 1.0, sup, pairings
+        for logdens, sums in sweep(*args):
+            yield logdens, sums._replace(mass=sums.mass + 1.0)
     return swept
 
 
@@ -777,8 +799,10 @@ def test_float_formatting_is_lossless(tmp_path):
 def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     # the grid is built once, and the density, the exclusion mask and each
     # test function are evaluated once for the whole s-sweep, at the names
-    # the CLI and the sweep resolve
+    # the CLI and the sweep resolve; each s is one pass of the reduction
     from gcquant.lab import GridMeasure, outside_mass
+    from gcquant.polytope import interval
+    from gcquant.toric import grid_sums, polytope_grid
 
     calls = {"grid": 0, "density": 0, "mask": 0}
     phi_calls = {}
@@ -802,14 +826,15 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
             return sweep(*head, {name: counted_phi(name, phi) for name, phi in phis.items()})
         return swept
 
-    def recording_outside_mass(measure, outside):
-        measures.append(measure)
-        return outside_mass(measure, outside)
+    def recording_grid_sums(logdens, log_vol, *args, **kwargs):
+        sums = grid_sums(logdens, log_vol, *args, **kwargs)
+        measures.append((logdens.copy(), log_vol))
+        return sums
 
     monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
     monkeypatch.setattr(gcquant.lab, "section_log_density",
                         counted("density", gcquant.lab.section_log_density))
-    monkeypatch.setattr(gcquant.lab, "outside_mass", recording_outside_mass)
+    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
     monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", outside_ball))
     monkeypatch.setattr(cli, "concentration_sweep", counting_phis(cli.concentration_sweep))
     monkeypatch.setattr(gcquant.lab, "concentration_sweep",
@@ -821,7 +846,7 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     assert len(measures) == 3
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
-    raw = measures[1]  # s = 10
+    raw = GridMeasure(polytope_grid(interval(0, 3), 1024)[0], *measures[1])  # s = 10
     doubled = GridMeasure(2.0 * raw.labels, raw.logdens, raw.log_vol)
     m_img = outside_mass(doubled, outside_ball(doubled.labels, np.array([2.0]), 0.6))
     m_raw = outside_mass(raw, outside_ball(raw.labels, np.array([1.0]), 0.3))

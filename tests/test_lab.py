@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+import gcquant.lab
 from gcquant import toric
 from gcquant.flag import gc_rows, random_flags
 from gcquant.flow import DegenerationFamily, FlowSingularityError
@@ -31,6 +32,7 @@ from gcquant.toric import (
     SectionDensity,
     SymplecticPotential,
     g_can_grad,
+    grid_sums,
     outside_ball,
     polytope_grid,
     section_log_density,
@@ -371,9 +373,9 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
 @pytest.mark.parametrize("dim, per_axis", [(1, 256), (3, 24)])
 def test_sweep_matches_standalone_quadrature_bit_for_bit(dim, per_axis):
     # the sweep evaluates the canonical part, the deformation term, the
-    # exclusion mask and the test functions once per grid, and each measure
-    # its weights once; every value must still be the one computed from the
-    # density at that s alone, and by the per-call formulas the weights replaced
+    # exclusion mask and the test functions once per grid; every density
+    # must still be the one computed at that s alone, and every reduction
+    # that of the standalone functionals on it, which make the same pass
     P = box_polytope([(0, 3)] * dim)
     m = np.ones(dim)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(dim))))
@@ -381,17 +383,32 @@ def test_sweep_matches_standalone_quadrature_bit_for_bit(dim, per_axis):
     phis = {"one": lambda y: np.ones(y.shape[:-1]), "x1": lambda y: y[..., 0]}
     svals = [0.0, 7.0, 2000.0]
     mask = outside_ball(x, m, 0.3)
-    for s, (measure, mass, sup, pairings) in zip(
+    for s, (logdens, sums) in zip(
             svals, concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, phis)):
         ref = GridMeasure(x, section_log_density(pot.at_s(s), m, x), log_vol)
-        assert np.array_equal(measure.logdens, ref.logdens)
-        assert mass == outside_mass(ref, mask)
-        assert sup == concentration_sup(ref, mask)
-        assert pairings == {name: delta_pairing(ref, phi(x)) for name, phi in phis.items()}
-        assert pairings["one"] == 1.0
-        w = np.exp(ref.logdens + log_vol - ref.log_total)
-        assert mass == float(np.sum(np.exp(ref.logdens[mask] + log_vol - ref.log_total)))
-        assert pairings["x1"] == float(np.sum(x[:, 0] * w) / np.sum(w))
+        assert np.array_equal(logdens, ref.logdens)
+        assert sums.log_total == ref.log_total
+        assert sums.mass == outside_mass(ref, mask)
+        assert sums.sup == concentration_sup(ref, mask)
+        assert sums.pairings == {name: delta_pairing(ref, phi(x)) for name, phi in phis.items()}
+        assert sums.pairings["one"] == 1.0
+        assert sums == grid_sums(ref.logdens, log_vol, mask,
+                                 {name: phi(x) for name, phi in phis.items()})
+
+
+def assert_reductions_close(got, want):
+    """The bounds of test_measure_matches_logsumexp_oracle: 1e-12 relative on
+    the total mass (absolute on its log) and the pairings, plus the spacing
+    of log_total on exp(u - log_total); a constant pairs to exactly 1."""
+    slack = 2 * np.spacing(abs(want.log_total))
+    assert abs(got.log_total - want.log_total) <= 1e-12 + slack
+    for name in ("mass", "sup"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= \
+            (1e-12 + slack) * abs(getattr(want, name)), name
+    assert got.pairings.keys() == want.pairings.keys()
+    for name, value in want.pairings.items():
+        assert abs(got.pairings[name] - value) <= 1e-12 * abs(value), name
+    assert got.pairings["one"] == want.pairings["one"] == 1.0
 
 
 @pytest.mark.parametrize("P, m, walls", [
@@ -402,18 +419,27 @@ def test_sweep_matches_standalone_quadrature_bit_for_bit(dim, per_axis):
 ])
 @pytest.mark.parametrize("block", ["above", "equal", "k_plus_r", 1])
 def test_sweep_blocks_match_one_block(monkeypatch, P, m, walls, block):
-    # b, q and the exclusion mask are filled block by block; N < BLOCK,
-    # N = BLOCK and N = k BLOCK + r must all give the single-block sweep bit
-    # for bit, with m on a wall and grid points on walls (-inf densities)
+    # b, q and the exclusion mask are filled block by block, and each s is
+    # reduced block by block; N < BLOCK, N = BLOCK and N = k BLOCK + r must
+    # all give the single-block densities and mask bit for bit and the
+    # single-block reductions to rounding, with m on a wall and grid points
+    # on walls (-inf densities)
     m = np.array(m)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(P.dim))))
     pts, log_vol = polytope_grid(P, 10)
     x = np.concatenate([pts[: len(pts) // 2], walls, pts[len(pts) // 2:]])
     phis = {"one": lambda y: 1.0, "x1": lambda y: y[..., 0]}
     svals = [0.0, 7.0, 2000.0]
+    masks = []
+
+    def recording_grid_sums(logdens, log_vol, outside, *args, **kwargs):
+        masks.append(outside.copy())
+        return grid_sums(logdens, log_vol, outside, *args, **kwargs)
+
+    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
 
     def sweep():
-        return [(measure.logdens, mass, sup, pairings) for measure, mass, sup, pairings
+        return [(logdens, sums) for logdens, sums
                 in concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, phis)]
 
     want = sweep()
@@ -421,10 +447,34 @@ def test_sweep_blocks_match_one_block(monkeypatch, P, m, walls, block):
     size = {"above": n + 5, "equal": n, "k_plus_r": (n - 3) // 4}.get(block, block)
     monkeypatch.setattr(toric, "BLOCK", size)
     got = sweep()
-    for (logdens, *rest), (want_logdens, *want_rest) in zip(got, want, strict=True):
+    for (logdens, sums), (want_logdens, want_sums) in zip(got, want, strict=True):
         assert np.array_equal(logdens, want_logdens)
-        assert rest == want_rest
+        assert_reductions_close(sums, want_sums)
+    assert all(np.array_equal(mask, masks[0]) for mask in masks)
     assert np.isneginf(want[0][0]).any()
+
+
+def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
+    # a whole block of -inf densities (wall points) between finite blocks is
+    # skipped: no NaN, and the reductions of one block to rounding
+    P = box_polytope([(0, 3), (0, 2)])
+    m = np.array([1.0, 1.0])
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(2))))
+    pts, log_vol = polytope_grid(P, 10)
+    walls = [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]
+    x = np.concatenate([pts[:40], walls, pts[40:]])
+    phis = {"one": lambda y: 1.0, "x1": lambda y: y[..., 0]}
+
+    def sweep():
+        return list(concentration_sweep(pot, m, x, [0.0, 7.0, 2000.0], x, log_vol, m, 0.3,
+                                        phis))
+
+    want = sweep()
+    monkeypatch.setattr(toric, "BLOCK", len(walls))
+    for (logdens, sums), (_, want_sums) in zip(sweep(), want, strict=True):
+        assert np.isneginf(logdens[40:44]).all() and np.isfinite(logdens[:40]).all()
+        assert np.isfinite([sums.log_total, sums.mass, sums.sup, *sums.pairings.values()]).all()
+        assert_reductions_close(sums, want_sums)
 
 
 def test_concentration_sup_reads_the_mask_in_place():
@@ -612,13 +662,27 @@ def test_s0_cell_equals_undeformed_baseline():
     dens = SectionDensity(pot, tuple(lift.astype(float)))
     logdens = dens.log_magnitude(model.slice_point(pts))
     mask = np.linalg.norm(pts - xi_star, axis=-1) > cfg.eps
-    top = np.max(logdens)
-    log_total = top + np.log(np.sum(np.exp(logdens - top))) + log_vol
-    baseline = float(np.sum(np.exp(logdens[mask] + log_vol - log_total)))
-    assert cell0.outside_mass == baseline
+    assert cell0.outside_mass == grid_sums(logdens, log_vol, mask).mass
     lw = logdens + log_vol
     oracle = float(np.exp(logsumexp(lw[mask]) - logsumexp(lw)))
     assert abs(cell0.outside_mass - oracle) <= 1e-13 * oracle
+
+
+def test_flow_route_measure_takes_the_flow_grid_cell_volume(monkeypatch):
+    # the flowed points are the coarse grid's: their measure has its cells
+    log_vols = []
+
+    def recording_measure(labels, logdens, log_vol):
+        log_vols.append(log_vol)
+        return GridMeasure(labels, logdens, log_vol)
+
+    monkeypatch.setattr(gcquant.lab, "GridMeasure", recording_measure)
+    cfg = ExperimentConfig(s_grid=(0.0, 5.0), per_axis=10, flow_per_axis=4)
+    combined_experiment(cfg)
+    img = GCTorusModel(cfg.a).image_delta()
+    flow_log_vol = polytope_grid(img, cfg.flow_per_axis)[1]
+    assert flow_log_vol != polytope_grid(img, cfg.per_axis)[1]
+    assert log_vols == [flow_log_vol, flow_log_vol]
 
 
 def test_gc_check_chained_gaps_match_independent_flows():

@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from gcquant import toric
 from gcquant.lab import GCTorusModel
-from gcquant.polytope import box_polytope, gc_polytope, interval
+from gcquant.polytope import DelzantPolytope, Facet, box_polytope, gc_polytope, interval
 from gcquant.toric import (
     ConvexDeformation,
     QuadraticNu,
@@ -20,7 +19,6 @@ from gcquant.toric import (
     g_can_hess,
     g_can_value,
     holonomy,
-    log_l1_norm,
     moment_to_complex,
     moment_to_log_complex,
     outside_ball,
@@ -318,18 +316,6 @@ def test_section_density_object_matches_function():
     assert np.allclose(dens.log_magnitude(x), section_log_density(pot, np.array([1.0]), x))
 
 
-def test_log_l1_norm_against_adaptive_quadrature():
-    P = interval(0, 3)
-    m = np.array([1.0])
-    for s in (0.0, 20.0):
-        pot = potential(P, s)
-        val, err = log_l1_norm(pot, m, rel_tol=1e-8)
-        ref, _ = quad(lambda t: np.exp(section_log_density(pot, m, np.array([[t]]))[0]),
-                      0.0, 3.0, epsabs=0, epsrel=1e-10, limit=200)
-        assert abs(val - np.log(ref)) < 1e-6
-        assert err < 1e-7
-
-
 # -- quadrature grid -------------------------------------------------------------
 
 
@@ -391,6 +377,40 @@ def test_polytope_grid_on_a_box_stays_below_four_grid_arrays():
         tracemalloc.stop()
     assert pts.shape == (n, 3)
     assert peak < 4 * n * pts.itemsize
+
+
+@pytest.mark.parametrize("P, checked", [
+    (box_polytope([(0, 3), (0, 2), (0, 1)]), None),
+    (GCTorusModel((1, 1)).image_delta(), ((-1, -1, 1),)),
+    (gc_polytope(3, (1, 1)), None),
+    # a box of width 0 along x2: h_2/2 = 0 does not clear 1e-9, so its walls
+    # stay in the mask, which keeps no point
+    (DelzantPolytope(2, (Facet((1, 0), 0), Facet((-1, 0), 3), Facet((0, 1), -1),
+                         Facet((0, -1), 1))), ((0, 1), (0, -1))),
+])
+def test_polytope_grid_skips_only_box_walls_that_clear(monkeypatch, P, checked):
+    # the wall mask leaves out the facets on the box's own bounds and keeps
+    # the full mask's points, in order, bit for bit
+    per_axis = 12
+    axes = [lo + (hi - lo) / per_axis * (np.arange(per_axis) + 0.5)
+            for lo, hi in P.bounding_box()]
+    raw = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    want = raw[P.contains(raw, tol=1e-9, strict=True)]
+    masks = []
+    contains = DelzantPolytope.contains
+
+    def recording_contains(self, p, tol=0.0, strict=False):
+        masks.append(tuple(f.normal for f in self.facets))
+        return contains(self, p, tol, strict)
+
+    monkeypatch.setattr(DelzantPolytope, "contains", recording_contains)
+    with np.errstate(divide="ignore"):  # the log cell volume of a flat box
+        got, _ = polytope_grid(P, per_axis)
+    assert np.array_equal(got, want)
+    if checked is not None:
+        assert set(masks) == ({checked} if checked else set())
+    if P.dim == 2:
+        assert len(got) == 0
 
 
 def test_polytope_grid_masks_wall_cells():
