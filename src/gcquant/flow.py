@@ -164,6 +164,23 @@ def _grad_uw(y: np.ndarray) -> np.ndarray:
     return g
 
 
+def _reduced_grad(y: np.ndarray):
+    """(g, c) at the flat coordinate rows y (7, n): c = dF/dt, and g (6, n) is
+    conj(dF/du, dF/dw) less its components along the gauge rows u and w,
+    pa = conj(dF/du) - u conj(F)/|u|^2, pb = conj(dF/dw) - w conj(F)/|w|^2
+    (u.dF/du = w.dF/dw = F; exact off the unit spheres, where RK stages lie)."""
+    u, w = y[0:3], y[3:6]
+    g = _grad_uw(y)
+    pa, pb = g[0:3], g[3:6]
+    Fc = np.conj(u[0] * pa[0] + u[1] * pa[1] + u[2] * pa[2])
+    c = u[2] * w[0]
+    np.conjugate(g, out=g)
+    n2 = _sq(y[0:6])
+    pa -= u * (Fc / (n2[0] + n2[1] + n2[2]))
+    pb -= w * (Fc / (n2[3] + n2[4] + n2[5]))
+    return g, c
+
+
 # Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980) as
 # one lower-triangular tableau.  The field is autonomous, so the nodes are
 # not needed.  Row i < 6 weights stages 1 .. i + 1 into the point of stage
@@ -329,46 +346,32 @@ class DegenerationFamily:
         w2 = w2 / np.sum(w2, axis=0)
         return np.stack([a1 * u2[1], a1 * u2[2], a2 * w2[1], a2 * w2[2]], axis=-1)
 
-    # ------------------------------------------------------- linear algebra
-
-    def _rows(self, state: State, fiber: bool = False) -> np.ndarray:
-        """Complex conditions cutting the tangent space, as rows acting on
-        metric-orthonormal (scaled) coordinates.  Shape (..., 3 or 4, 7).
-
-        Row 1, 2: sphere/phase gauge <u, du> = 0, <w, dw> = 0.
-        Row 3: linearized defining equation.
-        Row 4 (fiber only): dt = 0.
-        """
-        u, w, t = state.u, state.w, state.t
-        m = 4 if fiber else 3
-        C = np.zeros(state.batch_shape + (m, 7), dtype=complex)
-        s = self._scale
-        C[..., 0, 0:3] = np.conj(u) / s[0]
-        C[..., 1, 3:6] = np.conj(w) / s[3]
-        C[..., 2, 0] = w[..., 2] / s[0]
-        C[..., 2, 1] = -w[..., 1] / s[0]
-        C[..., 2, 2] = t * w[..., 0] / s[0]
-        C[..., 2, 3] = t * u[..., 2] / s[3]
-        C[..., 2, 4] = -u[..., 1] / s[3]
-        C[..., 2, 5] = u[..., 0] / s[3]
-        C[..., 2, 6] = u[..., 2] * w[..., 0]
-        if fiber:
-            C[..., 3, 6] = 1.0
-        return C
-
-    def _project_scaled(self, C: np.ndarray, zhat: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of scaled vectors onto the null space of C."""
-        G = C @ np.conj(np.swapaxes(C, -1, -2))
-        rhs = np.einsum("...kj,...j->...k", C, zhat)
-        sol = np.linalg.solve(G, rhs[..., None])[..., 0]
-        return zhat - np.einsum("...kj,...k->...j", np.conj(C), sol)
+    # ------------------------------------------------------- tangent spaces
 
     def project(self, state: State, vec: np.ndarray, fiber: bool = False) -> np.ndarray:
         """Metric-orthogonal projection of ambient vectors (..., 7) onto the
-        tangent space at `state` (fiber tangent space if fiber=True)."""
-        C = self._rows(state, fiber=fiber)
-        zhat = np.asarray(vec, dtype=complex) * self._scale
-        return self._project_scaled(C, zhat) / self._scale
+        tangent space at `state` (fiber tangent space if fiber=True), in
+        closed form: v loses its components along u, w (and dt on the fiber),
+        then along r = ((pi/a_1) pa, (pi/a_2) pb, conj c), the metric dual of
+        dF (`_reduced_grad`, with c -> 0 on the fiber); these are mutually
+        orthogonal, and |r|^2 = P + Q, or P on the fiber (see z_field).
+        Raises FlowSingularityError where |r| <= 1e-8: on the fiber, sqrt(P)."""
+        g, c = _reduced_grad(state.y.reshape(7, -1))
+        n = np.vstack([g, np.zeros_like(c) if fiber else np.conj(c)])
+        inv_metric = self._scale ** -2
+        r2 = inv_metric @ _sq(n)
+        if not (np.sqrt(r2) > 1e-8).all():
+            bad = float(np.sqrt(np.min(r2)))
+            raise FlowSingularityError(f"tangent space undefined: |dF| {bad:.3e} <= 1.0e-08")
+        v = np.array(vec, dtype=complex)
+        if fiber:
+            v[..., 6] = 0.0
+        for z, s in ((state.u, slice(0, 3)), (state.w, slice(3, 6))):
+            zv = np.sum(np.conj(z) * v[..., s], axis=-1, keepdims=True)
+            v[..., s] -= z * zv / np.sum(_sq(z), axis=-1, keepdims=True)
+        n = _points_last(n.reshape(state.y.shape))
+        nv = np.sum(np.conj(n) * v, axis=-1, keepdims=True)
+        return v - inv_metric * n * nv / r2.reshape(state.batch_shape + (1,))
 
     # ------------------------------------------------------------ flow field
 
@@ -379,26 +382,14 @@ class DegenerationFamily:
         stepper passes _out, a stage row of its stage buffer shaped like
         state.y, and Z is then written there and returned as a view of it.
 
-        Closed form of `project(state, e_t)`.  With a = dF/du, b = dF/dw and
-        c = dF/dt (so u.a = w.b = F), the gauge rows u, w are orthogonal to
-        each other and to e_t, so one Gram-Schmidt step leaves
-        pa = conj(a) - u conj(F)/|u|^2 and pb = conj(b) - w conj(F)/|w|^2.
-        With P = (pi/a_1)|pa|^2 + (pi/a_2)|pb|^2 and Q = |c|^2:
+        Closed form of `project(state, e_t)`: with pa, pb, c from
+        `_reduced_grad`, P = (pi/a_1)|pa|^2 + (pi/a_2)|pb|^2 and Q = |c|^2,
         grad_norm = sqrt(P/(P+Q)), Z_u = (pi/a_1) c pa/P,
         Z_w = (pi/a_2) c pb/P and Z_t = -1, evaluated as
-        -(1 - Q/(P+Q))(P+Q)/P so that its rounding stays visible.  RK stages
-        leave the unit spheres, hence the |u|^2, |w|^2 divisors.
+        -(1 - Q/(P+Q))(P+Q)/P so that its rounding stays visible.
         """
         y = state.y.reshape(7, -1)
-        u, w = y[0:3], y[3:6]
-        g = _grad_uw(y)
-        pa, pb = g[0:3], g[3:6]
-        Fc = np.conj(u[0] * pa[0] + u[1] * pa[1] + u[2] * pa[2])
-        c = u[2] * w[0]
-        np.conjugate(g, out=g)
-        n2 = _sq(y[0:6])
-        pa -= u * (Fc / (n2[0] + n2[1] + n2[2]))
-        pb -= w * (Fc / (n2[3] + n2[4] + n2[5]))
+        g, c = _reduced_grad(y)
         P = self._inv_metric @ _sq(g)
         Q = _sq(c)
         PQ = P + Q
@@ -468,55 +459,62 @@ class DegenerationFamily:
 
     def tangent_frame(self, state: State) -> np.ndarray:
         """Metric-orthonormal real frame of the fiber tangent space at a single
-        point, shape (6, 7) complex: entries come in pairs (n, i n)."""
+        point, shape (6, 7) complex: pairs (n, i n) of the eigenvalue-1
+        eigenvectors n of the fiber projector, which is Hermitian in scaled
+        coordinates.  Raises FlowSingularityError where `project` does."""
         if state.batch_shape != ():
             raise ValueError("tangent_frame expects a single point")
-        C = self._rows(state, fiber=True)
-        _, sv, Vh = np.linalg.svd(C, full_matrices=True)
-        if sv[-1] < 1e-10:
-            raise FlowSingularityError(
-                f"tangent conditions drop rank (smallest singular value {sv[-1]:.3e})"
-            )
-        null = np.conj(Vh[C.shape[-2]:])  # (3, 7) orthonormal, scaled coords
-        frame = np.empty((2 * null.shape[0], 7), dtype=complex)
+        # row j: the j-th scaled unit vector projected, in scaled coordinates
+        proj = self.project(state, np.diag(1.0 / self._scale), fiber=True) * self._scale
+        null = np.linalg.eigh(proj.T)[1][:, 4:].T
+        frame = np.empty((6, 7), dtype=complex)
         frame[0::2] = null
         frame[1::2] = 1j * null
         return frame / self._scale
-
-    def gram(self, vectors: np.ndarray) -> np.ndarray:
-        """Metric Gram matrix of a stack of coordinate vectors (k, 7)."""
-        zh = vectors * self._scale
-        return np.real(zh @ np.conj(zh.T))
 
     def omega_matrix(self, vectors: np.ndarray) -> np.ndarray:
         """Symplectic pairing matrix of a stack of coordinate vectors."""
         zh = vectors * self._scale
         return np.imag(zh @ np.conj(zh.T))
 
+    def _dz(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """DZ(x) V: z_field's Z at one point x (7, 1) differentiated along the
+        columns of V (7, k), by the quotient rule on Z_uw = (pi/a) c g/P with
+        g = (pa, pb) from `_reduced_grad`.  Z_t = -1, so its row is 0."""
+        g, c = _reduced_grad(x)
+        u3, w12, t = x[2], x[3], x[6]
+        du1, du2, du3, dw12, dw13, dw23, dt = V
+        Fc = np.conj(_defining(x))
+        dFc = np.conj((_grad_uw(x) * V[0:6]).sum(axis=0) + c * dt)
+        # conj(d(dF/du, dF/dw)), less the derivative of the gauge reduction
+        # against z = u, w (blocks of 3 rows)
+        dg = np.conj([dw23, -dw13, dt * w12 + t * dw12, dt * u3 + t * du3, -du2, du1])
+        z, dz = x[0:6].reshape(2, 3, 1), V[0:6].reshape(2, 3, -1)
+        n2 = _sq(z).sum(axis=1, keepdims=True)
+        dn2 = 2.0 * (np.conj(z) * dz).real.sum(axis=1, keepdims=True)
+        dg -= ((dz * Fc + z * (dFc - Fc * dn2 / n2)) / n2).reshape(dg.shape)
+        P = self._inv_metric @ _sq(g)
+        dP = 2.0 * (self._inv_metric @ (np.conj(g) * dg).real)
+        dc = du3 * w12 + u3 * dw12
+        out = np.zeros_like(V)
+        out[0:6] = self._inv_metric[:, None] * (dc * g + c * dg - c * g * (dP / P)) / P
+        return out
+
     def transport_frame(self, state: State, vectors: np.ndarray, tau: float):
         """Carry fiber tangent vectors (k, 7) at a single point along the flow
-        by the linearized flow map.
-
-        The point and its k vectors ride the same error-controlled
-        Dormand-Prince steps as (7, 1 + k) rows, the step error measured over
-        all of them.  Each stage evaluates the field at the point and the
-        variational field v' = DZ(x) v by central differences, through one
-        field call on the 1 + 2k points x and x +- 1e-6 v.  After each
-        accepted step the point is retracted onto the fiber and the vectors
-        are projected onto the fiber tangent space there.
-        Returns (final_state, final_vectors).
-        """
+        by the linearized flow map: the point and its vectors ride the same
+        error-controlled Dormand-Prince steps as (7, 1 + k) rows, the error
+        measured over all of them, each stage evaluating z_field at the point
+        and v' = DZ(x) v by `_dz`.  After each accepted step the point is
+        retracted onto the fiber and the vectors are projected onto its
+        tangent space.  Returns (final_state, final_vectors)."""
         if state.batch_shape != ():
             raise ValueError("transport_frame expects a single point")
-        eps = 1e-6
-        k = len(vectors)
 
         def f(y: np.ndarray, out: np.ndarray) -> None:
-            x, v = y[:, :1], y[:, 1:]
-            Z = self.z_field(State._of_rows(np.hstack([x, x + eps * v, x - eps * v])))[0].T
-            out[:, :1] = Z[:, :1]
-            np.subtract(Z[:, 1:k + 1], Z[:, k + 1:], out=out[:, 1:])
-            out[:, 1:] /= 2.0 * eps
+            x = y[:, :1]
+            self.z_field(State._of_rows(x), _out=out[:, :1])
+            out[:, 1:] = self._dz(x, y[:, 1:])
 
         cur = state
         y = np.column_stack([state.y, np.asarray(vectors, dtype=complex).T])

@@ -67,8 +67,8 @@ class Facet:
 
 @dataclass(frozen=True)
 class DelzantPolytope:
-    """Facet-presented polytope in R^dim.  Delzant-ness is not assumed; it is
-    checked on request by `is_delzant`, which Gelfand-Cetlin polytopes fail."""
+    """Facet-presented polytope in R^dim.  Delzant-ness is not assumed:
+    Gelfand-Cetlin polytopes are not even simple."""
 
     dim: int
     facets: tuple[Facet, ...]
@@ -250,26 +250,6 @@ class DelzantPolytope:
 
     def barycenter(self) -> np.ndarray:
         return self.vertices().mean(axis=0)
-
-    def is_delzant(self) -> tuple[bool, str]:
-        """Check the unimodular-vertex condition exhaustively.
-
-        Returns (ok, reason).  Fails with a reason on non-simple vertices or
-        non-unimodular normal sets; callers that only need containment or
-        counting are expected to skip this check.
-        """
-        verts = self.vertices()
-        R = self.normal_matrix
-        c = self.offsets
-        for v in verts:
-            active = [j for j in range(len(self.facets)) if abs(R[j] @ v + c[j]) < 1e-7]
-            if len(active) != self.dim:
-                return False, f"vertex {np.round(v, 6).tolist()} meets {len(active)} facets"
-            M = np.array([self.facets[j].normal for j in active], dtype=float)
-            det = round(float(np.linalg.det(M)))
-            if abs(det) != 1:
-                return False, f"vertex {np.round(v, 6).tolist()} has normal det {det}"
-        return True, "all vertices simple and unimodular"
 
 
 def lattice_points(polytope: DelzantPolytope) -> np.ndarray:

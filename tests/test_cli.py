@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gcquant.cli as cli
+import gcquant.flag
 import gcquant.lab
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
 from gcquant.flag import gc_map, random_flags
-from gcquant.polytope import gc_polytope, lattice_points
+from gcquant.polytope import DelzantPolytope, gc_polytope, lattice_points
 from gcquant.toric import ConvergenceError, QuadratureError, outside_ball
 
 
@@ -437,11 +438,18 @@ GATE_FAILURES = [
     pytest.param(["polytope", "gen", "--n", "3", "--a", "1,1"], cli, "weyl_dim",
                  lambda weyl_dim: lambda weight: weyl_dim(weight) + 1, "lattice-weyl-match",
                  {"lattice.csv", "polytope.json", "summary.json"}, id="polytope"),
+    pytest.param(["polytope", "count", "--n", "3", "--a", "1,1"], DelzantPolytope,
+                 "lattice_points", lambda lattice_points: lambda self: lattice_points(self)[1:],
+                 "lattice-weyl-match", {"summary.json"}, id="polytope-lattice-drops-a-point"),
     pytest.param(["toric", "concentrate"], cli, "concentration_sweep", _mass_above_one,
                  "mass-range", {"cells.csv", "summary.json", "profile.dat"}, id="toric"),
     pytest.param(["flag", "dump", "--count", "3"], cli, "gc_rows",
                  lambda gc_rows: _rows_off_polytope, "polytope-containment",
                  {"patterns.csv", "summary.json"}, id="flag"),
+    pytest.param(["flag", "dump", "--a", "1,2", "--count", "20"], gcquant.flag, "moment_matrix",
+                 lambda moment_matrix: lambda V, a: moment_matrix(V, tuple(a)[::-1]),
+                 "polytope-containment", {"patterns.csv", "summary.json"},
+                 id="flag-weights-reversed"),
     pytest.param(["flow", "run"], DegenerationFamily, "flow", _deviating_flow, "t-deviation",
                  {"trajectory.csv", "summary.json"}, id="flow"),
     pytest.param(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gcquant import flow
 from gcquant.flag import pluecker_levels, random_flag, random_flags
 from gcquant.flow import (
     _DP,
@@ -17,6 +18,9 @@ from gcquant.flow import (
 )
 from gcquant.lab import ExperimentConfig, GCTorusModel
 from gcquant.toric import polytope_grid
+
+# a closed form that divides by zero fails its test instead of yielding NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 A = (1.0, 1.0)
 FAM = DegenerationFamily(A)
@@ -136,20 +140,45 @@ def test_z_field_time_component_is_minus_one():
     assert np.min(gn) > 0
 
 
+def project_reference(fam, state, vec, fiber=False):
+    """Metric-orthogonal projection of vectors (..., 7) onto the null space of
+    the tangent conditions, by a Gram solve in metric-orthonormal (scaled)
+    coordinates: the gauge rows <u, du> = 0, <w, dw> = 0, the linearized
+    defining equation and, on the fiber, dt = 0."""
+    u, w, t = state.u, state.w, state.t
+    s = fam._scale
+    m = 4 if fiber else 3
+    C = np.zeros(state.batch_shape + (m, 7), dtype=complex)
+    C[..., 0, 0:3] = np.conj(u) / s[0]
+    C[..., 1, 3:6] = np.conj(w) / s[3]
+    C[..., 2, 0:3] = np.stack([w[..., 2], -w[..., 1], t * w[..., 0]], axis=-1) / s[0]
+    C[..., 2, 3:6] = np.stack([t * u[..., 2], -u[..., 1], u[..., 0]], axis=-1) / s[3]
+    C[..., 2, 6] = u[..., 2] * w[..., 0]
+    if fiber:
+        C[..., 3, 6] = 1.0
+    zhat = np.asarray(vec, dtype=complex) * s
+    G = C @ np.conj(np.swapaxes(C, -1, -2))
+    sol = np.linalg.solve(G, np.einsum("...kj,...j->...k", C, zhat)[..., None])[..., 0]
+    return (zhat - np.einsum("...kj,...k->...j", np.conj(C), sol)) / s
+
+
+def off_sphere_states(t, n=64, seed=17):
+    """n generic states at t, off the unit spheres and off the hypersurface,
+    as RK stages are."""
+    u, w, _ = random_parts((n,), seed=seed)
+    return State(u, w, np.full(n, t, dtype=complex))
+
+
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
 def test_z_field_matches_generic_projection(t):
-    # Z = -grad(Re t)/|grad|^2 with grad = project(e_t), through the generic
-    # Gram solve, on states off the unit spheres (as RK stages are)
+    # Z = -grad(Re t)/|grad|^2 with grad the projection of e_t, through the
+    # generic Gram solve
     a = (2.0, 0.7)
     fam = DegenerationFamily(a)
-    rng = np.random.default_rng(17)
-    n = 64
-    u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    w = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    st = State(u, w, np.full(n, t))
-    e_t = np.zeros((n, 7), dtype=complex)
+    st = off_sphere_states(t)
+    e_t = np.zeros((64, 7), dtype=complex)
     e_t[:, 6] = 1.0
-    grad = fam.project(st, e_t)
+    grad = project_reference(fam, st, e_t)
     metric = np.array([a[0] / np.pi] * 3 + [a[1] / np.pi] * 3 + [1.0])
     norm2 = np.sum(metric * np.abs(grad) ** 2, axis=-1)
     Z_ref = -grad / norm2[:, None]
@@ -157,6 +186,31 @@ def test_z_field_matches_generic_projection(t):
     rel = np.linalg.norm(Z - Z_ref, axis=-1) / np.linalg.norm(Z_ref, axis=-1)
     assert np.max(rel) < 1e-13
     assert np.max(np.abs(gn / np.sqrt(norm2) - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("fiber", [False, True])
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0 + 0.5j])
+def test_project_matches_gram_solve(t, fiber):
+    fam = DegenerationFamily((2.0, 0.7))
+    st = off_sphere_states(t, n=50, seed=23)
+    rng = np.random.default_rng(24)
+    vec = rng.standard_normal((50, 7)) + 1j * rng.standard_normal((50, 7))
+    got = fam.project(st, vec, fiber=fiber)
+    assert np.max(np.abs(got - project_reference(fam, st, vec, fiber))) < 1e-14
+    # one point against a stack of vectors, as frame transport calls it
+    assert np.max(np.abs(fam.project(st[3], vec, fiber=fiber)
+                         - project_reference(fam, st[3], vec, fiber))) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, 0.6])
+def test_tangent_frame_is_orthonormal_fiber_basis(t):
+    fam = DegenerationFamily((1.0, 2.0))
+    st = fam.embed_flag(random_flag(3, seed=8), t)
+    frame = fam.tangent_frame(st)
+    zh = frame * fam._scale
+    assert np.max(np.abs(np.real(zh @ np.conj(zh.T)) - np.eye(6))) < 1e-14
+    assert np.max(np.abs(frame[1::2] - 1j * frame[0::2])) == 0.0
+    assert np.max(np.abs(project_reference(fam, st, frame, fiber=True) - frame)) < 1e-14
 
 
 def test_z_field_guard_at_singular_point():
@@ -170,6 +224,18 @@ def test_z_field_guard_at_singular_point():
         FAM.z_field(st)
     with pytest.raises(FlowSingularityError):
         FAM.z_field(st[1])
+
+
+def test_fiber_projection_guard_at_singular_point():
+    # at the point above P = 0: the fiber's tangent conditions drop rank, while
+    # the total space's do not (dF/dt = 1 there)
+    st = State(np.array([0, 0, 1]), np.array([1, 0, 0]), 0.0)
+    vec = np.eye(7)
+    assert np.max(np.abs(FAM.project(st, vec) - project_reference(FAM, st, vec))) < 1e-15
+    with pytest.raises(FlowSingularityError, match=r"\|dF\| 0.000e\+00 <= 1.0e-08"):
+        FAM.project(st, vec, fiber=True)
+    with pytest.raises(FlowSingularityError):
+        FAM.tangent_frame(st)
 
 
 def counting_z_field(monkeypatch, limit=None):
@@ -466,14 +532,48 @@ def test_flow_conserves_torus_hamiltonians():
 
 def test_frame_transport_preserves_omega_second_order():
     # the flow preserves the symplectic pairing but not the metric, so only
-    # the omega drift is an invariant.  At tau = 0.1 the drift already sits on
-    # the rounding floor of the central differences, so its scaling with the
-    # tolerance is left to c05
+    # the omega drift is an invariant; its scaling with the tolerance is
+    # checked by c05 and by test_frame_transport_drift_at_tight_tolerance
     st = embedded_batch(1, seed=9)[0]
     frame = FAM.tangent_frame(st)
     end, moved = FAM.transport_frame(st, frame, 0.1)
-    assert np.linalg.eigvalsh(FAM.gram(moved)).min() > 0.1  # frame stays well conditioned
+    zh = moved * FAM._scale
+    assert np.linalg.eigvalsh(np.real(zh @ np.conj(zh.T))).min() > 0.1  # stays well conditioned
     assert np.abs(FAM.omega_matrix(moved) - FAM.omega_matrix(frame)).max() < 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_dz_matches_central_differences_to_second_order(seed):
+    # a generic point off the spheres and off the hypersurface, as RK stages
+    # are, and six directions: the central difference of z_field at step eps
+    # differs from the closed form by O(eps^2), so by 100x per decade
+    u, w, t = random_parts((), seed=seed)
+    fam = DegenerationFamily((2.0, 0.7))
+    x = State(u, w, t).y[:, None]
+    rng = np.random.default_rng(seed + 1)
+    V = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+    dz = fam._dz(x, V)
+    assert dz.shape == (7, 6) and np.max(np.abs(dz[6])) == 0.0
+
+    def central(eps):
+        Zp = fam.z_field(State._of_rows(x + eps * V))[0].T
+        Zm = fam.z_field(State._of_rows(x - eps * V))[0].T
+        return np.max(np.abs((Zp - Zm) / (2 * eps) - dz))
+
+    errs = [central(eps) for eps in (1e-2, 1e-3, 1e-4)]
+    assert errs[0] < 1e-2 * np.max(np.abs(dz))
+    assert all(90 < e0 / e1 < 110 for e0, e1 in zip(errs, errs[1:]))
+
+
+def test_frame_transport_drift_at_tight_tolerance(monkeypatch):
+    # c05's point and frame at FLOW_TOL = 1e-12: the drift keeps following
+    # the tolerance, with no rounding floor from the variational field
+    monkeypatch.setattr(flow, "FLOW_TOL", 1e-12)
+    p = FAM.embed_flag(random_flags(3, 1, seed=101), 1.0)[0]
+    frame = FAM.tangent_frame(p)
+    end, moved = FAM.transport_frame(p, frame, 0.5)
+    assert abs(end.t - (p.t - 0.5)) < 1e-12
+    assert np.abs(FAM.omega_matrix(moved) - FAM.omega_matrix(frame)).max() < 1e-13
 
 
 def test_torus_loop_phase_matches_weight_formula():
