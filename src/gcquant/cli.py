@@ -32,7 +32,8 @@ from .polytope import (
     polytope_to_json,
     weyl_dim,
 )
-from .toric import ConvexDeformation, QuadraticNu, SymplecticPotential, polytope_grid
+from .toric import (ConvexDeformation, QuadraticNu, SymplecticPotential, polytope_grid,
+                    section_log_density)
 from .flag import gc_rows, random_flags
 from .flow import DegenerationFamily
 from .lab import (
@@ -255,16 +256,14 @@ def cmd_toric(args) -> int:
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu))
 
     pts, log_vol = polytope_grid(P, per_axis)
-    phis = {"one": lambda x: 1.0, "x1": lambda x: x[..., 0]}
     rows = []
     profiles = []
-    sweep = concentration_sweep(pot, m, pts, svals, pts, log_vol, m, eps, phis)
-    for s in svals:
-        logdens, sums = next(sweep)
+    sweep = concentration_sweep(pot, m, pts, svals, pts, log_vol, m, eps,
+                                {"one": 1.0, "x1": pts[..., 0]})
+    for s, sums in zip(svals, sweep):
         rows.append([s, sums.mass, sums.sup, sums.pairings["one"], sums.pairings["x1"]])
         if P.dim == 1:
-            profiles.append(np.exp(logdens - sums.log_total))
-        del logdens  # not alive while the sweep writes the next s's densities
+            profiles.append(np.exp(section_log_density(pot.at_s(s), m, pts) - sums.log_total))
 
     files = {"cells.csv": table_text(["s", "outside_mass", "sup_outside", "pairing_one",
                                       "pairing_x1"], rows)}

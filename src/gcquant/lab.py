@@ -87,23 +87,22 @@ def delta_pairing(measure: GridMeasure, values) -> float:
 
 
 def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
-                        labels: np.ndarray, log_vol: float, center, eps: float, phis: dict):
-    """Yield (logdens, sums) for each s of s_values: the log density of the
-    section m under pot.at_s(s) at the moment points x, a fresh (N,) array
-    for each s, and its `grid_sums` on midpoint cells of volume exp(log_vol)
-    labeled by `labels`: reduced outside the eps-ball around `center` and
-    paired with each test function of `phis` (name -> function of the labels).
+                        labels: np.ndarray, log_vol: float, center, eps: float, values: dict):
+    """Yield the `grid_sums` of each s of s_values: the midpoint measure with
+    the log density of the section m under pot.at_s(s) at the moment points x,
+    on cells of volume exp(log_vol) labeled by `labels`, reduced outside the
+    eps-ball around `center` and paired with each test function of `values`
+    (name -> its values on the labels, (N,) or a scalar).
 
     Everything that does not depend on s is evaluated once: the canonical
     part b = section_log_density(pot.at_s(0), m, x), the deformation term
-    q = nu(iota_star(x - m)), the exclusion mask and each test function's
-    values on the labels.  b, q and the mask are filled block by block
-    (`blocks`), x - m as the transpose of a (d, BLOCK) buffer, so no
+    q = nu(iota_star(x - m)) and the exclusion mask.  They are filled block
+    by block (`blocks`), x - m as the transpose of a (d, BLOCK) buffer, so no
     (points, facets) or (points, d) temporary spans the grid; these values
     are per point and keep the bits of one whole-grid call.  Each s is then
-    one `grid_sums` pass that writes logdens = b - 2 pi s q, bit for bit
-    section_log_density(pot.at_s(s), m, x), and reduces it block by block;
-    the reductions move with BLOCK by rounding only.
+    one `grid_sums` pass with deformed = (q, s), whose block densities
+    b - 2 pi s q are bit for bit section_log_density(pot.at_s(s), m, x); no
+    (N,) array is made per s.  The reductions move with BLOCK by rounding only.
     """
     pot0 = pot.at_s(0.0)
     m = np.asarray(m, dtype=float)
@@ -118,11 +117,8 @@ def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
         q[blk] = pot.deformer.value(d.T)
         outside[blk] = outside_ball(labels[blk], center, eps)
     _check_ball(outside)
-    values = {name: phi(labels) for name, phi in phis.items()}
     for s in s_values:
-        logdens = np.empty(n)
-        yield logdens, grid_sums(logdens, log_vol, outside, values, deformed=(b, q, s))
-        del logdens  # not alive while the next s is written
+        yield grid_sums(b, log_vol, outside, values, deformed=(q, s))
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:
@@ -346,14 +342,6 @@ def _chained(fam: DegenerationFamily, state: State, t0: float, ts):
         t0 = t
 
 
-def _default_test_functions(xi_star: np.ndarray) -> dict:
-    return {
-        "one": lambda xi: 1.0,
-        "xi1": lambda xi: xi[..., 0],
-        "dist2": lambda xi: np.sum((xi - xi_star) ** 2, axis=-1),
-    }
-
-
 @dataclass
 class ExperimentConfig:
     """Configuration of toric/combined concentration runs (n = 3)."""
@@ -439,7 +427,6 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     xi_flow, flow_log_vol = polytope_grid(img, cfg.flow_per_axis)
     fam = DegenerationFamily(cfg.a)
     v0 = model.v0_state(xi_flow, fam=fam)
-    phis = _default_test_functions(xi_star)
     n_flow = xi_flow.shape[0]
     conserved0 = model.conserved_coordinates(xi_flow)
 
@@ -461,10 +448,13 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             except FlowSingularityError:
                 pass
 
+    values = {"one": 1.0, "xi1": xi_pts[..., 0],
+              "dist2": np.sum((xi_pts - xi_star) ** 2, axis=-1)}
     reported = concentration_sweep(pot0, lift, x_slice, svals, xi_pts, log_vol,
-                                   xi_star, cfg.eps, phis)
+                                   xi_star, cfg.eps, values)
+    out_flow = outside_ball(xi_flow, xi_star, cfg.eps)
     cells = []
-    for s, t, (_, sums) in zip(svals, t_of, reported):
+    for s, t, sums in zip(svals, t_of, reported):
         mass_out_flow, failures, drift = None, 0, None
         if t > 0:
             x = end_x[t]
@@ -472,12 +462,10 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             ok = ambient.contains(x, tol=1e-12)
             failures = int((~ok).sum())
             if ok.any():
-                flowed = GridMeasure(xi_flow[ok],
-                                     section_log_density(pot0.at_s(s), lift, x[ok]),
-                                     flow_log_vol)
-                out = outside_ball(flowed.labels, xi_star, cfg.eps)
+                out = out_flow[ok]
                 # a ball covering none or all of the coarse points gives 0 or 1
-                mass_out_flow = (outside_mass(flowed, out)
+                mass_out_flow = (grid_sums(section_log_density(pot0.at_s(s), lift, x[ok]),
+                                           flow_log_vol, out).mass
                                  if 0 < out.sum() < out.size else float(out.all()))
                 moved = model.conserved_coordinates(x[ok] @ model.A.T)
                 drift = float(np.max(np.abs(moved - conserved0[ok])))

@@ -326,15 +326,16 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
     and the normalized pairing with each test function of `values` (name ->
     its values on the points, (N,) or a scalar).
 
+    With deformed = (q, s) the log densities are logdens - 2 pi s q, the
+    density of the s-sweep: each block's is written into a block buffer, bit
+    for bit the whole-array expression.  No array passed in is written.
     Each block is shifted by its own max and exponentiated once into a block
     buffer, and every sum of the block is taken from that buffer (the masked
     one with `where=`); the block sums are then combined with the factors
     exp(top_k - top).  A block whose points all carry -inf (wall points) adds
-    nothing.  With deformed = (b, q, s), logdens is first written block by
-    block as b - 2 pi s q, the density of the s-sweep, bit for bit the
-    whole-array expression.  The sums run in an order set by BLOCK, so the
-    reductions move by rounding with it; a constant test function pairs to
-    exactly its value.  No BLAS call is made.
+    nothing.  The sums run in an order set by BLOCK, so the reductions move
+    by rounding with it; a constant test function pairs to exactly its value.
+    No BLAS call is made.
     """
     n = len(logdens)
     values = values or {}
@@ -343,16 +344,16 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
     tops = np.full(len(spans), -np.inf)
     part = np.zeros((2 + len(vals), len(spans)))  # block sums: total, mask, each phi
     top_out = -np.inf
-    e, prod = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
+    e, prod, dens = (np.empty(min(n, BLOCK)) for _ in range(3))
     add, big = np.add.reduce, np.maximum.reduce  # ndarray.sum/max without their wrappers
     if deformed is not None:
-        b, q, s = deformed
+        q, s = deformed
         c = TWO_PI * s
     for k, blk in enumerate(spans):
         lb = logdens[blk]
         if deformed is not None:
-            np.multiply(q[blk], c, out=lb)
-            np.subtract(b[blk], lb, out=lb)
+            db = np.multiply(q[blk], c, out=dens[:len(lb)])
+            lb = np.subtract(lb, db, out=db)
         if outside is not None:
             top_out = max(top_out, big(lb, where=outside[blk], initial=-np.inf))
         tops[k] = top = big(lb)
@@ -376,17 +377,12 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
 class GridMeasure:
     """Midpoint quadrature measure: equal cells of volume exp(log_vol) whose
     sample points carry log densities `logdens` (N,) and labels (N, d).
-    Exclusion distances and test functions are evaluated on the labels.
-    `log_total` is the log of the total mass, from `grid_sums` when the
-    measure is built."""
+    Exclusion distances and test functions are evaluated on the labels; the
+    reductions are those of `grid_sums`."""
 
     labels: np.ndarray
     logdens: np.ndarray
     log_vol: float
-    log_total: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_total", grid_sums(self.logdens, self.log_vol).log_total)
 
 
 def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:

@@ -421,8 +421,8 @@ def test_flag_dump_min_support_is_the_patterns_margin(tmp_path, capsys, argv):
 
 def _mass_above_one(sweep):
     def swept(*args):
-        for logdens, sums in sweep(*args):
-            yield logdens, sums._replace(mass=sums.mass + 1.0)
+        for sums in sweep(*args):
+            yield sums._replace(mass=sums.mass + 1.0)
     return swept
 
 
@@ -805,15 +805,15 @@ def test_float_formatting_is_lossless(tmp_path):
 
 
 def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
-    # the grid is built once, and the density, the exclusion mask and each
-    # test function are evaluated once for the whole s-sweep, at the names
-    # the CLI and the sweep resolve; each s is one pass of the reduction
+    # the grid is built once, and the density and the exclusion mask are
+    # evaluated once for the whole s-sweep, at the names the CLI and the sweep
+    # resolve; each s is one pass of the reduction, and the 1-D profile is
+    # one more density evaluation per s
     from gcquant.lab import GridMeasure, outside_mass
     from gcquant.polytope import interval
-    from gcquant.toric import grid_sums, polytope_grid
+    from gcquant.toric import TWO_PI, grid_sums, polytope_grid
 
-    calls = {"grid": 0, "density": 0, "mask": 0}
-    phi_calls = {}
+    calls = {"grid": 0, "density": 0, "mask": 0, "profile": 0}
     measures = []
 
     def counted(key, fn):
@@ -822,36 +822,24 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_phi(name, phi):
-        def wrapper(labels):
-            phi_calls[name] = phi_calls.get(name, 0) + 1
-            return phi(labels)
-        return wrapper
-
-    def counting_phis(sweep):
-        def swept(*args):
-            *head, phis = args
-            return sweep(*head, {name: counted_phi(name, phi) for name, phi in phis.items()})
-        return swept
-
-    def recording_grid_sums(logdens, log_vol, *args, **kwargs):
-        sums = grid_sums(logdens, log_vol, *args, **kwargs)
-        measures.append((logdens.copy(), log_vol))
+    def recording_grid_sums(logdens, log_vol, *args, deformed=None, **kwargs):
+        sums = grid_sums(logdens, log_vol, *args, deformed=deformed, **kwargs)
+        q, s = deformed
+        measures.append((logdens - TWO_PI * s * q, log_vol))
         return sums
 
     monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
+    monkeypatch.setattr(cli, "section_log_density",
+                        counted("profile", cli.section_log_density))
     monkeypatch.setattr(gcquant.lab, "section_log_density",
                         counted("density", gcquant.lab.section_log_density))
     monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
     monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", outside_ball))
-    monkeypatch.setattr(cli, "concentration_sweep", counting_phis(cli.concentration_sweep))
-    monkeypatch.setattr(gcquant.lab, "concentration_sweep",
-                        counting_phis(gcquant.lab.concentration_sweep))
     assert run(["toric", "concentrate", "--delta", "0..3", "--m", "1", "--s", "5,10,20",
                 "--eps", "0.3", "--per-axis", "1024", "--out", str(tmp_path / "t")]) == 0
-    assert calls == {"grid": 1, "density": 1, "mask": 1}
-    assert phi_calls == {"one": 1, "x1": 1}
+    assert calls == {"grid": 1, "density": 1, "mask": 1, "profile": 3}
     assert len(measures) == 3
+    monkeypatch.setattr(gcquant.lab, "grid_sums", grid_sums)
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
     raw = GridMeasure(polytope_grid(interval(0, 3), 1024)[0], *measures[1])  # s = 10
@@ -859,19 +847,21 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     m_img = outside_mass(doubled, outside_ball(doubled.labels, np.array([2.0]), 0.6))
     m_raw = outside_mass(raw, outside_ball(raw.labels, np.array([1.0]), 0.3))
     assert abs(m_img - m_raw) < 1e-12
-    # lab combined: one evaluation of the density and of each test function
-    # on the reported grid for all s, and one on the flowed points of each
-    # cell with t > 0 (t(5000) = exp(-1000) underflows to 0: no flow there)
-    calls["density"] = 0
-    phi_calls.clear()
+    # lab combined: one evaluation of the density and of the exclusion mask
+    # on the reported grid for all s, one mask on the flow grid, and one
+    # density on the flowed points of each cell with t > 0 (t(5000) =
+    # exp(-1000) underflows to 0: no flow there).  The 1.0-ball holds some but
+    # not all of the flow grid's points; one that held none or all of them
+    # would give a mass of exactly 1 or 0 and evaluate no flowed density
+    calls.update(density=0, mask=0)
     out = tmp_path / "lc"
-    assert run(["lab", "combined", "--s-grid", "0,5,10,5000", "--per-axis", "10",
-                "--flow-per-axis", "4", "--out", str(out)]) == 0
+    assert run(["lab", "combined", "--s-grid", "0,5,10,5000", "--eps", "1.0", "--per-axis",
+                "10", "--flow-per-axis", "4", "--out", str(out)]) == 0
     header, *rows = [r.split(",") for r in (out / "cells.csv").read_text().split()]
     ts = [float(r[header.index("t")]) for r in rows]
     assert ts[-1] == 0.0 and sum(t > 0 for t in ts) == 3
     assert calls["density"] == 1 + 3
-    assert phi_calls == {"one": 1, "xi1": 1, "dist2": 1}
+    assert calls["mask"] == 2 and calls["profile"] == 3
 
 
 def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):

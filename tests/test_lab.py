@@ -305,7 +305,7 @@ def test_measure_matches_logsumexp_oracle(dim, per_axis, s):
                           / np.sum(np.exp(lw - np.max(lw)))),
     }
     got = {
-        "log_total": measure.log_total,
+        "log_total": grid_sums(measure.logdens, measure.log_vol).log_total,
         "outside_mass": outside_mass(measure, mask),
         "concentration_sup": concentration_sup(measure, mask),
         "delta_pairing": delta_pairing(measure, measure.labels[:, 0]),
@@ -370,30 +370,71 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
     assert at_m[0] == at_m[1]
 
 
+def recording_sweep_sums(monkeypatch):
+    """Patch `lab.grid_sums` to record copies of the arguments of the sweep's
+    calls: the canonical part b, the mask and (q, s); returns the list of
+    records."""
+    records = []
+
+    def recording_grid_sums(logdens, log_vol, outside=None, values=None, deformed=None):
+        if deformed is not None:
+            q, s = deformed
+            records.append((logdens.copy(), outside.copy(), q.copy(), s))
+        return grid_sums(logdens, log_vol, outside, values, deformed)
+
+    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
+    return records
+
+
 @pytest.mark.parametrize("dim, per_axis", [(1, 256), (3, 24)])
-def test_sweep_matches_standalone_quadrature_bit_for_bit(dim, per_axis):
-    # the sweep evaluates the canonical part, the deformation term, the
-    # exclusion mask and the test functions once per grid; every density
-    # must still be the one computed at that s alone, and every reduction
-    # that of the standalone functionals on it, which make the same pass
+def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, dim, per_axis):
+    # the sweep evaluates the canonical part, the deformation term and the
+    # exclusion mask once per grid; every density must still be the one
+    # computed at that s alone, and every reduction that of the standalone
+    # functionals on it, which make the same pass
     P = box_polytope([(0, 3)] * dim)
     m = np.ones(dim)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(dim))))
     x, log_vol = polytope_grid(P, per_axis)
-    phis = {"one": lambda y: np.ones(y.shape[:-1]), "x1": lambda y: y[..., 0]}
+    values = {"one": np.ones(len(x)), "x1": x[..., 0]}
     svals = [0.0, 7.0, 2000.0]
     mask = outside_ball(x, m, 0.3)
-    for s, (logdens, sums) in zip(
-            svals, concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, phis)):
+    records = recording_sweep_sums(monkeypatch)
+    for s, sums in zip(svals, concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values),
+                       strict=True):
         ref = GridMeasure(x, section_log_density(pot.at_s(s), m, x), log_vol)
-        assert np.array_equal(logdens, ref.logdens)
-        assert sums.log_total == ref.log_total
+        b, _, q, _ = records[-1]
+        assert np.array_equal(b - toric.TWO_PI * s * q, ref.logdens)
+        assert sums == grid_sums(ref.logdens, log_vol, mask, values)
         assert sums.mass == outside_mass(ref, mask)
         assert sums.sup == concentration_sup(ref, mask)
-        assert sums.pairings == {name: delta_pairing(ref, phi(x)) for name, phi in phis.items()}
+        assert sums.pairings == {name: delta_pairing(ref, v) for name, v in values.items()}
         assert sums.pairings["one"] == 1.0
-        assert sums == grid_sums(ref.logdens, log_vol, mask,
-                                 {name: phi(x) for name, phi in phis.items()})
+
+
+def test_sweep_allocates_no_grid_sized_array_per_s():
+    # each s is one grid_sums pass over the s-independent b and q with
+    # block-sized buffers: past the setup and the first s, the traced peak of
+    # the sweep stays below one (N,) float64 array (2 MB on 64^3 points)
+    import tracemalloc
+
+    P = box_polytope([(0, 3)] * 3)
+    m = np.ones(3)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(3))))
+    x, log_vol = polytope_grid(P, 64)
+    sweep = concentration_sweep(pot, m, x, [5.0, 10.0, 20.0, 40.0], x, log_vol, m, 0.3,
+                                {"one": 1.0, "x1": x[..., 0]})
+    tracemalloc.start()
+    try:
+        next(sweep)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rest = list(sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rest) == 3
+    assert peak - base < 8 * len(x)
 
 
 def assert_reductions_close(got, want):
@@ -421,37 +462,34 @@ def assert_reductions_close(got, want):
 def test_sweep_blocks_match_one_block(monkeypatch, P, m, walls, block):
     # b, q and the exclusion mask are filled block by block, and each s is
     # reduced block by block; N < BLOCK, N = BLOCK and N = k BLOCK + r must
-    # all give the single-block densities and mask bit for bit and the
+    # all give the single-block b, q and mask bit for bit and the
     # single-block reductions to rounding, with m on a wall and grid points
     # on walls (-inf densities)
     m = np.array(m)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(P.dim))))
     pts, log_vol = polytope_grid(P, 10)
     x = np.concatenate([pts[: len(pts) // 2], walls, pts[len(pts) // 2:]])
-    phis = {"one": lambda y: 1.0, "x1": lambda y: y[..., 0]}
+    values = {"one": 1.0, "x1": x[..., 0]}
     svals = [0.0, 7.0, 2000.0]
-    masks = []
-
-    def recording_grid_sums(logdens, log_vol, outside, *args, **kwargs):
-        masks.append(outside.copy())
-        return grid_sums(logdens, log_vol, outside, *args, **kwargs)
-
-    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
+    records = recording_sweep_sums(monkeypatch)
 
     def sweep():
-        return [(logdens, sums) for logdens, sums
-                in concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, phis)]
+        return list(concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values))
 
     want = sweep()
     n = len(x)
     size = {"above": n + 5, "equal": n, "k_plus_r": (n - 3) // 4}.get(block, block)
     monkeypatch.setattr(toric, "BLOCK", size)
     got = sweep()
-    for (logdens, sums), (want_logdens, want_sums) in zip(got, want, strict=True):
-        assert np.array_equal(logdens, want_logdens)
+    for sums, want_sums in zip(got, want, strict=True):
         assert_reductions_close(sums, want_sums)
-    assert all(np.array_equal(mask, masks[0]) for mask in masks)
-    assert np.isneginf(want[0][0]).any()
+    b, mask, q, _ = records[0]
+    assert len(records) == 2 * len(svals)
+    for rec_b, rec_mask, rec_q, _ in records:
+        assert np.array_equal(rec_b, b) and np.array_equal(rec_q, q)
+        assert np.array_equal(rec_mask, mask)
+    assert [s for *_, s in records] == svals + svals
+    assert np.isneginf(b).any()
 
 
 def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
@@ -463,27 +501,30 @@ def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
     pts, log_vol = polytope_grid(P, 10)
     walls = [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]
     x = np.concatenate([pts[:40], walls, pts[40:]])
-    phis = {"one": lambda y: 1.0, "x1": lambda y: y[..., 0]}
+    values = {"one": 1.0, "x1": x[..., 0]}
 
     def sweep():
         return list(concentration_sweep(pot, m, x, [0.0, 7.0, 2000.0], x, log_vol, m, 0.3,
-                                        phis))
+                                        values))
 
     want = sweep()
+    records = recording_sweep_sums(monkeypatch)
     monkeypatch.setattr(toric, "BLOCK", len(walls))
-    for (logdens, sums), (_, want_sums) in zip(sweep(), want, strict=True):
-        assert np.isneginf(logdens[40:44]).all() and np.isfinite(logdens[:40]).all()
+    for sums, want_sums in zip(sweep(), want, strict=True):
         assert np.isfinite([sums.log_total, sums.mass, sums.sup, *sums.pairings.values()]).all()
         assert_reductions_close(sums, want_sums)
+    b = records[0][0]
+    assert np.isneginf(b[40:44]).all() and np.isfinite(b[:40]).all()
 
 
 def test_concentration_sup_reads_the_mask_in_place():
     # the max over the mask, as the max of the masked copy; -inf on walls
     logdens = np.array([0.5, -np.inf, 2.0, -1.0, 3.0])
     measure = GridMeasure(np.zeros((5, 1)), logdens, 0.0)
+    log_total = grid_sums(logdens, 0.0).log_total
     for mask in ([0, 1, 1, 1, 0], [0, 1, 0, 1, 0], [0, 1, 0, 0, 0], [1, 1, 1, 1, 1]):
         mask = np.array(mask, dtype=bool)
-        want = float(np.exp(np.max(logdens[mask]) - measure.log_total))
+        want = float(np.exp(np.max(logdens[mask]) - log_total))
         assert concentration_sup(measure, mask) == want
     with pytest.raises(QuadratureError, match="covers the whole quadrature grid"):
         concentration_sup(measure, np.zeros(5, dtype=bool))
@@ -669,20 +710,59 @@ def test_s0_cell_equals_undeformed_baseline():
 
 
 def test_flow_route_measure_takes_the_flow_grid_cell_volume(monkeypatch):
-    # the flowed points are the coarse grid's: their measure has its cells
-    log_vols = []
+    # the flowed points are the coarse grid's: their measure has its cells.
+    # Each flowed s is one `grid_sums` call, and the flow grid's exclusion
+    # mask is computed once for all s
+    log_vols = {"sweep": [], "flow": []}
+    mask_sizes = []
 
-    def recording_measure(labels, logdens, log_vol):
-        log_vols.append(log_vol)
-        return GridMeasure(labels, logdens, log_vol)
+    def recording_grid_sums(logdens, log_vol, *args, **kwargs):
+        log_vols["sweep" if "deformed" in kwargs else "flow"].append(log_vol)
+        return grid_sums(logdens, log_vol, *args, **kwargs)
 
-    monkeypatch.setattr(gcquant.lab, "GridMeasure", recording_measure)
-    cfg = ExperimentConfig(s_grid=(0.0, 5.0), per_axis=10, flow_per_axis=4)
-    combined_experiment(cfg)
+    def recording_ball(labels, center, eps):
+        mask_sizes.append(len(labels))
+        return outside_ball(labels, center, eps)
+
+    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
+    monkeypatch.setattr(gcquant.lab, "outside_ball", recording_ball)
+    # the 1.0-ball holds some but not all of the 4-per-axis flow grid
+    cfg = ExperimentConfig(s_grid=(0.0, 5.0), eps=1.0, per_axis=10, flow_per_axis=4)
+    rep = combined_experiment(cfg)
     img = GCTorusModel(cfg.a).image_delta()
-    flow_log_vol = polytope_grid(img, cfg.flow_per_axis)[1]
-    assert flow_log_vol != polytope_grid(img, cfg.per_axis)[1]
-    assert log_vols == [flow_log_vol, flow_log_vol]
+    xi_flow, flow_log_vol = polytope_grid(img, cfg.flow_per_axis)
+    xi_pts, log_vol = polytope_grid(img, cfg.per_axis)
+    assert flow_log_vol != log_vol
+    assert log_vols == {"sweep": [log_vol, log_vol], "flow": [flow_log_vol, flow_log_vol]}
+    assert sorted(mask_sizes) == sorted([len(xi_pts), len(xi_flow)])
+    assert all(0.0 < c.outside_mass_flow < 1.0 for c in rep.cells)
+
+
+@pytest.mark.parametrize("eps, mass_flow", [(0.3, 1.0), (2.5, 0.0)])
+def test_flow_route_ball_covering_none_or_all_coarse_points(monkeypatch, eps, mass_flow):
+    # at 3 points per axis the flow grid's point nearest xi* = (1, 1, 1) is
+    # 1/3 away, so the 0.3-ball holds none of its points, and the 2.5-ball
+    # holds all of them; the 12-per-axis grid of the sweep has points on both
+    # sides of either ball.  The flow route then reports exactly 1 or 0 and
+    # reduces nothing
+    cfg = ExperimentConfig(s_grid=(0.0, 5.0, 10.0), eps=eps, per_axis=12, flow_per_axis=3)
+    img = GCTorusModel(cfg.a).image_delta()
+    xi_star = np.ones(3)
+    fine, coarse = polytope_grid(img, cfg.per_axis)[0], polytope_grid(img, cfg.flow_per_axis)[0]
+    assert 0 < outside_ball(fine, xi_star, eps).sum() < len(fine)
+    out = outside_ball(coarse, xi_star, eps)
+    assert out.all() == out.any() == bool(mass_flow)
+    reduced = []
+
+    def recording_grid_sums(logdens, log_vol, *args, **kwargs):
+        reduced.append("deformed" in kwargs)
+        return grid_sums(logdens, log_vol, *args, **kwargs)
+
+    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
+    rep = combined_experiment(cfg)
+    assert [c.outside_mass_flow for c in rep.cells] == [mass_flow] * 3
+    assert all(0.0 < c.outside_mass < 1.0 for c in rep.cells[:2])
+    assert reduced == [True] * 3
 
 
 def test_gc_check_chained_gaps_match_independent_flows():
