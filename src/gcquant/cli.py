@@ -282,12 +282,21 @@ def cmd_toric(args) -> int:
 # -- flag ------------------------------------------------------------------------
 
 FLAG_DEFAULTS = {"n": 3, "a": "1,1", "count": 100, "seed": 0}
-# largest flag count of flag dump and lab gc-check: random_flags draws the
-# flags one at a time, and gc-check flows all of them in one batch.  On a
-# 2-vCPU Xeon, flag dump of 10^5 flags took 4.3 s and 140 MB, and gc-check of
-# 2 x 10^4 flags 2.8 s and 76 MB; both grow linearly, so the 10^8 of a typo
-# would run for hours and need tens of GB before it failed
+# largest flag count of flag dump and lab gc-check, and largest flow grid
+# (flow_per_axis^3 box points) of lab combined: random_flags draws the flags
+# one at a time, and gc-check and lab combined flow all their points in one
+# batch.  On a 2-vCPU Xeon, flag dump of 10^5 flags took 4.3 s and 140 MB,
+# gc-check of 2 x 10^4 flags 2.8 s and 76 MB, and lab combined about 1.9 KB
+# per flowed point (90.5 MB peak at 31,600 points); all grow linearly, so the
+# 10^8 of a typo, or the 8.4M flowed points of --flow-per-axis 256, would run
+# for hours or need GBs before it failed
 MAX_FLAGS = 10**5
+# largest |t1| and |t0| of flow run.  The deformed Pluecker coordinates carry
+# t^2, which overflows a float past |t| ~ 1.3e154; and float64 rounding alone
+# moves the flowed t by more than the 1e-6 t-deviation gate well before that:
+# on seeds 0-2 the deviation was at most 7.8e-10 at |t1| = 1e6, up to 6.1e-7
+# at 1e9 and 2.8e-6 to 1.2e-5 at 1e10
+MAX_T = 1e6
 
 
 def parse_flag_count(key: str, value) -> int:
@@ -326,6 +335,8 @@ def cmd_flow(args) -> int:
     cfg = merge_config(FLOW_DEFAULTS, args)
     a = parse_floats(cfg["a"])
     t1, t0 = parse_real("t1", cfg["t1"]), parse_real("t0", cfg["t0"])
+    if max(abs(t1), abs(t0)) > MAX_T:
+        raise UsageError(f"|t1| and |t0| must be at most MAX_T = {MAX_T:g}, got {t1!r}, {t0!r}")
     fam = DegenerationFamily(a)
     V = random_flags(3, 1, seed=parse_int("seed", cfg["seed"]))[0]
     state = fam.embed_flag(V, t1)
@@ -366,6 +377,10 @@ def _parse_pattern(text: str) -> tuple:
 
 def cmd_lab_combined(args) -> int:
     cfg = merge_config(LAB_DEFAULTS, args)
+    flow_per_axis = parse_int("flow_per_axis", cfg["flow_per_axis"])
+    if flow_per_axis ** 3 > MAX_FLAGS:
+        raise UsageError(f"flow_per_axis = {flow_per_axis}: a flow grid of {flow_per_axis ** 3} "
+                         f"points passes MAX_FLAGS = {MAX_FLAGS}")
     ecfg = ExperimentConfig(
         a=parse_floats(cfg["a"]),
         pattern=_parse_pattern(cfg["pattern"]),
@@ -374,7 +389,7 @@ def cmd_lab_combined(args) -> int:
         nu_scale=parse_real("nu_scale", cfg["nu_scale"]),
         schedule_rate=parse_real("schedule_rate", cfg["schedule_rate"]),
         per_axis=parse_int("per_axis", cfg["per_axis"]),
-        flow_per_axis=parse_int("flow_per_axis", cfg["flow_per_axis"]),
+        flow_per_axis=flow_per_axis,
     )
     rep = combined_experiment(ecfg)
     rows = [c.as_row() for c in rep.cells]
@@ -422,15 +437,21 @@ def cmd_lab_gc_check(args) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+# help text of the flags whose value has a format to follow
+FLAG_HELP = {
+    "delta": "box as lo..hi[,lo..hi...]",
+    "m": "lattice point, comma-separated",
+    "s": "deformation strengths, comma-separated",
+    "pattern": "rows below the top, e.g. '2;3,1'",
+    "t": "comma-separated t values, decreasing",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gcq", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"gcq {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    # every subcommand but polytope: its flags are the keys of its *_DEFAULTS
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON object of config keys; flags override it")
-    common.add_argument("--out")
 
     p = sub.add_parser("polytope", help="polytope generation and lattice counts")
     p.add_argument("action", choices=["gen", "count", "lattice"])
@@ -439,48 +460,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_polytope)
 
-    t = sub.add_parser("toric", parents=[common], help="toric concentration experiments")
-    t.add_argument("action", choices=["concentrate"])
-    t.add_argument("--delta", help="box as lo..hi[,lo..hi...]")
-    t.add_argument("--m", help="lattice point, comma-separated")
-    t.add_argument("--s", help="deformation strengths, comma-separated")
-    t.add_argument("--eps", type=float)
-    t.add_argument("--nu-scale", dest="nu_scale", type=float)
-    t.add_argument("--per-axis", dest="per_axis", type=int)
-    t.set_defaults(func=cmd_toric)
-
-    f = sub.add_parser("flag", parents=[common],
-                       help="random flag ensembles and their patterns")
-    f.add_argument("action", choices=["dump"])
-    f.add_argument("--n", type=int)
-    f.add_argument("--a")
-    f.add_argument("--count", type=int)
-    f.add_argument("--seed", type=int)
-    f.set_defaults(func=cmd_flag)
-
-    w = sub.add_parser("flow", parents=[common], help="family flow integration")
-    w.add_argument("action", choices=["run"])
-    w.add_argument("--a")
-    w.add_argument("--t1", type=float)
-    w.add_argument("--t0", type=float)
-    w.add_argument("--seed", type=int)
-    w.set_defaults(func=cmd_flow)
-
-    l = sub.add_parser("lab", help="combined concentration experiments")
-    lsub = l.add_subparsers(dest="action", required=True)
-    lc = lsub.add_parser("combined", parents=[common])
-    lc.add_argument("--a")
-    lc.add_argument("--pattern", help="rows below the top, e.g. '2;3,1'")
-    lc.add_argument("--s-grid", dest="s_grid")
-    lc.add_argument("--eps", type=float)
-    lc.add_argument("--per-axis", dest="per_axis", type=int)
-    lc.add_argument("--flow-per-axis", dest="flow_per_axis", type=int)
-    lc.set_defaults(func=cmd_lab_combined)
-    lg = lsub.add_parser("gc-check", parents=[common])
-    lg.add_argument("--t", help="comma-separated t values, decreasing")
-    lg.add_argument("--samples", type=int)
-    lg.add_argument("--seed", type=int)
-    lg.set_defaults(func=cmd_lab_gc_check)
+    toric = sub.add_parser("toric", help="toric concentration experiments")
+    flag = sub.add_parser("flag", help="random flag ensembles and their patterns")
+    flow = sub.add_parser("flow", help="family flow integration")
+    lab = sub.add_parser("lab", help="combined concentration experiments").add_subparsers(
+        dest="action", required=True)
+    # every subcommand but polytope: --config, --out, then one flag per key of
+    # its *_DEFAULTS, in table order and typed like the default
+    for p, action, func, defaults in [
+        (toric, "concentrate", cmd_toric, TORIC_DEFAULTS),
+        (flag, "dump", cmd_flag, FLAG_DEFAULTS),
+        (flow, "run", cmd_flow, FLOW_DEFAULTS),
+        (lab.add_parser("combined"), None, cmd_lab_combined, LAB_DEFAULTS),
+        (lab.add_parser("gc-check"), None, cmd_lab_gc_check, GCCHECK_DEFAULTS),
+    ]:
+        p.add_argument("--config", help="JSON object of config keys; flags override it")
+        p.add_argument("--out")
+        if action:
+            p.add_argument("action", choices=[action])
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           help=FLAG_HELP.get(key))
+        p.set_defaults(func=func)
 
     return ap
 

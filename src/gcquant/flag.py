@@ -19,9 +19,7 @@ __all__ = [
     "weight_matrix",
     "index_sets",
     "minor",
-    "deformed_minor",
     "pluecker",
-    "deformed_pluecker",
     "pluecker_levels",
     "moment_matrix",
     "gc_map",
@@ -58,58 +56,40 @@ def _signed_permutations(l: int):
     return _PERM_CACHE[l]
 
 
-def minor(V, rows: tuple[int, ...]):
+def minor(V, rows: tuple[int, ...], t=None):
     """det of the submatrix (rows, first len(rows) columns), permutation
-    expansion in a fixed term order.  Batched over leading axes of V."""
-    total = 0
-    for sign, p in _signed_permutations(len(rows)):
-        term = V[..., rows[0], p[0]]
-        for a in range(1, len(rows)):
-            term = term * V[..., rows[a], p[a]]
-        total = total + (term if sign > 0 else -term)
-    return total
+    expansion in a fixed term order.  Batched over leading axes of V.
 
-
-def deformed_minor(V, rows: tuple[int, ...], t, omega=None):
-    """Deformed minor: each permutation term carries t^(e(perm) - e(id)) with
-    e(perm) = sum_a omega[rows[a], perm[a]].  The identity assignment achieves
-    the minimal exponent, so the result is polynomial in t and the t = 1
-    specialization reproduces `minor` exactly."""
-    n = V.shape[-1]
-    if omega is None:
-        omega = weight_matrix(n)
+    With t, the deformed minor: each permutation term carries
+    t^(e(perm) - e(id)) with e(perm) = sum_a w[rows[a], perm[a]] and
+    w = weight_matrix(n).  The identity assignment achieves the minimal
+    exponent, so the result is polynomial in t, and at t = 1 every term is
+    multiplied by 1: the plain minor, bitwise."""
     l = len(rows)
-    e0 = sum(int(omega[rows[a], a]) for a in range(l))
+    if t is not None:
+        w = weight_matrix(V.shape[-1])
+        e0 = sum(int(w[rows[a], a]) for a in range(l))
     total = 0
     for sign, p in _signed_permutations(l):
-        e = sum(int(omega[rows[a], p[a]]) for a in range(l)) - e0
-        if e < 0:
-            raise ValueError("non-minimal identity exponent; weight matrix invalid")
         term = V[..., rows[0], p[0]]
         for a in range(1, l):
             term = term * V[..., rows[a], p[a]]
-        term = term * t**e
+        if t is not None:
+            e = sum(int(w[rows[a], p[a]]) for a in range(l)) - e0
+            if e < 0:
+                raise ValueError("non-minimal identity exponent; weight matrix invalid")
+            term = term * t**e
         total = total + (term if sign > 0 else -term)
     return total
 
 
-def pluecker(V) -> dict[int, dict[tuple[int, ...], complex]]:
-    """All minors p_I(V) for levels 1..n-1, keyed by 0-based row sets."""
+def pluecker(V, t=None) -> dict[int, dict[tuple[int, ...], complex]]:
+    """All minors for levels 1..n-1, keyed by 0-based row sets: p_I(V), or
+    with t the deformed q_I(V, t); q_I(V, 1) == p_I(V) bitwise."""
     V = np.asarray(V)
     n = V.shape[-1]
     return {
-        l: {I: minor(V, I) for I in index_sets(n, l)}
-        for l in range(1, n)
-    }
-
-
-def deformed_pluecker(V, t) -> dict[int, dict[tuple[int, ...], complex]]:
-    """All q_I(V, t) for levels 1..n-1; q_I(V, 1) == p_I(V) bitwise."""
-    V = np.asarray(V)
-    n = V.shape[-1]
-    omega = weight_matrix(n)
-    return {
-        l: {I: deformed_minor(V, I, t, omega) for I in index_sets(n, l)}
+        l: {I: minor(V, I, t) for I in index_sets(n, l)}
         for l in range(1, n)
     }
 
@@ -118,7 +98,7 @@ def pluecker_levels(V, t=None) -> list[np.ndarray]:
     """Per-level coordinate arrays in lexicographic index-set order, stacked
     along the last axis (batch-friendly)."""
     V = np.asarray(V, dtype=complex)
-    coords = pluecker(V) if t is None else deformed_pluecker(V, t)
+    coords = pluecker(V, t)
     n = V.shape[-1]
     return [
         np.stack([np.asarray(coords[l][I], dtype=complex) for I in index_sets(n, l)], axis=-1)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from gcquant.flag import (
-    deformed_pluecker,
     gc_map,
     moment_matrix,
     pluecker,
@@ -94,7 +93,7 @@ def test_c03_deformed_relation_residual_and_t1_exactness():
     assert np.array_equal(l1, p1) and np.array_equal(l2, p2)
     for Vi in V[:25]:
         plain = pluecker(Vi)
-        q = deformed_pluecker(Vi, 1.0)
+        q = pluecker(Vi, 1.0)
         for lvl in plain:
             for I in plain[lvl]:
                 assert q[lvl][I] == plain[lvl][I]

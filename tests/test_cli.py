@@ -166,6 +166,9 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["flow", "run", "--t1", "inf"],
     ["flow", "run", "--t0", "nan"],
     ["flow", "run", "--a", "nan,1"],
+    # past MAX_T float64 rounding alone trips the t-deviation gate
+    ["flow", "run", "--t1", "1e10"],
+    ["flow", "run", "--t0=-1e300"],
     ["lab", "combined", "--s-grid", "0,nan"],
     ["lab", "combined", "--eps", "nan"],
     # a trailing dict stands for a config file with that content
@@ -191,6 +194,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
      "--per-axis", "100000"],
     ["lab", "combined", "--per-axis", "100000"],
     ["lab", "combined", "--flow-per-axis", "100000"],
+    # a flow grid past MAX_FLAGS points, refused before any grid is built
+    ["lab", "combined", "--per-axis", "4", "--flow-per-axis", "47"],
     # weights must be positive: the library that takes them (gc_weight, the
     # family, the torus model) rejects a zero; polytope takes --a only
     ["polytope", "count", "--n", "3", "--a", "0,1"],
@@ -318,7 +323,8 @@ def leaf_parsers(parser, path=()):
 
 def test_every_flag_is_a_config_key():
     # merge_config takes exactly the flags whose dest is a key of the
-    # subcommand's defaults, so a flag without a key would be ignored
+    # subcommand's defaults, so a flag without a key would be ignored; and
+    # every key has its flag
     defaults = {cli.cmd_toric: cli.TORIC_DEFAULTS, cli.cmd_flag: cli.FLAG_DEFAULTS,
                 cli.cmd_flow: cli.FLOW_DEFAULTS, cli.cmd_lab_combined: cli.LAB_DEFAULTS,
                 cli.cmd_lab_gc_check: cli.GCCHECK_DEFAULTS}
@@ -329,17 +335,34 @@ def test_every_flag_is_a_config_key():
         keys = defaults.get(parser.get_default("func"))
         if keys is None:  # polytope reads its two flags directly
             continue
-        assert {a.dest for a in options} - {"config", "out"} <= set(keys), path
+        assert {a.dest for a in options} - {"config", "out"} == set(keys), path
     assert flags == {
         "polytope": ["--a", "--n", "--out"],
         "toric": ["--config", "--delta", "--eps", "--m", "--nu-scale", "--out",
                   "--per-axis", "--s"],
         "flag": ["--a", "--config", "--count", "--n", "--out", "--seed"],
         "flow": ["--a", "--config", "--out", "--seed", "--t0", "--t1"],
-        "lab combined": ["--a", "--config", "--eps", "--flow-per-axis", "--out",
-                         "--pattern", "--per-axis", "--s-grid"],
-        "lab gc-check": ["--config", "--out", "--samples", "--seed", "--t"],
+        "lab combined": ["--a", "--config", "--eps", "--flow-per-axis", "--nu-scale", "--out",
+                         "--pattern", "--per-axis", "--s-grid", "--schedule-rate"],
+        "lab gc-check": ["--a", "--config", "--out", "--samples", "--seed", "--t"],
     }
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["lab", "combined", "--nu-scale", "2", "--schedule-rate", "3", "--per-axis", "12",
+      "--flow-per-axis", "5"],
+     {"nu_scale": 2.0, "schedule_rate": 3.0, "per_axis": 12, "flow_per_axis": 5}),
+    (["lab", "gc-check", "--a", "2,1", "--samples", "2"], {"a": "2,1", "samples": 2}),
+])
+def test_flags_write_what_the_config_file_writes(tmp_path, argv, config):
+    # a key given as a flag, typed like its default, and the same value given
+    # in a config file make the same run, down to the config in summary.json
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    command = argv[:2]
+    assert run(argv + ["--out", str(tmp_path / "flags")]) == 0
+    assert run(command + ["--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert artifact_hashes(tmp_path / "flags") == artifact_hashes(tmp_path / "file")
 
 
 def test_tolerance_failure_exit_one(tmp_path, capsys, monkeypatch):
@@ -509,6 +532,14 @@ def test_flow_run_zero_time(tmp_path):
     assert summary["steps"] == 0 and summary["rejected"] == 0
 
 
+def test_flow_run_from_max_t_passes_its_gate(tmp_path):
+    # MAX_T itself is accepted, and float64 rounding keeps the flowed t well
+    # inside the 1e-6 t-deviation gate there
+    out = tmp_path / "m"
+    assert run(["flow", "run", f"--t1={cli.MAX_T!r}", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["t_deviation"] < 1e-8
+
+
 def test_flow_run_through_singular_point_exits_one(tmp_path, capsys, monkeypatch):
     # a start on the vanishing cycle of the toric fiber's singular point
     # u = e_3, w = e_12 (see tests/test_flow.py) cannot flow past t = 0
@@ -530,6 +561,7 @@ def test_flow_run_through_singular_point_exits_one(tmp_path, capsys, monkeypatch
 @example(t0=0.5, t1=0.5, seed=0)
 @example(t0=-1.0, t1=1.0, seed=0)
 @example(t0=2.3575223281716868e-146, t1=2.6243898711795176e-163, seed=2777)
+@example(t0=0.5, t1=1e155, seed=0)
 def test_flow_run_fuzz_exit_contract(t0, t1, seed):
     assert_exit_contract(["flow", "run", f"--t0={t0!r}", f"--t1={t1!r}", f"--seed={seed}"])
 

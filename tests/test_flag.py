@@ -3,8 +3,6 @@ import pytest
 import sympy as sp
 
 from gcquant.flag import (
-    deformed_minor,
-    deformed_pluecker,
     gc_map,
     index_sets,
     minor,
@@ -41,7 +39,7 @@ def test_deformed_relation_symbolic():
     arr = np.array(V, dtype=object)
 
     def q(rows):
-        return deformed_minor(arr, rows, t)
+        return minor(arr, rows, t)
 
     expr = q((0,)) * q((1, 2)) - q((1,)) * q((0, 2)) + t * q((2,)) * q((0, 1))
     assert sp.expand(expr) == 0
@@ -54,9 +52,9 @@ def test_deformed_minor_symbolic_t_exponents():
     V = sp.Matrix(3, 3, sp.symbols("v:3:3"))
     arr = np.array(V, dtype=object)
     for I in index_sets(3, 1):
-        assert sp.expand(deformed_minor(arr, I, t) - arr[I[0], 0]) == 0
+        assert sp.expand(minor(arr, I, t) - arr[I[0], 0]) == 0
     # level 2, rows (1,2): swap exponent e = w[1,1]+w[2,0] - (w[1,0]+w[2,1]) = 3-1+...
-    got = deformed_minor(arr, (1, 2), t)
+    got = minor(arr, (1, 2), t)
     w = weight_matrix(3)
     e_swap = int(w[1, 1] + w[2, 0]) - int(w[1, 0] + w[2, 1])
     manual = arr[1, 0] * arr[2, 1] - t ** e_swap * arr[1, 1] * arr[2, 0]
@@ -81,7 +79,7 @@ def test_deformed_at_one_is_plain_bitwise():
     V = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
     for Vi in V:
         p = pluecker(Vi)
-        q = deformed_pluecker(Vi, 1.0)
+        q = pluecker(Vi, 1.0)
         for l in p:
             for I in p[l]:
                 # identical code path at t=1: equality is exact, not approximate
