@@ -19,7 +19,6 @@ __all__ = [
     "weight_matrix",
     "index_sets",
     "minor",
-    "pluecker",
     "pluecker_levels",
     "moment_matrix",
     "gc_map",
@@ -83,27 +82,15 @@ def minor(V, rows: tuple[int, ...], t=None):
     return total
 
 
-def pluecker(V, t=None) -> dict[int, dict[tuple[int, ...], complex]]:
-    """All minors for levels 1..n-1, keyed by 0-based row sets: p_I(V), or
-    with t the deformed q_I(V, t); q_I(V, 1) == p_I(V) bitwise."""
-    V = np.asarray(V)
-    n = V.shape[-1]
-    return {
-        l: {I: minor(V, I, t) for I in index_sets(n, l)}
-        for l in range(1, n)
-    }
-
-
 def pluecker_levels(V, t=None) -> list[np.ndarray]:
-    """Per-level coordinate arrays in lexicographic index-set order, stacked
-    along the last axis (batch-friendly)."""
+    """The minors of levels 1..n-1: per level, minor(V, I, t) stacked along the
+    last axis over the row sets I in lexicographic order (batch-friendly).
+    Plain p_I(V), or with t the deformed q_I(V, t); q_I(V, 1) == p_I(V)
+    bitwise."""
     V = np.asarray(V, dtype=complex)
-    coords = pluecker(V, t)
     n = V.shape[-1]
-    return [
-        np.stack([np.asarray(coords[l][I], dtype=complex) for I in index_sets(n, l)], axis=-1)
-        for l in range(1, n)
-    ]
+    return [np.stack([minor(V, I, t) for I in index_sets(n, l)], axis=-1)
+            for l in range(1, n)]
 
 
 # -- spectral side -------------------------------------------------------------

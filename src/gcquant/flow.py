@@ -325,10 +325,6 @@ class DegenerationFamily:
             raise ValueError("zero homogeneous coordinate vector")
         return State(u / nu, w / nw, np.asarray(t, dtype=complex))
 
-    def point(self, u, w, t) -> State:
-        """Normalize and project onto the hypersurface."""
-        return self.retract(self.normalize(u, w, t))
-
     def embed_flag(self, V: np.ndarray, t) -> State:
         """Deformed Pluecker image of a flag (batched): a point of the fiber
         over t, on unit-sphere charts."""
@@ -348,30 +344,27 @@ class DegenerationFamily:
 
     # ------------------------------------------------------- tangent spaces
 
-    def project(self, state: State, vec: np.ndarray, fiber: bool = False) -> np.ndarray:
+    def project(self, state: State, vec: np.ndarray) -> np.ndarray:
         """Metric-orthogonal projection of ambient vectors (..., 7) onto the
-        tangent space at `state` (fiber tangent space if fiber=True), in
-        closed form: v loses its components along u, w (and dt on the fiber),
-        then along r = ((pi/a_1) pa, (pi/a_2) pb, conj c), the metric dual of
-        dF (`_reduced_grad`, with c -> 0 on the fiber); these are mutually
-        orthogonal, and |r|^2 = P + Q, or P on the fiber (see z_field).
-        Raises FlowSingularityError where |r| <= 1e-8: on the fiber, sqrt(P)."""
-        g, c = _reduced_grad(state.y.reshape(7, -1))
-        n = np.vstack([g, np.zeros_like(c) if fiber else np.conj(c)])
-        inv_metric = self._scale ** -2
-        r2 = inv_metric @ _sq(n)
-        if not (np.sqrt(r2) > 1e-8).all():
-            bad = float(np.sqrt(np.min(r2)))
+        fiber's tangent space at `state`, in closed form: v loses its dt
+        component, then its components along u and w, then along
+        r = ((pi/a_1) pa, (pi/a_2) pb), the metric dual of dF on the fiber
+        (`_reduced_grad`); these are mutually orthogonal, and |r|^2 = P (see
+        z_field).  Raises FlowSingularityError where sqrt(P) <= 1e-8."""
+        g, _ = _reduced_grad(state.y.reshape(7, -1))
+        P = self._inv_metric @ _sq(g)
+        if not (np.sqrt(P) > 1e-8).all():
+            bad = float(np.sqrt(np.min(P)))
             raise FlowSingularityError(f"tangent space undefined: |dF| {bad:.3e} <= 1.0e-08")
         v = np.array(vec, dtype=complex)
-        if fiber:
-            v[..., 6] = 0.0
+        v[..., 6] = 0.0
         for z, s in ((state.u, slice(0, 3)), (state.w, slice(3, 6))):
             zv = np.sum(np.conj(z) * v[..., s], axis=-1, keepdims=True)
             v[..., s] -= z * zv / np.sum(_sq(z), axis=-1, keepdims=True)
-        n = _points_last(n.reshape(state.y.shape))
-        nv = np.sum(np.conj(n) * v, axis=-1, keepdims=True)
-        return v - inv_metric * n * nv / r2.reshape(state.batch_shape + (1,))
+        g = _points_last(g.reshape((6,) + state.batch_shape))
+        gv = np.sum(np.conj(g) * v[..., :6], axis=-1, keepdims=True)
+        v[..., :6] -= self._inv_metric * g * gv / P.reshape(state.batch_shape + (1,))
+        return v
 
     # ------------------------------------------------------------ flow field
 
@@ -382,7 +375,9 @@ class DegenerationFamily:
         stepper passes _out, a stage row of its stage buffer shaped like
         state.y, and Z is then written there and returned as a view of it.
 
-        Closed form of `project(state, e_t)`: with pa, pb, c from
+        grad(Re t) is e_t less its component along the metric dual
+        r = ((pi/a_1) pa, (pi/a_2) pb, conj c) of dF on the total space (e_t
+        has none along u and w).  In closed form, with pa, pb, c from
         `_reduced_grad`, P = (pi/a_1)|pa|^2 + (pi/a_2)|pb|^2 and Q = |c|^2,
         grad_norm = sqrt(P/(P+Q)), Z_u = (pi/a_1) c pa/P,
         Z_w = (pi/a_2) c pb/P and Z_t = -1, evaluated as
@@ -465,7 +460,7 @@ class DegenerationFamily:
         if state.batch_shape != ():
             raise ValueError("tangent_frame expects a single point")
         # row j: the j-th scaled unit vector projected, in scaled coordinates
-        proj = self.project(state, np.diag(1.0 / self._scale), fiber=True) * self._scale
+        proj = self.project(state, np.diag(1.0 / self._scale)) * self._scale
         null = np.linalg.eigh(proj.T)[1][:, 4:].T
         frame = np.empty((6, 7), dtype=complex)
         frame[0::2] = null
@@ -524,7 +519,7 @@ class DegenerationFamily:
             y = stepper.step(y)
             cur = self.retract(State._of_rows(y[:, 0]))
             y[:, 0] = cur.y
-            y[:, 1:] = self.project(cur, y[:, 1:].T, fiber=True).T
+            y[:, 1:] = self.project(cur, y[:, 1:].T).T
         return cur, y[:, 1:].T
 
 

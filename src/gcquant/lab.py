@@ -356,9 +356,6 @@ class ExperimentConfig:
     flow_per_axis: int = 10
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         checked_s_grid(self.s_grid)
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")

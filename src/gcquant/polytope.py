@@ -34,7 +34,6 @@ __all__ = [
     "gc_polytope",
     "ambient_polytope",
     "weyl_dim",
-    "lattice_points",
     "polytope_to_json",
 ]
 
@@ -252,10 +251,6 @@ class DelzantPolytope:
         return self.vertices().mean(axis=0)
 
 
-def lattice_points(polytope: DelzantPolytope) -> np.ndarray:
-    return polytope.lattice_points()
-
-
 # -- constructors -----------------------------------------------------------
 
 
@@ -403,10 +398,9 @@ class GCPattern:
                     return False
         return True
 
-    def flatten(self, drop_top: bool = True) -> np.ndarray:
+    def flatten(self) -> np.ndarray:
         """Row-major vector over rows 1..n-1 (polytope variable order)."""
-        rows = self.rows[:-1] if drop_top else self.rows
-        return np.array([x for row in rows for x in row], dtype=float)
+        return np.array([x for row in self.rows[:-1] for x in row], dtype=float)
 
 
 # -- counting ----------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Canonical symplectic potentials on Delzant polytopes, moment/complex
-coordinate changes, section densities, quadrature, and fiber holonomy.
+"""Canonical symplectic potentials on Delzant polytopes, the moment/log-complex
+Legendre pair, section densities, quadrature, and fiber holonomy.
 
 All densities are handled as logarithms; deformation strengths s of order 1e3
 would overflow doubles otherwise.  The angle torus always carries total mass 1.
@@ -38,9 +38,7 @@ __all__ = [
     "g_can_grad",
     "g_can_hess",
     "section_log_density",
-    "moment_to_complex",
     "moment_to_log_complex",
-    "complex_to_moment",
     "complex_to_moment_log",
     "GridSums",
     "grid_sums",
@@ -242,27 +240,22 @@ class SectionDensity:
         return section_log_density(self.potential, self.m, x)
 
 
-# -- moment <-> complex --------------------------------------------------------
+# -- moment <-> log-complex -----------------------------------------------------
 
 
-def moment_to_log_complex(pot: SymplecticPotential, x, theta):
-    """Return (y, theta) with y = grad g(x); the holomorphic coordinate is
-    w = exp(2 pi (y + i theta))."""
+def moment_to_log_complex(pot: SymplecticPotential, x):
+    """y = grad g(x), the log-complex coordinates of the interior moment point
+    x; the holomorphic coordinate is w = exp(2 pi (y + i theta)) at angle
+    theta, which the Legendre pair leaves alone."""
     x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     if not np.all(pot.polytope.contains(x, strict=True)):
         raise ValueError("moment point must be strictly interior")
-    return pot.grad(x), theta
+    return pot.grad(x)
 
 
-def moment_to_complex(pot: SymplecticPotential, x, theta) -> np.ndarray:
-    y, theta = moment_to_log_complex(pot, x, theta)
-    return np.exp(TWO_PI * (y + 1j * theta))
-
-
-def complex_to_moment_log(pot: SymplecticPotential, y, theta):
+def complex_to_moment_log(pot: SymplecticPotential, y):
     """Invert grad g(x) = y by damped Newton from the vertex barycenter, to a
-    residual of 1e-13 max(1, |y|) within 100 steps."""
+    residual of 1e-13 max(1, |y|) within 100 steps; x as an (N, d) array."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     P = pot.polytope
     x = np.tile(P.barycenter(), (y.shape[0], 1))
@@ -289,20 +282,7 @@ def complex_to_moment_log(pot: SymplecticPotential, y, theta):
         x = np.where(active[:, None], x + alpha[:, None] * step, x)
     else:
         raise ConvergenceError("moment-map inversion did not converge")
-    theta = np.mod(np.asarray(theta, dtype=float), 1.0)
-    return x, theta
-
-
-def complex_to_moment(pot: SymplecticPotential, w):
-    w = np.asarray(w, dtype=complex)
-    if np.any(w == 0):
-        raise ValueError("zero coordinate corresponds to a boundary point")
-    y = np.log(np.abs(w)) / TWO_PI
-    theta = np.mod(np.angle(w) / TWO_PI, 1.0)
-    x, theta = complex_to_moment_log(pot, y, theta)
-    if w.ndim == 1:
-        return x[0], theta
-    return x, theta
+    return x
 
 
 # -- quadrature -----------------------------------------------------------------

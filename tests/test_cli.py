@@ -21,7 +21,7 @@ import gcquant.lab
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
 from gcquant.flag import gc_map, random_flags
-from gcquant.polytope import DelzantPolytope, gc_polytope, lattice_points
+from gcquant.polytope import DelzantPolytope, gc_polytope
 from gcquant.toric import ConvergenceError, QuadratureError, outside_ball
 
 
@@ -60,7 +60,7 @@ def test_polytope_gen_writes_lattice_and_polytope(tmp_path):
     assert rows[0] == "lam1_1,lam2_1,lam2_2"
     assert len(rows) - 1 == 15
     # the one-pass integer table is the value-by-value one
-    pts = lattice_points(gc_polytope(3, (2, 1)))
+    pts = gc_polytope(3, (2, 1)).lattice_points()
     assert (out / "lattice.csv").read_text() == cli.table_text(rows[0].split(","), pts.tolist())
     json.loads((out / "polytope.json").read_text())
     names = {a["path"] for a in manifest(out)["artifacts"]}
@@ -196,6 +196,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     ["lab", "combined", "--flow-per-axis", "100000"],
     # a flow grid past MAX_FLAGS points, refused before any grid is built
     ["lab", "combined", "--per-axis", "4", "--flow-per-axis", "47"],
+    # a 1-D profile.dat past MAX_PROFILE_VALUES (rows x 4 columns)
+    ["toric", "concentrate", "--per-axis", str(cli.MAX_PROFILE_VALUES // 4 + 1)],
     # weights must be positive: the library that takes them (gc_weight, the
     # family, the torus model) rejects a zero; polytope takes --a only
     ["polytope", "count", "--n", "3", "--a", "0,1"],
@@ -238,6 +240,24 @@ def test_flag_count_bound_exits_two_before_drawing(tmp_path, capsys, monkeypatch
                                        f"passes MAX_FLAGS = {cli.MAX_FLAGS}\n")
     with pytest.raises(_Drawn):
         run(argv + [str(cli.MAX_FLAGS)] + out)
+
+
+@pytest.mark.parametrize("s, rows", [("10,20,40", cli.MAX_PROFILE_VALUES // 4),
+                                     ("1,2,3,4,5,6,7", cli.MAX_PROFILE_VALUES // 8)])
+def test_profile_bound_exits_two_before_the_grid(tmp_path, capsys, monkeypatch, s, rows):
+    # the 1-D profile.dat has per_axis rows and 1 + len(s) columns: one row
+    # past MAX_PROFILE_VALUES is refused before the grid is built, and the
+    # bound itself runs
+    out = ["--out", str(tmp_path / "o")]
+    monkeypatch.setattr(cli, "polytope_grid", _refuse_to_draw)
+    assert run(["toric", "concentrate", "--s", s, "--per-axis", str(rows + 1)] + out) == 2
+    cols = 1 + len(s.split(","))
+    assert capsys.readouterr().err == (f"usage error: profile.dat of {rows + 1} rows x {cols} "
+                                       f"columns passes MAX_PROFILE_VALUES = "
+                                       f"{cli.MAX_PROFILE_VALUES}\n")
+    monkeypatch.undo()
+    assert run(["toric", "concentrate", "--s", s, "--per-axis", str(rows)] + out) == 0
+    assert len((tmp_path / "o" / "profile.dat").read_text().splitlines()) == 2 + rows
 
 
 @pytest.mark.parametrize("argv", [
@@ -546,8 +566,8 @@ def test_flow_run_through_singular_point_exits_one(tmp_path, capsys, monkeypatch
     from gcquant.flow import DegenerationFamily
 
     eps = 0.1
-    monkeypatch.setattr(DegenerationFamily, "embed_flag", lambda self, V, t: self.point(
-        np.array([eps, 0, 1]), np.array([1, 0, -eps]), t))
+    monkeypatch.setattr(DegenerationFamily, "embed_flag", lambda self, V, t: self.retract(
+        self.normalize(np.array([eps, 0, 1]), np.array([1, 0, -eps]), t)))
     rc = run(["flow", "run", "--t1", str(eps ** 2), "--t0", str(-eps ** 2),
               "--out", str(tmp_path / "s")])
     err = capsys.readouterr().err

@@ -586,9 +586,9 @@ def test_exp_schedule_contract():
 
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(s_grid=(5.0, 5.0)).validate()
+        ExperimentConfig(s_grid=(5.0, 5.0))
     with pytest.raises(ValueError):
-        ExperimentConfig(s_grid=(-1.0, 5.0)).validate()
+        ExperimentConfig(s_grid=(-1.0, 5.0))
     for s_grid in ((0.0, math.nan), (0.0, math.inf)):
         with pytest.raises(ValueError):
             ExperimentConfig(s_grid=s_grid)
@@ -599,7 +599,7 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(nu_scale=scale)
     with pytest.raises(ValueError):
-        ExperimentConfig(per_axis=1).validate()
+        ExperimentConfig(per_axis=1)
 
 
 def test_combined_experiment_boundary_pattern_rejected():

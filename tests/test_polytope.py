@@ -18,7 +18,6 @@ from gcquant.polytope import (
     gc_variable_names,
     gc_weight,
     interval,
-    lattice_points,
     polytope_to_json,
     product_polytope,
     simplex_polytope,
@@ -40,7 +39,7 @@ KNOWN_COUNTS = [
 @pytest.mark.parametrize("n,a,expected", KNOWN_COUNTS)
 def test_lattice_count_matches_weyl_dim(n, a, expected):
     P = gc_polytope(n, a)
-    pts = lattice_points(P)
+    pts = P.lattice_points()
     assert len(pts) == expected
     assert weyl_dim(gc_weight(a)) == expected
 
@@ -50,7 +49,7 @@ def test_lattice_count_matches_weyl_dim(n, a, expected):
 @settings(max_examples=20, deadline=None)
 def test_lattice_weyl_agreement_random(n, a):
     a = tuple(a[: n - 1]) + (1,) * (n - 1 - len(a))
-    assert len(lattice_points(gc_polytope(n, a))) == weyl_dim(gc_weight(a))
+    assert len(gc_polytope(n, a).lattice_points()) == weyl_dim(gc_weight(a))
 
 
 def brute_lattice(P, box):
@@ -123,7 +122,7 @@ def test_lattice_points_match_brute_force(case):
     P, box = case
     # widen the box so the oracle's facet filter, not the box, does the cutting
     expected = brute_lattice(P, [(lo - 1, hi + 1) for lo, hi in box])
-    pts = lattice_points(P)
+    pts = P.lattice_points()
     assert [tuple(p) for p in pts] == expected
     assert pts.dtype == np.int64 and pts.shape == (len(expected), P.dim)
 
@@ -131,15 +130,15 @@ def test_lattice_points_match_brute_force(case):
 def test_lattice_enumeration_limits(monkeypatch):
     P = gc_polytope(4, (3, 3, 3))
     monkeypatch.setattr(polytope, "MAX_LATTICE_POINTS", 4096)
-    assert len(lattice_points(P)) == 4096
+    assert len(P.lattice_points()) == 4096
     monkeypatch.setattr(polytope, "MAX_LATTICE_POINTS", 4095)
     with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
-        lattice_points(P)
+        P.lattice_points()
     # facet values on the box must stay below 2**62: -x + a >= 0 reaches 2a
     with pytest.raises(ValueError, match="int64"):
-        lattice_points(gc_polytope(2, (2 ** 61,)))
+        gc_polytope(2, (2 ** 61,)).lattice_points()
     with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
-        lattice_points(gc_polytope(2, (2 ** 61 - 1,)))
+        gc_polytope(2, (2 ** 61 - 1,)).lattice_points()
 
 
 def test_weyl_dim_staircase_powers():
@@ -164,15 +163,15 @@ def test_interval_basics():
     assert P.contains(np.array([0.0]))
     assert not P.contains(np.array([0.0]), strict=True)
     assert not P.contains(np.array([3.1]))
-    assert len(lattice_points(P)) == 4
+    assert len(P.lattice_points()) == 4
 
 
 def test_box_and_simplex_and_product_counts():
-    assert len(lattice_points(box_polytope([(0, 2), (0, 1)]))) == 6
-    assert len(lattice_points(simplex_polytope(2, 2))) == 6
+    assert len(box_polytope([(0, 2), (0, 1)]).lattice_points()) == 6
+    assert len(simplex_polytope(2, 2).lattice_points()) == 6
     prod = product_polytope([interval(0, 1), interval(0, 2)])
     assert prod.dim == 2
-    assert len(lattice_points(prod)) == 6
+    assert len(prod.lattice_points()) == 6
 
 
 def test_support_values_sign_convention():
@@ -231,7 +230,7 @@ def test_gc_lattice_points_are_valid_patterns():
     P = gc_polytope(3, (2, 1))
     a = (2, 1)
     top = (a[0] + a[1], a[1], 0.0)
-    for p in lattice_points(P):
+    for p in P.lattice_points():
         lam11, lam21, lam22 = p
         pat = GCPattern(((float(lam11),), (float(lam21), float(lam22)), top))
         assert pat.interlacing_ok(tol=0.0)
@@ -245,8 +244,7 @@ def test_interlacing_detects_violation():
 
 def test_pattern_flatten_row_major():
     pat = GCPattern(((1.0,), (2.0, 0.0), (2.0, 1.0, 0.0)))
-    assert list(pat.flatten(drop_top=True)) == [1.0, 2.0, 0.0]
-    assert list(pat.flatten(drop_top=False)) == [1.0, 2.0, 0.0, 2.0, 1.0, 0.0]
+    assert list(pat.flatten()) == [1.0, 2.0, 0.0]
 
 
 def test_json_round_trip():

@@ -1,0 +1,92 @@
+"""Every public definition in src/ has a caller.
+
+A public function, class or method of `gcquant` must be referenced somewhere
+else in src/ or in a bench/*.py file (bench/spans.py names its trace targets
+as strings, which count), unless it is on KEEP: a claim of the paper that only
+the acceptance suite checks.  A name used by unit tests alone is a second
+spelling of something src/ already does, and is deleted with its tests.
+References are matched by name, as calls, attribute reads, imports or
+"module.attr" strings; `__all__` does not count.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "gcquant").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+# name -> the acceptance criteria that check it
+KEEP = {
+    "holonomy": "c06, c09",
+    "bohr_sommerfeld_test": "c09",
+    "loop_phase": "c06",
+    "torus_loop": "c06",
+    "tangent_frame": "c05",
+    "transport_frame": "c05",
+    "omega_matrix": "c05",
+    "section_equality_on_v0": "c08",
+    "analytic_decay_rate": "c07, c10",
+    "moment_to_log_complex": "c04",
+    "complex_to_moment_log": "c04",
+    # the GCPattern checks of flag.gc_map's one-flag patterns, which go with
+    # gc_map once bench/ stops naming it
+    "interlacing_ok": "c02",
+    "flatten": "c02",
+}
+
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def definitions(tree):
+    """(name, node) of the public top-level functions and classes and of the
+    public methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def references(tree) -> Counter:
+    """How often the module reads each name, outside `__all__`."""
+    skipped = set()
+    names = Counter()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skipped.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def unreferenced() -> dict:
+    """module.name -> name of each public definition that nothing reads but
+    its own body."""
+    trees = {p: ast.parse(p.read_text()) for p in SRC + BENCH}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    return {f"{p.stem}.{name}": name for p in SRC for name, node in definitions(trees[p])
+            if everywhere[name] == references(node)[name]}
+
+
+def test_every_public_definition_has_a_caller():
+    assert sorted(q for q, name in unreferenced().items() if name not in KEEP) == []
+
+
+def test_every_keep_entry_is_defined_and_has_no_caller():
+    # an entry that src/ or bench/ now calls, or that is gone, is stale
+    assert sorted(set(KEEP) - set(unreferenced().values())) == []
