@@ -19,6 +19,9 @@ restricts to explicit formulas; tangent spaces of the total space are cut by
 three complex conditions (two sphere/phase gauges, one defining equation).
 All core routines are batched over leading axes.  A `State` stores one
 contiguous coordinate-major (7, ...) array, and the flow kernels run on its rows.
+The flow maps fibers onto fibers, so one error-controlled Dormand-Prince loop
+integrates it without re-imposing the fiber, and each segment ends in one
+retraction.
 """
 
 from __future__ import annotations
@@ -133,10 +136,12 @@ class FlowResult:
     steps: int                  # accepted steps
     h: float                    # mean step length |tau|/steps
     t_deviation: float          # |t_final - t_expected|, max over the batch
-    max_residual: float         # defining-equation residual after retraction
+    max_residual: float         # largest |F| over `states`, before the final retraction
     min_grad_norm: float        # smallest gradient norm at accepted step starts, not stages
     direction_err: float        # max |Re Z_t + 1| at the same step starts
     rejected: int = 0           # error-controlled steps rejected and retried
+    # the start and the integrator's point after each accepted step, not
+    # retracted: states[-1] is the end that `state` retracts
     states: Optional[list] = field(default=None, repr=False)
 
 
@@ -184,9 +189,10 @@ def _reduced_grad(y: np.ndarray):
 # Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980) as
 # one lower-triangular tableau.  The field is autonomous, so the nodes are
 # not needed.  Row i < 6 weights stages 1 .. i + 1 into the point of stage
-# i + 2; row 5 holds the fifth-order weights, so its point is the new point
-# and its stage feeds only the error estimate, weighted by row 6 = fifth-order
-# minus embedded fourth-order weights.
+# i + 2; row 5 holds the fifth-order weights, so its point is the new point,
+# and its stage, the field there, is the next step's first stage besides
+# feeding the error estimate, weighted by row 6 = fifth-order minus embedded
+# fourth-order weights.
 _DP = np.array([
     [1 / 5, 0, 0, 0, 0, 0, 0],
     [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
@@ -198,96 +204,80 @@ _DP = np.array([
 ])
 
 
-class _ControlledStepper:
-    """Dormand-Prince 5(4) steps of y' = sign(tau) f(y) over |tau| on
-    coordinate rows y of a fixed shape, with local error at most FLOW_TOL in
+def _first_step(f, y: np.ndarray, K: np.ndarray, tau: float) -> float:
+    """Starting step of `_dormand_prince` from K[0] = f(y) (Hairer, Norsett
+    and Wanner, Solving ODEs I, II.4) in the sup norm scaled by FLOW_TOL: one
+    field evaluation, into K[1], at y + h0 k1 with h0 <= |tau| gauges the
+    curvature."""
+    k1 = K[0]
+    d1 = np.max(np.abs(k1))
+    h0 = min(0.01 * np.max(np.abs(y)) / d1, abs(tau))
+    f(y + math.copysign(h0, tau) * k1, K[1])
+    d2 = np.max(np.abs(K[1] - k1)) / h0
+    return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.2))
+
+
+def _dp_step(f, y: np.ndarray, K: np.ndarray, h: float, out: np.ndarray):
+    """One Dormand-Prince step of signed length h from the rows y, with
+    K[0] = f(y): each stage point and the error estimate are one contraction
+    of a tableau row, scaled by h, with the real view of K.  Writes the new
+    point into out (C-contiguous) and its field into K[6]; returns the error
+    estimate's sup norm over FLOW_TOL and what f returned at the new point."""
+    hA = h * _DP
+    Kr = K.reshape(7, -1).view(float)
+    yr, outr = y.reshape(-1).view(float), out.reshape(-1).view(float)
+    for i in range(6):
+        np.add(yr, np.dot(hA[i, :i + 1], Kr[:i + 1]), out=outr)
+        aux = f(out, K[i + 1])
+    return float(np.max(np.abs(np.dot(hA[6], Kr).view(complex)))) / FLOW_TOL, aux
+
+
+def _dormand_prince(f, y: np.ndarray, tau: float):
+    """Advance the coordinate rows y in place along y' = sign(tau) f(y) for
+    |tau|, by Dormand-Prince 5(4) steps with local error at most FLOW_TOL in
     the sup norm over all of y.
 
-    f(y, out) writes the field at y into out, a stage row of the buffer K;
-    the caller writes f(y) into K[0] before each `step`.  Each stage point
-    and the error estimate are one contraction of a tableau row, scaled by
-    the signed step, with the real view of K.  7 field evaluations per
-    accepted step (K[0] the first), 6 per rejected one, 1 more for the
-    starting step.  Standard controller (safety 0.9, step ratio clamped to
-    [0.2, 5]), but the step accepted after a rejection proposes no longer a
-    step (Hairer, Norsett and Wanner, Solving ODEs I, II.4, as in their
-    DOPRI5); the last step is clipped to end at |tau|."""
-
-    def __init__(self, f, tau: float, shape: tuple):
-        self.f = f
-        self.span, self.sign = abs(tau), (1.0 if tau > 0 else -1.0)
-        self.K = np.empty((7,) + shape, dtype=complex)
-        self._Kr = self.K.reshape(7, -1).view(float)
-        self.h = None
-        self.elapsed = 0.0
-        self.steps = self.rejected = 0
-        self.done = tau == 0
-
-    def first_step(self, y: np.ndarray) -> float:
-        """Starting step (Hairer, Norsett and Wanner, Solving ODEs I, II.4)
-        in the sup norm scaled by FLOW_TOL: one field evaluation at y + h0 k1,
-        h0 <= span, gauges the curvature."""
-        k1 = self.K[0]
-        d1 = np.max(np.abs(k1))
-        h0 = min(0.01 * np.max(np.abs(y)) / d1, self.span)
-        self.f(y + (self.sign * h0) * k1, self.K[1])
-        d2 = np.max(np.abs(self.K[1] - k1)) / h0
-        return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.2))
-
-    def attempt(self, y: np.ndarray, h: float):
-        """One Dormand-Prince step of length h from y, with K[0] = f(y):
-        the new rows and the error estimate's sup norm over FLOW_TOL."""
-        hA = (self.sign * h) * _DP
-        Kr = self._Kr
-        yr = y.reshape(-1).view(float)
-        for i in range(6):
-            yi = (yr + np.dot(hA[i, :i + 1], Kr[:i + 1])).view(complex).reshape(y.shape)
-            self.f(yi, self.K[i + 1])
-        return yi, float(np.max(np.abs(np.dot(hA[6], Kr).view(complex)))) / FLOW_TOL
-
-    def step(self, y: np.ndarray) -> np.ndarray:
-        """The rows one accepted step on from y, where K[0] holds f(y)."""
-        if self.h is None:
-            self.h = self.first_step(y)
+    f(y, out) writes the field at y into out, a row of the stage buffer, and
+    returns what the caller reads at step starts.  This loop makes every field
+    evaluation of a segment: one at its start, one for the starting step
+    (`_first_step`) and 6 per attempted step, accepted or rejected.  The last
+    stage is the field at the new point, so it is the next step's first
+    (first same as last; Hairer, Norsett and Wanner, II.5).  After each
+    accepted step, with y moved on, it yields (k1, aux, rejected): the field
+    at the step's start, what f returned with it, and the steps rejected so
+    far; tau = 0 yields nothing and evaluates nothing.  Standard controller
+    (safety 0.9, step ratio clamped to [0.2, 5]), but the step accepted after
+    a rejection proposes no longer a step (II.4, as in DOPRI5); the last step
+    is clipped to end at |tau|."""
+    span = abs(tau)
+    if span == 0:
+        return
+    K = np.empty((7,) + y.shape, dtype=complex)
+    new = np.empty(y.shape, dtype=complex)
+    aux = f(y, K[0])
+    h = _first_step(f, y, K, tau)
+    elapsed, rejected = 0.0, 0
+    while elapsed < span:
         retried = False
         while True:
-            last = self.h >= self.span - self.elapsed
-            if not last and self.h < FLOW_MIN_STEP:
+            last = h >= span - elapsed
+            if not last and h < FLOW_MIN_STEP:
                 raise FlowSingularityError(
-                    f"flow step {self.h:.3e} below {FLOW_MIN_STEP:.1e} "
-                    f"after {self.steps} steps"
+                    f"flow step {h:.3e} below {FLOW_MIN_STEP:.1e} at {elapsed:.6g} of {span:.6g}"
                 )
-            h = self.span - self.elapsed if last else self.h
-            yi, err = self.attempt(y, h)
+            step = span - elapsed if last else h
+            err, aux_new = _dp_step(f, y, K, math.copysign(step, tau), new)
             ratio = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             if err <= 1.0:
-                self.h = h * (min(ratio, 1.0) if retried else ratio)
+                h = step * (min(ratio, 1.0) if retried else ratio)
                 break
-            self.h = h * ratio
+            h = step * ratio
             retried = True
-            self.rejected += 1
-        self.steps += 1
-        self.elapsed = self.span if last else self.elapsed + h
-        self.done = self.elapsed >= self.span
-        return yi
-
-
-def _retract_rows(y: np.ndarray) -> float:
-    """Retract the flat coordinate rows y (7, n) in place (see
-    DegenerationFamily.retract) and return the max |F| it last checked."""
-    scale = np.maximum(1.0, np.abs(y[6]))
-    for _ in range(20):
-        y[0:3] /= np.linalg.norm(y[0:3], axis=0)
-        y[3:6] /= np.linalg.norm(y[3:6], axis=0)
-        F = _defining(y)
-        absF = np.abs(F)
-        if (absF <= 1e-12 * scale).all():
-            return float(np.max(absF))
-        # the whole Gauss-Newton step comes from the u, w before it
-        J = _grad_uw(y)
-        y[0:6] += -np.conj(J) * (F / _sq(J).sum(axis=0))
-    worst = float(np.max(np.abs(_defining(y)) / scale))
-    raise FlowSingularityError(f"retraction stalled at residual {worst:.3e}")
+            rejected += 1
+        elapsed = span if last else elapsed + step
+        y[...] = new
+        yield K[0], aux, rejected
+        K[0], aux = K[6], aux_new
 
 
 class DegenerationFamily:
@@ -371,8 +361,8 @@ class DegenerationFamily:
     def z_field(self, state: State, *, _out: Optional[np.ndarray] = None):
         """Gradient-Hamiltonian field Z = -grad(Re t)/|grad(Re t)|^2 as flat
         coordinates (..., 7).  Returns (Z, grad_norm); a grad_norm at or below
-        1e-8 anywhere in the batch raises FlowSingularityError.  The flow's
-        stepper passes _out, a stage row of its stage buffer shaped like
+        1e-8 anywhere in the batch raises FlowSingularityError.  The flow
+        passes _out, a row of `_dormand_prince`'s stage buffer shaped like
         state.y, and Z is then written there and returned as a view of it.
 
         grad(Re t) is e_t less its component along the metric dual
@@ -406,49 +396,56 @@ class DegenerationFamily:
         the defining equation plus per-factor renormalization, until the
         residual is at most 1e-12 max(1, |t|), within 20 steps."""
         out = State._of_rows(state.y.copy())
-        _retract_rows(out.y.reshape(7, -1))
-        return out
+        y = out.y.reshape(7, -1)
+        scale = np.maximum(1.0, np.abs(y[6]))
+        for _ in range(20):
+            y[0:3] /= np.linalg.norm(y[0:3], axis=0)
+            y[3:6] /= np.linalg.norm(y[3:6], axis=0)
+            F = _defining(y)
+            if (np.abs(F) <= 1e-12 * scale).all():
+                return out
+            # the whole Gauss-Newton step comes from the u, w before it
+            J = _grad_uw(y)
+            y[0:6] += -np.conj(J) * (F / _sq(J).sum(axis=0))
+        worst = float(np.max(np.abs(_defining(y)) / scale))
+        raise FlowSingularityError(f"retraction stalled at residual {worst:.3e}")
 
     # ----------------------------------------------------------- integration
 
     def flow(self, state: State, tau: float, keep_states: bool = False) -> FlowResult:
         """Integrate the flow for time tau (tau < 0 runs the field backwards,
-        increasing Re t), retracting onto the fiber after each accepted step.
+        increasing Re t) by `_dormand_prince`, then retract the end onto the
+        fiber once.
 
-        The steps are error-controlled Dormand-Prince 5(4) steps: the local
-        error estimate of each step, in the sup norm of the flat coordinates
-        over the whole batch, must stay below FLOW_TOL; the last step is
-        clipped to end at |tau|, and FlowResult.h is the mean step
-        |tau|/steps.  The field is written straight into the stepper's stage
-        rows; the one evaluated at the start of a step feeds the diagnostics
-        and serves as its first stage.  Each new point is retracted in place,
-        and the retraction's last residual check gives max_residual.
+        The exact flow maps the fiber over t onto the fiber over t - tau, so
+        the steps do not re-impose it: the integrator's drift off the fiber
+        follows FLOW_TOL, and max_residual is its largest |F| over the start
+        and every accepted point.  The local error estimate of each step, in
+        the sup norm of the flat coordinates over the whole batch, stays below
+        FLOW_TOL; the last step is clipped to end at |tau|, and FlowResult.h
+        is the mean step |tau|/steps.  min_grad_norm and direction_err read
+        the field at each accepted step's start, the stage the step reuses.
         """
-        cur = state
-        max_res = float(np.max(np.abs(self.residual(cur))))
-        states = [cur] if keep_states else None
+        y = state.y.copy()
+        rows = y.reshape(7, -1)
+        max_res = float(np.max(np.abs(_defining(rows))))
+        states = [state] if keep_states else None
+        min_grad, dir_err, steps, rejected = float("inf"), 0.0, 0, 0
 
         def f(y: np.ndarray, out: np.ndarray) -> np.ndarray:
             return self.z_field(State._of_rows(y), _out=out)[1]
 
-        stepper = _ControlledStepper(f, tau, state.y.shape)
-        k1 = stepper.K[0]
-        min_grad = float("inf")
-        dir_err = 0.0
-        while not stepper.done:
-            gn = f(cur.y, k1)
+        for k1, gn, rejected in _dormand_prince(f, y, tau):
+            steps += 1
             min_grad = min(min_grad, float(np.min(gn)))
             dir_err = max(dir_err, float(np.max(np.abs(k1[6].real + 1.0))))
-            y = stepper.step(cur.y)
-            max_res = max(max_res, _retract_rows(y.reshape(7, -1)))
-            cur = State._of_rows(y)
+            max_res = max(max_res, float(np.max(np.abs(_defining(rows)))))
             if keep_states:
-                states.append(cur)
-        t_dev = float(np.max(np.abs(cur.t - (state.t - tau))))
-        return FlowResult(
-            cur, stepper.steps, stepper.span / stepper.steps if stepper.steps else 0.0,
-            t_dev, max_res, min_grad, dir_err, stepper.rejected, states,
-        )
+                states.append(State._of_rows(y.copy()))
+        end = self.retract(State._of_rows(y))
+        t_dev = float(np.max(np.abs(end.t - (state.t - tau))))
+        return FlowResult(end, steps, abs(tau) / steps if steps else 0.0,
+                          t_dev, max_res, min_grad, dir_err, rejected, states)
 
     # --------------------------------------------------------------- frames
 
@@ -498,11 +495,12 @@ class DegenerationFamily:
     def transport_frame(self, state: State, vectors: np.ndarray, tau: float):
         """Carry fiber tangent vectors (k, 7) at a single point along the flow
         by the linearized flow map: the point and its vectors ride the same
-        error-controlled Dormand-Prince steps as (7, 1 + k) rows, the error
-        measured over all of them, each stage evaluating z_field at the point
-        and v' = DZ(x) v by `_dz`.  After each accepted step the point is
-        retracted onto the fiber and the vectors are projected onto its
-        tangent space.  Returns (final_state, final_vectors)."""
+        `_dormand_prince` steps as (7, 1 + k) rows, the error measured over
+        all of them, each stage evaluating z_field at the point and
+        v' = DZ(x) v by `_dz`.  The linearized flow maps the fiber's tangent
+        spaces onto each other, so only the end point is retracted onto the
+        fiber and only the end vectors are projected onto its tangent space.
+        Returns (final_state, final_vectors)."""
         if state.batch_shape != ():
             raise ValueError("transport_frame expects a single point")
 
@@ -511,16 +509,11 @@ class DegenerationFamily:
             self.z_field(State._of_rows(x), _out=out[:, :1])
             out[:, 1:] = self._dz(x, y[:, 1:])
 
-        cur = state
         y = np.column_stack([state.y, np.asarray(vectors, dtype=complex).T])
-        stepper = _ControlledStepper(f, tau, y.shape)
-        while not stepper.done:
-            f(y, stepper.K[0])
-            y = stepper.step(y)
-            cur = self.retract(State._of_rows(y[:, 0]))
-            y[:, 0] = cur.y
-            y[:, 1:] = self.project(cur, y[:, 1:].T).T
-        return cur, y[:, 1:].T
+        for _ in _dormand_prince(f, y, tau):
+            pass
+        end = self.retract(State._of_rows(y[:, 0]))
+        return end, self.project(end, y[:, 1:].T)
 
 
 # -------------------------------------------------------------- line bundle

@@ -171,9 +171,6 @@ class SymplecticPotential:
     s: float
     deformer: ConvexDeformation
 
-    def value(self, x):
-        return g_can_value(self.polytope, x) + self.s * self.deformer.value(x)
-
     def grad(self, x):
         return g_can_grad(self.polytope, x) + self.s * self.deformer.grad(x)
 

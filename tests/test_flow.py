@@ -11,7 +11,7 @@ from gcquant.flow import (
     DegenerationFamily,
     FlowSingularityError,
     State,
-    _ControlledStepper,
+    _dp_step,
     loop_phase,
     torus_loop,
     transport_phase_factors,
@@ -252,23 +252,33 @@ def counting_z_field(monkeypatch, limit=None):
 
 
 def oversize_first_step(monkeypatch, factor=1e3):
-    first_step = _ControlledStepper.first_step
-    monkeypatch.setattr(_ControlledStepper, "first_step",
-                        lambda self, *args: factor * first_step(self, *args))
+    first_step = flow._first_step
+    monkeypatch.setattr(flow, "_first_step", lambda *args: factor * first_step(*args))
 
 
 def test_controlled_flow_evaluation_counts(monkeypatch):
-    # 7 field evaluations per accepted step (the start-of-step field is the
-    # first stage), 6 per rejected one, 1 for the starting step
+    # 6 field evaluations per attempted step, accepted or rejected (the last
+    # stage of one is the first of the next), plus 2 per segment: the start
+    # field and the starting-step probe
     calls = counting_z_field(monkeypatch)
     res = FAM.flow(embedded_batch(3), 0.5)
     assert res.rejected == 0 and res.steps > 1
-    assert calls == [(3,)] * (7 * res.steps + 1)
+    assert calls == [(3,)] * (6 * res.steps + 2)
     calls.clear()
     oversize_first_step(monkeypatch)
     res = FAM.flow(embedded_batch(3), 0.5)
     assert res.rejected > 0
-    assert calls == [(3,)] * (7 * res.steps + 6 * res.rejected + 1)
+    assert calls == [(3,)] * (6 * (res.steps + res.rejected) + 2)
+
+
+def test_flow_leaves_its_input_untouched():
+    st = embedded_batch(4, seed=3)
+    p = st[1]
+    frame = FAM.tangent_frame(p)
+    before = st.y.copy(), p.y.copy(), frame.copy()
+    FAM.flow(st, 0.1, keep_states=True)
+    FAM.transport_frame(p, frame, 0.1)
+    assert all(same_bits(a, b) for a, b in zip((st.y, p.y, frame), before))
 
 
 @pytest.mark.parametrize("tau", [1e-20, -1e-150])
@@ -319,6 +329,23 @@ def test_controlled_flow_matches_dop853_reference(lab_flow_grid, monkeypatch, ov
         assert np.max(np.abs(cur.t - t)) < 1e-12
         assert np.max(np.abs(fam.moment(cur) - x_ref)) < 1e-9
     assert (rejected > 0) == oversize
+
+
+@pytest.mark.parametrize("tol", [FLOW_TOL, 1e-6])
+def test_flow_stays_near_fiber_without_retraction(lab_flow_grid, monkeypatch, tol):
+    # the integrator's points before any retraction stay within 1e-10 of the
+    # hypersurface and the unit spheres, and only because FLOW_TOL is tight
+    fam, v0, ts = lab_flow_grid[:3]
+    monkeypatch.setattr(flow, "FLOW_TOL", tol)
+    cur, t_prev, drift = v0, 0.0, 0.0
+    for t in ts:
+        res = fam.flow(cur, -(t - t_prev), keep_states=True)
+        for st in res.states[1:]:
+            drift = max(drift, np.max(np.abs(fam.residual(st))),
+                        np.max(np.abs(np.linalg.norm(st.u, axis=-1) - 1.0)),
+                        np.max(np.abs(np.linalg.norm(st.w, axis=-1) - 1.0)))
+        cur, t_prev = res.state, t
+    assert (drift < 1e-10) == (tol == FLOW_TOL)
 
 
 @pytest.mark.parametrize("eps", [0.03, 0.1, 0.3])
@@ -424,16 +451,17 @@ def test_dormand_prince_tableau():
 @pytest.mark.parametrize("n", [1, 20, 475])
 def test_stepper_matches_point_major_reference(n):
     # one backward step (the sign rides the tableau row) of the contracted
-    # stepper against the weight-by-weight reference on the signed field
+    # step against the weight-by-weight reference on the signed field
     st = embedded_batch(n, t=0.7, seed=n)
 
     def field(y, out):
         FAM.z_field(State._of_rows(y), _out=out)
 
-    stepper = _ControlledStepper(field, -0.5, st.y.shape)
-    field(st.y, stepper.K[0])
+    K = np.empty((7,) + st.y.shape, dtype=complex)
+    field(st.y, K[0])
     h = 0.05
-    new, err = stepper.attempt(st.y, h)
+    new = np.empty_like(st.y)
+    err, _ = _dp_step(field, st.y, K, -h, new)
     ref, ref_err, k = dp_step_reference(
         lambda y: -FAM.z_field(State._of_rows(y.T))[0], st.y.T.copy(), h)
     assert np.max(np.abs(new.T - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -442,6 +470,10 @@ def test_stepper_matches_point_major_reference(n):
     assert abs(err * FLOW_TOL - np.max(np.abs(ref_err))) <= 1e-14 * h * np.max(np.abs(k))
     # and the estimate itself lies far above that agreement (about 1e-5 FLOW_TOL)
     assert err > 1e-3
+    # first same as last: the last stage is the field at the new point itself
+    at_new = np.empty_like(new)
+    field(new, at_new)
+    assert same_bits(K[6], at_new)
 
 
 def test_retract_matches_point_major_reference(lab_flow_grid):
@@ -455,17 +487,11 @@ def test_retract_matches_point_major_reference(lab_flow_grid):
 
     noisy = State(on.u + noise(), on.w + noise(), on.t)
     assert np.max(np.abs(FAM.residual(noisy))) > 1e-6
-    # lab combined's flow grid flowed for 0.05, then one Dormand-Prince step
-    # before its retraction
+    # lab combined's flow grid flowed for 0.05, then 0.05 more: the end point
+    # the flow's one retraction receives
     fam, v0 = lab_flow_grid[:2]
     cur = fam.flow(v0, -0.05).state
-
-    def field(y, out):
-        fam.z_field(State._of_rows(y), _out=out)
-
-    stepper = _ControlledStepper(field, -0.05, cur.y.shape)
-    field(cur.y, stepper.K[0])
-    raw = State._of_rows(stepper.step(cur.y))
+    raw = fam.flow(cur, -0.05, keep_states=True).states[-1]
     for st in (noisy, raw):
         assert np.max(np.abs(fam.retract(st).y.T - retract_reference(st))) < 1e-14
 
@@ -484,11 +510,16 @@ def test_flow_step_bookkeeping():
     assert zero.steps == 0 and zero.t_deviation == 0.0
 
 
-def test_zero_flow_records_start():
+def test_zero_flow_records_start(monkeypatch):
     st = embedded_batch(2)
+    frame = FAM.tangent_frame(st[0])
+    calls = counting_z_field(monkeypatch)
     zero = FAM.flow(st, 0.0, keep_states=True)
     assert zero.steps == 0 and zero.rejected == 0 and zero.h == 0.0
     assert zero.states == [st]
+    # and evaluates no field, nor does a frame transport over tau = 0
+    FAM.transport_frame(st[0], frame, 0.0)
+    assert calls == []
 
 
 def test_flow_time_exactness_and_residual():
@@ -502,11 +533,13 @@ def test_flow_time_exactness_and_residual():
 
 @pytest.mark.parametrize("tau", [0.3, -0.3])
 def test_flow_max_residual_is_largest_over_its_states(tau):
-    # the retraction hands back the residual it last checked: it must be the
-    # largest residual of the states the flow passes through
+    # the states are the start and the integrator's points, which the flow
+    # does not retract: max_residual is their largest residual, the drift
+    # off the fiber, and the last of them retracts to the final state
     res = FAM.flow(embedded_batch(8, seed=7), tau, keep_states=True)
     assert res.steps > 1
     assert res.max_residual == max(float(np.max(np.abs(FAM.residual(s)))) for s in res.states)
+    assert same_bits(FAM.retract(res.states[-1]).y, res.state.y)
 
 
 def test_flow_reverses_exactly():

@@ -7,6 +7,12 @@ the acceptance suite checks.  A name used by unit tests alone is a second
 spelling of something src/ already does, and is deleted with its tests.
 References are matched by name, as calls, attribute reads, imports or
 "module.attr" strings; `__all__` does not count.
+
+The match is by bare name, with no class or module attached, so a definition
+counts as called whenever anything reads the same name.  A method that
+shares its name with another one in use is never flagged: the unused
+`SymplecticPotential.value` passed because `ConvexDeformation.value` is read
+as `deformer.value`.
 """
 
 import ast
