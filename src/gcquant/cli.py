@@ -358,7 +358,7 @@ def cmd_flow(args) -> int:
         "summary.json": json_text({
             "config": cfg, "steps": res.steps, "rejected": res.rejected, "h_effective": res.h,
             "t_deviation": res.t_deviation, "max_residual": res.max_residual,
-            "min_grad_norm": res.min_grad_norm, "direction_err": res.direction_err,
+            "min_grad_norm": res.min_grad_norm,
         }),
     }
     failures = [("t-deviation", f"{res.t_deviation} > 1e-6")] if res.t_deviation > 1e-6 else []

@@ -1,24 +1,19 @@
-"""Pluecker coordinates, their one-parameter deformation, and the spectral
-Gelfand-Cetlin map on flag matrices.
+"""Pluecker coordinates of flags in C^3, their one-parameter deformation, and
+the spectral Gelfand-Cetlin map on flag matrices.
 
-Minors are expanded over permutations with integer exponent bookkeeping so the
-t = 1 specialization of the deformed coordinates is bitwise equal to the
-classical ones (same term order, same arithmetic path), and so the expansion
-also runs on symbolic entries.
+The deformed coordinates are the closed-form minors of the first one and two
+columns: the t = 1 specialization is bitwise equal to the classical ones (same
+term order, same arithmetic path), and the formulas also run on symbolic
+entries.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .polytope import GCPattern
 
 __all__ = [
-    "weight_matrix",
-    "index_sets",
-    "minor",
     "pluecker_levels",
     "moment_matrix",
     "gc_map",
@@ -27,70 +22,34 @@ __all__ = [
     "random_flags",
 ]
 
-
-def weight_matrix(n: int) -> np.ndarray:
-    """Strictly lower-triangular integer weights w_ij = 3^(i-j-1) for i > j."""
-    w = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i):
-            w[i, j] = 3 ** (i - j - 1)
-    return w
-
-
-def index_sets(n: int, level: int) -> list[tuple[int, ...]]:
-    """Row index sets of size `level`, lexicographic, 0-based."""
-    return list(itertools.combinations(range(n), level))
-
-
-_PERM_CACHE: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-
-
-def _signed_permutations(l: int):
-    if l not in _PERM_CACHE:
-        perms = []
-        for p in itertools.permutations(range(l)):
-            inv = sum(1 for a in range(l) for b in range(a + 1, l) if p[a] > p[b])
-            perms.append((-1 if inv % 2 else 1, p))
-        _PERM_CACHE[l] = perms
-    return _PERM_CACHE[l]
-
-
-def minor(V, rows: tuple[int, ...], t=None):
-    """det of the submatrix (rows, first len(rows) columns), permutation
-    expansion in a fixed term order.  Batched over leading axes of V.
-
-    With t, the deformed minor: each permutation term carries
-    t^(e(perm) - e(id)) with e(perm) = sum_a w[rows[a], perm[a]] and
-    w = weight_matrix(n).  The identity assignment achieves the minimal
-    exponent, so the result is polynomial in t, and at t = 1 every term is
-    multiplied by 1: the plain minor, bitwise."""
-    l = len(rows)
-    if t is not None:
-        w = weight_matrix(V.shape[-1])
-        e0 = sum(int(w[rows[a], a]) for a in range(l))
-    total = 0
-    for sign, p in _signed_permutations(l):
-        term = V[..., rows[0], p[0]]
-        for a in range(1, l):
-            term = term * V[..., rows[a], p[a]]
-        if t is not None:
-            e = sum(int(w[rows[a], p[a]]) for a in range(l)) - e0
-            if e < 0:
-                raise ValueError("non-minimal identity exponent; weight matrix invalid")
-            term = term * t**e
-        total = total + (term if sign > 0 else -term)
-    return total
+# Row pairs (i, j) of the level-2 minors p_12, p_13, p_23 (0-based), each with
+# the exponent of t on its swapped term.  With the weights w_ij = 3^(i-j-1)
+# below the diagonal (1-based: w_21 = w_32 = 1, w_31 = 3, else 0), the term of
+# the minor on rows {i, j} that takes column 1 from row k and column 2 from
+# row l carries t^(w_k1 + w_l2 - w_i1 - w_j2).  The identity term (k, l) =
+# (i, j) has exponent 0, and the swapped term (k, l) = (j, i) has
+# w_21 + w_12 - w_11 - w_22 = 1 on {1, 2}, w_31 + w_12 - w_11 - w_32 = 2 on
+# {1, 3} and w_31 + w_22 - w_21 - w_32 = 1 on {2, 3}.
+_LEVEL2 = (((0, 1), 1), ((0, 2), 2), ((1, 2), 1))
 
 
 def pluecker_levels(V, t=None) -> list[np.ndarray]:
-    """The minors of levels 1..n-1: per level, minor(V, I, t) stacked along the
-    last axis over the row sets I in lexicographic order (batch-friendly).
-    Plain p_I(V), or with t the deformed q_I(V, t); q_I(V, 1) == p_I(V)
-    bitwise."""
-    V = np.asarray(V, dtype=complex)
-    n = V.shape[-1]
-    return [np.stack([minor(V, I, t) for I in index_sets(n, l)], axis=-1)
-            for l in range(1, n)]
+    """[level 1, level 2] of a flag V (..., 3, 3), batched over leading axes:
+    (p_1, p_2, p_3), the first column, and (p_12, p_13, p_23), the 2 x 2
+    minors of the first two columns, each the identity term minus the swapped
+    term.  Plain p_I(V), or with t the deformed q_I(V, t), whose swapped terms
+    carry t, t^2 and t; q_I(V, 1) == p_I(V) bitwise.  V keeps its dtype, so
+    object arrays of symbols work too."""
+    V = np.asarray(V)
+    if V.shape[-2:] != (3, 3):
+        raise ValueError(f"pluecker_levels needs 3 x 3 flags, got shape {V.shape}")
+    level2 = []
+    for (i, j), e in _LEVEL2:
+        swapped = V[..., i, 1] * V[..., j, 0]
+        if t is not None:
+            swapped = swapped * t**e
+        level2.append(V[..., i, 0] * V[..., j, 1] - swapped)
+    return [V[..., :, 0].copy(), np.stack(level2, axis=-1)]
 
 
 # -- spectral side -------------------------------------------------------------

@@ -138,7 +138,6 @@ class FlowResult:
     t_deviation: float          # |t_final - t_expected|, max over the batch
     max_residual: float         # largest |F| over `states`, before the final retraction
     min_grad_norm: float        # smallest gradient norm at accepted step starts, not stages
-    direction_err: float        # max |Re Z_t + 1| at the same step starts
     rejected: int = 0           # error-controlled steps rejected and retried
     # the start and the integrator's point after each accepted step, not
     # retracted: states[-1] is the end that `state` retracts
@@ -243,9 +242,9 @@ def _dormand_prince(f, y: np.ndarray, tau: float):
     (`_first_step`) and 6 per attempted step, accepted or rejected.  The last
     stage is the field at the new point, so it is the next step's first
     (first same as last; Hairer, Norsett and Wanner, II.5).  After each
-    accepted step, with y moved on, it yields (k1, aux, rejected): the field
-    at the step's start, what f returned with it, and the steps rejected so
-    far; tau = 0 yields nothing and evaluates nothing.  Standard controller
+    accepted step, with y moved on, it yields (aux, rejected): what f
+    returned at the step's start, and the steps rejected so far; tau = 0
+    yields nothing and evaluates nothing.  Standard controller
     (safety 0.9, step ratio clamped to [0.2, 5]), but the step accepted after
     a rejection proposes no longer a step (II.4, as in DOPRI5); the last step
     is clipped to end at |tau|."""
@@ -276,7 +275,7 @@ def _dormand_prince(f, y: np.ndarray, tau: float):
             rejected += 1
         elapsed = span if last else elapsed + step
         y[...] = new
-        yield K[0], aux, rejected
+        yield aux, rejected
         K[0], aux = K[6], aux_new
 
 
@@ -370,15 +369,13 @@ class DegenerationFamily:
         has none along u and w).  In closed form, with pa, pb, c from
         `_reduced_grad`, P = (pi/a_1)|pa|^2 + (pi/a_2)|pb|^2 and Q = |c|^2,
         grad_norm = sqrt(P/(P+Q)), Z_u = (pi/a_1) c pa/P,
-        Z_w = (pi/a_2) c pb/P and Z_t = -1, evaluated as
-        -(1 - Q/(P+Q))(P+Q)/P so that its rounding stays visible.
+        Z_w = (pi/a_2) c pb/P and Z_t = -(P/(P+Q))/(P/(P+Q)) = -1: grad(Re t)
+        has t component P/(P+Q), its squared norm.
         """
         y = state.y.reshape(7, -1)
         g, c = _reduced_grad(y)
         P = self._inv_metric @ _sq(g)
-        Q = _sq(c)
-        PQ = P + Q
-        grad_norm = np.sqrt(P / PQ)
+        grad_norm = np.sqrt(P / (P + _sq(c)))
         if not (grad_norm > 1e-8).all():
             bad = float(np.min(grad_norm))
             raise FlowSingularityError(
@@ -386,7 +383,7 @@ class DegenerationFamily:
             )
         Z = np.empty_like(y) if _out is None else _out.reshape(y.shape)
         np.multiply(g, (c / P) * self._inv_metric[:, None], out=Z[0:6])
-        Z[6] = -(1.0 - Q / PQ) * PQ / P
+        Z[6] = -1.0
         return _points_last(Z.reshape(state.y.shape)), grad_norm.reshape(state.batch_shape)
 
     # ------------------------------------------------------------ retraction
@@ -423,29 +420,28 @@ class DegenerationFamily:
         and every accepted point.  The local error estimate of each step, in
         the sup norm of the flat coordinates over the whole batch, stays below
         FLOW_TOL; the last step is clipped to end at |tau|, and FlowResult.h
-        is the mean step |tau|/steps.  min_grad_norm and direction_err read
-        the field at each accepted step's start, the stage the step reuses.
+        is the mean step |tau|/steps.  min_grad_norm reads the field at each
+        accepted step's start, the stage the step reuses.
         """
         y = state.y.copy()
         rows = y.reshape(7, -1)
         max_res = float(np.max(np.abs(_defining(rows))))
         states = [state] if keep_states else None
-        min_grad, dir_err, steps, rejected = float("inf"), 0.0, 0, 0
+        min_grad, steps, rejected = float("inf"), 0, 0
 
         def f(y: np.ndarray, out: np.ndarray) -> np.ndarray:
             return self.z_field(State._of_rows(y), _out=out)[1]
 
-        for k1, gn, rejected in _dormand_prince(f, y, tau):
+        for gn, rejected in _dormand_prince(f, y, tau):
             steps += 1
             min_grad = min(min_grad, float(np.min(gn)))
-            dir_err = max(dir_err, float(np.max(np.abs(k1[6].real + 1.0))))
             max_res = max(max_res, float(np.max(np.abs(_defining(rows)))))
             if keep_states:
                 states.append(State._of_rows(y.copy()))
         end = self.retract(State._of_rows(y))
         t_dev = float(np.max(np.abs(end.t - (state.t - tau))))
         return FlowResult(end, steps, abs(tau) / steps if steps else 0.0,
-                          t_dev, max_res, min_grad, dir_err, rejected, states)
+                          t_dev, max_res, min_grad, rejected, states)
 
     # --------------------------------------------------------------- frames
 

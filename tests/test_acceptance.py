@@ -123,18 +123,20 @@ def test_c04_legendre_round_trip_1000_points():
 
 
 def test_c05_flow_time_direction_and_symplectic_pairing(monkeypatch):
-    """tau = 0.5: |dt - tau| < 1e-10; field normalization |Z(Re f) + 1|,
-    |Z(Im f)| < 1e-8; pairing drift < 1e-6 at FLOW_TOL = 1e-10, the drift
-    ratio between FLOW_TOL = 1e-8 and 1e-10 in [20, 500]; the moved frame
-    fiber tangent within 1e-12."""
+    """tau = 0.5: |dt - tau| < 1e-10; the field tangent to the total space,
+    |dF(Z)| < 1e-12 at the flowed points; pairing drift < 1e-6 at
+    FLOW_TOL = 1e-10, the drift ratio between FLOW_TOL = 1e-8 and 1e-10 in
+    [20, 500]; the moved frame fiber tangent within 1e-12."""
     fam = DegenerationFamily((1.0, 1.0))
     st = fam.embed_flag(random_flags(3, 4, seed=100), 1.0)
     res = fam.flow(st, 0.5)
     assert res.t_deviation < 1e-10
-    assert res.direction_err < 1e-8
+    # dF of F = u1 w23 - u2 w13 + t u3 w12 in the coordinates (u, w, t)
+    (u1, u2, u3), (w12, w13, w23), t = res.state.u.T, res.state.w.T, res.state.t
+    dF = np.stack([w23, -w13, t * w12, t * u3, -u2, u1, u3 * w12], axis=-1)
     Z, _ = fam.z_field(res.state)
-    assert np.max(np.abs(np.real(Z[..., 6]) + 1.0)) < 1e-8
-    assert np.max(np.abs(np.imag(Z[..., 6]))) < 1e-8
+    dfz = float(np.max(np.abs(np.sum(dF * Z, axis=-1))))
+    assert dfz < 1e-12
 
     p = fam.embed_flag(random_flags(3, 1, seed=101), 1.0)[0]
     frame = fam.tangent_frame(p)
@@ -153,8 +155,8 @@ def test_c05_flow_time_direction_and_symplectic_pairing(monkeypatch):
     assert d10 < 1e-6
     assert 20.0 <= d8 / d10 <= 500.0
     assert tangency < 1e-12
-    report("c05", f"dt dev {res.t_deviation:.2e}, pairing drift {d10:.2e}, "
-                  f"tolerance ratio {d8 / d10:.1f}, tangency {tangency:.1e}")
+    report("c05", f"dt dev {res.t_deviation:.2e}, |dF(Z)| {dfz:.1e}, pairing drift "
+                  f"{d10:.2e}, tolerance ratio {d8 / d10:.1f}, tangency {tangency:.1e}")
 
 
 def test_c06_prequantum_transport_and_loop_holonomy():

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gcquant.cli as cli
 import gcquant.flag
+import gcquant.flow
 import gcquant.lab
 from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
@@ -475,6 +476,23 @@ def _deviating_flow(flow):
     return flowed
 
 
+def _overshooting_step(dp_step):
+    # each Dormand-Prince step goes 1e-5 of its length past what the loop
+    # counts: 5e-6 in t over flow run's tau = 0.5 (at 1e-7, 5e-8 passes)
+    def step(f, y, K, h, out):
+        return dp_step(f, y, K, h * (1 + 1e-5), out)
+    return step
+
+
+def _sweep_s_negated(grid_sums):
+    # the s-sweep deforms the potential by -s instead of s
+    def summed(*args, deformed=None, **kwargs):
+        if deformed is not None:
+            deformed = (deformed[0], -deformed[1])
+        return grid_sums(*args, deformed=deformed, **kwargs)
+    return summed
+
+
 # (argv, owner, name, wrap, invariant, data files): owner.name is the library
 # call the command makes, and wrap(original) breaks the command's gate
 GATE_FAILURES = [
@@ -495,11 +513,17 @@ GATE_FAILURES = [
                  id="flag-weights-reversed"),
     pytest.param(["flow", "run"], DegenerationFamily, "flow", _deviating_flow, "t-deviation",
                  {"trajectory.csv", "summary.json"}, id="flow"),
+    pytest.param(["flow", "run"], gcquant.flow, "_dp_step", _overshooting_step, "t-deviation",
+                 {"trajectory.csv", "summary.json"}, id="flow-step-overshoots"),
     pytest.param(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
                   "--s-grid", "0,5"], cli, "combined_experiment",
                  lambda experiment: lambda cfg: dataclasses.replace(experiment(cfg),
                                                                     monotone=False),
                  "outside-mass-monotone", {"cells.csv", "summary.json"}, id="lab-combined"),
+    pytest.param(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
+                  "--s-grid", "0,5"], gcquant.lab, "grid_sums", _sweep_s_negated,
+                 "outside-mass-monotone", {"cells.csv", "summary.json"},
+                 id="lab-combined-sweep-s-negated"),
     pytest.param(["lab", "gc-check", "--samples", "2"], cli, "gc_vs_torus_moment_check",
                  lambda check: lambda *args, **kwargs: check(*args, **kwargs)[::-1],
                  "moment-trend", {"gc_check.csv", "summary.json"}, id="lab-gc-check"),

@@ -4,29 +4,18 @@ import sympy as sp
 
 from gcquant.flag import (
     gc_map,
-    index_sets,
-    minor,
     moment_matrix,
     pluecker_levels,
     random_flag,
     random_flags,
-    weight_matrix,
 )
 from gcquant.polytope import gc_polytope
 
-
-def test_weight_matrix_values():
-    W = weight_matrix(3)
-    # strictly upper weights 3^(i-j-1) with the convention i > j below diagonal
-    assert W[1, 0] == 1 and W[2, 1] == 1 and W[2, 0] == 3
-    W4 = weight_matrix(4)
-    assert W4[3, 0] == 9 and W4[3, 1] == 3 and W4[3, 2] == 1
+PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
-def test_index_sets_shape():
-    assert index_sets(3, 1) == [(0,), (1,), (2,)]
-    assert index_sets(3, 2) == [(0, 1), (0, 2), (1, 2)]
-    assert len(index_sets(4, 2)) == 6
+def symbolic_flag():
+    return np.array(sp.Matrix(3, 3, sp.symbols("v:3:3")), dtype=object)
 
 
 # -- symbolic oracle: the deformed quadric relation is an algebraic identity ------
@@ -34,30 +23,31 @@ def test_index_sets_shape():
 
 def test_deformed_relation_symbolic():
     t = sp.symbols("t")
-    V = sp.Matrix(3, 3, sp.symbols("v:3:3"))
-    arr = np.array(V, dtype=object)
-
-    def q(rows):
-        return minor(arr, rows, t)
-
-    expr = q((0,)) * q((1, 2)) - q((1,)) * q((0, 2)) + t * q((2,)) * q((0, 1))
-    assert sp.expand(expr) == 0
+    (q1, q2, q3), (q12, q13, q23) = pluecker_levels(symbolic_flag(), t)
+    assert sp.expand(q1 * q23 - q2 * q13 + t * q3 * q12) == 0
 
 
 def test_deformed_minor_symbolic_t_exponents():
-    # each permutation term carries t^(e(perm)-e(id)); at level 1 the minors
-    # are single entries and no t appears
+    # the term of the minor on rows {i, j} taking column 0 from row k and
+    # column 1 from row l carries t^(w[k, 0] + w[l, 1] - w[i, 0] - w[j, 1]),
+    # w[i, j] = 3^(i-j-1) below the diagonal; level 1 carries no t
     t = sp.symbols("t")
-    V = sp.Matrix(3, 3, sp.symbols("v:3:3"))
-    arr = np.array(V, dtype=object)
-    for I in index_sets(3, 1):
-        assert sp.expand(minor(arr, I, t) - arr[I[0], 0]) == 0
-    # level 2, rows (1,2): swap exponent e = w[1,1]+w[2,0] - (w[1,0]+w[2,1]) = 3-1+...
-    got = minor(arr, (1, 2), t)
-    w = weight_matrix(3)
-    e_swap = int(w[1, 1] + w[2, 0]) - int(w[1, 0] + w[2, 1])
-    manual = arr[1, 0] * arr[2, 1] - t ** e_swap * arr[1, 1] * arr[2, 0]
-    assert sp.expand(got - manual) == 0
+    w = [[3 ** (i - j - 1) if i > j else 0 for j in range(3)] for i in range(3)]
+    arr = symbolic_flag()
+    lv1, lv2 = pluecker_levels(arr, t)
+    for i in range(3):
+        assert sp.expand(lv1[i] - arr[i, 0]) == 0
+    for got, (i, j) in zip(lv2, PAIRS):
+        e = w[j][0] + w[i][1] - w[i][0] - w[j][1]
+        assert e >= 0
+        manual = arr[i, 0] * arr[j, 1] - t ** e * arr[i, 1] * arr[j, 0]
+        assert sp.expand(got - manual) == 0
+
+
+def test_pluecker_levels_rejects_non_3x3_flags():
+    for shape in [(4, 4), (2, 3, 2), (3,), (5, 3, 4)]:
+        with pytest.raises(ValueError, match="3 x 3"):
+            pluecker_levels(np.ones(shape), 0.5)
 
 
 def test_relation_residual_numeric():
@@ -95,11 +85,13 @@ def test_pluecker_levels_batch_consistency():
 
 def test_minor_matches_numpy_det():
     rng = np.random.default_rng(5)
-    V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    for l in (1, 2, 3):
-        for I in index_sets(4, l):
-            ref = np.linalg.det(V[np.ix_(I, range(l))])
-            assert abs(minor(V, I) - ref) < 1e-12 * max(1.0, abs(ref))
+    V = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    lv1, lv2 = pluecker_levels(V)
+    rows = [[(i,) for i in range(3)], PAIRS]
+    for level, (got, sets) in enumerate(zip((lv1, lv2), rows), start=1):
+        for p, I in zip(got, sets):
+            ref = np.linalg.det(V[np.ix_(I, range(level))])
+            assert abs(p - ref) < 1e-12 * max(1.0, abs(ref))
 
 
 # -- moment matrix and eigenvalue patterns ---------------------------------------

@@ -527,7 +527,6 @@ def test_flow_time_exactness_and_residual():
     res = FAM.flow(st, 0.1)
     assert res.t_deviation < 1e-12
     assert res.max_residual < 1e-10
-    assert res.direction_err < 1e-10
     assert np.allclose(res.state.t, 0.9, atol=1e-12)
 
 

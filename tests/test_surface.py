@@ -3,8 +3,10 @@
 A public function, class or method of `gcquant` must be referenced somewhere
 else in src/ or in a bench/*.py file (bench/spans.py names its trace targets
 as strings, which count), unless it is on KEEP: a claim of the paper that only
-the acceptance suite checks.  A name used by unit tests alone is a second
-spelling of something src/ already does, and is deleted with its tests.
+the acceptance suite checks, cited with the criteria whose `test_cNN` bodies
+read it (a name the body binds itself, such as a local function, does not
+count).  A name used by unit tests alone is a second spelling of something
+src/ already does, and is deleted with its tests.
 References are matched by name, as calls, attribute reads, imports or
 "module.attr" strings; `__all__` does not count.
 
@@ -23,10 +25,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "gcquant").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # name -> the acceptance criteria that check it
 KEEP = {
-    "holonomy": "c06, c09",
+    "holonomy": "c09",
     "bohr_sommerfeld_test": "c09",
     "loop_phase": "c06",
     "torus_loop": "c06",
@@ -34,7 +37,7 @@ KEEP = {
     "transport_frame": "c05",
     "omega_matrix": "c05",
     "section_equality_on_v0": "c08",
-    "analytic_decay_rate": "c07, c10",
+    "analytic_decay_rate": "c07",
     "moment_to_log_complex": "c04",
     "complex_to_moment_log": "c04",
     # the GCPattern checks of flag.gc_map's one-flag patterns, which go with
@@ -89,6 +92,20 @@ def unreferenced() -> dict:
             if everywhere[name] == references(node)[name]}
 
 
+def criterion_reads() -> dict:
+    """cNN -> the names its acceptance test reads and does not bind itself."""
+    reads = {}
+    for node in ast.parse(ACCEPTANCE.read_text()).body:
+        match = re.match(r"test_(c\d\d)_", getattr(node, "name", ""))
+        if isinstance(node, ast.FunctionDef) and match:
+            bound = {n.name for n in ast.walk(node) if isinstance(n, ast.FunctionDef)}
+            bound |= {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            reads[match.group(1)] = set(references(node)) - bound
+    return reads
+
+
 def test_every_public_definition_has_a_caller():
     assert sorted(q for q, name in unreferenced().items() if name not in KEEP) == []
 
@@ -96,3 +113,10 @@ def test_every_public_definition_has_a_caller():
 def test_every_keep_entry_is_defined_and_has_no_caller():
     # an entry that src/ or bench/ now calls, or that is gone, is stale
     assert sorted(set(KEEP) - set(unreferenced().values())) == []
+
+
+def test_every_keep_entry_is_read_by_its_criteria():
+    reads = criterion_reads()
+    assert len(reads) == 11
+    assert sorted((name, c) for name, cited in KEEP.items() for c in cited.split(", ")
+                  if name not in reads.get(c, ())) == []
