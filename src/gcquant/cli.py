@@ -31,8 +31,7 @@ from .polytope import (
     polytope_to_json,
     weyl_dim,
 )
-from .toric import (ConvexDeformation, QuadraticNu, SymplecticPotential, polytope_grid,
-                    section_log_density)
+from .toric import ConvexDeformation, SymplecticPotential, polytope_grid, section_log_density
 from .flag import gc_rows, random_flags
 from .flow import DegenerationFamily
 from .lab import (
@@ -262,8 +261,8 @@ def cmd_toric(args) -> int:
     if P.dim == 1 and per_axis * (1 + len(svals)) > MAX_PROFILE_VALUES:
         raise UsageError(f"profile.dat of {per_axis} rows x {1 + len(svals)} columns passes "
                          f"MAX_PROFILE_VALUES = {MAX_PROFILE_VALUES}")
-    nu = QuadraticNu(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(P.dim))
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu))
+    nu = ConvexDeformation(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(P.dim))
+    pot = SymplecticPotential(P, 0.0, nu)
 
     pts, log_vol = polytope_grid(P, per_axis)
     rows = []
@@ -382,7 +381,8 @@ LAB_DEFAULTS = {
 
 
 def _parse_pattern(text: str) -> tuple:
-    return tuple(parse_floats(part) for part in str(text).split(";"))
+    """'2;3,1' -> (2.0, 3.0, 1.0): the rows below the top, flattened."""
+    return tuple(v for part in str(text).split(";") for v in parse_floats(part))
 
 
 def cmd_lab_combined(args) -> int:

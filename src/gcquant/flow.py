@@ -288,7 +288,7 @@ class DegenerationFamily:
 
     def __init__(self, a: Sequence[float] = (1.0, 1.0)):
         a = tuple(float(x) for x in a)
-        if len(a) != 2 or min(a) <= 0:
+        if len(a) != 2 or not all(0 < x < math.inf for x in a):
             raise ValueError("a must be two positive weights")
         self.a = a
         # block scales turning the ambient metric into the standard one; the

@@ -8,7 +8,9 @@ grows; the routines here measure rates against the analytic Hessian bounds.
 Flag side (n = 3): the linear identification between Gelfand-Cetlin patterns
 and the moment image of the toric limit, the slice map singling out the
 x-locus of the degenerate fiber over a pattern, and the combined experiment
-that runs the deformation and the family flow together.
+that runs the deformation and the family flow together.  `GCTorusModel.fam`,
+the `DegenerationFamily` of the weights a, checks them and flows every point;
+a pattern is the flat (lam1_1, lam2_1, lam2_2) of its rows below the top.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .toric import (
     TWO_PI,
     ConvexDeformation,
     GridMeasure,
-    QuadraticNu,
     QuadratureError,
     SymplecticPotential,
     blocks,
@@ -160,7 +161,7 @@ def checked_s_grid(s_values: Sequence[float]) -> np.ndarray:
 
 class GCTorusModel:
     """Linear identification between Gelfand-Cetlin data and the toric limit
-    for n = 3 with weights a = (a_1, a_2).
+    for n = 3 with weights a = (a_1, a_2), held and checked by `fam`.
 
     xi-coordinates are the moment coordinates of the degenerate fiber's torus;
     `A` maps ambient moment coordinates onto them, `k` spans ker A and is the
@@ -169,10 +170,8 @@ class GCTorusModel:
     """
 
     def __init__(self, a: Sequence[float] = (1.0, 1.0)):
-        a = tuple(float(x) for x in a)
-        if len(a) != 2 or min(a) <= 0:
-            raise ValueError("a must be two positive weights")
-        self.a = a
+        self.fam = DegenerationFamily(a)
+        self.a = self.fam.a
         # character restriction on the ambient chart anchored at (u_1, w_12):
         # columns are the residual-torus characters of the affine coordinates
         # (u_2/u_1, u_3/u_1, w_13/w_12, w_23/w_12) in the rank-3 quotient by
@@ -217,22 +216,16 @@ class GCTorusModel:
         return M, c
 
     def xi_of_pattern(self, pattern) -> np.ndarray:
-        """xi of flattened patterns (..., 3), or of one pattern's rows below
-        the top, ((lam1_1,), (lam2_1, lam2_2))."""
-        if isinstance(pattern, np.ndarray) and pattern.shape[-1] == 3:
-            lam = np.asarray(pattern, dtype=float)
-        else:
-            flat = []
-            for row in pattern:
-                flat.extend(np.atleast_1d(np.asarray(row, dtype=float)))
-            lam = np.asarray(flat, dtype=float)
-            if lam.shape != (3,):
-                raise ValueError("pattern must flatten to (lam1_1, lam2_1, lam2_2)")
+        """xi of flattened patterns (..., 3): the rows below the top,
+        (lam1_1, lam2_1, lam2_2)."""
+        lam = np.asarray(pattern, dtype=float)
+        if lam.shape[-1:] != (3,):
+            raise ValueError("pattern must flatten to (lam1_1, lam2_1, lam2_2)")
         M, c = self.i_affine()
         return lam @ M.T + c
 
-    def xi_of_state(self, fam: DegenerationFamily, state: State) -> np.ndarray:
-        return fam.moment(state) @ self.A.T.astype(float)
+    def xi_of_state(self, state: State) -> np.ndarray:
+        return self.fam.moment(state) @ self.A.T.astype(float)
 
     def conserved_coordinates(self, xi) -> np.ndarray:
         """Combinations of xi constant along the family flow: (xi1 + xi2,
@@ -281,13 +274,10 @@ class GCTorusModel:
             raise ValueError("xi is not in the interior of the image polytope")
         return x
 
-    def v0_state(self, xi, theta_prime=(0.0, 0.0, 0.0),
-                 fam: Optional[DegenerationFamily] = None) -> State:
+    def v0_state(self, xi, theta_prime=(0.0, 0.0, 0.0)) -> State:
         """Point of the degenerate fiber over xi with angle coordinates
         theta_prime on the quotient torus, batched over xi rows: the phases of
         (u_2, u_3, w_13, w_23) relative to (u_1, w_12) are theta_prime A."""
-        if fam is None:
-            fam = DegenerationFamily(self.a)
         a1, a2 = self.a
         x = self.slice_point(xi)
         tp = np.broadcast_to(np.asarray(theta_prime, dtype=float), x.shape[:-1] + (3,))
@@ -299,7 +289,7 @@ class GCTorusModel:
         u = np.sqrt(xu) * np.exp(2j * np.pi * pu)
         w = np.sqrt(xw) * np.exp(2j * np.pi * pw)
         state = State(u, w, np.zeros(x.shape[:-1], dtype=complex))
-        res = np.max(np.abs(fam.residual(state)))
+        res = np.max(np.abs(self.fam.residual(state)))
         if res > 1e-10:
             raise FlowSingularityError(f"constructed point misses the fiber ({res:.3e})")
         return state
@@ -347,7 +337,7 @@ class ExperimentConfig:
     """Configuration of toric/combined concentration runs (n = 3)."""
 
     a: tuple = (2.0, 2.0)
-    pattern: tuple = ((2.0,), (3.0, 1.0))   # rows below the pinned top row
+    pattern: tuple = (2.0, 3.0, 1.0)        # (lam1_1, lam2_1, lam2_2) below the top row
     s_grid: tuple = (0.0, 5.0, 10.0, 20.0, 40.0)
     eps: float = 0.3
     nu_scale: float = 1.0                   # nu = nu_scale |xi|^2 / 2 on xi-space
@@ -359,7 +349,8 @@ class ExperimentConfig:
         checked_s_grid(self.s_grid)
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        QuadraticNu(self.nu_scale * np.eye(3))  # positive definite: nu_scale > 0
+        if not 0 < self.nu_scale < math.inf:
+            raise ValueError("nu_scale must be positive and finite")
         if not 0 < self.schedule_rate < math.inf:
             raise ValueError("schedule_rate must be positive and finite")
         if self.per_axis < 4 or self.flow_per_axis < 2:
@@ -415,15 +406,14 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
         raise ValueError("pattern must be an interior point (boundary patterns "
                          "are out of scope)")
     lift = model.lifts(xi_star)[0].astype(float)
-    deformer = ConvexDeformation(QuadraticNu(cfg.nu_scale * np.eye(3)),
-                                 iota_star=model.A.astype(float))
+    deformer = ConvexDeformation(cfg.nu_scale * np.eye(3), iota_star=model.A.astype(float))
     ambient = model.ambient_delta()
     pot0 = SymplecticPotential(ambient, 0.0, deformer)
     xi_pts, log_vol = polytope_grid(img, cfg.per_axis)
     x_slice = model.slice_point(xi_pts)
     xi_flow, flow_log_vol = polytope_grid(img, cfg.flow_per_axis)
-    fam = DegenerationFamily(cfg.a)
-    v0 = model.v0_state(xi_flow, fam=fam)
+    fam = model.fam
+    v0 = model.v0_state(xi_flow)
     n_flow = xi_flow.shape[0]
     conserved0 = model.conserved_coordinates(xi_flow)
 
@@ -503,10 +493,10 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     if not t_values or not all(0 < t <= 0.2 for t in t_values):
         raise ValueError("t values must lie in (0, 0.2]")
     model = GCTorusModel(a)
-    fam = DegenerationFamily(a)
+    fam = model.fam
     flags = random_flags(3, samples, seed=seed)
     xi_start = model.xi_of_pattern(np.concatenate(gc_rows(flags, a)[:-1], axis=-1))
-    gap = {t: float(np.max(np.abs(model.xi_of_state(fam, cur) - xi_start)))
+    gap = {t: float(np.max(np.abs(model.xi_of_state(cur) - xi_start)))
            for t, cur in _chained(fam, fam.embed_flag(flags, 1.0), 1.0,
                                   sorted(set(t_values), reverse=True))}
     return np.array([gap[t] for t in t_values])

@@ -1,6 +1,9 @@
 """Canonical symplectic potentials on Delzant polytopes, the moment/log-complex
 Legendre pair, section densities, quadrature, and fiber holonomy.
 
+A potential is g_can + s nu(iota_star .), with nu one `ConvexDeformation(Q,
+iota_star)`: the form p^T Q p / 2, checked positive definite, and its restriction.
+
 All densities are handled as logarithms; deformation strengths s of order 1e3
 would overflow doubles otherwise.  The angle torus always carries total mass 1.
 Every quadrature reduction (the log normalizer, the mass and sup outside an
@@ -30,7 +33,6 @@ BLOCK = 2**14
 __all__ = [
     "ConvergenceError",
     "QuadratureError",
-    "QuadraticNu",
     "ConvexDeformation",
     "SymplecticPotential",
     "SectionDensity",
@@ -98,39 +100,28 @@ def g_can_hess(P: DelzantPolytope, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuadraticNu:
-    """nu(p) = p^T Q p / 2 on the restricted coordinates; Q positive definite."""
-
-    Q: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
-        if not self.eig_range()[0] > 0.0:
-            raise ValueError("nu must be positive definite")
-
-    def eig_range(self) -> tuple[float, float]:
-        w = np.linalg.eigvalsh(self.Q)
-        return float(w[0]), float(w[-1])
-
-
-@dataclass(frozen=True)
 class ConvexDeformation:
-    """x -> nu(iota_star x) = x^T H x / 2 with H = iota_star^T Q iota_star;
-    iota_star = None means the identity restriction.
+    """x -> nu(iota_star x) = x^T H x / 2 with nu(p) = p^T Q p / 2 on the
+    restricted coordinates, Q positive definite (symmetrised on construction),
+    and H = iota_star^T Q iota_star; iota_star = None means the identity
+    restriction.
 
-    c1/c2 are *half* the extreme Hessian eigenvalues of nu: the Taylor bound
-    along segments, alpha(p) - alpha(m) >= c1 |p - m|^2, carries the 1/2 from
+    c1/c2 are *half* the extreme eigenvalues of Q: the Taylor bound along
+    segments, alpha(p) - alpha(m) >= c1 |p - m|^2, carries the 1/2 from
     int_0^1 t dt.
     """
 
-    nu: QuadraticNu
+    Q: np.ndarray
     iota_star: Optional[np.ndarray] = None
     H: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        Q = self.nu.Q
+        Q = np.asarray(self.Q, dtype=float)
+        Q = 0.5 * (Q + Q.T)
+        if not np.linalg.eigvalsh(Q)[0] > 0.0:
+            raise ValueError("nu must be positive definite")
         A = np.eye(len(Q)) if self.iota_star is None else np.asarray(self.iota_star, dtype=float)
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "H", A.T @ Q @ A)
 
     def value(self, x):
@@ -157,10 +148,10 @@ class ConvexDeformation:
         return np.broadcast_to(self.H, np.shape(x)[:-1] + self.H.shape)
 
     def c1(self) -> float:
-        return 0.5 * self.nu.eig_range()[0]
+        return 0.5 * float(np.linalg.eigvalsh(self.Q)[0])
 
     def c2(self) -> float:
-        return 0.5 * self.nu.eig_range()[1]
+        return 0.5 * float(np.linalg.eigvalsh(self.Q)[-1])
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from gcquant.lab import (
 from gcquant.polytope import gc_polytope, gc_weight, interval, weyl_dim
 from gcquant.toric import (
     ConvexDeformation,
-    QuadraticNu,
     SectionDensity,
     SymplecticPotential,
     bohr_sommerfeld_test,
@@ -106,7 +105,7 @@ def test_c04_legendre_round_trip_1000_points():
         pts.extend(cand[keep])
     x = np.array(pts[:1000])
     theta = rng.uniform(0, 1, size=x.shape)
-    deform = ConvexDeformation(QuadraticNu(np.eye(3)))
+    deform = ConvexDeformation(np.eye(3))
     worst = 0.0
     for s in (0.0, 1.0, 10.0, 100.0):
         pot = SymplecticPotential(P, 0.0, deform).at_s(s)
@@ -189,7 +188,7 @@ def test_c07_toric_delta_concentration_on_p1():
     within 15% of -2 pi C1 eps^2 across s in {20, 40, 80, 160}; <x, tau> -> 1
     within 1e-3 at s = 200; <1, tau> = 1 within 1e-6 at every s."""
     P = interval(0, 3)
-    deform = ConvexDeformation(QuadraticNu(np.eye(1)))
+    deform = ConvexDeformation(np.eye(1))
     base = SymplecticPotential(P, 0.0, deform)
     m = np.array([1.0])
     eps = 0.3

@@ -869,10 +869,10 @@ def test_float_formatting_is_lossless(tmp_path):
     # recompute and compare bit-for-bit through the printed representation
     from gcquant.lab import GridMeasure, outside_mass
     from gcquant.polytope import interval
-    from gcquant.toric import (ConvexDeformation, QuadraticNu, SectionDensity,
+    from gcquant.toric import (ConvexDeformation, SectionDensity,
                                SymplecticPotential, polytope_grid)
     P = interval(0, 3)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(1)))).at_s(7.0)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1))).at_s(7.0)
     dens = SectionDensity(pot, (1.0,))
     pts, log_vol = polytope_grid(P, 64)
     ref = outside_mass(GridMeasure(pts, dens.log_magnitude(pts), log_vol),

@@ -303,8 +303,8 @@ def lab_flow_grid():
     img = model.image_delta()
     pts, _ = polytope_grid(img, cfg.flow_per_axis)
     pts = pts[img.support_values(pts).min(axis=-1) > 1e-9]
-    fam = DegenerationFamily(cfg.a)
-    v0 = model.v0_state(pts, fam=fam)
+    fam = model.fam
+    v0 = model.v0_state(pts)
     ts = sorted({math.exp(-s / cfg.schedule_rate) for s in cfg.s_grid})
 
     def backwards(_, y):

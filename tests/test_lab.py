@@ -28,7 +28,6 @@ from gcquant.lab import (
 from gcquant.polytope import GCPattern, box_polytope, gc_polytope, interval
 from gcquant.toric import (
     ConvexDeformation,
-    QuadraticNu,
     SectionDensity,
     SymplecticPotential,
     g_can_grad,
@@ -43,6 +42,15 @@ from gcquant.toric import (
 
 
 MODEL = GCTorusModel((2.0, 2.0))
+
+
+@pytest.mark.parametrize("cls", [DegenerationFamily, GCTorusModel])
+@pytest.mark.parametrize("a", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (0.0, 1.0),
+                               (1.0,), (1.0, 1.0, 1.0)])
+def test_weights_must_be_two_positive_finite_numbers(cls, a):
+    # the family owns the check; the model inherits it by building its family
+    with pytest.raises(ValueError, match="a must be two positive weights"):
+        cls(a)
 
 
 def test_model_kernel_direction():
@@ -75,9 +83,13 @@ def test_xi_of_pattern_input_forms():
     pat = GCPattern(((2.0,), (3.0, 1.0), (4.0, 2.0, 0.0)))
     xi1 = MODEL.xi_of_pattern(pat.flatten())
     xi2 = MODEL.xi_of_pattern(np.array([2.0, 3.0, 1.0]))
-    xi3 = MODEL.xi_of_pattern(((2.0,), (3.0, 1.0)))
+    xi3 = MODEL.xi_of_pattern((2.0, 3.0, 1.0))
     assert np.allclose(xi1, xi2)
     assert np.allclose(xi1, xi3)
+    # one form only: the flat (lam1_1, lam2_1, lam2_2)
+    for bad in ((2.0, 3.0), np.ones((2, 4)), 2.0):
+        with pytest.raises(ValueError, match="lam1_1, lam2_1, lam2_2"):
+            MODEL.xi_of_pattern(bad)
 
 
 def test_xi_of_pattern_batched():
@@ -189,16 +201,16 @@ def test_slice_point_property(xi):
 
 
 def test_v0_state_moment_anchors_slice():
-    fam = DegenerationFamily(MODEL.a)
+    fam = MODEL.fam
     xi = np.array([1.0, 1.0, 1.0])
-    st0 = MODEL.v0_state(xi, fam=fam)
+    st0 = MODEL.v0_state(xi)
     assert np.max(np.abs(fam.residual(st0))) < 1e-12
     assert np.allclose(st0.t, 0.0)
     x = fam.moment(st0)
     assert np.max(np.abs(x - MODEL.slice_point(xi))) < 1e-12
-    assert np.allclose(MODEL.xi_of_state(fam, st0), xi, atol=1e-12)
+    assert np.allclose(MODEL.xi_of_state(st0), xi, atol=1e-12)
     # angles move the point but not its moment
-    st1 = MODEL.v0_state(xi, theta_prime=(0.2, -0.3, 0.11), fam=fam)
+    st1 = MODEL.v0_state(xi, theta_prime=(0.2, -0.3, 0.11))
     assert np.max(np.abs(st1.u - st0.u)) > 1e-3
     assert np.max(np.abs(fam.moment(st1) - x)) < 1e-12
 
@@ -242,7 +254,7 @@ def test_section_equality_input_guard():
 
 def gaussian_density(s):
     P = interval(0, 3)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(1)))).at_s(s)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1))).at_s(s)
     return P, SectionDensity(pot, np.array([1.0]))
 
 
@@ -292,7 +304,7 @@ def test_measure_matches_logsumexp_oracle(dim, per_axis, s):
 
     P = box_polytope([(0, 3)] * dim)
     m = np.ones(dim)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(dim)))).at_s(s)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(dim))).at_s(s)
     measure = grid_measure(P, SectionDensity(pot, m), per_axis)
     lw = measure.logdens + measure.log_vol
     log_total = logsumexp(lw)
@@ -334,7 +346,7 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
 
     P = box_polytope([(0, 3)] * 3)
     m = np.ones(3)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(3))))
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(3)))
     measure = grid_measure(P, SectionDensity(pot.at_s(s), m), 24)
     mask = outside_ball(measure.labels, m, 0.3)
     got_mass = outside_mass(measure, mask)
@@ -394,7 +406,7 @@ def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, dim, per_a
     # functionals on it, which make the same pass
     P = box_polytope([(0, 3)] * dim)
     m = np.ones(dim)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(dim))))
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(dim)))
     x, log_vol = polytope_grid(P, per_axis)
     values = {"one": np.ones(len(x)), "x1": x[..., 0]}
     svals = [0.0, 7.0, 2000.0]
@@ -420,7 +432,7 @@ def test_sweep_allocates_no_grid_sized_array_per_s():
 
     P = box_polytope([(0, 3)] * 3)
     m = np.ones(3)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(3))))
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(3)))
     x, log_vol = polytope_grid(P, 64)
     sweep = concentration_sweep(pot, m, x, [5.0, 10.0, 20.0, 40.0], x, log_vol, m, 0.3,
                                 {"one": 1.0, "x1": x[..., 0]})
@@ -466,7 +478,7 @@ def test_sweep_blocks_match_one_block(monkeypatch, P, m, walls, block):
     # single-block reductions to rounding, with m on a wall and grid points
     # on walls (-inf densities)
     m = np.array(m)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(P.dim))))
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(P.dim)))
     pts, log_vol = polytope_grid(P, 10)
     x = np.concatenate([pts[: len(pts) // 2], walls, pts[len(pts) // 2:]])
     values = {"one": 1.0, "x1": x[..., 0]}
@@ -497,7 +509,7 @@ def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
     # skipped: no NaN, and the reductions of one block to rounding
     P = box_polytope([(0, 3), (0, 2)])
     m = np.array([1.0, 1.0])
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(2))))
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(2)))
     pts, log_vol = polytope_grid(P, 10)
     walls = [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]
     x = np.concatenate([pts[:40], walls, pts[40:]])
@@ -536,7 +548,7 @@ def test_sweep_raises_for_a_ball_without_inside_or_outside(eps, message):
     # 1 is 7.8e-3 from the nearest midpoint of the 64-point grid on [0, 3]
     P = interval(0, 3)
     m = np.array([1.0])
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(QuadraticNu(np.eye(1))))
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1)))
     x, log_vol = polytope_grid(P, 64)
     with pytest.raises(QuadratureError, match=message):
         next(concentration_sweep(pot, m, x, [5.0], x, log_vol, m, eps, {}))
@@ -557,7 +569,7 @@ def test_decay_slope_recovers_exact_exponential():
 
 
 def test_analytic_decay_rate_quadratic():
-    d = ConvexDeformation(QuadraticNu(np.diag([1.0, 3.0])))
+    d = ConvexDeformation(np.diag([1.0, 3.0]))
     assert np.isclose(analytic_decay_rate(d, 0.3, 0.0), 2 * np.pi * 0.5 * 0.09)
     assert np.isclose(analytic_decay_rate(d, 0.3, 0.1),
                       2 * np.pi * (0.5 * 0.09 - 1.5 * 0.01))
@@ -603,14 +615,14 @@ def test_experiment_config_validation():
 
 
 def test_combined_experiment_boundary_pattern_rejected():
-    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((0.0,), (2.0, 0.0)),
+    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=(0.0, 2.0, 0.0),
                            s_grid=(0.0,), per_axis=8, flow_per_axis=4)
     with pytest.raises(ValueError):
         combined_experiment(cfg)
 
 
 def test_combined_experiment_small_run():
-    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
+    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=(2.0, 3.0, 1.0),
                            s_grid=(0.0, 5.0, 10.0), per_axis=12,
                            flow_per_axis=5)
     rep = combined_experiment(cfg)
@@ -644,7 +656,7 @@ def test_chained_flow_matches_independent_flows(monkeypatch):
         return res
 
     monkeypatch.setattr(DegenerationFamily, "flow", recording)
-    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
+    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=(2.0, 3.0, 1.0),
                            s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=5)
     rep = combined_experiment(cfg)
     monkeypatch.undo()
@@ -684,7 +696,7 @@ def test_s0_cell_equals_undeformed_baseline():
 
     from gcquant.toric import polytope_grid
 
-    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=((2.0,), (3.0, 1.0)),
+    cfg = ExperimentConfig(a=(2.0, 2.0), pattern=(2.0, 3.0, 1.0),
                            s_grid=(0.0, 5.0), per_axis=14, flow_per_axis=4)
     rep = combined_experiment(cfg)
     cell0 = rep.cells[0]
@@ -697,7 +709,7 @@ def test_s0_cell_equals_undeformed_baseline():
     pts, log_vol = polytope_grid(img, cfg.per_axis)
     pts = pts[img.support_values(pts).min(axis=-1) > 1e-9]
     lift = model.lifts(xi_star)[0]
-    deformer = ConvexDeformation(QuadraticNu(cfg.nu_scale * np.eye(3)),
+    deformer = ConvexDeformation(cfg.nu_scale * np.eye(3),
                                  iota_star=model.A.astype(float))
     pot = SymplecticPotential(model.ambient_delta(), 0.0, deformer).at_s(0.0)
     dens = SectionDensity(pot, tuple(lift.astype(float)))
@@ -770,13 +782,14 @@ def test_gc_check_chained_gaps_match_independent_flows():
     # independent flows from t = 1 to each t
     ts, a, samples, seed = [0.2, 0.05, 0.1, 0.02], (1.0, 1.0), 6, 3
     chained = gc_vs_torus_moment_check(ts, samples=samples, a=a, seed=seed)
-    model, fam = GCTorusModel(a), DegenerationFamily(a)
+    model = GCTorusModel(a)
+    fam = model.fam
     flags = random_flags(3, samples, seed=seed)
     xi_start = model.xi_of_pattern(np.concatenate(gc_rows(flags, a)[:-1], axis=-1))
     v1 = fam.embed_flag(flags, 1.0)
     for t, gap in zip(ts, chained):
         alone = fam.flow(v1, 1.0 - t).state
-        assert abs(gap - np.max(np.abs(model.xi_of_state(fam, alone) - xi_start))) < 1e-10
+        assert abs(gap - np.max(np.abs(model.xi_of_state(alone) - xi_start))) < 1e-10
 
 
 def test_gc_vs_torus_trend():

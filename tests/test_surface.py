@@ -14,7 +14,9 @@ The match is by bare name, with no class or module attached, so a definition
 counts as called whenever anything reads the same name.  A method that
 shares its name with another one in use is never flagged: the unused
 `SymplecticPotential.value` passed because `ConvexDeformation.value` is read
-as `deformer.value`.
+as `deformer.value`.  So every public name that src/ defines more than once
+is on SHARED, each of its definitions with the src/ function or method whose
+body reads it, checked the way the criteria's bodies are for KEEP.
 """
 
 import ast
@@ -46,19 +48,37 @@ KEEP = {
     "flatten": "c02",
 }
 
+# qualified definition -> the src/ definition whose body reads it, for every
+# public name defined more than once in src/
+SHARED = {
+    "toric.ConvexDeformation.grad": "toric.SymplecticPotential.grad",
+    "toric.ConvexDeformation.hess": "toric.SymplecticPotential.hess",
+    "toric.SymplecticPotential.grad": "toric.moment_to_log_complex",
+    "toric.SymplecticPotential.hess": "toric.complex_to_moment_log",
+}
+
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
 def definitions(tree):
-    """(name, node) of the public top-level functions and classes and of the
-    public methods of top-level classes."""
+    """(qualified name, node) of the public top-level functions and classes
+    ("name") and of the public methods of top-level classes ("Class.name")."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield item.name, item
+                    yield f"{node.name}.{item.name}", item
+
+
+def src_definitions() -> dict:
+    """module.qualified name -> node of each public definition in src/."""
+    return {f"{p.stem}.{q}": node for p in SRC for q, node in definitions(ast.parse(p.read_text()))}
+
+
+def bare(qualified: str) -> str:
+    return qualified.rsplit(".", 1)[-1]
 
 
 def references(tree) -> Counter:
@@ -84,12 +104,22 @@ def references(tree) -> Counter:
 
 
 def unreferenced() -> dict:
-    """module.name -> name of each public definition that nothing reads but
-    its own body."""
+    """module.qualified name -> name of each public definition that nothing
+    reads but its own body."""
     trees = {p: ast.parse(p.read_text()) for p in SRC + BENCH}
     everywhere = sum((references(tree) for tree in trees.values()), Counter())
-    return {f"{p.stem}.{name}": name for p in SRC for name, node in definitions(trees[p])
-            if everywhere[name] == references(node)[name]}
+    return {f"{p.stem}.{q}": bare(q) for p in SRC for q, node in definitions(trees[p])
+            if everywhere[bare(q)] == references(node)[bare(q)]}
+
+
+def body_reads(node) -> set:
+    """The names a function's body reads and does not bind itself; its own
+    name is not a binding of the body, which may read a namesake."""
+    inner = [n for n in ast.walk(node) if n is not node]
+    bound = {n.name for n in inner if isinstance(n, ast.FunctionDef)}
+    bound |= {n.arg for n in inner if isinstance(n, ast.arg)}
+    bound |= {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return set(references(node)) - bound
 
 
 def criterion_reads() -> dict:
@@ -98,11 +128,7 @@ def criterion_reads() -> dict:
     for node in ast.parse(ACCEPTANCE.read_text()).body:
         match = re.match(r"test_(c\d\d)_", getattr(node, "name", ""))
         if isinstance(node, ast.FunctionDef) and match:
-            bound = {n.name for n in ast.walk(node) if isinstance(n, ast.FunctionDef)}
-            bound |= {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
-            bound |= {n.id for n in ast.walk(node)
-                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-            reads[match.group(1)] = set(references(node)) - bound
+            reads[match.group(1)] = body_reads(node)
     return reads
 
 
@@ -120,3 +146,17 @@ def test_every_keep_entry_is_read_by_its_criteria():
     assert len(reads) == 11
     assert sorted((name, c) for name, cited in KEEP.items() for c in cited.split(", ")
                   if name not in reads.get(c, ())) == []
+
+
+def test_every_shared_name_is_on_shared():
+    # exactly the definitions whose bare name src/ defines more than once
+    defs = src_definitions()
+    counts = Counter(bare(q) for q in defs)
+    assert sorted(SHARED) == sorted(q for q in defs if counts[bare(q)] > 1)
+
+
+def test_every_shared_entry_is_read_by_its_caller():
+    defs = src_definitions()
+    assert sorted((q, caller) for q, caller in SHARED.items()
+                  if caller == q or caller not in defs
+                  or bare(q) not in body_reads(defs[caller])) == []

@@ -9,7 +9,6 @@ from gcquant.lab import GCTorusModel
 from gcquant.polytope import DelzantPolytope, Facet, box_polytope, gc_polytope, interval
 from gcquant.toric import (
     ConvexDeformation,
-    QuadraticNu,
     SectionDensity,
     SymplecticPotential,
     bohr_sommerfeld_test,
@@ -41,8 +40,7 @@ def interior_points(P, count, rng=RNG, shrink=0.05):
 
 
 def potential(P, s=0.0, scale=1.0):
-    nu = QuadraticNu(scale * np.eye(P.dim))
-    return SymplecticPotential(P, 0.0, ConvexDeformation(nu)).at_s(s)
+    return SymplecticPotential(P, 0.0, ConvexDeformation(scale * np.eye(P.dim))).at_s(s)
 
 
 # -- canonical potential ---------------------------------------------------------
@@ -97,7 +95,7 @@ def test_potential_at_s_adds_quadratic():
 
 
 def test_deformation_extreme_curvatures():
-    d = ConvexDeformation(QuadraticNu(np.diag([1.0, 2.0])))
+    d = ConvexDeformation(np.diag([1.0, 2.0]))
     assert d.c1() == 0.5
     assert d.c2() == 1.0
 
@@ -107,19 +105,20 @@ def test_deformation_extreme_curvatures():
 def test_quadratic_nu_must_be_positive_definite(Q):
     # the closed-form density needs nu >= 0; only the symmetric part counts
     with pytest.raises(ValueError, match="positive definite"):
-        QuadraticNu(np.asarray(Q))
-    QuadraticNu(np.array([[1.0, 5.0], [-5.0, 1.0]]))
+        ConvexDeformation(np.asarray(Q))
+    d = ConvexDeformation(np.array([[1.0, 5.0], [-5.0, 1.0]]))
+    assert np.array_equal(d.Q, np.eye(2))
 
 
 def test_deformation_restriction_chain_rule():
     A = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, -1.0]])
-    d = ConvexDeformation(QuadraticNu(np.diag([1.0, 3.0])), iota_star=A)
+    d = ConvexDeformation(np.diag([1.0, 3.0]), iota_star=A)
     x = np.array([0.3, -0.2, 0.5])
     p = A @ x
-    assert np.isclose(d.value(x), 0.5 * p @ d.nu.Q @ p)
+    assert np.isclose(d.value(x), 0.5 * p @ d.Q @ p)
     g_fd = fd_grad(d.value, x)
     assert np.max(np.abs(d.grad(x) - g_fd)) < 1e-6
-    assert np.allclose(d.hess(x), A.T @ d.nu.Q @ A)
+    assert np.allclose(d.hess(x), A.T @ d.Q @ A)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,7 +132,7 @@ def test_deformation_value_matches_quadratic_form(data, dim, restricted, lead):
     A = (np.array(data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim,
                                                 max_size=dim), min_size=k, max_size=k)),
                   dtype=float) if restricted else None)
-    d = ConvexDeformation(QuadraticNu(L @ L.T + np.eye(k)), iota_star=A)
+    d = ConvexDeformation(L @ L.T + np.eye(k), iota_star=A)
     x = np.array(data.draw(st.lists(floats, min_size=dim * int(np.prod(lead)),
                                     max_size=dim * int(np.prod(lead))))).reshape(lead + (dim,))
     val = d.value(x)
@@ -241,9 +240,9 @@ def test_deformation_term_is_shifted_alpha():
     model = GCTorusModel((2.0, 2.0))
     cases = [
         (box_polytope([(0, 3), (0, 2)]),
-         ConvexDeformation(QuadraticNu(np.array([[2.0, 0.5], [0.5, 1.0]])))),
+         ConvexDeformation(np.array([[2.0, 0.5], [0.5, 1.0]]))),
         (model.ambient_delta(),
-         ConvexDeformation(QuadraticNu(np.eye(3)), iota_star=model.A.astype(float))),
+         ConvexDeformation(np.eye(3), iota_star=model.A.astype(float))),
     ]
     for P, deformer in cases:
         x = interior_points(P, 200)
