@@ -355,7 +355,7 @@ def cmd_flow(args) -> int:
                                      [[i, float(np.real(st.t)), float(np.imag(st.t))]
                                       for i, st in enumerate(res.states)]),
         "summary.json": json_text({
-            "config": cfg, "steps": res.steps, "rejected": res.rejected, "h_effective": res.h,
+            "config": cfg, "steps": res.steps, "rejected": res.rejected,
             "t_deviation": res.t_deviation, "max_residual": res.max_residual,
             "min_grad_norm": res.min_grad_norm,
         }),

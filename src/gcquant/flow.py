@@ -134,7 +134,6 @@ class FlowResult:
 
     state: State
     steps: int                  # accepted steps
-    h: float                    # mean step length |tau|/steps
     t_deviation: float          # |t_final - t_expected|, max over the batch
     max_residual: float         # largest |F| over `states`, before the final retraction
     min_grad_norm: float        # smallest gradient norm at accepted step starts, not stages
@@ -419,9 +418,9 @@ class DegenerationFamily:
         follows FLOW_TOL, and max_residual is its largest |F| over the start
         and every accepted point.  The local error estimate of each step, in
         the sup norm of the flat coordinates over the whole batch, stays below
-        FLOW_TOL; the last step is clipped to end at |tau|, and FlowResult.h
-        is the mean step |tau|/steps.  min_grad_norm reads the field at each
-        accepted step's start, the stage the step reuses.
+        FLOW_TOL, and the last step is clipped to end at |tau|.  min_grad_norm
+        reads the field at each accepted step's start, the stage the step
+        reuses.
         """
         y = state.y.copy()
         rows = y.reshape(7, -1)
@@ -440,8 +439,7 @@ class DegenerationFamily:
                 states.append(State._of_rows(y.copy()))
         end = self.retract(State._of_rows(y))
         t_dev = float(np.max(np.abs(end.t - (state.t - tau))))
-        return FlowResult(end, steps, abs(tau) / steps if steps else 0.0,
-                          t_dev, max_res, min_grad, rejected, states)
+        return FlowResult(end, steps, t_dev, max_res, min_grad, rejected, states)
 
     # --------------------------------------------------------------- frames
 

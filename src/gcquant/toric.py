@@ -1,5 +1,5 @@
 """Canonical symplectic potentials on Delzant polytopes, the moment/log-complex
-Legendre pair, section densities, quadrature, and fiber holonomy.
+Legendre pair, section densities and quadrature.
 
 A potential is g_can + s nu(iota_star .), with nu one `ConvexDeformation(Q,
 iota_star)`: the form p^T Q p / 2, checked positive definite, and its restriction.
@@ -50,9 +50,6 @@ __all__ = [
     "BLOCK",
     "blocks",
     "polytope_grid",
-    "transport_phase",
-    "holonomy",
-    "bohr_sommerfeld_test",
 ]
 
 
@@ -410,34 +407,3 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
         mask[b] = Q.contains(pts[b], tol=1e-9, strict=True)
     return (pts if mask.all() else pts.compress(mask, axis=0)), vol
 
-
-# -- connection transport along fiber paths -------------------------------------
-
-
-def transport_phase(xs, thetas) -> complex:
-    """Parallel transport factor exp(2 pi i oint sum_i x_i dtheta_i) along the
-    piecewise-linear path given by matching rows of xs, thetas."""
-    xs = np.asarray(xs, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    if xs.shape != thetas.shape or xs.ndim != 2:
-        raise ValueError("need matching (k, dim) arrays")
-    mid = 0.5 * (xs[1:] + xs[:-1])
-    dth = thetas[1:] - thetas[:-1]
-    return complex(np.exp(2j * np.pi * np.sum(mid * dth)))
-
-
-def holonomy(x, direction: int, k: int = 1) -> complex:
-    """Holonomy of the prequantum connection around the theta_{direction}
-    circle at moment point x, traversed k times (64 path segments)."""
-    x = np.asarray(x, dtype=float)
-    t = np.linspace(0.0, float(k), 65)
-    thetas = np.zeros((t.size, x.size))
-    thetas[:, direction] = t
-    xs = np.tile(x, (t.size, 1))
-    return transport_phase(xs, thetas)
-
-
-def bohr_sommerfeld_test(x) -> bool:
-    """Whether every coordinate of x is within 1e-9 of an integer."""
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.abs(x - np.round(x)) < 1e-9))

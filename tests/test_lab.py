@@ -8,7 +8,7 @@ from scipy.integrate import quad
 import gcquant.lab
 from gcquant import toric
 from gcquant.flag import gc_rows, random_flags
-from gcquant.flow import DegenerationFamily, FlowSingularityError
+from gcquant.flow import DegenerationFamily, FlowSingularityError, loop_phase
 from gcquant.lab import (
     ExperimentConfig,
     GCTorusModel,
@@ -36,6 +36,8 @@ from gcquant.toric import (
     polytope_grid,
     section_log_density,
 )
+
+from test_acceptance import c09_holds, c09_points, circle_loops
 
 
 # -- the rank-3 torus identification ---------------------------------------------
@@ -233,6 +235,40 @@ def test_v0_state_angle_map():
     rel = np.concatenate([st.u[:, 1:] / st.u[:, :1], st.w[:, 1:] / st.w[:, :1]], axis=1)
     diff = np.angle(rel) / (2 * np.pi) - tp @ A
     assert np.max(np.abs(diff - np.rint(diff))) < 1e-12
+
+
+# c09 trips on a wrong input to the holonomy: the weights of the connection,
+# or the direction of the loops
+
+
+def c09_holonomies(model, xi, a, sign=1.0):
+    return np.array([loop_phase(loop.u, loop.w, a) for loop in circle_loops(model, xi, sign)])
+
+
+def test_c09_trips_on_swapped_weights():
+    # O(a_2, a_1) in place of O(a_1, a_2): |h - exp(2 pi i xi_j)| >= 1.41 at every point
+    model = GCTorusModel((3.0, 2.0))
+    for xi in c09_points(model):
+        h = c09_holonomies(model, xi, model.a[::-1])
+        assert np.abs(h - np.exp(2j * np.pi * xi)).max() > 1.4
+        assert not c09_holds(xi, h)
+
+
+def test_c09_trips_on_a_weight_off_by_one():
+    # a_1 + 1 at the lattice point (1, 1, 1): |h - 1| is 1.41 and 2.00 on circles 1 and 2
+    xi = np.array([1.0, 1.0, 1.0])
+    h = c09_holonomies(MODEL, xi, (MODEL.a[0] + 1.0, MODEL.a[1]))
+    assert np.abs(h[:2] - 1.0).min() > 1.4
+    assert not c09_holds(xi, h)
+
+
+def test_c09_trips_on_reversed_loops():
+    # theta' negated runs each circle backwards: h goes to its conjugate, 1.90 away
+    xi = np.array([1.3, 0.7, 1.1])
+    h = c09_holonomies(MODEL, xi, MODEL.a, sign=-1.0)
+    assert np.abs(h - np.exp(2j * np.pi * xi)).max() > 1.8
+    assert not c09_holds(xi, h)
+    assert c09_holds(xi, c09_holonomies(MODEL, xi, MODEL.a))
 
 
 def test_section_equality_on_shared_image():

@@ -31,9 +31,7 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # name -> the acceptance criteria that check it
 KEEP = {
-    "holonomy": "c09",
-    "bohr_sommerfeld_test": "c09",
-    "loop_phase": "c06",
+    "loop_phase": "c06, c09",
     "torus_loop": "c06",
     "tangent_frame": "c05",
     "transport_frame": "c05",

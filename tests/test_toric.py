@@ -11,17 +11,14 @@ from gcquant.toric import (
     ConvexDeformation,
     SectionDensity,
     SymplecticPotential,
-    bohr_sommerfeld_test,
     complex_to_moment_log,
     g_can_grad,
     g_can_hess,
     g_can_value,
-    holonomy,
     moment_to_log_complex,
     outside_ball,
     polytope_grid,
     section_log_density,
-    transport_phase,
 )
 
 RNG = np.random.default_rng(20260815)
@@ -135,11 +132,28 @@ def test_deformation_value_matches_quadratic_form(data, dim, restricted, lead):
     d = ConvexDeformation(L @ L.T + np.eye(k), iota_star=A)
     x = np.array(data.draw(st.lists(floats, min_size=dim * int(np.prod(lead)),
                                     max_size=dim * int(np.prod(lead))))).reshape(lead + (dim,))
+    assert_value_matches_quadratic_form(d, x)
+
+
+def assert_value_matches_quadratic_form(d, x):
     val = d.value(x)
-    assert np.shape(val) == lead
+    assert np.shape(val) == x.shape[:-1]
+    dim = x.shape[-1]
     ref = 0.5 * np.einsum("...i,ij,...j->...", x, d.H, x)
     scale = 0.5 * np.einsum("...i,ij,...j->...", np.abs(x), np.abs(d.H), np.abs(x))
-    assert np.all(np.abs(val - ref) <= 4 * dim * np.finfo(float).eps * scale)
+    # a product that lands below the normal range rounds by up to half the
+    # smallest subnormal, not by a relative eps; each side rounds fewer than
+    # (dim + 1)^2 products and halvings
+    floor = (dim + 1) ** 2 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(val - ref) <= 4 * dim * np.finfo(float).eps * scale + floor)
+
+
+def test_deformation_value_matches_quadratic_form_when_subnormal():
+    # x^T H x = 2.1e-313 is subnormal: value and the einsum differ by one
+    # subnormal spacing, 5e-324, while 4 dim eps scale is 3.7e-328
+    L = np.array([[0.0, 1.0], [0.0, 1.0]])
+    x = np.full(2, 2.6362359173243803e-158)
+    assert_value_matches_quadratic_form(ConvexDeformation(L @ L.T + np.eye(2)), x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,41 +432,3 @@ def test_polytope_grid_masks_wall_cells():
     pts, _ = polytope_grid(P, 16)
     assert P.support_values(pts).min() > 0
 
-
-# -- connection transport --------------------------------------------------------
-
-
-def test_holonomy_matches_character():
-    for x in np.linspace(0.05, 2.95, 13):
-        h = holonomy(np.array([x]), 0)
-        assert abs(h - np.exp(2j * np.pi * x)) < 1e-12
-    assert abs(holonomy(np.array([0.5]), 0) + 1.0) < 1e-12
-    assert abs(holonomy(np.array([2.0]), 0) - 1.0) < 1e-12
-
-
-def test_holonomy_multiplicative_in_winding():
-    x = np.array([0.37, 1.42])
-    h1 = holonomy(x, 1)
-    h3 = holonomy(x, 1, k=3)
-    assert abs(h3 - h1 ** 3) < 1e-12
-
-
-def test_bohr_sommerfeld_integrality():
-    assert bohr_sommerfeld_test(np.array([1.0, 2.0]))
-    assert bohr_sommerfeld_test(np.array([1.0 + 1e-12]))
-    assert not bohr_sommerfeld_test(np.array([1.0, 0.5]))
-
-
-def test_transport_phase_rectangle_loop():
-    # oint x dtheta over the boundary of [xa,xb] x [0,dth] equals (xb-xa)*dth
-    xa, xb, dth = 0.4, 1.9, 0.3
-    xs = np.array([[xa], [xb], [xb], [xa], [xa]])
-    th = np.array([[0.0], [0.0], [dth], [dth], [0.0]])
-    ph = transport_phase(xs, th)
-    assert abs(ph - np.exp(2j * np.pi * (xb - xa) * dth)) < 1e-12
-    assert abs(abs(ph) - 1.0) < 1e-14
-
-
-def test_transport_phase_shape_guard():
-    with pytest.raises(ValueError):
-        transport_phase(np.zeros((3, 1)), np.zeros((4, 1)))
