@@ -32,7 +32,7 @@ from .polytope import (
     weyl_dim,
 )
 from .toric import ConvexDeformation, SymplecticPotential, polytope_grid, section_log_density
-from .flag import gc_rows, random_flags
+from .flag import gc_map, random_flags
 from .flow import DegenerationFamily
 from .lab import (
     ExperimentConfig,
@@ -325,8 +325,7 @@ def cmd_flag(args) -> int:
     P = gc_polytope(n, a)
     count = parse_flag_count("count", cfg["count"])
     flags = random_flags(n, count, seed=parse_int("seed", cfg["seed"]))
-    # rows 1..n-1 of every flag's pattern, row-major: the polytope's coordinates
-    pats = np.concatenate(gc_rows(flags, a)[:-1], axis=-1)
+    pats = gc_map(flags, a)
     worst = float(P.support_values(pats).min())
     files = {"patterns.csv": table_text(["flag"] + list(gc_variable_names(n)),
                                         [[i] + list(p) for i, p in enumerate(pats)]),

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polytope import GCPattern
-
 __all__ = [
     "pluecker_levels",
     "moment_matrix",
     "gc_map",
-    "gc_rows",
     "random_flag",
     "random_flags",
 ]
@@ -71,17 +68,15 @@ def moment_matrix(V, a) -> np.ndarray:
     return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
 
 
-def gc_rows(V, a) -> list[np.ndarray]:
-    """Descending eigenvalues of the upper-left l x l blocks, l = 1..n.
-    Batched; entry l-1 has shape (..., l)."""
+def gc_map(V, a) -> np.ndarray:
+    """Gelfand-Cetlin coordinates of a flag (n, n) or a stack (..., n, n): the
+    descending eigenvalues of the upper-left l x l blocks of the moment
+    matrix, l = 1..n-1, row-major (the coordinate order of `gc_polytope`).
+    The top row, the spectrum of the whole matrix, is lambda(a) for every
+    flag and is not computed."""
     H = moment_matrix(V, a)
-    n = H.shape[-1]
-    return [np.linalg.eigvalsh(H[..., :l, :l])[..., ::-1] for l in range(1, n + 1)]
-
-
-def gc_map(V, a) -> GCPattern:
-    rows = gc_rows(np.asarray(V, dtype=complex), a)
-    return GCPattern(tuple(tuple(float(x) for x in r) for r in rows))
+    return np.concatenate([np.linalg.eigvalsh(H[..., :l, :l])[..., ::-1]
+                           for l in range(1, H.shape[-1])], axis=-1)
 
 
 def random_flag(n: int, seed=0) -> np.ndarray:

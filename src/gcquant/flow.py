@@ -41,7 +41,6 @@ __all__ = [
     "State",
     "FlowResult",
     "DegenerationFamily",
-    "transport_phase_factors",
     "loop_phase",
     "torus_loop",
 ]
@@ -493,7 +492,8 @@ class DegenerationFamily:
         all of them, each stage evaluating z_field at the point and
         v' = DZ(x) v by `_dz`.  The linearized flow maps the fiber's tangent
         spaces onto each other, so only the end point is retracted onto the
-        fiber and only the end vectors are projected onto its tangent space.
+        fiber.  The end vectors are returned as integrated, unprojected: their
+        distance from the end's tangent space measures the integration error.
         Returns (final_state, final_vectors)."""
         if state.batch_shape != ():
             raise ValueError("transport_frame expects a single point")
@@ -506,29 +506,22 @@ class DegenerationFamily:
         y = np.column_stack([state.y, np.asarray(vectors, dtype=complex).T])
         for _ in _dormand_prince(f, y, tau):
             pass
-        end = self.retract(State._of_rows(y[:, 0]))
-        return end, self.project(end, y[:, 1:].T)
+        return self.retract(State._of_rows(y[:, 0])), y[:, 1:].T
 
 
 # -------------------------------------------------------------- line bundle
 
 
-def transport_phase_factors(u_path: np.ndarray, w_path: np.ndarray,
-                            a: Sequence[float]) -> np.ndarray:
-    """Per-segment parallel-transport phases of the O(a_1, a_2) connection
-    along a discretized path of unit-sphere representatives (K+1, 3) each."""
-    du = np.angle(np.sum(np.conj(u_path[:-1]) * u_path[1:], axis=-1))
-    dw = np.angle(np.sum(np.conj(w_path[:-1]) * w_path[1:], axis=-1))
-    return np.exp(1j * (a[0] * du + a[1] * dw))
-
-
 def loop_phase(u_path: np.ndarray, w_path: np.ndarray, a: Sequence[float]) -> complex:
-    """Holonomy of the bundle connection around a discretized loop.  The path
-    must be closed up to projective rescaling; the last-to-first segment is
-    included automatically."""
+    """Holonomy of the O(a_1, a_2) connection around a discretized loop of
+    unit-sphere representatives (K, 3) each: the product of the per-segment
+    parallel-transport phases.  The path must be closed up to projective
+    rescaling; the last-to-first segment is included automatically."""
     u = np.concatenate([u_path, u_path[:1]], axis=0)
     w = np.concatenate([w_path, w_path[:1]], axis=0)
-    return complex(np.prod(transport_phase_factors(u, w, a)))
+    du = np.angle(np.sum(np.conj(u[:-1]) * u[1:], axis=-1))
+    dw = np.angle(np.sum(np.conj(w[:-1]) * w[1:], axis=-1))
+    return complex(np.prod(np.exp(1j * (a[0] * du + a[1] * dw))))
 
 
 def torus_loop(state: State, weights: Sequence[int], samples: int = 1024) -> State:

@@ -25,7 +25,6 @@ from .polytope import DelzantPolytope, Facet, ambient_polytope
 from .toric import (
     TWO_PI,
     ConvexDeformation,
-    GridMeasure,
     QuadratureError,
     SymplecticPotential,
     blocks,
@@ -34,11 +33,10 @@ from .toric import (
     polytope_grid,
     section_log_density,
 )
-from .flag import gc_rows, random_flags
+from .flag import gc_map, random_flags
 from .flow import DegenerationFamily, FlowSingularityError, State
 
 __all__ = [
-    "GridMeasure",
     "outside_mass",
     "concentration_sup",
     "delta_pairing",
@@ -68,23 +66,24 @@ def _check_ball(outside: np.ndarray):
         raise QuadratureError("exclusion ball contains no quadrature point")
 
 
-def outside_mass(measure: GridMeasure, outside: np.ndarray) -> float:
-    """L^1 mass of the normalized density on the points of the mask `outside`
-    (`outside_ball` of the labels)."""
+def outside_mass(logdens: np.ndarray, log_vol: float, outside: np.ndarray) -> float:
+    """L^1 mass, outside the mask `outside`, of the normalized midpoint
+    density with log densities `logdens` (N,) on equal cells of volume
+    exp(log_vol)."""
     _check_ball(outside)
-    return grid_sums(measure.logdens, measure.log_vol, outside).mass
+    return grid_sums(logdens, log_vol, outside).mass
 
 
-def concentration_sup(measure: GridMeasure, outside: np.ndarray) -> float:
+def concentration_sup(logdens: np.ndarray, log_vol: float, outside: np.ndarray) -> float:
     """Sup of the L^1-normalized density over the points of the mask `outside`."""
     if not outside.any():
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
-    return grid_sums(measure.logdens, measure.log_vol, outside).sup
+    return grid_sums(logdens, log_vol, outside).sup
 
 
-def delta_pairing(measure: GridMeasure, values) -> float:
-    """<phi, normalized density> from phi's `values` on the labels; phi == 1 gives 1."""
-    return grid_sums(measure.logdens, measure.log_vol, values={"phi": values}).pairings["phi"]
+def delta_pairing(logdens: np.ndarray, log_vol: float, values) -> float:
+    """<phi, normalized density> from phi's `values` at the points; phi == 1 gives 1."""
+    return grid_sums(logdens, log_vol, values={"phi": values}).pairings["phi"]
 
 
 def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
@@ -206,23 +205,18 @@ class GCTorusModel:
 
     # pattern <-> xi
 
-    def i_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """xi = M lam + c on flattened patterns (lam1_1, lam2_1, lam2_2)."""
+    def xi_of_pattern(self, pattern) -> np.ndarray:
+        """xi of flattened patterns (..., 3): the rows below the top,
+        (lam1_1, lam2_1, lam2_2), through the affine bijection
+        xi = (lam2_1 - lam1_1, a1 + a2 - lam2_1, a2 - lam2_2)."""
+        lam = np.asarray(pattern, dtype=float)
+        if lam.shape[-1:] != (3,):
+            raise ValueError("pattern must flatten to (lam1_1, lam2_1, lam2_2)")
         a1, a2 = self.a
         M = np.array([[-1.0, 1.0, 0.0],
                       [0.0, -1.0, 0.0],
                       [0.0, 0.0, -1.0]])
-        c = np.array([0.0, a1 + a2, a2])
-        return M, c
-
-    def xi_of_pattern(self, pattern) -> np.ndarray:
-        """xi of flattened patterns (..., 3): the rows below the top,
-        (lam1_1, lam2_1, lam2_2)."""
-        lam = np.asarray(pattern, dtype=float)
-        if lam.shape[-1:] != (3,):
-            raise ValueError("pattern must flatten to (lam1_1, lam2_1, lam2_2)")
-        M, c = self.i_affine()
-        return lam @ M.T + c
+        return lam @ M.T + np.array([0.0, a1 + a2, a2])
 
     def xi_of_state(self, state: State) -> np.ndarray:
         return self.fam.moment(state) @ self.A.T.astype(float)
@@ -495,7 +489,7 @@ def gc_vs_torus_moment_check(t_values: Sequence[float], samples: int = 20,
     model = GCTorusModel(a)
     fam = model.fam
     flags = random_flags(3, samples, seed=seed)
-    xi_start = model.xi_of_pattern(np.concatenate(gc_rows(flags, a)[:-1], axis=-1))
+    xi_start = model.xi_of_pattern(gc_map(flags, a))
     gap = {t: float(np.max(np.abs(model.xi_of_state(cur) - xi_start)))
            for t, cur in _chained(fam, fam.embed_flag(flags, 1.0), 1.0,
                                   sorted(set(t_values), reverse=True))}

@@ -1,4 +1,5 @@
-"""Facet presentations of lattice polytopes, Gelfand-Cetlin patterns and counts.
+"""Facet presentations of lattice polytopes, the Gelfand-Cetlin polytope of
+patterns, and lattice counts.
 
 A polytope is stored as {p : <p, r_j> + c_j >= 0} with primitive integer
 normals r_j and integer offsets c_j.  The counting side is exact: the
@@ -21,7 +22,6 @@ import numpy as np
 __all__ = [
     "Facet",
     "DelzantPolytope",
-    "GCPattern",
     "MAX_LATTICE_POINTS",
     "UnboundedPolytopeError",
     "interval",
@@ -377,30 +377,6 @@ def ambient_polytope(n: int, a) -> DelzantPolytope:
         raise ValueError("need n-1 weights")
     factors = [simplex_polytope(comb(n, l) - 1, a[l - 1], prefix=f"x{l}_") for l in range(1, n)]
     return product_polytope(factors)
-
-
-@dataclass(frozen=True)
-class GCPattern:
-    """Triangular array of rows 1..n (row l has l entries, weakly interlacing)."""
-
-    rows: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        for l, row in enumerate(self.rows, start=1):
-            if len(row) != l:
-                raise ValueError("row l must have l entries")
-
-    def interlacing_ok(self, tol: float = 0.0) -> bool:
-        for l in range(len(self.rows) - 1):
-            hi, lo = self.rows[l + 1], self.rows[l]
-            for j in range(l + 1):
-                if lo[j] > hi[j] + tol or hi[j + 1] > lo[j] + tol:
-                    return False
-        return True
-
-    def flatten(self) -> np.ndarray:
-        """Row-major vector over rows 1..n-1 (polytope variable order)."""
-        return np.array([x for row in self.rows[:-1] for x in row], dtype=float)
 
 
 # -- counting ----------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "complex_to_moment_log",
     "GridSums",
     "grid_sums",
-    "GridMeasure",
     "outside_ball",
     "MAX_GRID_POINTS",
     "BLOCK",
@@ -336,18 +335,6 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
     log_total = float(top + np.log(sums[0]) + log_vol)
     return GridSums(log_total, float(sums[1] / sums[0]), float(np.exp(top_out - log_total)),
                     {name: float(p / sums[0]) for name, p in zip(values, sums[2:])})
-
-
-@dataclass(frozen=True)
-class GridMeasure:
-    """Midpoint quadrature measure: equal cells of volume exp(log_vol) whose
-    sample points carry log densities `logdens` (N,) and labels (N, d).
-    Exclusion distances and test functions are evaluated on the labels; the
-    reductions are those of `grid_sums`."""
-
-    labels: np.ndarray
-    logdens: np.ndarray
-    log_vol: float
 
 
 def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:

@@ -36,12 +36,6 @@ def test_every_trace_target_resolves():
     assert not missing, missing
 
 
-# read by bench/test_bench.py::test_patches_reach_names_imported_by_callers,
-# though neither module has imported gc_map since lab stopped mapping flags one
-# at a time: a stale check of the benchmark's own (ROADMAP item 1)
-STALE = {"gcquant.cli.gc_map", "gcquant.lab.gc_map"}
-
-
 def bindings(tree) -> dict:
     """Local name -> dotted gcquant name, for every import from gcquant in the
     file and for `cli = import_cli()`, the checkout's gcquant.cli."""
@@ -110,7 +104,7 @@ def test_every_gcquant_name_bench_reads_resolves():
     # so that no name bench/ still uses is deleted from the library by mistake
     reads = bench_reads()
     missing = {unresolved(name) for name in reads} - {None}
-    assert missing == STALE, {m: reads.get(m) for m in missing ^ STALE}
+    assert not missing, {m: reads.get(m) for m in missing}
     assert {"gcquant.toric.SectionDensity", "gcquant.cli.write_csv", "gcquant.cli.fmt",
             "gcquant.cli.gc_vs_torus_moment_check",
             "gcquant.polytope.DelzantPolytope.lattice_points"} <= set(reads)

@@ -412,18 +412,16 @@ def test_vanishing_density_exits_one(tmp_path, capsys, monkeypatch, argv):
         assert (tmp_path / "o" / name).is_file()
 
 
-def _rows_off_polytope(V, a):
-    """gc_rows of every flag of V as the pattern 2.5; 2, 0; 2, 1, 0, whose row
-    1 breaks interlacing with row 2 by 0.5."""
-    count = len(V)
-    return [np.full((count, 1), 2.5), np.tile([2.0, 0.0], (count, 1)),
-            np.tile([2.0, 1.0, 0.0], (count, 1))]
+def _patterns_off_polytope(V, a):
+    """gc_map of every flag of V as the pattern 2.5; 2, 0 below the top row
+    2, 1, 0, whose row 1 breaks interlacing with row 2 by 0.5."""
+    return np.tile([2.5, 2.0, 0.0], (len(V), 1))
 
 
 def test_flag_dump_interlacing_failure_writes_patterns(tmp_path, capsys, monkeypatch):
     # a pattern that breaks interlacing below the top row leaves the polytope
     # by the same margin, so the containment gate names it
-    monkeypatch.setattr(cli, "gc_rows", _rows_off_polytope)
+    monkeypatch.setattr(cli, "gc_map", _patterns_off_polytope)
     out = tmp_path / "f"
     assert run(["flag", "dump", "--count", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
@@ -450,7 +448,7 @@ def test_flag_dump_patterns_are_the_per_flag_gc_map(tmp_path, argv):
     cfg = summary["config"]
     flags = random_flags(cfg["n"], cfg["count"], seed=cfg["seed"])
     a = cli.parse_floats(cfg["a"])
-    want = np.array([gc_map(V, a).flatten() for V in flags])
+    want = np.array([gc_map(V, a) for V in flags])
     assert rows.tobytes() == want.tobytes()
 
 
@@ -504,8 +502,8 @@ GATE_FAILURES = [
                  "lattice-weyl-match", {"summary.json"}, id="polytope-lattice-drops-a-point"),
     pytest.param(["toric", "concentrate"], cli, "concentration_sweep", _mass_above_one,
                  "mass-range", {"cells.csv", "summary.json", "profile.dat"}, id="toric"),
-    pytest.param(["flag", "dump", "--count", "3"], cli, "gc_rows",
-                 lambda gc_rows: _rows_off_polytope, "polytope-containment",
+    pytest.param(["flag", "dump", "--count", "3"], cli, "gc_map",
+                 lambda gc_map: _patterns_off_polytope, "polytope-containment",
                  {"patterns.csv", "summary.json"}, id="flag"),
     pytest.param(["flag", "dump", "--a", "1,2", "--count", "20"], gcquant.flag, "moment_matrix",
                  lambda moment_matrix: lambda V, a: moment_matrix(V, tuple(a)[::-1]),
@@ -867,7 +865,7 @@ def test_float_formatting_is_lossless(tmp_path):
     header, row = (out / "cells.csv").read_text().strip().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
     # recompute and compare bit-for-bit through the printed representation
-    from gcquant.lab import GridMeasure, outside_mass
+    from gcquant.lab import outside_mass
     from gcquant.polytope import interval
     from gcquant.toric import (ConvexDeformation, SectionDensity,
                                SymplecticPotential, polytope_grid)
@@ -875,8 +873,7 @@ def test_float_formatting_is_lossless(tmp_path):
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1))).at_s(7.0)
     dens = SectionDensity(pot, (1.0,))
     pts, log_vol = polytope_grid(P, 64)
-    ref = outside_mass(GridMeasure(pts, dens.log_magnitude(pts), log_vol),
-                       outside_ball(pts, (1.0,), 0.3))
+    ref = outside_mass(dens.log_magnitude(pts), log_vol, outside_ball(pts, (1.0,), 0.3))
     assert float(vals["outside_mass"]) == ref
 
 
@@ -885,7 +882,7 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     # evaluated once for the whole s-sweep, at the names the CLI and the sweep
     # resolve; each s is one pass of the reduction, and the 1-D profile is
     # one more density evaluation per s
-    from gcquant.lab import GridMeasure, outside_mass
+    from gcquant.lab import outside_mass
     from gcquant.polytope import interval
     from gcquant.toric import TWO_PI, grid_sums, polytope_grid
 
@@ -918,10 +915,10 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(gcquant.lab, "grid_sums", grid_sums)
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
-    raw = GridMeasure(polytope_grid(interval(0, 3), 1024)[0], *measures[1])  # s = 10
-    doubled = GridMeasure(2.0 * raw.labels, raw.logdens, raw.log_vol)
-    m_img = outside_mass(doubled, outside_ball(doubled.labels, np.array([2.0]), 0.6))
-    m_raw = outside_mass(raw, outside_ball(raw.labels, np.array([1.0]), 0.3))
+    pts = polytope_grid(interval(0, 3), 1024)[0]
+    logdens, log_vol = measures[1]  # s = 10
+    m_img = outside_mass(logdens, log_vol, outside_ball(2.0 * pts, np.array([2.0]), 0.6))
+    m_raw = outside_mass(logdens, log_vol, outside_ball(pts, np.array([1.0]), 0.3))
     assert abs(m_img - m_raw) < 1e-12
     # lab combined: one evaluation of the density and of the exclusion mask
     # on the reported grid for all s, one mask on the flow grid, and one

@@ -108,12 +108,17 @@ def test_moment_matrix_spectrum():
 
 
 def test_gc_map_interlaces_and_lands_in_polytope():
+    # the polytope's walls are the interlacing inequalities against the
+    # exact top row, so containment is interlacing; one flag maps like a
+    # stack of one
     a = (2.0, 1.0)
     P = gc_polytope(3, a)
-    for Vi in random_flags(3, 100, seed=2):
-        pat = gc_map(Vi, a)
-        assert pat.interlacing_ok(tol=1e-10)
-        assert P.contains(pat.flatten(), tol=1e-10)
+    flags = random_flags(3, 100, seed=2)
+    pats = gc_map(flags, a)
+    assert pats.shape == (100, 3)
+    assert P.contains(pats, tol=1e-10).all()
+    for V, pat in zip(flags, pats):
+        assert np.array_equal(gc_map(V, a), pat)
 
 
 def test_gc_map_invariant_under_flag_basis_change():
@@ -123,20 +128,23 @@ def test_gc_map_invariant_under_flag_basis_change():
     V = random_flag(3, seed=4)
     U = np.eye(3, dtype=complex)
     U[0, 1], U[0, 2], U[1, 2] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    pat1 = gc_map(V, (1.0, 1.0)).flatten()
-    pat2 = gc_map(V @ U, (1.0, 1.0)).flatten()
+    pat1 = gc_map(V, (1.0, 1.0))
+    pat2 = gc_map(V @ U, (1.0, 1.0))
     assert np.max(np.abs(pat1 - pat2)) < 1e-10
 
 
-def test_gc_rows_are_block_spectra():
-    a = (2.0, 1.0)
-    V = random_flag(3, seed=8)
-    H = moment_matrix(V, a)
-    pat = gc_map(V, a)
-    top = np.sort(np.linalg.eigvalsh(H))[::-1]
-    assert np.allclose(pat.rows[-1], top, atol=1e-12)
-    lam11 = np.linalg.eigvalsh(H[:1, :1])
-    assert abs(pat.rows[0][0] - lam11[0]) < 1e-12
+def test_gc_map_is_block_spectra():
+    # rows 1..n-1, each the descending spectrum of its upper-left block,
+    # concatenated row-major: the coordinate order of gc_polytope
+    for n, a in ((3, (2.0, 1.0)), (4, (1.0, 2.0, 1.0))):
+        V = random_flag(n, seed=8)
+        H = moment_matrix(V, a)
+        want = [x for l in range(1, n)
+                for x in sorted(np.linalg.eigvalsh(H[:l, :l]), reverse=True)]
+        pat = gc_map(V, a)
+        assert pat.shape == (n * (n - 1) // 2,)
+        assert np.allclose(pat, want, atol=1e-12)
+        assert gc_polytope(n, a).contains(pat, tol=1e-10)
 
 
 def test_random_flags_deterministic_and_nonsingular():

@@ -14,7 +14,6 @@ from gcquant.flow import (
     _dp_step,
     loop_phase,
     torus_loop,
-    transport_phase_factors,
 )
 from gcquant.lab import ExperimentConfig, GCTorusModel
 from gcquant.toric import polytope_grid
@@ -605,6 +604,35 @@ def test_frame_transport_drift_at_tight_tolerance(monkeypatch):
     assert np.abs(FAM.omega_matrix(moved) - FAM.omega_matrix(frame)).max() < 1e-13
 
 
+@pytest.mark.parametrize("mutation", ["u-scaled", "w-shifted"])
+def test_frame_tangency_check_can_fail(monkeypatch, mutation):
+    # c05's tangency check on c05's point and frame: a variational field off
+    # by 1e-3 in its u-block, or by 1e-4 V in its w-block, carries the frame
+    # off the end's fiber, |dF(v)| 2e-4 or 4e-5, far above the 100 FLOW_TOL
+    # that c05 allows; the true field leaves it near 0.1 FLOW_TOL
+    dz = DegenerationFamily._dz
+
+    def wrong(self, x, V):
+        out = dz(self, x, V)
+        if mutation == "u-scaled":
+            out[0:3] *= 1 + 1e-3
+        else:
+            out[3:6] += 1e-4 * V[3:6]
+        return out
+
+    def tangency():
+        end, moved = FAM.transport_frame(p, frame, 0.5)
+        (u1, u2, u3), (w12, w13, w23), t = end.u, end.w, end.t
+        dF = np.array([w23, -w13, t * w12, t * u3, -u2, u1, u3 * w12])
+        return float(np.max(np.abs(moved @ dF)))
+
+    p = FAM.embed_flag(random_flags(3, 1, seed=101), 1.0)[0]
+    frame = FAM.tangent_frame(p)
+    assert tangency() < FLOW_TOL
+    monkeypatch.setattr(DegenerationFamily, "_dz", wrong)
+    assert tangency() > 1e5 * FLOW_TOL
+
+
 def test_torus_loop_phase_matches_weight_formula():
     fam = DegenerationFamily((1.0, 2.0))
     st = fam.embed_flag(random_flag(3, seed=5), 1.0)
@@ -638,12 +666,12 @@ def test_loop_holonomy_flow_invariant():
     assert abs(before - after) < 1e-5
 
 
-def test_transport_phase_factors_unit_modulus():
+def test_loop_phase_unit_modulus():
+    # the holonomy of a flowed path, closed by its last-to-first segment, is
+    # a product of unit phases
     st = embedded_batch(1, seed=15)[0]
     res = FAM.flow(st, 0.05, keep_states=True)
     u_path = np.stack([s.u for s in res.states])
     w_path = np.stack([s.w for s in res.states])
-    ph = transport_phase_factors(u_path, w_path, A)
-    assert ph.shape == (res.steps,)
-    assert np.max(np.abs(np.abs(ph) - 1.0)) < 1e-12
-    assert abs(abs(np.prod(ph)) - 1.0) < 1e-12
+    assert len(u_path) == res.steps + 1
+    assert abs(abs(loop_phase(u_path, w_path, A)) - 1.0) < 1e-12

@@ -7,12 +7,11 @@ from scipy.integrate import quad
 
 import gcquant.lab
 from gcquant import toric
-from gcquant.flag import gc_rows, random_flags
+from gcquant.flag import gc_map, random_flags
 from gcquant.flow import DegenerationFamily, FlowSingularityError, loop_phase
 from gcquant.lab import (
     ExperimentConfig,
     GCTorusModel,
-    GridMeasure,
     QuadratureError,
     analytic_decay_rate,
     combined_experiment,
@@ -25,7 +24,7 @@ from gcquant.lab import (
     outside_mass,
     section_equality_on_v0,
 )
-from gcquant.polytope import GCPattern, box_polytope, gc_polytope, interval
+from gcquant.polytope import box_polytope, gc_polytope, interval
 from gcquant.toric import (
     ConvexDeformation,
     SectionDensity,
@@ -71,10 +70,9 @@ def test_affine_map_carries_vertices_to_vertices(a):
     # the combinatorial fingerprint of the identification: a bijection on
     # vertex sets, checked as exact set equality
     model = GCTorusModel(a)
-    M, c = model.i_affine()
     V_gc = gc_polytope(3, a).vertices()
     V_img = model.image_delta().vertices()
-    mapped = V_gc @ M.T + c
+    mapped = model.xi_of_pattern(V_gc)
     got = {tuple(np.round(v, 9)) for v in mapped}
     want = {tuple(np.round(v, 9)) for v in V_img}
     assert got == want
@@ -82,12 +80,11 @@ def test_affine_map_carries_vertices_to_vertices(a):
 
 
 def test_xi_of_pattern_input_forms():
-    pat = GCPattern(((2.0,), (3.0, 1.0), (4.0, 2.0, 0.0)))
-    xi1 = MODEL.xi_of_pattern(pat.flatten())
-    xi2 = MODEL.xi_of_pattern(np.array([2.0, 3.0, 1.0]))
-    xi3 = MODEL.xi_of_pattern((2.0, 3.0, 1.0))
+    xi1 = MODEL.xi_of_pattern(np.array([2.0, 3.0, 1.0]))
+    xi2 = MODEL.xi_of_pattern((2.0, 3.0, 1.0))
+    xi3 = MODEL.xi_of_pattern(np.array([[2.0, 3.0, 1.0]] * 2))
     assert np.allclose(xi1, xi2)
-    assert np.allclose(xi1, xi3)
+    assert np.allclose(xi3, xi1)
     # one form only: the flat (lam1_1, lam2_1, lam2_2)
     for bad in ((2.0, 3.0), np.ones((2, 4)), 2.0):
         with pytest.raises(ValueError, match="lam1_1, lam2_1, lam2_2"):
@@ -295,8 +292,9 @@ def gaussian_density(s):
 
 
 def grid_measure(P, dens, per_axis):
+    """Midpoint points of P, dens's log densities on them and the log cell volume."""
     pts, log_vol = polytope_grid(P, per_axis)
-    return GridMeasure(pts, dens.log_magnitude(pts), log_vol)
+    return pts, dens.log_magnitude(pts), log_vol
 
 
 def test_outside_mass_against_adaptive_quadrature():
@@ -306,27 +304,27 @@ def test_outside_mass_against_adaptive_quadrature():
     total, _ = quad(f, 0.0, 3.0, epsabs=0, epsrel=1e-11, limit=300)
     out = (quad(f, 0.0, 1.0 - eps, epsabs=0, epsrel=1e-11, limit=300)[0]
            + quad(f, 1.0 + eps, 3.0, epsabs=0, epsrel=1e-11, limit=300)[0])
-    measure = grid_measure(P, dens, 2048)
-    mask = outside_ball(measure.labels, np.array([1.0]), eps)
-    got = outside_mass(measure, mask)
+    pts, logdens, log_vol = grid_measure(P, dens, 2048)
+    mask = outside_ball(pts, np.array([1.0]), eps)
+    got = outside_mass(logdens, log_vol, mask)
     assert abs(got - out / total) < 1e-4
-    sup = concentration_sup(measure, mask)
+    sup = concentration_sup(logdens, log_vol, mask)
     assert 0 < sup < f(1.0) / total
 
 
 def test_outside_mass_empty_exclusion_raises():
     P, dens = gaussian_density(5.0)
-    measure = grid_measure(P, dens, 64)
+    pts, logdens, log_vol = grid_measure(P, dens, 64)
     with pytest.raises(QuadratureError):
-        outside_mass(measure, outside_ball(measure.labels, np.array([1.0]), 10.0))
+        outside_mass(logdens, log_vol, outside_ball(pts, np.array([1.0]), 10.0))
 
 
 def test_delta_pairing_normalization_is_exact():
     P, dens = gaussian_density(40.0)
-    measure = grid_measure(P, dens, 256)
-    assert delta_pairing(measure, np.ones(len(measure.labels))) == 1.0
-    measure = grid_measure(P, dens, 1024)
-    val = delta_pairing(measure, measure.labels[:, 0])
+    pts, logdens, log_vol = grid_measure(P, dens, 256)
+    assert delta_pairing(logdens, log_vol, np.ones(len(pts))) == 1.0
+    pts, logdens, log_vol = grid_measure(P, dens, 1024)
+    val = delta_pairing(logdens, log_vol, pts[:, 0])
     assert abs(val - 1.0) < 1e-2  # concentrating near m = 1
 
 
@@ -341,22 +339,22 @@ def test_measure_matches_logsumexp_oracle(dim, per_axis, s):
     P = box_polytope([(0, 3)] * dim)
     m = np.ones(dim)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(dim))).at_s(s)
-    measure = grid_measure(P, SectionDensity(pot, m), per_axis)
-    lw = measure.logdens + measure.log_vol
+    pts, logdens, log_vol = grid_measure(P, SectionDensity(pot, m), per_axis)
+    lw = logdens + log_vol
     log_total = logsumexp(lw)
-    mask = outside_ball(measure.labels, m, 0.3)
+    mask = outside_ball(pts, m, 0.3)
     oracle = {
         "log_total": log_total,
         "outside_mass": np.exp(logsumexp(lw[mask]) - log_total),
-        "concentration_sup": np.exp(np.max(measure.logdens[mask]) - log_total),
-        "delta_pairing": (np.sum(measure.labels[:, 0] * np.exp(lw - np.max(lw)))
+        "concentration_sup": np.exp(np.max(logdens[mask]) - log_total),
+        "delta_pairing": (np.sum(pts[:, 0] * np.exp(lw - np.max(lw)))
                           / np.sum(np.exp(lw - np.max(lw)))),
     }
     got = {
-        "log_total": grid_sums(measure.logdens, measure.log_vol).log_total,
-        "outside_mass": outside_mass(measure, mask),
-        "concentration_sup": concentration_sup(measure, mask),
-        "delta_pairing": delta_pairing(measure, measure.labels[:, 0]),
+        "log_total": grid_sums(logdens, log_vol).log_total,
+        "outside_mass": outside_mass(logdens, log_vol, mask),
+        "concentration_sup": concentration_sup(logdens, log_vol, mask),
+        "delta_pairing": delta_pairing(logdens, log_vol, pts[:, 0]),
     }
     # a mass exp(u - log_total) is only as exact as the doubles holding u and
     # log_total: on the cube at s = 2000, log_total is 1.9e4 and its spacing
@@ -383,10 +381,10 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
     P = box_polytope([(0, 3)] * 3)
     m = np.ones(3)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(3)))
-    measure = grid_measure(P, SectionDensity(pot.at_s(s), m), 24)
-    mask = outside_ball(measure.labels, m, 0.3)
-    got_mass = outside_mass(measure, mask)
-    got_sup = concentration_sup(measure, mask)
+    pts, logdens, log_vol = grid_measure(P, SectionDensity(pot.at_s(s), m), 24)
+    mask = outside_ball(pts, m, 0.3)
+    got_mass = outside_mass(logdens, log_vol, mask)
+    got_sup = concentration_sup(logdens, log_vol, mask)
 
     with mpmath.workprec(200):
         xs = [(mpmath.mpf(k) + 0.5) / 8 for k in range(24)]
@@ -450,13 +448,14 @@ def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, dim, per_a
     records = recording_sweep_sums(monkeypatch)
     for s, sums in zip(svals, concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values),
                        strict=True):
-        ref = GridMeasure(x, section_log_density(pot.at_s(s), m, x), log_vol)
+        ref = section_log_density(pot.at_s(s), m, x)
         b, _, q, _ = records[-1]
-        assert np.array_equal(b - toric.TWO_PI * s * q, ref.logdens)
-        assert sums == grid_sums(ref.logdens, log_vol, mask, values)
-        assert sums.mass == outside_mass(ref, mask)
-        assert sums.sup == concentration_sup(ref, mask)
-        assert sums.pairings == {name: delta_pairing(ref, v) for name, v in values.items()}
+        assert np.array_equal(b - toric.TWO_PI * s * q, ref)
+        assert sums == grid_sums(ref, log_vol, mask, values)
+        assert sums.mass == outside_mass(ref, log_vol, mask)
+        assert sums.sup == concentration_sup(ref, log_vol, mask)
+        assert sums.pairings == {name: delta_pairing(ref, log_vol, v)
+                                 for name, v in values.items()}
         assert sums.pairings["one"] == 1.0
 
 
@@ -568,14 +567,13 @@ def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
 def test_concentration_sup_reads_the_mask_in_place():
     # the max over the mask, as the max of the masked copy; -inf on walls
     logdens = np.array([0.5, -np.inf, 2.0, -1.0, 3.0])
-    measure = GridMeasure(np.zeros((5, 1)), logdens, 0.0)
     log_total = grid_sums(logdens, 0.0).log_total
     for mask in ([0, 1, 1, 1, 0], [0, 1, 0, 1, 0], [0, 1, 0, 0, 0], [1, 1, 1, 1, 1]):
         mask = np.array(mask, dtype=bool)
         want = float(np.exp(np.max(logdens[mask]) - log_total))
-        assert concentration_sup(measure, mask) == want
+        assert concentration_sup(logdens, 0.0, mask) == want
     with pytest.raises(QuadratureError, match="covers the whole quadrature grid"):
-        concentration_sup(measure, np.zeros(5, dtype=bool))
+        concentration_sup(logdens, 0.0, np.zeros(5, dtype=bool))
 
 
 @pytest.mark.parametrize("eps, message", [(10.0, "covers the whole quadrature grid"),
@@ -821,7 +819,7 @@ def test_gc_check_chained_gaps_match_independent_flows():
     model = GCTorusModel(a)
     fam = model.fam
     flags = random_flags(3, samples, seed=seed)
-    xi_start = model.xi_of_pattern(np.concatenate(gc_rows(flags, a)[:-1], axis=-1))
+    xi_start = model.xi_of_pattern(gc_map(flags, a))
     v1 = fam.embed_flag(flags, 1.0)
     for t, gap in zip(ts, chained):
         alone = fam.flow(v1, 1.0 - t).state

@@ -11,7 +11,6 @@ import gcquant.polytope as polytope
 from gcquant.polytope import (
     DelzantPolytope,
     Facet,
-    GCPattern,
     ambient_polytope,
     box_polytope,
     gc_polytope,
@@ -227,24 +226,24 @@ def test_gc_polytope_structure():
 
 
 def test_gc_lattice_points_are_valid_patterns():
-    P = gc_polytope(3, (2, 1))
+    # every lattice point interlaces with its neighbours, row 1 inside row 2
+    # and row 2 inside the exact top row lambda(a)
     a = (2, 1)
-    top = (a[0] + a[1], a[1], 0.0)
-    for p in P.lattice_points():
-        lam11, lam21, lam22 = p
-        pat = GCPattern(((float(lam11),), (float(lam21), float(lam22)), top))
-        assert pat.interlacing_ok(tol=0.0)
+    top = (a[0] + a[1], a[1], 0)
+    points = gc_polytope(3, a).lattice_points()
+    assert len(points) == weyl_dim(top)
+    for lam11, lam21, lam22 in points:
+        assert top[0] >= lam21 >= top[1] >= lam22 >= top[2]
+        assert lam21 >= lam11 >= lam22
 
 
 def test_interlacing_detects_violation():
-    bad = GCPattern(((2.5,), (2.0, 0.0), (2.0, 1.0, 0.0)))
-    assert not bad.interlacing_ok()
-    assert bad.interlacing_ok(tol=1.0)
-
-
-def test_pattern_flatten_row_major():
-    pat = GCPattern(((1.0,), (2.0, 0.0), (2.0, 1.0, 0.0)))
-    assert list(pat.flatten()) == [1.0, 2.0, 0.0]
+    # lam1_1 = 2.5 lies above lam2_1 = 2 by 0.5: outside the polytope of
+    # a = (1, 1), and inside once the walls are relaxed by that much
+    P = gc_polytope(3, (1, 1))
+    assert not P.contains((2.5, 2.0, 0.0))
+    assert not P.contains((2.5, 2.0, 0.0), tol=0.49)
+    assert P.contains((2.5, 2.0, 0.0), tol=0.5)
 
 
 def test_json_round_trip():

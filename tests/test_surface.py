@@ -40,10 +40,6 @@ KEEP = {
     "analytic_decay_rate": "c07",
     "moment_to_log_complex": "c04",
     "complex_to_moment_log": "c04",
-    # the GCPattern checks of flag.gc_map's one-flag patterns, which go with
-    # gc_map once bench/ stops naming it
-    "interlacing_ok": "c02",
-    "flatten": "c02",
 }
 
 # qualified definition -> the src/ definition whose body reads it, for every
