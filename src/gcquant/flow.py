@@ -19,9 +19,9 @@ restricts to explicit formulas; tangent spaces of the total space are cut by
 three complex conditions (two sphere/phase gauges, one defining equation).
 All core routines are batched over leading axes.  A `State` stores one
 contiguous coordinate-major (7, ...) array, and the flow kernels run on its rows.
-The flow maps fibers onto fibers, so one error-controlled Dormand-Prince loop
-integrates it without re-imposing the fiber, and each segment ends in one
-retraction.
+The flow maps fibers onto fibers, so one error-controlled loop of
+Dormand-Prince 8(5,3) steps (DOP853) integrates it without re-imposing the
+fiber, and each segment ends in one retraction.
 """
 
 from __future__ import annotations
@@ -46,12 +46,16 @@ __all__ = [
 ]
 
 
-# Local error bound of one error-controlled flow step, in the sup norm of the
-# flat coordinates (u, w, t) over the batch.  The propagated fifth-order
-# solution is more accurate than the fourth-order estimate this bounds, and a
-# flow segment takes tens of steps, so flowed points stay well inside 1e-8 of
-# the exact flow (the accuracy that flow-route quadrature is checked to).
-FLOW_TOL = 1e-10
+# Bound on the combined local error estimate of one flow step (`_dp_step`),
+# in the sup norm of the flat coordinates (u, w, t) over the batch.  It bounds
+# steps, not flowed points: it is the largest value in {1, 2, 5} 10^k at which
+# both flow routes are no less accurate than with the Dormand-Prince 5(4)
+# pair at 1e-10 that DOP853 replaced, both measured against that pair at
+# 1e-14.  The moments of lab combined's default flow grid are within 5.3e-12
+# (5(4): 3.6e-11) and the xi of gc-check's ensembles, seeds 0-3 at
+# a = (1,1), (2,1), (1,3), within 8.2e-11 (5(4): 8.9e-11; 1e-9 gives
+# 1.5e-10), far inside the 1e-8 that flow-route quadrature is checked to.
+FLOW_TOL = 5e-10
 # Smallest step the controller may propose short of the segment's end.  The
 # steps shrink toward zero only where the field blows up, next to a singular
 # point of a fiber, so a proposal below this raises FlowSingularityError
@@ -183,77 +187,124 @@ def _reduced_grad(y: np.ndarray):
     return g, c
 
 
-# Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980) as
-# one lower-triangular tableau.  The field is autonomous, so the nodes are
-# not needed.  Row i < 6 weights stages 1 .. i + 1 into the point of stage
-# i + 2; row 5 holds the fifth-order weights, so its point is the new point,
-# and its stage, the field there, is the next step's first stage besides
-# feeding the error estimate, weighted by row 6 = fifth-order minus embedded
-# fourth-order weights.
-_DP = np.array([
-    [1 / 5, 0, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-])
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett and Wanner, Solving ODEs I,
+# II.10; the coefficients of their dop853.f), as one lower-triangular tableau
+# of 14 rows over 12 stages.  The field is autonomous, so the nodes are not
+# needed.  Row i < 11 weights stages 1 .. i + 1 into the point of stage i + 2;
+# row 11 holds the eighth-order weights, so its point is the new point, and
+# the field there is the next step's first stage.  Rows 12 and 13 weight the
+# twelve stages into the fifth- and third-order error estimates; row 13 is
+# the eighth-order weights less the third-order ones, which are nonzero on
+# stages 1, 9 and 12 only.
+_DOP853 = np.array([row + (0,) * (12 - len(row)) for row in (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+     1.89151789931450038304281599044, -5.8012039600105847814672114227,
+     3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+     2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2),
+    (0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
+     -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1),
+)] + [(0,) * 12])
+_DOP853[13] = _DOP853[11]
+_DOP853[13, [0, 8, 11]] -= (0.244094488188976377952755905512,
+                            0.733846688281611857341361741547,
+                            0.220588235294117647058823529412e-1)
 
 
 def _first_step(f, y: np.ndarray, K: np.ndarray, tau: float) -> float:
     """Starting step of `_dormand_prince` from K[0] = f(y) (Hairer, Norsett
-    and Wanner, Solving ODEs I, II.4) in the sup norm scaled by FLOW_TOL: one
-    field evaluation, into K[1], at y + h0 k1 with h0 <= |tau| gauges the
-    curvature."""
+    and Wanner, Solving ODEs I, II.4) for an eighth-order method, in the sup
+    norm scaled by FLOW_TOL: one field evaluation, into K[1], at y + h0 k1
+    with h0 <= |tau| gauges the curvature."""
     k1 = K[0]
     d1 = np.max(np.abs(k1))
     h0 = min(0.01 * np.max(np.abs(y)) / d1, abs(tau))
     f(y + math.copysign(h0, tau) * k1, K[1])
     d2 = np.max(np.abs(K[1] - k1)) / h0
-    return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.2))
+    return float(min(100.0 * h0, (0.01 * FLOW_TOL / max(d1, d2)) ** 0.125))
 
 
 def _dp_step(f, y: np.ndarray, K: np.ndarray, h: float, out: np.ndarray):
-    """One Dormand-Prince step of signed length h from the rows y, with
-    K[0] = f(y): each stage point and the error estimate are one contraction
-    of a tableau row, scaled by h, with the real view of K.  Writes the new
-    point into out (C-contiguous) and its field into K[6]; returns the error
-    estimate's sup norm over FLOW_TOL and what f returned at the new point."""
-    hA = h * _DP
-    Kr = K.reshape(7, -1).view(float)
+    """One DOP853 step of signed length h from the rows y, with K[0] = f(y):
+    each stage point is one contraction of a tableau row, scaled by h, with
+    the real view of K, and the two error estimates are one contraction of
+    the last two rows.  Writes the new point into out (C-contiguous) and its
+    field into K[12].  Returns Hairer's combined error
+    err5^2 / sqrt(err5^2 + 0.01 err3^2) of the fifth- and third-order
+    estimates' sup norms, over FLOW_TOL, and what f returned at the new
+    point."""
+    hA = h * _DOP853
+    Kr = K.reshape(13, -1).view(float)
     yr, outr = y.reshape(-1).view(float), out.reshape(-1).view(float)
-    for i in range(6):
+    for i in range(12):
         np.add(yr, np.dot(hA[i, :i + 1], Kr[:i + 1]), out=outr)
         aux = f(out, K[i + 1])
-    return float(np.max(np.abs(np.dot(hA[6], Kr).view(complex)))) / FLOW_TOL, aux
+    e5, e3 = np.max(np.abs(np.dot(hA[12:], Kr[:12]).view(complex)), axis=1)
+    err = float(e5 * (e5 / math.hypot(e5, 0.1 * e3))) if e5 > 0 else 0.0
+    return err / FLOW_TOL, aux
 
 
 def _dormand_prince(f, y: np.ndarray, tau: float):
     """Advance the coordinate rows y in place along y' = sign(tau) f(y) for
-    |tau|, by Dormand-Prince 5(4) steps with local error at most FLOW_TOL in
-    the sup norm over all of y.
+    |tau|, by DOP853 steps (`_dp_step`) whose combined error estimate is at
+    most FLOW_TOL in the sup norm over all of y.
 
     f(y, out) writes the field at y into out, a row of the stage buffer, and
     returns what the caller reads at step starts.  This loop makes every field
     evaluation of a segment: one at its start, one for the starting step
-    (`_first_step`) and 6 per attempted step, accepted or rejected.  The last
-    stage is the field at the new point, so it is the next step's first
-    (first same as last; Hairer, Norsett and Wanner, II.5).  After each
+    (`_first_step`) and 12 per attempted step, accepted or rejected.  The last
+    evaluation is the field at the new point, so it is the next step's first
+    stage (first same as last; Hairer, Norsett and Wanner, II.5).  After each
     accepted step, with y moved on, it yields (aux, rejected): what f
     returned at the step's start, and the steps rejected so far; tau = 0
-    yields nothing and evaluates nothing.  Standard controller
-    (safety 0.9, step ratio clamped to [0.2, 5]), but the step accepted after
-    a rejection proposes no longer a step (II.4, as in DOPRI5); the last step
-    is clipped to end at |tau|."""
+    yields nothing and evaluates nothing.  Standard controller for an
+    eighth-order method (safety 0.9, exponent -1/8, step ratio clamped to
+    [0.333, 10]), with two changes.  From a segment's second accepted step
+    on, the proposal is lowered to Gustafsson's predictive step where that is
+    shorter: the ratio 0.9 (h_n / h_{n-1}) (err_{n-1} / err_n^2)^(1/8) over
+    the last two accepted steps, err_{n-1} floored at 0.01, anticipates an
+    error that grows along the flow (Hairer and Wanner, Solving ODEs II,
+    IV.8, as in their RADAU5).  And the step accepted after a rejection
+    proposes no longer a step (Solving ODEs I, II.4, as in DOP853).  The last
+    step is clipped to end at |tau|."""
     span = abs(tau)
     if span == 0:
         return
-    K = np.empty((7,) + y.shape, dtype=complex)
+    K = np.empty((13,) + y.shape, dtype=complex)
     new = np.empty(y.shape, dtype=complex)
     aux = f(y, K[0])
     h = _first_step(f, y, K, tau)
     elapsed, rejected = 0.0, 0
+    accepted = None  # (length, floored error) of the last accepted step
     while elapsed < span:
         retried = False
         while True:
@@ -264,8 +315,13 @@ def _dormand_prince(f, y: np.ndarray, tau: float):
                 )
             step = span - elapsed if last else h
             err, aux_new = _dp_step(f, y, K, math.copysign(step, tau), new)
-            ratio = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            ratio = 10.0 if err == 0 else min(10.0, max(0.333, 0.9 * err ** -0.125))
             if err <= 1.0:
+                if accepted is not None and err > 0:
+                    h_acc, err_acc = accepted
+                    ratio = min(ratio, max(0.333, 0.9 * (step / h_acc) * err_acc ** 0.125
+                                           / err ** 0.25))
+                accepted = step, max(err, 0.01)
                 h = step * (min(ratio, 1.0) if retried else ratio)
                 break
             h = step * ratio
@@ -274,7 +330,7 @@ def _dormand_prince(f, y: np.ndarray, tau: float):
         elapsed = span if last else elapsed + step
         y[...] = new
         yield aux, rejected
-        K[0], aux = K[6], aux_new
+        K[0], aux = K[12], aux_new
 
 
 class DegenerationFamily:
@@ -294,8 +350,13 @@ class DegenerationFamily:
         su = math.sqrt(a[0] / math.pi)
         sw = math.sqrt(a[1] / math.pi)
         self._scale = np.array([su] * 3 + [sw] * 3 + [1.0], dtype=float)
-        # pi/a_i on the (u, w) coordinates: the inverse metric of those blocks
-        self._inv_metric = self._scale[:6] ** -2
+        # pi/a_i on the (u, w) coordinates: the inverse metric of those blocks;
+        # a subnormal weight underflows the scale or overflows its inverse square
+        with np.errstate(divide="ignore", over="ignore"):
+            self._inv_metric = self._scale[:6] ** -2
+        if not all(0 < x < math.inf for x in np.concatenate([self._scale, self._inv_metric])):
+            raise ValueError("a must be two weights whose metric scales sqrt(a/pi) and their "
+                             "inverse squares are positive and finite")
 
     # ---------------------------------------------------------------- basics
 
@@ -415,9 +476,9 @@ class DegenerationFamily:
         The exact flow maps the fiber over t onto the fiber over t - tau, so
         the steps do not re-impose it: the integrator's drift off the fiber
         follows FLOW_TOL, and max_residual is its largest |F| over the start
-        and every accepted point.  The local error estimate of each step, in
-        the sup norm of the flat coordinates over the whole batch, stays below
-        FLOW_TOL, and the last step is clipped to end at |tau|.  min_grad_norm
+        and every accepted point.  The combined local error estimate of each
+        step, in the sup norm of the flat coordinates over the whole batch,
+        stays below FLOW_TOL, and the last step is clipped to end at |tau|.  min_grad_norm
         reads the field at each accepted step's start, the stage the step
         reuses.
         """

@@ -13,6 +13,7 @@ blocks of grid points, `grid_sums`, with one exp per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -288,7 +289,8 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
     points: the log of the total mass, the share of it on the points of the
     mask `outside` (None: no point), the sup of the normalized density there,
     and the normalized pairing with each test function of `values` (name ->
-    its values on the points, (N,) or a scalar).
+    its values on the points, (N,) or a scalar).  A scalar pairs to exactly
+    its value, with no block pass of its own (NaN where the total mass is 0).
 
     With deformed = (q, s) the log densities are logdens - 2 pi s q, the
     density of the s-sweep: each block's is written into a block buffer, bit
@@ -298,12 +300,12 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
     one with `where=`); the block sums are then combined with the factors
     exp(top_k - top).  A block whose points all carry -inf (wall points) adds
     nothing.  The sums run in an order set by BLOCK, so the reductions move
-    by rounding with it; a constant test function pairs to exactly its value.
-    No BLAS call is made.
+    by rounding with it.  No BLAS call is made.
     """
     n = len(logdens)
     values = values or {}
-    vals = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in values.values()]
+    vals = {name: np.broadcast_to(np.asarray(v, dtype=float), (n,))
+            for name, v in values.items() if np.ndim(v)}
     spans = blocks(n)
     tops = np.full(len(spans), -np.inf)
     part = np.zeros((2 + len(vals), len(spans)))  # block sums: total, mask, each phi
@@ -328,13 +330,16 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
         part[0, k] = add(eb)
         if outside is not None:
             part[1, k] = add(eb, where=outside[blk])
-        for j, v in enumerate(vals, 2):
+        for j, v in enumerate(vals.values(), 2):
             part[j, k] = add(np.multiply(v[blk], eb, out=pb))
     top = tops.max(initial=-np.inf)
     sums = (part * np.exp(tops - top)).sum(axis=1)
     log_total = float(top + np.log(sums[0]) + log_vol)
+    paired = {name: float(p / sums[0]) for name, p in zip(vals, sums[2:])}
+    pairings = {name: paired[name] if name in vals else (float(v) if sums[0] > 0 else math.nan)
+                for name, v in values.items()}
     return GridSums(log_total, float(sums[1] / sums[0]), float(np.exp(top_out - log_total)),
-                    {name: float(p / sums[0]) for name, p in zip(values, sums[2:])})
+                    pairings)
 
 
 def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:

@@ -131,15 +131,16 @@ def test_c05_flow_time_direction_and_symplectic_pairing(monkeypatch):
     those of the end's fiber.  `transport_frame` integrates the vectors with
     the point, under one error control over both, and returns them
     unprojected: what they miss of the end's tangent space is integration
-    error.  Each step's local error is below FLOW_TOL in every coordinate,
-    and the fifth-order solution that is carried is more accurate than the
-    fourth-order estimate that bounds it, so after a segment of tens of
-    steps the vectors and the point are within a few FLOW_TOL of the exact
-    linearized flow.  dF(v) = sum_k dF_k v_k has seven coefficients of
-    modulus at most 1 (|u| = |w| = 1, |t| <= 1), so |dF(v)| is within a
-    small multiple of FLOW_TOL of 0 too.  100 FLOW_TOL is that allowance
-    with room: measured on this point, |dF(v)| is 1.0e-9 at 1e-8 and
-    1.3e-11 at 1e-10, and at most 1.3e-11 at 1e-10 over seeds 101-104."""
+    error.  Each DOP853 step's combined error estimate, built from its
+    fifth- and third-order estimates, is below FLOW_TOL in every coordinate,
+    and the eighth-order solution that is carried is more accurate than
+    those estimates, so after a segment of a few to tens of steps the
+    vectors and the point are within a few FLOW_TOL of the exact linearized
+    flow.  dF(v) = sum_k dF_k v_k has seven coefficients of modulus at
+    most 1 (|u| = |w| = 1, |t| <= 1), so |dF(v)| is within a small multiple
+    of FLOW_TOL of 0 too.  100 FLOW_TOL is that allowance with room:
+    measured on this point, |dF(v)| is 7.0e-11 at 1e-8 and 1.4e-12 at
+    1e-10, and at most 1.5e-12 at 1e-10 over seeds 101-104."""
     fam = DegenerationFamily((1.0, 1.0))
     st = fam.embed_flag(random_flags(3, 4, seed=100), 1.0)
     res = fam.flow(st, 0.5)

@@ -221,6 +221,19 @@ def test_invalid_config_exits_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", ["5e-324,1", "1,1e-320"])
+@pytest.mark.parametrize("command", [["flow", "run"], ["lab", "gc-check", "--samples", "2"],
+                                     ["lab", "combined", "--per-axis", "10",
+                                      "--flow-per-axis", "4"]])
+def test_subnormal_weight_exits_two_without_warning(tmp_path, capsys, command, a):
+    # positive and finite, but the family's metric scale sqrt(a/pi) underflows
+    # to 0 at 5e-324, and its inverse square overflows at 1e-320: a
+    # configuration error, refused before any arithmetic warns
+    assert run(command + ["--a", a, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 class _Drawn(Exception):
     pass
 
@@ -963,7 +976,9 @@ def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):
 
 def test_torus_moment_drift_gate(tmp_path, capsys, monkeypatch):
     # the residual-torus moments are conserved by the flow: tiny at the
-    # default tolerance, a loose tolerance breaks them and the run fails
+    # default tolerance (even FLOW_TOL = 10 drifts them only 7.7e-7, under the
+    # 1e-6 gate), and an integrator defect breaks them and the run fails: one
+    # eighth-order weight off by 1e-3 drifts them by 6.6e-5
     import gcquant.flow
 
     base = ["lab", "combined", "--per-axis", "10", "--flow-per-axis", "5"]
@@ -973,8 +988,10 @@ def test_torus_moment_drift_gate(tmp_path, capsys, monkeypatch):
     col = header.split(",").index("torus_moment_drift")
     assert max(float(r.split(",")[col]) for r in rows) < 1e-9
     capsys.readouterr()
-    monkeypatch.setattr(gcquant.flow, "FLOW_TOL", 1e-2)
-    assert run(base + ["--out", str(tmp_path / "coarse")]) == 1
+    tableau = gcquant.flow._DOP853.copy()
+    tableau[11, 0] += 1e-3
+    monkeypatch.setattr(gcquant.flow, "_DOP853", tableau)
+    assert run(base + ["--out", str(tmp_path / "defect")]) == 1
     assert "torus-moment-drift" in capsys.readouterr().err
 
 

@@ -6,7 +6,7 @@ import pytest
 from gcquant import flow
 from gcquant.flag import pluecker_levels, random_flag, random_flags
 from gcquant.flow import (
-    _DP,
+    _DOP853,
     FLOW_TOL,
     DegenerationFamily,
     FlowSingularityError,
@@ -15,7 +15,7 @@ from gcquant.flow import (
     loop_phase,
     torus_loop,
 )
-from gcquant.lab import ExperimentConfig, GCTorusModel
+from gcquant.lab import ExperimentConfig, GCTorusModel, _chained
 from gcquant.toric import polytope_grid
 
 # a closed form that divides by zero fails its test instead of yielding NaN
@@ -256,18 +256,18 @@ def oversize_first_step(monkeypatch, factor=1e3):
 
 
 def test_controlled_flow_evaluation_counts(monkeypatch):
-    # 6 field evaluations per attempted step, accepted or rejected (the last
-    # stage of one is the first of the next), plus 2 per segment: the start
-    # field and the starting-step probe
+    # 12 field evaluations per attempted step, accepted or rejected (the last
+    # of one, the field at its new point, is the first stage of the next),
+    # plus 2 per segment: the start field and the starting-step probe
     calls = counting_z_field(monkeypatch)
-    res = FAM.flow(embedded_batch(3), 0.5)
+    res = FAM.flow(embedded_batch(3), 0.3)
     assert res.rejected == 0 and res.steps > 1
-    assert calls == [(3,)] * (6 * res.steps + 2)
+    assert calls == [(3,)] * (12 * res.steps + 2)
     calls.clear()
     oversize_first_step(monkeypatch)
     res = FAM.flow(embedded_batch(3), 0.5)
     assert res.rejected > 0
-    assert calls == [(3,)] * (6 * (res.steps + res.rejected) + 2)
+    assert calls == [(3,)] * (12 * (res.steps + res.rejected) + 2)
 
 
 def test_flow_leaves_its_input_untouched():
@@ -347,6 +347,55 @@ def test_flow_stays_near_fiber_without_retraction(lab_flow_grid, monkeypatch, to
     assert (drift < 1e-10) == (tol == FLOW_TOL)
 
 
+# gc-check's flag ensembles at three weights: (seed, a)
+GC_ENSEMBLES = [(seed, a) for seed in range(4) for a in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0))]
+
+
+def flow_routes():
+    """The flowed points of both flow routes, by their own chained flows:
+    lab combined's moments of its default flow grid at each scheduled t, and
+    gc-check's xi of 20 flags at t = 0.1 and 0.02 for each of GC_ENSEMBLES."""
+    cfg = ExperimentConfig()
+    model = GCTorusModel(cfg.a)
+    xi_flow, _ = polytope_grid(model.image_delta(), cfg.flow_per_axis)
+    ts = sorted({math.exp(-s / cfg.schedule_rate) for s in cfg.s_grid})
+    moments = [model.fam.moment(cur)
+               for _, cur in _chained(model.fam, model.v0_state(xi_flow), 0.0, ts)]
+    xis = []
+    for seed, a in GC_ENSEMBLES:
+        m = GCTorusModel(a)
+        start = m.fam.embed_flag(random_flags(3, 20, seed=seed), 1.0)
+        xis += [m.xi_of_state(cur) for _, cur in _chained(m.fam, start, 1.0, (0.1, 0.02))]
+    return np.array(moments), np.array(xis)
+
+
+@pytest.fixture(scope="module")
+def flow_routes_at_tight_tolerance():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "FLOW_TOL", 1e-13)
+        return flow_routes()
+
+
+@pytest.mark.parametrize("defect", [None, "eighth-order-weight", "loose-tolerance"])
+def test_flow_routes_accurate_at_default_tolerance(flow_routes_at_tight_tolerance, monkeypatch,
+                                                   defect):
+    # the default FLOW_TOL keeps both flow routes within 1e-10 of the same
+    # flows at FLOW_TOL = 1e-13 (measured: moments 5.3e-12, xi 8.1e-11; the
+    # fifth-order pair at 1e-10 gave 3.6e-11 and 8.9e-11, and FLOW_TOL = 1e-9
+    # gives xi 1.5e-10), and only because the integrator is right and the
+    # tolerance tight: one eighth-order weight off by 1e-3, or
+    # FLOW_TOL = 1e-6, breaks it
+    if defect == "eighth-order-weight":
+        tableau = _DOP853.copy()
+        tableau[11, 0] += 1e-3
+        monkeypatch.setattr(flow, "_DOP853", tableau)
+    elif defect == "loose-tolerance":
+        monkeypatch.setattr(flow, "FLOW_TOL", 1e-6)
+    errs = [float(np.max(np.abs(got - ref)))
+            for got, ref in zip(flow_routes(), flow_routes_at_tight_tolerance)]
+    assert (max(errs) <= 1e-10) == (defect is None), errs
+
+
 @pytest.mark.parametrize("eps", [0.03, 0.1, 0.3])
 def test_controlled_flow_through_singular_point_raises(monkeypatch, eps):
     # u = (eps, 0, 1), w = (1, 0, -eps) at t = eps^2 lies on the vanishing
@@ -359,12 +408,14 @@ def test_controlled_flow_through_singular_point_raises(monkeypatch, eps):
         FAM.flow(st, 2 * eps ** 2)
 
 
-@pytest.mark.parametrize("eps, steps, rejected", [(0.03, 45, 22), (0.1, 51, 24), (0.3, 60, 25)])
+@pytest.mark.parametrize("eps, steps, rejected", [(0.03, 22, 2), (0.1, 26, 2), (0.3, 30, 2)])
 def test_controlled_flow_rejections_near_singular_point(eps, steps, rejected):
-    # the start above, flowed to just short of the singular point: the step
-    # controller rejects about one step per two accepted ones on the approach,
-    # since the step accepted after a rejection proposes no longer a step.
-    # Exact pins, so that a better controller shows as smaller counts.
+    # the start above, flowed to just short of the singular point: the field
+    # and its error grow along the approach, and the predictive controller
+    # shortens the steps ahead of that growth, so two steps are rejected
+    # (the standard controller alone rejected about one step per accepted
+    # one, 26 of 53 attempts at eps = 0.03).  Exact pins, so that a better
+    # controller shows as smaller counts.
     st = FAM.retract(FAM.normalize(np.array([eps, 0, 1]), np.array([1, 0, -eps]), eps ** 2))
     res = FAM.flow(st, 0.999999 * eps ** 2)
     assert (res.steps, res.rejected) == (steps, rejected)
@@ -404,47 +455,65 @@ def retract_reference(state):
     raise AssertionError("reference retraction stalled")
 
 
-# Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6, 1980),
-# written out weight by weight: the stage rows, whose last row holds the
-# fifth-order weights, and the embedded fourth-order weights.
-DP_STAGES = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-DP_FOURTH = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+def dop853_coefficients():
+    """scipy's DOP853 tableau (scipy/integrate/_ivp/dop853_coefficients.py):
+    the stage rows A (12, 12), the eighth-order weights B (12,) and the
+    fifth- and third-order error rows E5, E3 (13,), whose last entry weights
+    the field at the new point."""
+    from scipy.integrate._ivp import dop853_coefficients as c
+
+    return c.A[:12, :12], c.B, c.E5, c.E3
 
 
 def dp_step_reference(f, y, h):
-    """One Dormand-Prince step of y' = f(y) on point-major y (N, 7), each
-    stage sum taken weight by weight: the fifth-order point and the error
-    estimate, the fifth- minus the fourth-order increment, with the stages."""
+    """One DOP853 step of y' = f(y) on point-major y (N, 7), each stage sum
+    taken weight by weight with scipy's coefficients: the eighth-order point,
+    the fifth- and third-order error increments, and the 13 fields (the
+    twelve stages and the field at the new point)."""
+    A, B, E5, E3 = dop853_coefficients()
     k = [f(y)]
-    for row in DP_STAGES:
+    for row in list(A[1:]) + [B]:
         yi = y.copy()
         for a, kj in zip(row, k):
             yi = yi + (h * a) * kj
         k.append(f(yi))
-    fifth = DP_STAGES[-1] + (0.0,)
-    err = sum((h * (b5 - b4)) * kj for b5, b4, kj in zip(fifth, DP_FOURTH, k))
-    return yi, err, np.array(k)
+    err5, err3 = (sum((h * e) * kj for e, kj in zip(row, k)) for row in (E5, E3))
+    return yi, err5, err3, np.array(k)
 
 
 def test_dormand_prince_tableau():
-    A = _DP
-    assert A.shape == (7, 7) and np.array_equal(A, np.tril(A))
-    for row, ref in zip(A, DP_STAGES):
-        assert np.array_equal(row[:len(ref)], ref)
-    # row sums are the nodes; the fifth-order weights sum to 1 and the error
-    # weights, fifth- minus fourth-order, to 0
-    nodes = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-    assert np.max(np.abs(A[:6].sum(axis=1) - nodes)) < 1e-15
-    assert abs(A[5].sum() - 1.0) < 1e-15
-    assert abs(A[6].sum()) < 1e-15
-    assert np.max(np.abs(A[6] - (A[5] - DP_FOURTH))) < 1e-16
+    A, B, E5, E3 = dop853_coefficients()
+    T = _DOP853
+    assert T.shape == (14, 12) and np.array_equal(T, np.tril(T))
+    assert np.array_equal(T, np.vstack([A[1:], B, E5[:12], E3[:12]]))
+    # the field at the new point enters neither error row
+    assert E5[12] == E3[12] == 0.0
+    # row sums are the nodes; the eighth-order weights sum to 1 and the error
+    # rows, differences of weights of equal sum, to 0
+    nodes = (0.0526001519587677318785587544488, 0.0789002279381515978178381316732,
+             0.118350341907227396726757197510, 0.281649658092772603273242802490,
+             1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0)
+    assert np.max(np.abs(T[:11].sum(axis=1) - nodes)) < 1e-13
+    assert abs(T[11].sum() - 1.0) < 1e-15
+    assert np.max(np.abs(T[12:].sum(axis=1))) < 1e-14
+
+
+def test_dop853_one_step_error_is_ninth_order():
+    # on y' = lam y one step's error falls like h^9, the local error of an
+    # eighth-order method: halving h divides it by about 2^9 = 512
+    lam = -1 + 2j
+
+    def f(y, out):
+        np.multiply(lam, y, out=out)
+
+    errs = []
+    for h in (0.8, 0.4, 0.2, 0.1):
+        y, K, new = np.ones(1, dtype=complex), np.empty((13, 1), dtype=complex), np.empty(1, complex)
+        f(y, K[0])
+        _dp_step(f, y, K, h, new)
+        errs.append(abs(new[0] - np.exp(lam * h)))
+    ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
+    assert all(2 ** 8.5 < r < 2 ** 9.5 for r in ratios), ratios
 
 
 @pytest.mark.parametrize("n", [1, 20, 475])
@@ -456,23 +525,25 @@ def test_stepper_matches_point_major_reference(n):
     def field(y, out):
         FAM.z_field(State._of_rows(y), _out=out)
 
-    K = np.empty((7,) + st.y.shape, dtype=complex)
+    K = np.empty((13,) + st.y.shape, dtype=complex)
     field(st.y, K[0])
-    h = 0.05
+    h = 0.2
     new = np.empty_like(st.y)
     err, _ = _dp_step(field, st.y, K, -h, new)
-    ref, ref_err, k = dp_step_reference(
+    ref, err5, err3, k = dp_step_reference(
         lambda y: -FAM.z_field(State._of_rows(y.T))[0], st.y.T.copy(), h)
     assert np.max(np.abs(new.T - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # the error estimate cancels terms of size h |K| down to about 1e-10, so
-    # it agrees relative to that size
-    assert abs(err * FLOW_TOL - np.max(np.abs(ref_err))) <= 1e-14 * h * np.max(np.abs(k))
-    # and the estimate itself lies far above that agreement (about 1e-5 FLOW_TOL)
-    assert err > 1e-3
-    # first same as last: the last stage is the field at the new point itself
+    # Hairer's combined estimate of the two error increments' sup norms; they
+    # cancel terms of size h |K|, so the estimate agrees relative to that size
+    e5, e3 = np.max(np.abs(err5)), np.max(np.abs(err3))
+    ref_err = e5 ** 2 / np.sqrt(e5 ** 2 + 0.01 * e3 ** 2)
+    assert abs(err * FLOW_TOL - ref_err) <= 1e-14 * h * np.max(np.abs(k))
+    # and the estimate itself lies far above that agreement
+    assert err * FLOW_TOL > 1e3 * 1e-14 * h * np.max(np.abs(k))
+    # first same as last: the last field is the field at the new point itself
     at_new = np.empty_like(new)
     field(new, at_new)
-    assert same_bits(K[6], at_new)
+    assert same_bits(K[12], at_new)
 
 
 def test_retract_matches_point_major_reference(lab_flow_grid):
@@ -606,10 +677,12 @@ def test_frame_transport_drift_at_tight_tolerance(monkeypatch):
 
 @pytest.mark.parametrize("mutation", ["u-scaled", "w-shifted"])
 def test_frame_tangency_check_can_fail(monkeypatch, mutation):
-    # c05's tangency check on c05's point and frame: a variational field off
-    # by 1e-3 in its u-block, or by 1e-4 V in its w-block, carries the frame
-    # off the end's fiber, |dF(v)| 2e-4 or 4e-5, far above the 100 FLOW_TOL
-    # that c05 allows; the true field leaves it near 0.1 FLOW_TOL
+    # c05's tangency check on c05's point and frame at c05's FLOW_TOL = 1e-10:
+    # a variational field off by 1e-3 in its u-block, or by 1e-4 V in its
+    # w-block, carries the frame off the end's fiber, |dF(v)| 2e-4 or 4e-5,
+    # far above the 100 FLOW_TOL that c05 allows; the true field leaves it
+    # below FLOW_TOL
+    monkeypatch.setattr(flow, "FLOW_TOL", 1e-10)
     dz = DegenerationFamily._dz
 
     def wrong(self, x, V):
@@ -628,9 +701,9 @@ def test_frame_tangency_check_can_fail(monkeypatch, mutation):
 
     p = FAM.embed_flag(random_flags(3, 1, seed=101), 1.0)[0]
     frame = FAM.tangent_frame(p)
-    assert tangency() < FLOW_TOL
+    assert tangency() < 1e-10
     monkeypatch.setattr(DegenerationFamily, "_dz", wrong)
-    assert tangency() > 1e5 * FLOW_TOL
+    assert tangency() > 1e-5
 
 
 def test_torus_loop_phase_matches_weight_formula():

@@ -564,6 +564,24 @@ def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
     assert np.isneginf(b[40:44]).all() and np.isfinite(b[:40]).all()
 
 
+def test_grid_sums_scalar_pairs_to_exactly_its_value():
+    # a constant test function pairs to exactly its value, not to a ratio of
+    # two block sums that round apart; an array keeps its block pass and its
+    # place among the pairings; with zero total mass every pairing is NaN
+    rng = np.random.default_rng(5)
+    consts = {"0.1": 0.1, "0.3": 0.3, "1/3": 1 / 3, "2.7": 2.7, "-1.3": -1.3, "1": 1}
+    for _ in range(20):
+        logdens = 10.0 * rng.standard_normal(50_000)
+        assert grid_sums(logdens, -3.0, values=consts).pairings == consts
+    phi = rng.standard_normal(50_000)
+    mixed = grid_sums(logdens, -3.0, values={"c": 2.7, "phi": phi, "one": 1.0}).pairings
+    assert list(mixed.items()) == [("c", 2.7), ("phi", delta_pairing(logdens, -3.0, phi)),
+                                   ("one", 1.0)]
+    with np.errstate(invalid="ignore"):
+        walls = grid_sums(np.full(10, -np.inf), 0.0, values={"c": 2.7, "phi": np.arange(10.0)})
+    assert all(math.isnan(p) for p in walls.pairings.values())
+
+
 def test_concentration_sup_reads_the_mask_in_place():
     # the max over the mask, as the max of the masked copy; -inf on walls
     logdens = np.array([0.5, -np.inf, 2.0, -1.0, 3.0])
