@@ -25,8 +25,11 @@ from .polytope import DelzantPolytope, Facet, ambient_polytope
 from .toric import (
     TWO_PI,
     ConvexDeformation,
+    GridSums,
     QuadratureError,
     SymplecticPotential,
+    _block_sums,
+    _combined,
     blocks,
     grid_sums,
     outside_ball,
@@ -58,11 +61,12 @@ __all__ = [
 # -- toric quadrature experiments ----------------------------------------------
 
 
-def _check_ball(outside: np.ndarray):
-    """QuadratureError unless the mask `outside` has points on both sides."""
-    if not outside.any():
+def _check_ball(n_out: int, n: int):
+    """QuadratureError unless n_out of the n points lie outside the ball and
+    at least one inside."""
+    if not n_out:
         raise QuadratureError("exclusion ball covers the whole quadrature grid")
-    if outside.all():
+    if n_out == n:
         raise QuadratureError("exclusion ball contains no quadrature point")
 
 
@@ -70,7 +74,7 @@ def outside_mass(logdens: np.ndarray, log_vol: float, outside: np.ndarray) -> fl
     """L^1 mass, outside the mask `outside`, of the normalized midpoint
     density with log densities `logdens` (N,) on equal cells of volume
     exp(log_vol)."""
-    _check_ball(outside)
+    _check_ball(np.count_nonzero(outside), outside.size)
     return grid_sums(logdens, log_vol, outside).mass
 
 
@@ -87,38 +91,52 @@ def delta_pairing(logdens: np.ndarray, log_vol: float, values) -> float:
 
 
 def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
-                        labels: np.ndarray, log_vol: float, center, eps: float, values: dict):
-    """Yield the `grid_sums` of each s of s_values: the midpoint measure with
-    the log density of the section m under pot.at_s(s) at the moment points x,
+                        labels: np.ndarray, log_vol: float, center, eps: float,
+                        values: dict) -> list[GridSums]:
+    """The `grid_sums` of each s of s_values: the midpoint measure with the
+    log density of the section m under pot.at_s(s) at the moment points x,
     on cells of volume exp(log_vol) labeled by `labels`, reduced outside the
     eps-ball around `center` and paired with each test function of `values`
     (name -> its values on the labels, (N,) or a scalar).
 
-    Everything that does not depend on s is evaluated once: the canonical
-    part b = section_log_density(pot.at_s(0), m, x), the deformation term
-    q = nu(iota_star(x - m)) and the exclusion mask.  They are filled block
-    by block (`blocks`), x - m as the transpose of a (d, BLOCK) buffer, so no
-    (points, facets) or (points, d) temporary spans the grid; these values
-    are per point and keep the bits of one whole-grid call.  Each s is then
-    one `grid_sums` pass with deformed = (q, s), whose block densities
-    b - 2 pi s q are bit for bit section_log_density(pot.at_s(s), m, x); no
-    (N,) array is made per s.  The reductions move with BLOCK by rounding only.
+    One pass over the blocks of the grid (`blocks`) does all of it.  Each
+    block evaluates what does not depend on s once: the deformation term
+    q = nu(iota_star(x - m)), read off the transpose of a (d, BLOCK) buffer
+    of x - m, the exclusion mask and the canonical part
+    b = section_log_density(pot.at_s(0), m, x).  Then, while the block is in
+    cache, it reduces every s with `grid_sums`' own block step on
+    b - 2 pi s q, which is bit for bit section_log_density(pot.at_s(s), m, x)
+    on the block.  After the pass, the block sums of each s are combined as
+    `grid_sums` combines them, so each `GridSums` is that of `grid_sums` on
+    the whole-grid density at that s, bit for bit; the reductions move with
+    BLOCK by rounding only.  No array spans the grid.  QuadratureError, after
+    the pass, when the ball holds every point or none.
     """
     pot0 = pot.at_s(0.0)
     m = np.asarray(m, dtype=float)
     n = len(x)
-    b, q = np.empty(n), np.empty(n)
-    outside = np.empty(n, dtype=bool)
     spans = blocks(n)
-    diff = np.empty((len(m), spans[0].stop if spans else 0))
-    for blk in spans:
-        b[blk] = section_log_density(pot0, m, x[blk])
-        d = np.subtract(x[blk].T, m[:, None], out=diff[:, :blk.stop - blk.start])
-        q[blk] = pot.deformer.value(d.T)
-        outside[blk] = outside_ball(labels[blk], center, eps)
-    _check_ball(outside)
-    for s in s_values:
-        yield grid_sums(b, log_vol, outside, values, deformed=(q, s))
+    size = spans[0].stop if spans else 0
+    phis = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in values.values()
+            if np.ndim(v)]
+    cols = np.empty((len(s_values), 4 + len(phis), len(spans)))
+    # one scratch buffer: a block's x - m until q is read off it, then the
+    # block's densities b - 2 pi s q and the two buffers of `_block_sums`
+    buf = np.empty((max(len(m), 3), size))
+    dens, e, prod = buf[:3]
+    n_out = 0
+    for k, blk in enumerate(spans):
+        q = pot.deformer.value(np.subtract(x[blk].T, m[:, None],
+                                           out=buf[:len(m), :blk.stop - blk.start]).T)
+        out = outside_ball(labels[blk], center, eps)
+        b = section_log_density(pot0, m, x[blk])
+        n_out += np.count_nonzero(out)
+        phi = [v[blk] for v in phis]
+        for col, s in zip(cols[:, :, k], s_values):
+            lb = np.multiply(q, TWO_PI * s, out=dens[:len(b)])
+            _block_sums(np.subtract(b, lb, out=lb), out, phi, col, e, prod)
+    _check_ball(n_out, n)
+    return [_combined(c, log_vol, values) for c in cols]
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:
@@ -127,20 +145,25 @@ def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) ->
     return TWO_PI * (deformation.c1() * eps**2 - deformation.c2() * r**2)
 
 
-def decay_slope(s_values: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares slope of log(values) against s."""
+def decay_slope(s_values: Sequence[float], values: Sequence[float]) -> Optional[float]:
+    """Least-squares slope of log(values) against s; None where the s values
+    do not determine a line, that is where np.polyfit finds its scaled
+    Vandermonde matrix of rank below 2 at its default rcond, len(s) times the
+    float64 epsilon (s values equal to rounding, such as 1 and 1 + 2^-52)."""
     s = np.asarray(s_values, dtype=float)
     v = np.asarray(values, dtype=float)
     if s.size < 2:
         raise ValueError("need at least two samples to fit a slope")
     if np.any(v <= 0):
         raise ValueError("values must be positive for a log fit")
-    return float(np.polyfit(s, np.log(v), 1)[0])
+    coef, _, rank, _, _ = np.polyfit(s, np.log(v), 1, full=True)
+    return float(coef[0]) if rank == 2 else None
 
 
 def mass_decay_slope(s_values: Sequence[float], masses: Sequence[float]) -> Optional[float]:
     """`decay_slope` of the outside masses over the samples with s > 0 and a
-    positive mass; None with fewer than two such samples."""
+    positive mass; None with fewer than two such samples, or where they do
+    not determine a line."""
     pos = [(s, m) for s, m in zip(s_values, masses) if s > 0 and m > 0]
     return decay_slope(*zip(*pos)) if len(pos) >= 2 else None
 

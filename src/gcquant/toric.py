@@ -207,7 +207,8 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
         np.log(lx, out=lx)  # -inf on walls
         lx *= 0.5 * lm
     lx[..., lm == 0.0] = 0.0  # 0 * log 0 = 0 on shared walls
-    out = lx.sum(axis=-1) + linear
+    out = lx.sum(axis=-1)
+    out += linear
     del lx, rows  # the deformation term runs without the (points, facets) array
     if pot.s:
         out -= TWO_PI * pot.s * pot.deformer.value(x - m)
@@ -282,8 +283,48 @@ class GridSums(NamedTuple):
     pairings: dict     # name -> <phi, normalized density>
 
 
-def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
-              deformed=None) -> GridSums:
+def _block_sums(lb: np.ndarray, mask, phis, col: np.ndarray, e: np.ndarray,
+                prod: np.ndarray) -> None:
+    """Reduce one block of log densities `lb` into `col`: its max, its max on
+    the points of `mask` (None: no point), then, relative to its max, its
+    total, its sum on the mask and its products with each test function of
+    `phis` (their values on the block).  The block is shifted by its max and
+    exponentiated once into the buffer `e`, and every sum is taken from that
+    buffer (the masked one with `where=`, the products through `prod`).  A
+    block whose points all carry -inf (wall points) sums to 0."""
+    add, big = np.add.reduce, np.maximum.reduce  # ndarray.sum/max without their wrappers
+    col[0] = top = big(lb)
+    col[1] = -np.inf if mask is None else big(lb, where=mask, initial=-np.inf)
+    if top == -np.inf:
+        col[2:] = 0.0
+        return
+    eb, pb = e[:len(lb)], prod[:len(lb)]
+    np.exp(np.subtract(lb, top, out=eb), out=eb)
+    col[2] = add(eb)
+    col[3] = 0.0 if mask is None else add(eb, where=mask)
+    for j, v in enumerate(phis, 4):
+        col[j] = add(np.multiply(v, eb, out=pb))
+
+
+def _combined(cols: np.ndarray, log_vol: float, values: dict) -> GridSums:
+    """The `GridSums` of one measure from its block columns (one per block,
+    as `_block_sums` fills them), combined with the factors exp(top_k - top).
+    `values` are the test functions, in the order of the columns' rows for
+    those that are arrays; a scalar pairs to exactly its value (NaN where the
+    total mass is 0)."""
+    tops = cols[0]
+    top = tops.max(initial=-np.inf)
+    sums = (cols[2:] * np.exp(tops - top)).sum(axis=1)
+    log_total = float(top + np.log(sums[0]) + log_vol)
+    top_out = cols[1].max(initial=-np.inf)
+    paired = iter(sums[2:])
+    pairings = {name: float(next(paired) / sums[0]) if np.ndim(v)
+                else (float(v) if sums[0] > 0 else math.nan) for name, v in values.items()}
+    return GridSums(log_total, float(sums[1] / sums[0]), float(np.exp(top_out - log_total)),
+                    pairings)
+
+
+def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None) -> GridSums:
     """Every reduction of the midpoint measure with log densities `logdens`
     (N,) on cells of volume exp(log_vol), in one pass over blocks of BLOCK
     points: the log of the total mass, the share of it on the points of the
@@ -292,54 +333,24 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None,
     its values on the points, (N,) or a scalar).  A scalar pairs to exactly
     its value, with no block pass of its own (NaN where the total mass is 0).
 
-    With deformed = (q, s) the log densities are logdens - 2 pi s q, the
-    density of the s-sweep: each block's is written into a block buffer, bit
-    for bit the whole-array expression.  No array passed in is written.
-    Each block is shifted by its own max and exponentiated once into a block
-    buffer, and every sum of the block is taken from that buffer (the masked
-    one with `where=`); the block sums are then combined with the factors
-    exp(top_k - top).  A block whose points all carry -inf (wall points) adds
-    nothing.  The sums run in an order set by BLOCK, so the reductions move
-    by rounding with it.  No BLAS call is made.
+    Each block is reduced by `_block_sums` into block-sized buffers, and the
+    block sums are combined by `_combined`; the s-sweep of `lab` makes the
+    same two calls on the blocks it evaluates itself, so its reductions are
+    this function's bit for bit.  No array passed in is written.  The sums
+    run in an order set by BLOCK, so the reductions move by rounding with
+    it.  No BLAS call is made.
     """
     n = len(logdens)
     values = values or {}
-    vals = {name: np.broadcast_to(np.asarray(v, dtype=float), (n,))
-            for name, v in values.items() if np.ndim(v)}
+    phis = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in values.values()
+            if np.ndim(v)]
     spans = blocks(n)
-    tops = np.full(len(spans), -np.inf)
-    part = np.zeros((2 + len(vals), len(spans)))  # block sums: total, mask, each phi
-    top_out = -np.inf
-    e, prod, dens = (np.empty(min(n, BLOCK)) for _ in range(3))
-    add, big = np.add.reduce, np.maximum.reduce  # ndarray.sum/max without their wrappers
-    if deformed is not None:
-        q, s = deformed
-        c = TWO_PI * s
+    cols = np.empty((4 + len(phis), len(spans)))
+    e, prod = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
     for k, blk in enumerate(spans):
-        lb = logdens[blk]
-        if deformed is not None:
-            db = np.multiply(q[blk], c, out=dens[:len(lb)])
-            lb = np.subtract(lb, db, out=db)
-        if outside is not None:
-            top_out = max(top_out, big(lb, where=outside[blk], initial=-np.inf))
-        tops[k] = top = big(lb)
-        if top == -np.inf:
-            continue
-        eb, pb = e[:len(lb)], prod[:len(lb)]
-        np.exp(np.subtract(lb, top, out=eb), out=eb)
-        part[0, k] = add(eb)
-        if outside is not None:
-            part[1, k] = add(eb, where=outside[blk])
-        for j, v in enumerate(vals.values(), 2):
-            part[j, k] = add(np.multiply(v[blk], eb, out=pb))
-    top = tops.max(initial=-np.inf)
-    sums = (part * np.exp(tops - top)).sum(axis=1)
-    log_total = float(top + np.log(sums[0]) + log_vol)
-    paired = {name: float(p / sums[0]) for name, p in zip(vals, sums[2:])}
-    pairings = {name: paired[name] if name in vals else (float(v) if sums[0] > 0 else math.nan)
-                for name, v in values.items()}
-    return GridSums(log_total, float(sums[1] / sums[0]), float(np.exp(top_out - log_total)),
-                    pairings)
+        _block_sums(logdens[blk], None if outside is None else outside[blk],
+                    [v[blk] for v in phis], cols[:, k], e, prod)
+    return _combined(cols, log_vol, values)
 
 
 def outside_ball(labels: np.ndarray, center, eps: float) -> np.ndarray:

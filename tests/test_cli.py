@@ -495,17 +495,9 @@ def _overshooting_step(dp_step):
     return step
 
 
-def _sweep_s_negated(grid_sums):
-    # the s-sweep deforms the potential by -s instead of s
-    def summed(*args, deformed=None, **kwargs):
-        if deformed is not None:
-            deformed = (deformed[0], -deformed[1])
-        return grid_sums(*args, deformed=deformed, **kwargs)
-    return summed
-
-
 # (argv, owner, name, wrap, invariant, data files): owner.name is the library
-# call the command makes, and wrap(original) breaks the command's gate
+# call the command makes, or a constant it reads, and wrap(original) breaks the
+# command's gate; lab.TWO_PI negated makes the s-sweep deform by -s instead of s
 GATE_FAILURES = [
     pytest.param(["polytope", "gen", "--n", "3", "--a", "1,1"], cli, "weyl_dim",
                  lambda weyl_dim: lambda weight: weyl_dim(weight) + 1, "lattice-weyl-match",
@@ -532,7 +524,7 @@ GATE_FAILURES = [
                                                                     monotone=False),
                  "outside-mass-monotone", {"cells.csv", "summary.json"}, id="lab-combined"),
     pytest.param(["lab", "combined", "--per-axis", "10", "--flow-per-axis", "4",
-                  "--s-grid", "0,5"], gcquant.lab, "grid_sums", _sweep_s_negated,
+                  "--s-grid", "0,5"], gcquant.lab, "TWO_PI", lambda two_pi: -two_pi,
                  "outside-mass-monotone", {"cells.csv", "summary.json"},
                  id="lab-combined-sweep-s-negated"),
     pytest.param(["lab", "gc-check", "--samples", "2"], cli, "gc_vs_torus_moment_check",
@@ -685,6 +677,22 @@ def test_toric_concentrate_fuzz_valid_input_exits_zero(data, dim, per_axis):
             "--m=" + csv_of(m), "--s=" + csv_of(s), f"--eps={eps!r}",
             f"--nu-scale={nu_scale!r}", f"--per-axis={per_axis}"]
     assert exit_code(argv) == (0, "")
+
+
+def test_toric_concentrate_s_values_equal_to_rounding_have_no_slope(tmp_path):
+    # 1 and 1 + 2^-52 determine no line: the run exits 0 with a null slope and
+    # no warning, in a fresh interpreter where every warning is an error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "t"
+    code = "import sys, gcquant.cli; sys.exit(gcquant.cli.main(sys.argv[1:]))"
+    r = subprocess.run([sys.executable, "-W", "error", "-c", code, "toric", "concentrate",
+                        "--s", "1,1.0000000000000002", "--out", str(out)],
+                       env=env, capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.strip().endswith("slope=")
+    assert json.loads((out / "summary.json").read_text())["slope"] is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -892,15 +900,16 @@ def test_float_formatting_is_lossless(tmp_path):
 
 def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     # the grid is built once, and the density and the exclusion mask are
-    # evaluated once for the whole s-sweep, at the names the CLI and the sweep
-    # resolve; each s is one pass of the reduction, and the 1-D profile is
-    # one more density evaluation per s
+    # evaluated once per block for the whole s-sweep (the 1024 points are one
+    # block), at the names the CLI and the sweep resolve; each s is one
+    # reduction of the block and one combination, and the 1-D profile is one
+    # more density evaluation per s
     from gcquant.lab import outside_mass
     from gcquant.polytope import interval
-    from gcquant.toric import TWO_PI, grid_sums, polytope_grid
+    from gcquant.toric import _block_sums, _combined, polytope_grid
 
     calls = {"grid": 0, "density": 0, "mask": 0, "profile": 0}
-    measures = []
+    reduced, log_vols = [], []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -908,28 +917,30 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def recording_grid_sums(logdens, log_vol, *args, deformed=None, **kwargs):
-        sums = grid_sums(logdens, log_vol, *args, deformed=deformed, **kwargs)
-        q, s = deformed
-        measures.append((logdens - TWO_PI * s * q, log_vol))
-        return sums
+    def recording_block_sums(lb, *args):
+        reduced.append(lb.copy())
+        return _block_sums(lb, *args)
+
+    def recording_combined(cols, log_vol, values):
+        log_vols.append(log_vol)
+        return _combined(cols, log_vol, values)
 
     monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
     monkeypatch.setattr(cli, "section_log_density",
                         counted("profile", cli.section_log_density))
     monkeypatch.setattr(gcquant.lab, "section_log_density",
                         counted("density", gcquant.lab.section_log_density))
-    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
+    monkeypatch.setattr(gcquant.lab, "_block_sums", recording_block_sums)
+    monkeypatch.setattr(gcquant.lab, "_combined", recording_combined)
     monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", outside_ball))
     assert run(["toric", "concentrate", "--delta", "0..3", "--m", "1", "--s", "5,10,20",
                 "--eps", "0.3", "--per-axis", "1024", "--out", str(tmp_path / "t")]) == 0
     assert calls == {"grid": 1, "density": 1, "mask": 1, "profile": 3}
-    assert len(measures) == 3
-    monkeypatch.setattr(gcquant.lab, "grid_sums", grid_sums)
+    assert len(reduced) == len(log_vols) == 3
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
     pts = polytope_grid(interval(0, 3), 1024)[0]
-    logdens, log_vol = measures[1]  # s = 10
+    logdens, log_vol = reduced[1], log_vols[1]  # s = 10
     m_img = outside_mass(logdens, log_vol, outside_ball(2.0 * pts, np.array([2.0]), 0.6))
     m_raw = outside_mass(logdens, log_vol, outside_ball(pts, np.array([1.0]), 0.3))
     assert abs(m_img - m_raw) < 1e-12

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -416,28 +417,50 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
     assert at_m[0] == at_m[1]
 
 
-def recording_sweep_sums(monkeypatch):
-    """Patch `lab.grid_sums` to record copies of the arguments of the sweep's
-    calls: the canonical part b, the mask and (q, s); returns the list of
-    records."""
+def recording_sweep_blocks(monkeypatch):
+    """Patch `lab._block_sums` to record a copy of each block of log densities
+    the sweep reduces, with its exclusion mask; returns the list of records."""
     records = []
 
-    def recording_grid_sums(logdens, log_vol, outside=None, values=None, deformed=None):
-        if deformed is not None:
-            q, s = deformed
-            records.append((logdens.copy(), outside.copy(), q.copy(), s))
-        return grid_sums(logdens, log_vol, outside, values, deformed)
+    def recording_block_sums(lb, mask, *args):
+        records.append((lb.copy(), mask.copy()))
+        return toric._block_sums(lb, mask, *args)
 
-    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
+    monkeypatch.setattr(gcquant.lab, "_block_sums", recording_block_sums)
     return records
+
+
+def swept_grids(records, n_s):
+    """The whole-grid log densities and masks the sweep reduced at each of its
+    n_s values of s, from `recording_sweep_blocks`' records: the sweep reduces
+    every s of a block in turn, block after block."""
+    return [(np.concatenate([b for b, _ in records[i::n_s]]),
+             np.concatenate([mask for _, mask in records[i::n_s]])) for i in range(n_s)]
+
+
+def counting_block_evaluations(monkeypatch):
+    """Patch `lab.section_log_density` and `lab.outside_ball` to count their
+    calls; returns the counts."""
+    calls = {"density": 0, "mask": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gcquant.lab, "section_log_density",
+                        counted("density", section_log_density))
+    monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", outside_ball))
+    return calls
 
 
 @pytest.mark.parametrize("dim, per_axis", [(1, 256), (3, 24)])
 def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, dim, per_axis):
     # the sweep evaluates the canonical part, the deformation term and the
-    # exclusion mask once per grid; every density must still be the one
-    # computed at that s alone, and every reduction that of the standalone
-    # functionals on it, which make the same pass
+    # exclusion mask once per block for all s; every density it reduces must
+    # still be the one computed at that s alone, and every reduction that of
+    # the standalone functionals on it, which make the same pass
     P = box_polytope([(0, 3)] * dim)
     m = np.ones(dim)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(dim)))
@@ -445,12 +468,12 @@ def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, dim, per_a
     values = {"one": np.ones(len(x)), "x1": x[..., 0]}
     svals = [0.0, 7.0, 2000.0]
     mask = outside_ball(x, m, 0.3)
-    records = recording_sweep_sums(monkeypatch)
-    for s, sums in zip(svals, concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values),
-                       strict=True):
+    records = recording_sweep_blocks(monkeypatch)
+    sweep = concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values)
+    for s, sums, (dens, swept_mask) in zip(svals, sweep, swept_grids(records, len(svals)),
+                                          strict=True):
         ref = section_log_density(pot.at_s(s), m, x)
-        b, _, q, _ = records[-1]
-        assert np.array_equal(b - toric.TWO_PI * s * q, ref)
+        assert np.array_equal(dens, ref) and np.array_equal(swept_mask, mask)
         assert sums == grid_sums(ref, log_vol, mask, values)
         assert sums.mass == outside_mass(ref, log_vol, mask)
         assert sums.sup == concentration_sup(ref, log_vol, mask)
@@ -460,28 +483,26 @@ def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, dim, per_a
 
 
 def test_sweep_allocates_no_grid_sized_array_per_s():
-    # each s is one grid_sums pass over the s-independent b and q with
-    # block-sized buffers: past the setup and the first s, the traced peak of
-    # the sweep stays below one (N,) float64 array (2 MB on 64^3 points)
+    # the sweep is one pass over the blocks of the grid with block-sized
+    # buffers: traced from the call on, its evaluations of the density, the
+    # deformation term and the mask included, its peak stays below one (N,)
+    # float64 array (2 MB on 64^3 points)
     import tracemalloc
 
     P = box_polytope([(0, 3)] * 3)
     m = np.ones(3)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(3)))
     x, log_vol = polytope_grid(P, 64)
-    sweep = concentration_sweep(pot, m, x, [5.0, 10.0, 20.0, 40.0], x, log_vol, m, 0.3,
-                                {"one": 1.0, "x1": x[..., 0]})
+    values = {"one": 1.0, "x1": x[..., 0]}
     tracemalloc.start()
     try:
-        next(sweep)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        rest = list(sweep)
+        sweep = concentration_sweep(pot, m, x, [5.0, 10.0, 20.0, 40.0], x, log_vol, m, 0.3,
+                                    values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rest) == 3
-    assert peak - base < 8 * len(x)
+    assert len(sweep) == 4
+    assert peak < 8 * len(x)
 
 
 def assert_reductions_close(got, want):
@@ -507,36 +528,45 @@ def assert_reductions_close(got, want):
 ])
 @pytest.mark.parametrize("block", ["above", "equal", "k_plus_r", 1])
 def test_sweep_blocks_match_one_block(monkeypatch, P, m, walls, block):
-    # b, q and the exclusion mask are filled block by block, and each s is
-    # reduced block by block; N < BLOCK, N = BLOCK and N = k BLOCK + r must
-    # all give the single-block b, q and mask bit for bit and the
-    # single-block reductions to rounding, with m on a wall and grid points
-    # on walls (-inf densities)
+    # b, q and the exclusion mask are evaluated block by block, and every s
+    # is reduced on each block in turn; N < BLOCK, N = BLOCK and
+    # N = k BLOCK + r must all reduce the single-block densities b - 2 pi s q
+    # and mask bit for bit and give the single-block reductions to rounding,
+    # with m on a wall and grid points on walls (-inf densities)
     m = np.array(m)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(P.dim)))
     pts, log_vol = polytope_grid(P, 10)
     x = np.concatenate([pts[: len(pts) // 2], walls, pts[len(pts) // 2:]])
     values = {"one": 1.0, "x1": x[..., 0]}
     svals = [0.0, 7.0, 2000.0]
-    records = recording_sweep_sums(monkeypatch)
+    records = recording_sweep_blocks(monkeypatch)
+    calls = counting_block_evaluations(monkeypatch)
 
     def sweep():
-        return list(concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values))
+        # one density and one mask evaluation per block for all s, and one
+        # reduction per block and s
+        records.clear()
+        calls.update(density=0, mask=0)
+        sums = concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values)
+        n_blocks = len(toric.blocks(len(x)))
+        assert calls == {"density": n_blocks, "mask": n_blocks}
+        assert len(records) == n_blocks * len(svals)
+        return sums, swept_grids(records, len(svals))
 
-    want = sweep()
+    want, want_grids = sweep()
     n = len(x)
     size = {"above": n + 5, "equal": n, "k_plus_r": (n - 3) // 4}.get(block, block)
     monkeypatch.setattr(toric, "BLOCK", size)
-    got = sweep()
+    got, got_grids = sweep()
     for sums, want_sums in zip(got, want, strict=True):
         assert_reductions_close(sums, want_sums)
-    b, mask, q, _ = records[0]
-    assert len(records) == 2 * len(svals)
-    for rec_b, rec_mask, rec_q, _ in records:
-        assert np.array_equal(rec_b, b) and np.array_equal(rec_q, q)
-        assert np.array_equal(rec_mask, mask)
-    assert [s for *_, s in records] == svals + svals
-    assert np.isneginf(b).any()
+    mask = outside_ball(x, m, 0.3)
+    for s, (dens, got_mask), (want_dens, want_mask) in zip(svals, got_grids, want_grids,
+                                                           strict=True):
+        assert np.array_equal(dens, want_dens)
+        assert np.array_equal(dens, section_log_density(pot.at_s(s), m, x))
+        assert np.array_equal(got_mask, mask) and np.array_equal(want_mask, mask)
+    assert np.isneginf(want_grids[0][0]).any()
 
 
 def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
@@ -551,16 +581,15 @@ def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
     values = {"one": 1.0, "x1": x[..., 0]}
 
     def sweep():
-        return list(concentration_sweep(pot, m, x, [0.0, 7.0, 2000.0], x, log_vol, m, 0.3,
-                                        values))
+        return concentration_sweep(pot, m, x, [0.0, 7.0, 2000.0], x, log_vol, m, 0.3, values)
 
     want = sweep()
-    records = recording_sweep_sums(monkeypatch)
+    records = recording_sweep_blocks(monkeypatch)
     monkeypatch.setattr(toric, "BLOCK", len(walls))
     for sums, want_sums in zip(sweep(), want, strict=True):
         assert np.isfinite([sums.log_total, sums.mass, sums.sup, *sums.pairings.values()]).all()
         assert_reductions_close(sums, want_sums)
-    b = records[0][0]
+    b = swept_grids(records, 3)[0][0]
     assert np.isneginf(b[40:44]).all() and np.isfinite(b[:40]).all()
 
 
@@ -603,7 +632,7 @@ def test_sweep_raises_for_a_ball_without_inside_or_outside(eps, message):
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1)))
     x, log_vol = polytope_grid(P, 64)
     with pytest.raises(QuadratureError, match=message):
-        next(concentration_sweep(pot, m, x, [5.0], x, log_vol, m, eps, {}))
+        concentration_sweep(pot, m, x, [5.0], x, log_vol, m, eps, {})
 
 
 def test_decay_slope_recovers_exact_exponential():
@@ -618,6 +647,18 @@ def test_decay_slope_recovers_exact_exponential():
     masses = np.exp(rate * s)
     assert mass_decay_slope([0.0, *s, 80.0], [1.0, *masses, 0.0]) == decay_slope(s, masses)
     assert mass_decay_slope([0.0, 5.0, 10.0], [1.0, 0.5, 0.0]) is None
+
+
+def test_decay_slope_is_none_for_s_values_equal_to_rounding():
+    # two s values one spacing apart determine no line: polyfit's rank is 1
+    # at its default rcond, and the fit would be a number without meaning;
+    # 2^-40 apart, they do determine one
+    s = [1.0, 1.0 + 2.0 ** -52]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decay_slope(s, [0.5, 0.25]) is None
+        assert mass_decay_slope([0.0, *s], [1.0, 0.5, 0.25]) is None
+        assert decay_slope([1.0, 1.0 + 2.0 ** -40], [0.5, 0.25]) is not None
 
 
 def test_analytic_decay_rate_quadratic():
@@ -775,19 +816,25 @@ def test_s0_cell_equals_undeformed_baseline():
 
 def test_flow_route_measure_takes_the_flow_grid_cell_volume(monkeypatch):
     # the flowed points are the coarse grid's: their measure has its cells.
-    # Each flowed s is one `grid_sums` call, and the flow grid's exclusion
-    # mask is computed once for all s
+    # Each flowed s is one `grid_sums` call, each swept s one combination of
+    # the sweep's block sums, and the flow grid's exclusion mask is computed
+    # once for all s
     log_vols = {"sweep": [], "flow": []}
     mask_sizes = []
 
+    def recording_combined(cols, log_vol, values):
+        log_vols["sweep"].append(log_vol)
+        return toric._combined(cols, log_vol, values)
+
     def recording_grid_sums(logdens, log_vol, *args, **kwargs):
-        log_vols["sweep" if "deformed" in kwargs else "flow"].append(log_vol)
+        log_vols["flow"].append(log_vol)
         return grid_sums(logdens, log_vol, *args, **kwargs)
 
     def recording_ball(labels, center, eps):
         mask_sizes.append(len(labels))
         return outside_ball(labels, center, eps)
 
+    monkeypatch.setattr(gcquant.lab, "_combined", recording_combined)
     monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
     monkeypatch.setattr(gcquant.lab, "outside_ball", recording_ball)
     # the 1.0-ball holds some but not all of the 4-per-axis flow grid
@@ -818,15 +865,20 @@ def test_flow_route_ball_covering_none_or_all_coarse_points(monkeypatch, eps, ma
     assert out.all() == out.any() == bool(mass_flow)
     reduced = []
 
-    def recording_grid_sums(logdens, log_vol, *args, **kwargs):
-        reduced.append("deformed" in kwargs)
-        return grid_sums(logdens, log_vol, *args, **kwargs)
+    def recording_combined(*args):
+        reduced.append("sweep")
+        return toric._combined(*args)
 
+    def recording_grid_sums(*args, **kwargs):
+        reduced.append("flow")
+        return grid_sums(*args, **kwargs)
+
+    monkeypatch.setattr(gcquant.lab, "_combined", recording_combined)
     monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
     rep = combined_experiment(cfg)
     assert [c.outside_mass_flow for c in rep.cells] == [mass_flow] * 3
     assert all(0.0 < c.outside_mass < 1.0 for c in rep.cells[:2])
-    assert reduced == [True] * 3
+    assert reduced == ["sweep"] * 3
 
 
 def test_gc_check_chained_gaps_match_independent_flows():
