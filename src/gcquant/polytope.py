@@ -97,22 +97,31 @@ class DelzantPolytope:
 
         A batch is filled facet-major, row j = c_j + sum_k r_jk p[..., k] over
         the nonzero r_jk, by elementwise operations and no BLAS call; the
-        result is the (..., facets) view of that (facets, ...) array.
+        result is the (..., facets) view of that (facets, ...) array.  A row
+        starts from its first nonzero r_jk and c_j in one ufunc, which rounds
+        as c_j + r_jk p_k does, since addition and multiplication commute.
         """
         p = np.asarray(p, dtype=float)
         if p.ndim < 2:
             return p @ self.normal_matrix.T + self.offsets
         out = np.empty((len(self.facets),) + p.shape[:-1])
         for row, f in zip(out, self.facets):
-            row.fill(f.offset)
-            for k, r in enumerate(f.normal):
+            (k, r), *rest = [(k, r) for k, r in enumerate(f.normal) if r]
+            if r == 1:
+                np.add(p[..., k], f.offset, out=row)
+            elif r == -1:
+                np.subtract(f.offset, p[..., k], out=row)
+            else:
+                np.multiply(p[..., k], r, out=row)
+                row += f.offset
+            for k, r in rest:
                 if r == 1:
                     row += p[..., k]
                 elif r == -1:
                     row -= p[..., k]
-                elif r:
+                else:
                     row += r * p[..., k]
-        return np.moveaxis(out, 0, -1)
+        return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
     def contains(self, p, tol: float = 0.0, strict: bool = False) -> np.ndarray | bool:
         vals = self.support_values(p)

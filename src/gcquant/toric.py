@@ -8,7 +8,10 @@ All densities are handled as logarithms; deformation strengths s of order 1e3
 would overflow doubles otherwise.  The angle torus always carries total mass 1.
 Every quadrature reduction (the log normalizer, the mass and sup outside an
 exclusion ball, the pairings with test functions) comes out of one pass over
-blocks of grid points, `grid_sums`, with one exp per point.
+blocks of grid points with one exp per point: `_block_sums` reduces a block
+and `_combined` combines the block sums.  `grid_sums` makes that pass over
+given log densities; the s-sweep of `lab` calls the same pair on the blocks
+it evaluates itself.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ class ConvexDeformation:
     Q: np.ndarray
     iota_star: Optional[np.ndarray] = None
     H: np.ndarray = field(init=False, repr=False)
+    # per column k of H with a nonzero entry: (k, its nonzero (j, H_jk) in order)
+    _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -118,23 +123,26 @@ class ConvexDeformation:
         if not np.linalg.eigvalsh(Q)[0] > 0.0:
             raise ValueError("nu must be positive definite")
         A = np.eye(len(Q)) if self.iota_star is None else np.asarray(self.iota_star, dtype=float)
+        H = A.T @ Q @ A
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "H", A.T @ Q @ A)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "_columns", tuple(
+            (k, tuple((j, col[j]) for j in np.flatnonzero(col)))
+            for k, col in enumerate(H.T) if col.any()))
 
     def value(self, x):
         """x^T H x / 2 over the leading axes of x, as sum_k x_k (x H)_k, by
         elementwise column operations and no BLAS call; zero entries of H
-        (every off-diagonal one of a diagonal nu) are skipped."""
+        (every off-diagonal one of a diagonal nu), found once on construction,
+        are skipped."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1])
-        for k, col in enumerate(self.H.T):
-            nz = np.flatnonzero(col)
-            if nz.size:
-                y = x[..., nz[0]] * col[nz[0]]
-                for j in nz[1:]:
-                    y += x[..., j] * col[j]
-                y *= x[..., k]
-                out += y
+        for k, ((j, h), *rest) in self._columns:
+            y = x[..., j] * h
+            for j, h in rest:
+                y += x[..., j] * h
+            y *= x[..., k]
+            out += y
         return 0.5 * out
 
     def grad(self, x):
@@ -198,7 +206,7 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
         raise ValueError("point outside the polytope")
     np.maximum(lx, 0.0, out=lx)
     lm = P.support_values(m)
-    rows = np.moveaxis(lx, -1, 0)
+    rows = lx.transpose((-1,) + tuple(range(lx.ndim - 1)))
     linear = lm[0] - rows[0]
     for j in range(1, len(lm)):
         linear += lm[j] - rows[j]
@@ -385,22 +393,26 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
     clears 1e-9 by 16 of them.  The other facets are checked block by block
     (`blocks`); when none is left, as on a box, or the mask keeps every
     point, the points are returned uncopied.
+    The points are those of the C-ordered (N, d) tensor grid, in its order,
+    but stored coordinate-major: the (N, d) transpose view of a (d, N) array,
+    so that every column points[..., k] is a contiguous row.
     """
     if per_axis ** P.dim > MAX_GRID_POINTS:
         raise ValueError(f"a grid of {per_axis}^{P.dim} points passes MAX_GRID_POINTS = "
                          f"{MAX_GRID_POINTS}")
-    pts = np.empty((per_axis,) * P.dim + (P.dim,))
+    rows = np.empty((P.dim,) + (per_axis,) * P.dim)
     vol = 0.0
     clear = set()  # (normal, offset) of the box walls left out of the mask
     for k, (lo, hi) in enumerate(P.bounding_box()):
         h = (hi - lo) / per_axis
         axis = lo + h * (np.arange(per_axis) + 0.5)
-        pts[..., k] = axis.reshape((per_axis,) + (1,) * (P.dim - 1 - k))
+        rows[k] = axis.reshape((per_axis,) + (1,) * (P.dim - 1 - k))
         vol += np.log(h)
         if h / 2 - 1e-9 > 16 * np.spacing(max(abs(lo), abs(hi))):
             e_k = tuple(int(i == k) for i in range(P.dim))
             clear |= {(e_k, -lo), (tuple(-v for v in e_k), hi)}
-    pts = pts.reshape(-1, P.dim)
+    rows = rows.reshape(P.dim, -1)
+    pts = rows.T
     walls = tuple(f for f in P.facets if (tuple(f.normal), f.offset) not in clear)
     if not walls:
         return pts, vol
@@ -408,5 +420,5 @@ def polytope_grid(P: DelzantPolytope, per_axis: int):
     mask = np.empty(len(pts), dtype=bool)
     for b in blocks(len(pts)):
         mask[b] = Q.contains(pts[b], tol=1e-9, strict=True)
-    return (pts if mask.all() else pts.compress(mask, axis=0)), vol
+    return (pts if mask.all() else rows.compress(mask, axis=1).T), vol
 

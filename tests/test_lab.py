@@ -505,6 +505,49 @@ def test_sweep_allocates_no_grid_sized_array_per_s():
     assert peak < 8 * len(x)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_grid_is_coordinate_major_and_its_layout_moves_no_bit(masked):
+    # polytope_grid stores one contiguous row per coordinate and returns the
+    # (N, d) view of those rows: the points of the C-ordered tensor grid, in
+    # its order; the sweep and slice_point give the same bits on a C-ordered
+    # copy of the grid as on the grid itself
+    per_axis = 32
+    if masked:
+        model = GCTorusModel((2, 2))
+        P = model.image_delta()
+        center = model.xi_of_pattern((2.0, 3.0, 1.0))
+        m = model.lifts(center)[0].astype(float)
+        pot = SymplecticPotential(model.ambient_delta(), 0.0,
+                                  ConvexDeformation(np.eye(3), iota_star=model.A.astype(float)))
+        points = model.slice_point
+    else:
+        P = box_polytope([(0, 3)] * 3)
+        center = m = np.ones(3)
+        pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(3)))
+        points = np.asarray
+    pts, log_vol = polytope_grid(P, per_axis)
+    assert pts.T.flags.c_contiguous
+    axes = [lo + (hi - lo) / per_axis * (np.arange(per_axis) + 0.5)
+            for lo, hi in P.bounding_box()]
+    raw = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    want = raw[P.contains(raw, tol=1e-9, strict=True)]
+    assert np.array_equal(pts, want)
+    assert (len(pts) < per_axis ** 3) == masked
+    copy = np.ascontiguousarray(pts)
+    assert copy.flags.c_contiguous and not pts.flags.c_contiguous
+
+    def sweep(labels):
+        x = points(labels)
+        values = {"one": 1.0, "x1": labels[..., 0],
+                  "dist2": np.sum((labels - center) ** 2, axis=-1)}
+        return x, concentration_sweep(pot, m, x, [0.0, 5.0, 40.0], labels, log_vol, center,
+                                      0.3, values)
+
+    (x, got), (x_copy, want) = sweep(pts), sweep(copy)
+    assert np.array_equal(x, x_copy)
+    assert got == want
+
+
 def assert_reductions_close(got, want):
     """The bounds of test_measure_matches_logsumexp_oracle: 1e-12 relative on
     the total mass (absolute on its log) and the pairings, plus the spacing

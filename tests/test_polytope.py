@@ -210,6 +210,56 @@ def test_support_values_match_matrix_product(data, dim, lead):
     assert np.array_equal(P.contains(p, strict=True), low > 0)
 
 
+def fill_and_accumulate(P, p):
+    """support_values as it was first written: each facet row filled with its
+    offset, then every nonzero r_jk p[..., k] added to it in turn."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim < 2:
+        return p @ P.normal_matrix.T + P.offsets
+    out = np.empty((len(P.facets),) + p.shape[:-1])
+    for row, f in zip(out, P.facets):
+        row.fill(f.offset)
+        for k, r in enumerate(f.normal):
+            if r == 1:
+                row += p[..., k]
+            elif r == -1:
+                row -= p[..., k]
+            elif r:
+                row += r * p[..., k]
+    return np.moveaxis(out, 0, -1)
+
+
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    # the layout of polytope_grid: points over contiguous coordinate rows
+    "rows": lambda p: np.ascontiguousarray(np.moveaxis(p, -1, 0)).transpose(
+        tuple(range(1, p.ndim)) + (0,)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), lead=st.sampled_from([(), (1,), (9,), (3, 4)]),
+       layout=st.sampled_from(sorted(LAYOUTS)))
+def test_support_values_bit_identical_to_fill_and_accumulate(data, dim, lead, layout):
+    # each row starts from its first nonzero normal entry in one ufunc with
+    # the offset instead of from a row filled with the offset; addition and
+    # multiplication commute, so no value may move, on any memory layout,
+    # for any sign of zero, and for integer or float offsets; the first row
+    # has no zero entry, so rows with several nonzero entries always occur
+    rows = [data.draw(primitive_rows(dim, (-2, -1, 1, 2)))]
+    rows += data.draw(st.lists(primitive_rows(dim, (-2, -1, 0, 1, 2)), max_size=5))
+    offsets = data.draw(st.lists(st.integers(-5, 5) | st.floats(-5, 5, width=64),
+                                 min_size=len(rows), max_size=len(rows)))
+    P = DelzantPolytope(dim, tuple(Facet(tuple(r), c) for r, c in zip(rows, offsets)))
+    p = LAYOUTS[layout](data.draw(hnp.arrays(np.float64, lead + (dim,),
+                                             elements=st.floats(-100, 100))))
+    got, want = P.support_values(p), fill_and_accumulate(P, p)
+    assert got.shape == want.shape == lead + (len(rows),)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_gc_polytope_structure():
     P = gc_polytope(3, (1, 1))
     assert P.dim == 3
