@@ -22,6 +22,19 @@ contiguous coordinate-major (7, ...) array, and the flow kernels run on its rows
 The flow maps fibers onto fibers, so one error-controlled loop of
 Dormand-Prince 8(5,3) steps (DOP853) integrates it without re-imposing the
 fiber, and each segment ends in one retraction.
+
+The rows are complex, or float64 where u, w and t are all real.  F has real
+coefficients and the metric is invariant under conjugation, so the field and
+the retraction keep the real locus, and the flow, its field and its
+retraction run on either dtype with the same kernels: their buffers follow
+the rows' dtype, and each kernel reads the dtype once per call.  numpy
+divides a complex number by a real one as x * (1/d), so on real rows every
+division by a real value is written as that multiply by the reciprocal; a
+plain `/` there rounds differently and moves the bits of the flowed points.
+So real rows give the real parts of the complex path bit for bit, except
+where BLAS sums the stage contraction of a real entry in another order than
+that of its complex counterpart (OpenBLAS's gemv: the last (length mod 4)
+entries of a call), which moves the flowed points by a few ulp.
 """
 
 from __future__ import annotations
@@ -86,20 +99,21 @@ class State:
     u has shape (..., 3) (homogeneous coordinates on the first P^2), w has
     shape (..., 3) holding (w_12, w_13, w_23), and t matches the batch shape.
     All three are views of one contiguous coordinate-major array y (7, ...)
-    with rows (u_1, u_2, u_3, w_12, w_13, w_23, t).
+    with rows (u_1, u_2, u_3, w_12, w_13, w_23, t).  y is float64 when u, w
+    and t are all real and complex otherwise; the flow keeps the dtype (a
+    real point flows along the real locus, see the module docstring).
     """
 
     __slots__ = ("y",)
 
     def __init__(self, u, w, t):
-        u = np.asarray(u, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        t = np.asarray(t, dtype=complex)
+        u, w, t = np.asarray(u), np.asarray(w), np.asarray(t)
         if u.shape[-1] != 3 or w.shape[-1] != 3:
             raise ValueError("u and w must have trailing dimension 3")
         if u.shape[:-1] != w.shape[:-1] or t.shape != u.shape[:-1]:
             raise ValueError("batch shapes of u, w, t must agree")
-        self.y = np.empty((7,) + t.shape, dtype=complex)
+        cplx = any(np.iscomplexobj(x) for x in (u, w, t))
+        self.y = np.empty((7,) + t.shape, dtype=complex if cplx else float)
         self.y[0:3], self.y[3:6], self.y[6] = _coords_first(u), _coords_first(w), t
 
     @classmethod
@@ -147,8 +161,10 @@ class FlowResult:
 
 
 def _sq(x):
-    """Elementwise |x|^2 of a complex array."""
-    return x.real ** 2 + x.imag ** 2
+    """Elementwise |x|^2 of a complex or float64 array: x.real^2 + x.imag^2,
+    or x x on real rows, the same bits as the complex form on their complex
+    cast (x.imag^2 is +0 there) without its two temporaries."""
+    return x * x if x.dtype.kind == "f" else x.real ** 2 + x.imag ** 2
 
 
 def _defining(y: np.ndarray) -> np.ndarray:
@@ -160,7 +176,7 @@ def _defining(y: np.ndarray) -> np.ndarray:
 def _grad_uw(y: np.ndarray) -> np.ndarray:
     """(dF/du, dF/dw) as rows (6, n) at the flat coordinate rows y (7, n)."""
     u1, u2, u3, w12, w13, w23, t = y
-    g = np.empty((6, y.shape[1]), dtype=complex)
+    g = np.empty((6, y.shape[1]), dtype=y.dtype)
     g[0] = w23
     np.negative(w13, out=g[1])
     np.multiply(t, w12, out=g[2])
@@ -174,16 +190,25 @@ def _reduced_grad(y: np.ndarray):
     """(g, c) at the flat coordinate rows y (7, n): c = dF/dt, and g (6, n) is
     conj(dF/du, dF/dw) less its components along the gauge rows u and w,
     pa = conj(dF/du) - u conj(F)/|u|^2, pb = conj(dF/dw) - w conj(F)/|w|^2
-    (u.dF/du = w.dF/dw = F; exact off the unit spheres, where RK stages lie)."""
+    (u.dF/du = w.dF/dw = F; exact off the unit spheres, where RK stages lie).
+    On real rows the divisions by |u|^2 and |w|^2 are multiplies by their
+    reciprocals, as numpy divides complex rows (module docstring)."""
     u, w = y[0:3], y[3:6]
     g = _grad_uw(y)
     pa, pb = g[0:3], g[3:6]
-    Fc = np.conj(u[0] * pa[0] + u[1] * pa[1] + u[2] * pa[2])
+    F = u[0] * pa[0] + u[1] * pa[1] + u[2] * pa[2]
     c = u[2] * w[0]
-    np.conjugate(g, out=g)
     n2 = _sq(y[0:6])
-    pa -= u * (Fc / (n2[0] + n2[1] + n2[2]))
-    pb -= w * (Fc / (n2[3] + n2[4] + n2[5]))
+    nu, nw = n2[0] + n2[1] + n2[2], n2[3] + n2[4] + n2[5]
+    if y.dtype.kind == "f":
+        # conjugation is the identity on real rows
+        pa -= u * (F * (1.0 / nu))
+        pb -= w * (F * (1.0 / nw))
+    else:
+        Fc = np.conj(F)
+        np.conjugate(g, out=g)
+        pa -= u * (Fc / nu)
+        pb -= w * (Fc / nw)
     return g, c
 
 
@@ -256,19 +281,22 @@ def _first_step(f, y: np.ndarray, K: np.ndarray, tau: float) -> float:
 def _dp_step(f, y: np.ndarray, K: np.ndarray, h: float, out: np.ndarray):
     """One DOP853 step of signed length h from the rows y, with K[0] = f(y):
     each stage point is one contraction of a tableau row, scaled by h, with
-    the real view of K, and the two error estimates are one contraction of
-    the last two rows.  Writes the new point into out (C-contiguous) and its
-    field into K[12].  Returns Hairer's combined error
-    err5^2 / sqrt(err5^2 + 0.01 err3^2) of the fifth- and third-order
-    estimates' sup norms, over FLOW_TOL, and what f returned at the new
-    point."""
+    the float64 view of K (K itself on real rows), and the two error
+    estimates are one contraction of the last two rows.  Writes the new point
+    into out (C-contiguous) and its field into K[12].  Returns Hairer's
+    combined error err5^2 / sqrt(err5^2 + 0.01 err3^2) of the fifth- and
+    third-order estimates' sup norms, over FLOW_TOL, and what f returned at
+    the new point."""
     hA = h * _DOP853
-    Kr = K.reshape(13, -1).view(float)
-    yr, outr = y.reshape(-1).view(float), out.reshape(-1).view(float)
+    cplx = K.dtype.kind == "c"
+    Kr, yr, outr = K.reshape(13, -1), y.reshape(-1), out.reshape(-1)
+    if cplx:
+        Kr, yr, outr = Kr.view(float), yr.view(float), outr.view(float)
     for i in range(12):
         np.add(yr, np.dot(hA[i, :i + 1], Kr[:i + 1]), out=outr)
         aux = f(out, K[i + 1])
-    e5, e3 = np.max(np.abs(np.dot(hA[12:], Kr[:12]).view(complex)), axis=1)
+    e = np.dot(hA[12:], Kr[:12])
+    e5, e3 = np.max(np.abs(e.view(complex) if cplx else e), axis=1)
     err = float(e5 * (e5 / math.hypot(e5, 0.1 * e3))) if e5 > 0 else 0.0
     return err / FLOW_TOL, aux
 
@@ -299,8 +327,8 @@ def _dormand_prince(f, y: np.ndarray, tau: float):
     span = abs(tau)
     if span == 0:
         return
-    K = np.empty((13,) + y.shape, dtype=complex)
-    new = np.empty(y.shape, dtype=complex)
+    K = np.empty((13,) + y.shape, dtype=y.dtype)
+    new = np.empty(y.shape, dtype=y.dtype)
     aux = f(y, K[0])
     h = _first_step(f, y, K, tau)
     elapsed, rejected = 0.0, 0
@@ -441,7 +469,8 @@ class DegenerationFamily:
                 f"flow field undefined: gradient norm {bad:.3e} <= 1.0e-08"
             )
         Z = np.empty_like(y) if _out is None else _out.reshape(y.shape)
-        np.multiply(g, (c / P) * self._inv_metric[:, None], out=Z[0:6])
+        cP = c * (1.0 / P) if y.dtype.kind == "f" else c / P
+        np.multiply(g, cP * self._inv_metric[:, None], out=Z[0:6])
         Z[6] = -1.0
         return _points_last(Z.reshape(state.y.shape)), grad_norm.reshape(state.batch_shape)
 
@@ -450,19 +479,27 @@ class DegenerationFamily:
     def retract(self, state: State) -> State:
         """Pull (u, w) back onto the hypersurface at fixed t: Gauss-Newton on
         the defining equation plus per-factor renormalization, until the
-        residual is at most 1e-12 max(1, |t|), within 20 steps."""
+        residual is at most 1e-12 max(1, |t|), within 20 steps.  On real rows
+        each division by a real value is a multiply by its reciprocal, as
+        numpy divides complex rows (module docstring)."""
         out = State._of_rows(state.y.copy())
         y = out.y.reshape(7, -1)
+        real = y.dtype.kind == "f"
         scale = np.maximum(1.0, np.abs(y[6]))
         for _ in range(20):
-            y[0:3] /= np.linalg.norm(y[0:3], axis=0)
-            y[3:6] /= np.linalg.norm(y[3:6], axis=0)
+            if real:
+                y[0:3] *= 1.0 / np.linalg.norm(y[0:3], axis=0)
+                y[3:6] *= 1.0 / np.linalg.norm(y[3:6], axis=0)
+            else:
+                y[0:3] /= np.linalg.norm(y[0:3], axis=0)
+                y[3:6] /= np.linalg.norm(y[3:6], axis=0)
             F = _defining(y)
             if (np.abs(F) <= 1e-12 * scale).all():
                 return out
             # the whole Gauss-Newton step comes from the u, w before it
             J = _grad_uw(y)
-            y[0:6] += -np.conj(J) * (F / _sq(J).sum(axis=0))
+            d = _sq(J).sum(axis=0)
+            y[0:6] += -np.conj(J) * (F * (1.0 / d) if real else F / d)
         worst = float(np.max(np.abs(_defining(y)) / scale))
         raise FlowSingularityError(f"retraction stalled at residual {worst:.3e}")
 

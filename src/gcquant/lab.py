@@ -294,18 +294,22 @@ class GCTorusModel:
     def v0_state(self, xi, theta_prime=(0.0, 0.0, 0.0)) -> State:
         """Point of the degenerate fiber over xi with angle coordinates
         theta_prime on the quotient torus, batched over xi rows: the phases of
-        (u_2, u_3, w_13, w_23) relative to (u_1, w_12) are theta_prime A."""
+        (u_2, u_3, w_13, w_23) relative to (u_1, w_12) are theta_prime A.
+        The rows are float64 where theta_prime is zero over the whole batch,
+        so the flow runs in real arithmetic (`gcquant.flow`), and complex
+        otherwise."""
         a1, a2 = self.a
         x = self.slice_point(xi)
         tp = np.broadcast_to(np.asarray(theta_prime, dtype=float), x.shape[:-1] + (3,))
-        theta = tp @ self.A.astype(float)
         xu = np.stack([a1 - x[..., 0] - x[..., 1], x[..., 0], x[..., 1]], axis=-1) / a1
         xw = np.stack([a2 - x[..., 2] - x[..., 3], x[..., 2], x[..., 3]], axis=-1) / a2
-        pu = np.concatenate([np.zeros(x.shape[:-1] + (1,)), theta[..., 0:2]], axis=-1)
-        pw = np.concatenate([np.zeros(x.shape[:-1] + (1,)), theta[..., 2:4]], axis=-1)
-        u = np.sqrt(xu) * np.exp(2j * np.pi * pu)
-        w = np.sqrt(xw) * np.exp(2j * np.pi * pw)
-        state = State(u, w, np.zeros(x.shape[:-1], dtype=complex))
+        u, w, t = np.sqrt(xu), np.sqrt(xw), np.zeros(x.shape[:-1])
+        if tp.any():
+            theta = tp @ self.A.astype(float)
+            pu = np.concatenate([np.zeros(x.shape[:-1] + (1,)), theta[..., 0:2]], axis=-1)
+            pw = np.concatenate([np.zeros(x.shape[:-1] + (1,)), theta[..., 2:4]], axis=-1)
+            u, w = u * np.exp(2j * np.pi * pu), w * np.exp(2j * np.pi * pw)
+        state = State(u, w, t)
         res = np.max(np.abs(self.fam.residual(state)))
         if res > 1e-10:
             raise FlowSingularityError(f"constructed point misses the fiber ({res:.3e})")

@@ -310,22 +310,36 @@ def test_c09_holonomy_character_and_integrality():
 def test_c10_combined_experiment_concentration_trend():
     """Default configuration, s-grid {0, 5, 10, 20, 40}: outside mass strictly
     decreasing with final value < 0.1; constant-function pairing 1 +- 1e-3 at
-    every s."""
-    rep = combined_experiment(ExperimentConfig())
-    masses = [c.outside_mass for c in rep.cells]
-    assert [c.s for c in rep.cells] == [0.0, 5.0, 10.0, 20.0, 40.0]
-    assert all(b < a for a, b in zip(masses, masses[1:])), masses
-    assert masses[-1] < 0.1
-    for c in rep.cells:
-        assert abs(c.pairings["one"] - 1.0) <= 1e-3
-    assert rep.monotone and not rep.incomplete
-    report("c10", f"mass {masses[0]:.3f} -> {masses[-1]:.2e} strictly decreasing, "
-                  f"pairing dev {max(abs(c.pairings['one'] - 1.0) for c in rep.cells):.1e}")
+    every s; every flowed cell keeps the residual-torus moments within the
+    CLI gate's 1e-6 (torus_moment_drift).  The same at the asymmetric weights
+    a = (3, 2), pattern 2;4,1, where a metric with a_1 and a_2 exchanged
+    leaves the masses as they are and only the drift shows it."""
+    details = []
+    for cfg in (ExperimentConfig(), ExperimentConfig(a=(3.0, 2.0), pattern=(2.0, 4.0, 1.0))):
+        rep = combined_experiment(cfg)
+        masses = [c.outside_mass for c in rep.cells]
+        assert [c.s for c in rep.cells] == [0.0, 5.0, 10.0, 20.0, 40.0]
+        assert all(b < a for a, b in zip(masses, masses[1:])), masses
+        assert masses[-1] < 0.1
+        for c in rep.cells:
+            assert abs(c.pairings["one"] - 1.0) <= 1e-3
+        assert rep.monotone and not rep.incomplete
+        drift = [c.torus_moment_drift for c in rep.cells if c.flow_points]
+        assert len(drift) == len(rep.cells) and max(drift) <= 1e-6, drift
+        details.append(f"a={cfg.a}: mass {masses[0]:.3f} -> {masses[-1]:.2e} strictly "
+                       f"decreasing, pairing dev "
+                       f"{max(abs(c.pairings['one'] - 1.0) for c in rep.cells):.1e}, "
+                       f"drift {max(drift):.1e}")
+    report("c10", "; ".join(details))
 
 
 def test_c11_gc_torus_consistency_trend():
     """Flow-vs-identification discrepancy shrinks with t: value at t = 0.02
-    below the value at t = 0.1 on a 20-sample ensemble."""
-    d_coarse, d_fine = gc_vs_torus_moment_check([0.1, 0.02], samples=20, seed=0)
-    assert d_fine < d_coarse
-    report("c11", f"discrepancy {d_coarse:.2e} @ t=0.1 -> {d_fine:.2e} @ t=0.02")
+    below the value at t = 0.1 on a 20-sample ensemble, at the weights
+    a = (1, 1), (2, 1) and (3, 2)."""
+    details = []
+    for a in ((1.0, 1.0), (2.0, 1.0), (3.0, 2.0)):
+        d_coarse, d_fine = gc_vs_torus_moment_check([0.1, 0.02], samples=20, a=a, seed=0)
+        assert d_fine < d_coarse, a
+        details.append(f"a={a}: {d_coarse:.2e} @ t=0.1 -> {d_fine:.2e} @ t=0.02")
+    report("c11", "discrepancy " + "; ".join(details))

@@ -617,6 +617,107 @@ def test_flow_reverses_exactly():
     assert np.max(np.abs(back.state.y - st.y)) < 1e-10
 
 
+# -- real rows: the flow of a real start runs in float64 ------------------------
+
+
+def flow_grid(cfg):
+    """lab combined's flow family, its start rows v0 on the degenerate fiber
+    and its scheduled t, for the config cfg."""
+    model = GCTorusModel(cfg.a)
+    xi, _ = polytope_grid(model.image_delta(), cfg.flow_per_axis)
+    ts = sorted({math.exp(-s / cfg.schedule_rate) for s in cfg.s_grid})
+    return model.fam, model.v0_state(xi), ts
+
+
+def holds_real_rows(z, x):
+    """The complex z holds the float64 x bit for bit in its real parts (up to
+    the sign of a zero) and exact zeros in its imaginary parts."""
+    return (z.dtype == complex and x.dtype == float and np.array_equal(z.real, x)
+            and not z.imag.any())
+
+
+def flow_summary(res):
+    return res.steps, res.rejected, res.min_grad_norm, res.max_residual, res.t_deviation
+
+
+# lab combined's default 475-point flow grid, and the 60 points of
+# --a 3,2 --pattern 2;4,1 --flow-per-axis 5 (exact: True); and the 490 points
+# of that pattern at the default flow_per_axis (exact: False).  The DOP853
+# stage contraction is a BLAS gemv over the 7n flat coordinates of the real
+# rows, or over the 14n floats of the complex ones.  OpenBLAS's gemv sums the
+# last (length mod 4) entries of a call in a remainder loop, in another order
+# than its main loop.  With 7n mod 4 in {0, 1} both paths send the same
+# entries there, and the real path gives the complex path's real parts bit for
+# bit.  At 490 points (7n mod 4 = 2) the flowed t of the last two points moves
+# by an ulp, and the flow carries that at rounding level: within 6.7e-16 of
+# the complex end points, measured at 5 to 490 points, with the same steps;
+# the bound below is three times that.
+REAL_GRIDS = [(ExperimentConfig(), True),
+              (ExperimentConfig(a=(3.0, 2.0), pattern=(2.0, 4.0, 1.0), flow_per_axis=5), True),
+              (ExperimentConfig(a=(3.0, 2.0), pattern=(2.0, 4.0, 1.0)), False)]
+
+
+@pytest.mark.parametrize("cfg, exact", REAL_GRIDS, ids=["default", "a32-fpa5", "a32"])
+def test_real_rows_flow_as_their_complex_cast(cfg, exact):
+    # every segment of lab combined's chained flow, on the float64 rows of
+    # v0_state and on the same rows cast to complex
+    fam, real, ts = flow_grid(cfg)
+    cplx, t0 = State._of_rows(real.y.astype(complex)), 0.0
+    assert real.y.dtype == float and len(ts) == 5
+    for t in ts:
+        a, b = fam.flow(real, t0 - t, keep_states=True), fam.flow(cplx, t0 - t, keep_states=True)
+        assert a.state.y.dtype == float and not b.state.y.imag.any()
+        if exact:
+            assert holds_real_rows(b.state.y, a.state.y)
+            assert all(holds_real_rows(sb.y, sa.y) for sa, sb in zip(a.states, b.states))
+            assert flow_summary(a) == flow_summary(b)
+        else:
+            assert np.max(np.abs(b.state.y.real - a.state.y)) <= 2e-15
+            assert flow_summary(a)[:2] == flow_summary(b)[:2]
+        real, cplx, t0 = a.state, b.state, t
+
+
+def test_field_and_retraction_on_real_rows_as_on_their_complex_cast():
+    # at the start rows, at the flowed points, and at points pushed off the
+    # unit spheres and the hypersurface as RK stages and retraction inputs
+    # are; at 1e-2 the Gauss-Newton steps are large enough that a rounding of
+    # F / |dF|^2 shows in the retracted bits
+    fam, v0, _ = flow_grid(ExperimentConfig())
+    flowed = fam.flow(v0, -0.3).state
+    noise = np.random.default_rng(3).standard_normal(v0.y.shape)
+    noise[6] = 0.0
+    noisy = [State._of_rows(flowed.y + scale * noise) for scale in (1e-4, 1e-2)]
+    assert min(np.max(np.abs(fam.residual(st))) for st in noisy) > 1e-6
+    for st in [v0, flowed] + noisy:
+        cast = State._of_rows(st.y.astype(complex))
+        Z, gn = fam.z_field(st)
+        Zc, gnc = fam.z_field(cast)
+        assert holds_real_rows(Zc, Z) and same_bits(gn, gnc)
+        assert holds_real_rows(fam.retract(cast).y, fam.retract(st).y)
+
+
+@pytest.mark.parametrize("start", ["embed_flag", "v0_state"])
+def test_flow_commutes_with_conjugation(start):
+    # F has real coefficients and the metric is invariant under conjugation,
+    # so flowing conj(p) gives conj(flow(p)); every kernel is exactly
+    # conjugation-equivariant, so this holds bit for bit, except that the
+    # zero imaginary part of t comes out +0 on both flows: Z_t = -1 is real
+    if start == "embed_flag":
+        fam, p, tau = FAM, embedded_batch(20, seed=6), 0.9
+    else:
+        model = GCTorusModel((2.0, 2.0))
+        xi, _ = polytope_grid(model.image_delta(), 5)
+        tp = np.random.default_rng(7).uniform(-1.0, 1.0, (len(xi), 3))
+        fam, p, tau = model.fam, model.v0_state(xi, theta_prime=tp), -0.5
+    assert p.y.dtype == complex and p.y[:6].imag.any()
+    a = fam.flow(p, tau, keep_states=True)
+    b = fam.flow(State._of_rows(np.conj(p.y)), tau, keep_states=True)
+    assert flow_summary(a) == flow_summary(b) and len(a.states) == len(b.states)
+    for x, y in zip(a.states[1:] + [a.state], b.states[1:] + [b.state]):
+        assert same_bits(y.y[:6], np.conj(x.y[:6]))
+        assert same_bits(y.y[6].real, x.y[6].real) and not y.y[6].imag.any()
+
+
 def test_flow_conserves_torus_hamiltonians():
     st = embedded_batch(8, seed=7)
     x0 = FAM.moment(st)

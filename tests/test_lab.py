@@ -215,6 +215,26 @@ def test_v0_state_moment_anchors_slice():
     assert np.max(np.abs(fam.moment(st1) - x)) < 1e-12
 
 
+def test_v0_state_is_real_exactly_where_every_angle_is_zero():
+    # float64 rows where theta' is zero over the whole batch, so that lab
+    # combined flows in real arithmetic; complex rows at any nonzero theta',
+    # whose zero-angle rows carry the real rows bit for bit
+    xi, _ = polytope_grid(MODEL.image_delta(), 4)
+    real = MODEL.v0_state(xi)
+    assert real.y.dtype == np.float64
+    for tp in ((0.0, -0.0, 0.0), np.zeros((len(xi), 3))):
+        assert MODEL.v0_state(xi, theta_prime=tp).y.dtype == np.float64
+    assert MODEL.v0_state(xi[0]).y.dtype == np.float64
+    tp = np.zeros((len(xi), 3))
+    tp[3, 2] = 0.25
+    for angles in ((0.0, 0.0, 0.25), (1e-300, 0.0, 0.0), tp):
+        assert MODEL.v0_state(xi, theta_prime=angles).y.dtype == np.complex128
+    mixed = MODEL.v0_state(xi, theta_prime=tp).y
+    rest = np.arange(len(xi)) != 3
+    assert np.array_equal(mixed[:, rest].real, real.y[:, rest])
+    assert not mixed[:, rest].imag.any()
+
+
 def test_v0_state_fiber_check_can_fail():
     # the constructed point lies on the fiber only up to rounding, which the
     # weight ratio 1e4 lifts past the check's 1e-10
@@ -806,23 +826,28 @@ def test_chained_flow_matches_independent_flows(monkeypatch):
 
 def test_point_failing_late_keeps_earlier_t(monkeypatch):
     # the batched flow fails and the per-point fallback runs; a point failing
-    # on its last segment (up to t = 1) still counts for the smaller t
+    # on its last segment (up to t = 1) still counts for the smaller t.  The
+    # fallback flows v0[i], one point's float64 rows, and stays in float64
     orig = DegenerationFamily.flow
-    point_calls = []
+    point_calls, dtypes = [], set()
 
     def failing(self, state, tau, **kw):
+        dtypes.add(state.y.dtype)
         if state.batch_shape != ():
             raise FlowSingularityError("batched flow")
         point_calls.append(tau)
         if len(point_calls) == 3:
             raise FlowSingularityError("first point, segment up to t = 1")
-        return orig(self, state, tau, **kw)
+        res = orig(self, state, tau, **kw)
+        dtypes.add(res.state.y.dtype)
+        return res
 
     monkeypatch.setattr(DegenerationFamily, "flow", failing)
     cfg = ExperimentConfig(s_grid=(0.0, 5.0, 10.0), per_axis=10, flow_per_axis=4)
     rep = combined_experiment(cfg)
     assert [c.flow_failures for c in rep.cells] == [1, 0, 0]
     assert rep.incomplete
+    assert dtypes == {np.dtype(np.float64)} and len(point_calls) > 3
 
 
 def test_s0_cell_equals_undeformed_baseline():
