@@ -36,9 +36,9 @@ from .flag import gc_map, random_flags
 from .flow import DegenerationFamily
 from .lab import (
     ExperimentConfig,
+    box_concentration_sweep,
     checked_s_grid,
     combined_experiment,
-    concentration_sweep,
     gc_vs_torus_moment_check,
     mass_decay_slope,
 )
@@ -261,24 +261,20 @@ def cmd_toric(args) -> int:
     if P.dim == 1 and per_axis * (1 + len(svals)) > MAX_PROFILE_VALUES:
         raise UsageError(f"profile.dat of {per_axis} rows x {1 + len(svals)} columns passes "
                          f"MAX_PROFILE_VALUES = {MAX_PROFILE_VALUES}")
-    nu = ConvexDeformation(parse_real("nu_scale", cfg["nu_scale"]) * np.eye(P.dim))
-    pot = SymplecticPotential(P, 0.0, nu)
+    nu_scale = parse_real("nu_scale", cfg["nu_scale"])
 
-    pts, log_vol = polytope_grid(P, per_axis)
-    rows = []
-    profiles = []
-    sweep = concentration_sweep(pot, m, pts, svals, pts, log_vol, m, eps,
-                                {"one": 1.0, "x1": pts[..., 0]})
-    for s, sums in zip(svals, sweep):
-        rows.append([s, sums.mass, sums.sup, sums.pairings["one"], sums.pairings["x1"]])
-        if P.dim == 1:
-            profiles.append(np.exp(section_log_density(pot.at_s(s), m, pts) - sums.log_total))
-
+    sweep = box_concentration_sweep(ranges, nu_scale, m, per_axis, svals, eps)
+    rows = [[s, sums.mass, sums.sup, sums.pairings["one"], sums.pairings["x1"]]
+            for s, sums in zip(svals, sweep)]
     files = {"cells.csv": table_text(["s", "outside_mass", "sup_outside", "pairing_one",
                                       "pairing_x1"], rows)}
     slope = mass_decay_slope(svals, [r[1] for r in rows])
     files["summary.json"] = json_text({"config": cfg, "slope": slope})
-    if profiles:
+    if P.dim == 1:
+        pts = polytope_grid(P, per_axis)[0]
+        pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu_scale * np.eye(1)))
+        profiles = [np.exp(section_log_density(pot.at_s(s), m, pts) - sums.log_total)
+                    for s, sums in zip(svals, sweep)]
         columns = ["x"] + [f"s={fmt(s)}" for s in svals]
         files["profile.dat"] = "# normalized density profiles\n# " + table_text(
             columns, np.column_stack([pts[:, 0]] + profiles), sep=" ")

@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .polytope import DelzantPolytope, Facet, ambient_polytope
+from .polytope import DelzantPolytope, Facet, ambient_polytope, interval
 from .toric import (
+    MAX_GRID_POINTS,
     TWO_PI,
     ConvexDeformation,
     GridSums,
@@ -44,6 +45,7 @@ __all__ = [
     "concentration_sup",
     "delta_pairing",
     "concentration_sweep",
+    "box_concentration_sweep",
     "analytic_decay_rate",
     "decay_slope",
     "mass_decay_slope",
@@ -137,6 +139,86 @@ def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
             _block_sums(np.subtract(b, lb, out=lb), out, phi, col, e, prod)
     _check_ball(n_out, n)
     return [_combined(c, log_vol, values) for c in cols]
+
+
+def box_concentration_sweep(ranges, nu_scale: float, m, per_axis: int, s_values,
+                            eps: float) -> list[GridSums]:
+    """`concentration_sweep` on the box box_polytope(ranges) with
+    nu = nu_scale I: the section m, the per_axis^d midpoint grid, the
+    eps-ball around m and the test functions one and x1, from per-axis sums.
+
+    Box and nu split over the axes, so the section is a product of sections
+    of the intervals and its log density at a grid point is the sum of the
+    1-D log densities of its coordinates: section_log_density on
+    interval(lo, hi) at the points of polytope_grid(interval(lo, hi),
+    per_axis), whose product is the box grid, and its log_vol, bit for bit.
+    Each axis keeps the window of its points that `outside_ball` puts inside
+    the 1-D ball; a point with a coordinate outside its window is outside
+    the ball, as `outside_ball` adds nonnegative squares one at a time.
+    Only the ball box, the product of the windows, is evaluated point by
+    point, in blocks (`blocks`), as outer sums of the 1-D log densities
+    reduced by `_block_sums` against the `outside_ball` mask of its points,
+    which is the box grid's bit for bit.  The rest of the grid is d disjoint
+    slabs W_0 x .. x W_{j-1} x (axis j less W_j) x (axes j + 1, ..) outside
+    the ball; each is a product set, so its sum relative to its max is the
+    product of the 1-D sums, and its max the sum of the 1-D maxima.
+    `_combined` combines the parts, so the total is their sum and the mass
+    at most 1.  <x1, density> is the first axis's 1-D pairing, as the other
+    factors cancel.
+
+    The reductions are `concentration_sweep`'s on the box grid to rounding,
+    from O(d per_axis + |ball box|) point evaluations per s.  ValueError
+    past MAX_GRID_POINTS on the box, and QuadratureError when the ball holds
+    every point or none, as there.
+    """
+    d = len(ranges)
+    nu = ConvexDeformation(nu_scale * np.eye(1))
+    if per_axis ** d > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {per_axis}^{d} points passes MAX_GRID_POINTS = "
+                         f"{MAX_GRID_POINTS}")
+    m = np.asarray(m, dtype=float)
+    axes, windows, dens, log_vol = [], [], [], 0.0
+    for k, (lo, hi) in enumerate(ranges):
+        P = interval(lo, hi)
+        x, axis_log_vol = polytope_grid(P, per_axis)
+        inside = np.flatnonzero(~outside_ball(x, m[k:k + 1], eps))
+        windows.append(slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0))
+        pot = SymplecticPotential(P, 0.0, nu)
+        dens.append([section_log_density(pot.at_s(s), m[k:k + 1], x) for s in s_values])
+        axes.append(x[:, 0])
+        log_vol += axis_log_vol
+    per_s = list(zip(*dens))  # the log densities of every axis, for each s
+    shape = [w.stop - w.start for w in windows]
+    spans = blocks(math.prod(shape))
+    size = spans[0].stop if spans else 0
+    e, prod = np.empty(size), np.empty(size)
+    cols = np.empty((len(s_values), 4, len(spans)))
+    n_in = 0
+    for k, blk in enumerate(spans):
+        idx = [i + w.start for i, w in
+               zip(np.unravel_index(np.arange(blk.start, blk.stop), shape), windows)]
+        out = outside_ball(np.stack([ax[i] for ax, i in zip(axes, idx)]).T, m, eps)
+        n_in += len(out) - np.count_nonzero(out)
+        for col, f in zip(cols[:, :, k], per_s):
+            _block_sums(sum(fk[i] for fk, i in zip(f, idx)), out, [], col, e, prod)
+    n = math.prod(len(ax) for ax in axes)
+    _check_ball(n - n_in, n)
+    sweep = []
+    for box, f in zip(cols, per_s):
+        parts = [box]
+        for j, w in enumerate(windows):
+            slab = [fk[wk] for fk, wk in zip(f[:j], windows[:j])] + [np.delete(f[j], w)]
+            slab += f[j + 1:]
+            if all(map(len, slab)):
+                tops = [v.max() for v in slab]
+                top = sum(tops)
+                total = math.prod(np.exp(v - t).sum() for v, t in zip(slab, tops))
+                parts.append(np.array([[top], [top], [total], [total]]))
+        sums = _combined(np.hstack(parts), log_vol, {"one": 1.0})
+        e0 = np.exp(f[0] - f[0].max())
+        sums.pairings["x1"] = float((axes[0] * e0).sum() / e0.sum())
+        sweep.append(sums)
+    return sweep
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:

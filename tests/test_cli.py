@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from gcquant.flow import DegenerationFamily, FlowSingularityError
 from gcquant.lab import ExperimentConfig, gc_vs_torus_moment_check
 from gcquant.flag import gc_map, random_flags
 from gcquant.polytope import DelzantPolytope, gc_polytope
-from gcquant.toric import ConvergenceError, QuadratureError, outside_ball
+from gcquant.toric import MAX_GRID_POINTS, ConvergenceError, QuadratureError, outside_ball
 
 
 def run(argv):
@@ -476,8 +477,7 @@ def test_flag_dump_min_support_is_the_patterns_margin(tmp_path, capsys, argv):
 
 def _mass_above_one(sweep):
     def swept(*args):
-        for sums in sweep(*args):
-            yield sums._replace(mass=sums.mass + 1.0)
+        return [sums._replace(mass=sums.mass + 1.0) for sums in sweep(*args)]
     return swept
 
 
@@ -505,7 +505,7 @@ GATE_FAILURES = [
     pytest.param(["polytope", "count", "--n", "3", "--a", "1,1"], DelzantPolytope,
                  "lattice_points", lambda lattice_points: lambda self: lattice_points(self)[1:],
                  "lattice-weyl-match", {"summary.json"}, id="polytope-lattice-drops-a-point"),
-    pytest.param(["toric", "concentrate"], cli, "concentration_sweep", _mass_above_one,
+    pytest.param(["toric", "concentrate"], cli, "box_concentration_sweep", _mass_above_one,
                  "mass-range", {"cells.csv", "summary.json", "profile.dat"}, id="toric"),
     pytest.param(["flag", "dump", "--count", "3"], cli, "gc_map",
                  lambda gc_map: _patterns_off_polytope, "polytope-containment",
@@ -661,22 +661,64 @@ def test_toric_concentrate_fuzz_exit_contract(data, dim, per_axis):
                           f"--nu-scale={nu_scale!r}", f"--per-axis={per_axis}"])
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 3), per_axis=st.integers(12, 16))
 def test_toric_concentrate_fuzz_valid_input_exits_zero(data, dim, per_axis):
-    # valid input only: integer boxes of width 2-4 around an interior lattice
-    # point m, so a grid point lies within (w / 2 p) sqrt(3) < 0.3 <= eps of m
+    # valid input only: integer boxes of width 2-4 around an interior point m,
+    # a lattice point or any point to a hundredth of the width from a wall,
+    # so a grid point lies within (w / 2 p) sqrt(3) < 0.3 <= eps of m.  A
+    # third of the balls stay inside the box; the others reach up to 0.99 of
+    # the distance from m to the farthest grid point, which stays outside, so
+    # they cross a wall, and half of those past the reach of m along an axis,
+    # so they span that whole axis
     lo = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
     width = data.draw(st.lists(st.integers(2, 4), min_size=dim, max_size=dim))
-    m = [l + data.draw(st.integers(1, w - 1)) for l, w in zip(lo, width)]
+    m = [l + data.draw(st.one_of(st.integers(1, w - 1).map(float),
+                                 st.floats(0.01, 0.99).map(lambda f, w=w: w * f)))
+         for l, w in zip(lo, width)]
     s = data.draw(st.lists(st.floats(1, 60), min_size=2, max_size=3, unique=True).map(sorted))
-    eps = data.draw(st.floats(0.3, 0.45))
+    half = [w / (2 * per_axis) for w in width]
+    # the distance from m to its farthest grid point along each axis
+    reach = [max(c - l - h, l + w - h - c) for l, w, h, c in zip(lo, width, half, m)]
+    far = math.hypot(*reach)
+    eps = data.draw(st.one_of(st.floats(0.3, 0.45), st.floats(0.3, 0.99 * far),
+                              st.floats(min(1.01 * min(reach), 0.99 * far), 0.99 * far)))
     nu_scale = data.draw(st.floats(0.1, 3))
     argv = ["toric", "concentrate",
             "--delta=" + ",".join(f"{l}..{l + w}" for l, w in zip(lo, width)),
             "--m=" + csv_of(m), "--s=" + csv_of(s), f"--eps={eps!r}",
             f"--nu-scale={nu_scale!r}", f"--per-axis={per_axis}"]
     assert exit_code(argv) == (0, "")
+
+
+def test_toric_concentrate_grid_limit_applies_to_the_box(tmp_path, capsys):
+    # MAX_GRID_POINTS bounds per_axis^d although the run builds no box grid:
+    # the 3-cube at 256 per axis, exactly MAX_GRID_POINTS points, runs, and
+    # at 257 per axis it is refused as before
+    cube = ["toric", "concentrate", "--delta", "0..3,0..3,0..3", "--m", "1,1,1"]
+    assert 256 ** 3 == MAX_GRID_POINTS
+    assert run(cube + ["--per-axis", "256", "--out", str(tmp_path / "at")]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(cube + ["--per-axis", "257", "--out", str(tmp_path / "past")]) == 2
+    assert capsys.readouterr().err == ("usage error: a grid of 257^3 points passes "
+                                       f"MAX_GRID_POINTS = {MAX_GRID_POINTS}\n")
+    assert not (tmp_path / "past").exists()
+
+
+@pytest.mark.parametrize("box", [[], ["--delta", "0..3,0..3,0..3", "--m", "1,1,1",
+                                      "--per-axis", "8"]], ids=["interval", "cube"])
+@pytest.mark.parametrize("eps, message", [
+    ("10", "exclusion ball covers the whole quadrature grid"),
+    ("1e-3", "exclusion ball contains no quadrature point"),
+], ids=["whole-box", "no-point"])
+def test_toric_concentrate_ball_without_inside_or_outside_exits_one(tmp_path, capsys, box,
+                                                                    eps, message):
+    # a ball over every grid point, or between them, is a quadrature failure,
+    # raised before any data file is written
+    out = tmp_path / "o"
+    assert run(["toric", "concentrate", *box, "--eps", eps, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"tolerance failure: quadrature: {message}\n"
+    assert not out.exists()
 
 
 def test_toric_concentrate_s_values_equal_to_rounding_have_no_slope(tmp_path):
@@ -885,37 +927,45 @@ def test_float_formatting_is_lossless(tmp_path):
                 "--per-axis", "64", "--out", str(out)]) == 0
     header, row = (out / "cells.csv").read_text().strip().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
-    # recompute and compare bit-for-bit through the printed representation
-    from gcquant.lab import outside_mass
-    from gcquant.polytope import interval
-    from gcquant.toric import (ConvexDeformation, SectionDensity,
-                               SymplecticPotential, polytope_grid)
-    P = interval(0, 3)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1))).at_s(7.0)
-    dens = SectionDensity(pot, (1.0,))
-    pts, log_vol = polytope_grid(P, 64)
-    ref = outside_mass(dens.log_magnitude(pts), log_vol, outside_ball(pts, (1.0,), 0.3))
-    assert float(vals["outside_mass"]) == ref
+    # recompute through the CLI's route and compare bit-for-bit through the
+    # printed representation
+    from gcquant.lab import box_concentration_sweep
+    ref = box_concentration_sweep([(0, 3)], 1.0, (1.0,), 64, [7.0], 0.3)[0]
+    assert float(vals["outside_mass"]) == ref.mass
+    assert float(vals["sup_outside"]) == ref.sup
+    assert float(vals["pairing_x1"]) == ref.pairings["x1"]
 
 
 def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
-    # the grid is built once, and the density and the exclusion mask are
-    # evaluated once per block for the whole s-sweep (the 1024 points are one
-    # block), at the names the CLI and the sweep resolve; each s is one
-    # reduction of the block and one combination, and the 1-D profile is one
-    # more density evaluation per s
+    # toric concentrate builds no box grid: the sweep builds one 1-D grid per
+    # axis and evaluates one 1-D density per axis and s, one mask per axis
+    # for its window of the ball and one on the ball box (the 13 x 20 points
+    # of the 2-D run are one block), at the names the CLI and the sweep
+    # resolve; each s is one reduction of that block and one combination;
+    # the 1-D profile is one more grid, and one more density per s
     from gcquant.lab import outside_mass
     from gcquant.polytope import interval
     from gcquant.toric import _block_sums, _combined, polytope_grid
 
-    calls = {"grid": 0, "density": 0, "mask": 0, "profile": 0}
-    reduced, log_vols = [], []
+    calls = {"grid": 0, "axis_grid": 0, "density": 0, "mask": 0, "profile": 0}
+    grid_dims, masks, reduced, log_vols, profiles = [], [], [], [], []
 
-    def counted(key, fn):
+    def counted(key, fn, results=None):
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if results is not None:
+                results.append(out)
+            return out
         return wrapper
+
+    def recording_grid(P, per_axis):
+        grid_dims.append(P.dim)
+        return polytope_grid(P, per_axis)
+
+    def recording_mask(labels, *args):
+        masks.append(labels.shape)
+        return outside_ball(labels, *args)
 
     def recording_block_sums(lb, *args):
         reduced.append(lb.copy())
@@ -927,20 +977,32 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
     monkeypatch.setattr(cli, "section_log_density",
-                        counted("profile", cli.section_log_density))
+                        counted("profile", cli.section_log_density, profiles))
+    monkeypatch.setattr(gcquant.lab, "polytope_grid", counted("axis_grid", recording_grid))
     monkeypatch.setattr(gcquant.lab, "section_log_density",
                         counted("density", gcquant.lab.section_log_density))
     monkeypatch.setattr(gcquant.lab, "_block_sums", recording_block_sums)
     monkeypatch.setattr(gcquant.lab, "_combined", recording_combined)
-    monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", outside_ball))
+    monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", recording_mask))
+    assert run(["toric", "concentrate", "--delta", "0..3,0..2", "--m", "1,1", "--s", "5,10,20",
+                "--eps", "0.3", "--per-axis", "64", "--out", str(tmp_path / "b")]) == 0
+    assert calls == {"grid": 0, "axis_grid": 2, "density": 2 * 3, "mask": 3, "profile": 0}
+    assert grid_dims == [1, 1]
+    assert masks == [(64, 1), (64, 1), (13 * 20, 2)]
+    assert len(reduced) == len(log_vols) == 3
+    assert all(len(lb) == 13 * 20 for lb in reduced)
+    calls.update(dict.fromkeys(calls, 0))
+    for seen in (grid_dims, masks, reduced, log_vols):
+        seen.clear()
     assert run(["toric", "concentrate", "--delta", "0..3", "--m", "1", "--s", "5,10,20",
                 "--eps", "0.3", "--per-axis", "1024", "--out", str(tmp_path / "t")]) == 0
-    assert calls == {"grid": 1, "density": 1, "mask": 1, "profile": 3}
+    assert calls == {"grid": 1, "axis_grid": 1, "density": 3, "mask": 2, "profile": 3}
+    assert grid_dims == [1] and len(masks) == 2
     assert len(reduced) == len(log_vols) == 3
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
     pts = polytope_grid(interval(0, 3), 1024)[0]
-    logdens, log_vol = reduced[1], log_vols[1]  # s = 10
+    logdens, log_vol = profiles[1], log_vols[1]  # s = 10
     m_img = outside_mass(logdens, log_vol, outside_ball(2.0 * pts, np.array([2.0]), 0.6))
     m_raw = outside_mass(logdens, log_vol, outside_ball(pts, np.array([1.0]), 0.3))
     assert abs(m_img - m_raw) < 1e-12

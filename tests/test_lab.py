@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from gcquant.lab import (
     GCTorusModel,
     QuadratureError,
     analytic_decay_rate,
+    box_concentration_sweep,
     combined_experiment,
     concentration_sup,
     concentration_sweep,
@@ -28,6 +30,7 @@ from gcquant.lab import (
 from gcquant.polytope import box_polytope, gc_polytope, interval
 from gcquant.toric import (
     ConvexDeformation,
+    GridSums,
     SectionDensity,
     SymplecticPotential,
     g_can_grad,
@@ -696,6 +699,177 @@ def test_sweep_raises_for_a_ball_without_inside_or_outside(eps, message):
     x, log_vol = polytope_grid(P, 64)
     with pytest.raises(QuadratureError, match=message):
         concentration_sweep(pot, m, x, [5.0], x, log_vol, m, eps, {})
+
+
+# -- the factored sweep of toric concentrate -------------------------------------
+
+
+def blocked_box_sweep(ranges, nu_scale, m, per_axis, s_values, eps):
+    """`concentration_sweep` on the whole grid of the box, with the inputs
+    `toric concentrate` gives it: the reference of the factored route."""
+    P = box_polytope(ranges)
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu_scale * np.eye(P.dim)))
+    x, log_vol = polytope_grid(P, per_axis)
+    return concentration_sweep(pot, np.asarray(m, dtype=float), x, s_values, x, log_vol, m,
+                               eps, {"one": 1.0, "x1": x[..., 0]})
+
+
+def box_oracle(ranges, nu_scale, m, per_axis, s, eps):
+    """The `GridSums` of toric concentrate on a box, from closed forms summed
+    with math.fsum.  Axis k has the midpoints lo + (i + 1/2) h, with
+    h = (hi - lo) / per_axis, and the log density
+    f(x) = ((m - lo) log(x - lo) + (hi - m) log(hi - x)) / 2 - pi s nu (x - m)^2;
+    the linear term of section_log_density, sum_j (l_j(m) - l_j(x)) / 2,
+    vanishes on an interval.  The grid splits into the ball box, the product
+    of the windows |x - m| <= eps, summed point by point, and the slabs
+    outside it, summed as products of 1-D sums; every sum is taken relative
+    to the max of each f."""
+    axes, rel, tops = [], [], []
+    for (lo, hi), c in zip(ranges, m):
+        h = (hi - lo) / per_axis
+        x = [lo + (i + 0.5) * h for i in range(per_axis)]
+        f = [((c - lo) * math.log(v - lo) + (hi - c) * math.log(hi - v)) / 2
+             - math.pi * s * nu_scale * (v - c) ** 2 for v in x]
+        axes.append(x)
+        tops.append(max(f))
+        rel.append([v - tops[-1] for v in f])
+    full = [range(per_axis)] * len(axes)
+    win = [[i for i, v in enumerate(x) if abs(v - c) <= eps] for x, c in zip(axes, m)]
+    parts, top_out = [], []
+    for j in range(len(axes)):
+        sets = win[:j] + [[i for i in full[j] if i not in win[j]]] + full[j + 1:]
+        if all(sets):
+            parts.append(math.prod(math.fsum(math.exp(r[i]) for i in idx)
+                                   for r, idx in zip(rel, sets)))
+            top_out.append(math.fsum(max(r[i] for i in idx) for r, idx in zip(rel, sets)))
+    inside = []
+    for point in itertools.product(*win):
+        r2 = math.fsum((axes[k][i] - m[k]) ** 2 for k, i in enumerate(point))
+        assert abs(r2 - eps ** 2) > 1e-9  # no point on the sphere to rounding
+        u = math.fsum(rel[k][i] for k, i in enumerate(point))
+        if r2 > eps ** 2:
+            parts.append(math.exp(u))
+            top_out.append(u)
+        else:
+            inside.append(math.exp(u))
+    total = math.fsum(parts + inside)
+    log_total = (math.fsum(tops) + math.log(total)
+                 + math.fsum(math.log((hi - lo) / per_axis) for lo, hi in ranges))
+    e0 = [math.exp(r) for r in rel[0]]
+    x1 = math.fsum(x * e for x, e in zip(axes[0], e0)) / math.fsum(e0)
+    return GridSums(log_total, math.fsum(parts) / total,
+                    math.exp(math.fsum(tops) + max(top_out) - log_total), {"one": 1.0, "x1": x1})
+
+
+@pytest.mark.parametrize("ranges, nu_scale, m, per_axis, s_values, eps", [
+    ([(0, 3)] * 3, 1.0, (1.0, 1.0, 1.0), 96, (10.0, 20.0, 40.0), 0.3),
+    ([(-2, 3), (0, 1), (1, 5)], 1.7, (-1.0, 0.3, 2.2), 31, (0.0, 3.0, 50.0), 0.7),
+], ids=["toric3d", "asymmetric"])
+def test_box_sweep_matches_closed_form_oracle(ranges, nu_scale, m, per_axis, s_values, eps):
+    # the factored route and the blocked sweep on the whole grid both agree
+    # with the fsum oracle to 1e-12 relative: the first case is the toric3d
+    # benchmark's input, the second a box with a negative lo and unequal sides
+    got = box_concentration_sweep(ranges, nu_scale, m, per_axis, s_values, eps)
+    ref = blocked_box_sweep(ranges, nu_scale, m, per_axis, s_values, eps)
+    for s, sums, ref_sums in zip(s_values, got, ref, strict=True):
+        oracle = box_oracle(ranges, nu_scale, m, per_axis, s, eps)
+        assert 0.0 < oracle.mass < 1.0
+        assert_reductions_close(sums, oracle)
+        assert_reductions_close(ref_sums, oracle)
+
+
+# the smallest positive normal double: a mass or sup below it keeps only some
+# of its bits in either route, so it compares to this absolute tolerance
+TINY = np.finfo(float).tiny
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3))
+def test_box_sweep_matches_the_blocked_sweep(data, dim):
+    # on odd and even grids of asymmetric boxes, for balls from none and one
+    # grid point up to all but a corner and all of them, and s from 0 to
+    # 2000: the same inside and outside counts as outside_ball on the whole
+    # grid, the same QuadratureError, and every reduction to 1e-12 relative,
+    # at the default BLOCK and at blocks that split the ball box
+    per_axis = data.draw(st.integers(1, {1: 40, 2: 14, 3: 8}[dim]), label="per_axis")
+    lo = data.draw(st.lists(st.integers(-3, 2), min_size=dim, max_size=dim), label="lo")
+    width = data.draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim), label="width")
+    ranges = [(l, l + w) for l, w in zip(lo, width)]
+    frac = data.draw(st.lists(st.floats(0.01, 0.99), min_size=dim, max_size=dim), label="m")
+    m = tuple(l + w * f for l, w, f in zip(lo, width, frac))
+    nu_scale = data.draw(st.floats(0.1, 3.0), label="nu_scale")
+    s_values = [0.0, data.draw(st.floats(0.5, 200.0), label="s"), 2000.0]
+    x = polytope_grid(box_polytope(ranges), per_axis)[0]
+    # the distances as outside_ball sums them; a ball of radius r(k) holds
+    # the points up to the k-th distance, at the boundary or between two
+    r = np.unique(np.sqrt(sum((x[:, k] - c) ** 2 for k, c in enumerate(m))))
+    k = data.draw(st.integers(-1, len(r) - 1), label="k")
+    if k == -1:
+        eps = r[0] / 2
+    elif k == len(r) - 1:
+        eps = 2 * r[-1]
+    else:
+        eps = data.draw(st.sampled_from([r[k], (r[k] + r[k + 1]) / 2]), label="eps")
+    assume(eps > 0)  # a grid point at m: toric concentrate takes eps > 0 only
+    block = data.draw(st.sampled_from([None, 1, 7, 64]), label="block")
+    want_out = np.count_nonzero(outside_ball(x, m, eps))
+
+    def run(sweep):
+        counts = []
+
+        def check_ball(n_out, n):
+            counts.append((n_out, n))
+            return check(n_out, n)
+
+        check = gcquant.lab._check_ball
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gcquant.lab, "_check_ball", check_ball)
+            if block is not None:
+                mp.setattr(toric, "BLOCK", block)
+            try:
+                result = sweep(ranges, nu_scale, m, per_axis, s_values, eps)
+            except QuadratureError as exc:
+                result = str(exc)
+        assert counts == [(want_out, len(x))]
+        return result
+
+    got, ref = run(box_concentration_sweep), run(blocked_box_sweep)
+    if isinstance(ref, str):
+        assert got == ref
+        assert want_out in (0, len(x))
+        return
+    assert 0 < want_out < len(x)
+    for sums, want in zip(got, ref, strict=True):
+        slack = 2 * np.spacing(abs(want.log_total))
+        assert abs(sums.log_total - want.log_total) <= 1e-12 + slack
+        for name in ("mass", "sup"):
+            assert math.isclose(getattr(sums, name), getattr(want, name),
+                                rel_tol=1e-12 + slack, abs_tol=TINY), name
+        assert 0.0 <= sums.mass <= 1.0
+        assert sums.pairings.keys() == want.pairings.keys()
+        # x1 is a mean of x_1: it rounds on the scale of the largest |x_1|,
+        # and cancels to near 0 on a box around 0
+        assert math.isclose(sums.pairings["x1"], want.pairings["x1"], rel_tol=1e-12,
+                            abs_tol=1e-12 * max(abs(lo[0]), abs(lo[0] + width[0])))
+        assert sums.pairings["one"] == want.pairings["one"] == 1.0
+
+
+def test_box_sweep_limits_and_errors_match_the_blocked_sweep():
+    # MAX_GRID_POINTS applies to per_axis^d, with polytope_grid's message, and
+    # an invalid nu fails before it, as on the blocked route
+    box = [(0, 3)] * 3
+    with pytest.raises(ValueError) as want:
+        polytope_grid(box_polytope(box), 257)
+    with pytest.raises(ValueError) as got:
+        box_concentration_sweep(box, 1.0, (1.0, 1.0, 1.0), 257, [5.0], 0.3)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="nu must be positive definite"):
+        box_concentration_sweep(box, -1.0, (1.0, 1.0, 1.0), 257, [5.0], 0.3)
+    for eps, message in [(10.0, "covers the whole quadrature grid"),
+                         (1e-3, "contains no quadrature point")]:
+        for sweep in (box_concentration_sweep, blocked_box_sweep):
+            with pytest.raises(QuadratureError, match=message):
+                sweep([(0, 3)], 1.0, (1.0,), 64, [5.0], eps)
 
 
 def test_decay_slope_recovers_exact_exponential():
