@@ -452,48 +452,82 @@ FLAG_HELP = {
 }
 
 
+# help of each top-level subcommand, in the tree's order
+GROUP_HELP = {
+    "polytope": "polytope generation and lattice counts",
+    "toric": "toric concentration experiments",
+    "flag": "random flag ensembles and their patterns",
+    "flow": "family flow integration",
+    "lab": "combined concentration experiments",
+}
+# every command that runs: its path under gcq -> (choices of its positional
+# action, none under lab; its function; its *_DEFAULTS, none for polytope,
+# which reads its flags directly)
+COMMANDS = {
+    "polytope": (["gen", "count", "lattice"], cmd_polytope, None),
+    "toric": (["concentrate"], cmd_toric, TORIC_DEFAULTS),
+    "flag": (["dump"], cmd_flag, FLAG_DEFAULTS),
+    "flow": (["run"], cmd_flow, FLOW_DEFAULTS),
+    "lab combined": (None, cmd_lab_combined, LAB_DEFAULTS),
+    "lab gc-check": (None, cmd_lab_gc_check, GCCHECK_DEFAULTS),
+}
+
+
+def add_command(p: argparse.ArgumentParser, path: str) -> None:
+    """Give `p` the arguments and the function of the command at `path`.
+    Every command but polytope takes --config, --out, then one flag per key
+    of its *_DEFAULTS, in table order and typed like the default."""
+    actions, func, defaults = COMMANDS[path]
+    if actions:
+        p.add_argument("action", choices=actions)
+    if defaults is None:
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--a", required=True, help="comma-separated positive integers")
+    else:
+        p.add_argument("--config", help="JSON object of config keys; flags override it")
+    p.add_argument("--out")
+    for key, default in (defaults or {}).items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                       help=FLAG_HELP.get(key))
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: gcq, its subcommands, and every command under them."""
     ap = argparse.ArgumentParser(prog="gcq", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"gcq {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("polytope", help="polytope generation and lattice counts")
-    p.add_argument("action", choices=["gen", "count", "lattice"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", required=True, help="comma-separated positive integers")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_polytope)
-
-    toric = sub.add_parser("toric", help="toric concentration experiments")
-    flag = sub.add_parser("flag", help="random flag ensembles and their patterns")
-    flow = sub.add_parser("flow", help="family flow integration")
-    lab = sub.add_parser("lab", help="combined concentration experiments").add_subparsers(
-        dest="action", required=True)
-    # every subcommand but polytope: --config, --out, then one flag per key of
-    # its *_DEFAULTS, in table order and typed like the default
-    for p, action, func, defaults in [
-        (toric, "concentrate", cmd_toric, TORIC_DEFAULTS),
-        (flag, "dump", cmd_flag, FLAG_DEFAULTS),
-        (flow, "run", cmd_flow, FLOW_DEFAULTS),
-        (lab.add_parser("combined"), None, cmd_lab_combined, LAB_DEFAULTS),
-        (lab.add_parser("gc-check"), None, cmd_lab_gc_check, GCCHECK_DEFAULTS),
-    ]:
-        p.add_argument("--config", help="JSON object of config keys; flags override it")
-        p.add_argument("--out")
-        if action:
-            p.add_argument("action", choices=[action])
-        for key, default in defaults.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                           help=FLAG_HELP.get(key))
-        p.set_defaults(func=func)
-
+    groups = {name: sub.add_parser(name, help=text) for name, text in GROUP_HELP.items()}
+    groups["lab"] = groups["lab"].add_subparsers(dest="action", required=True)
+    for path in COMMANDS:
+        group, _, name = path.partition(" ")
+        add_command(groups[group].add_parser(name) if name else groups[group], path)
     return ap
 
 
+def parse_args(argv: list) -> argparse.Namespace:
+    """`argv` parsed by the parser of its command alone when it starts with
+    a command's path: that parser is the tree's leaf, with the same prog, so
+    its usage, help and errors are the tree's to the byte, and the namespace
+    gets the subcommand dests the tree sets.  Anything else (-h, --version,
+    no command, an unknown one, `lab` alone, or arguments the leaf leaves
+    over, which the tree reports as gcq's error) goes through the full tree."""
+    for path in COMMANDS:
+        words = path.split()
+        if argv[:len(words)] == words:
+            ap = argparse.ArgumentParser(prog=f"gcq {path}")
+            add_command(ap, path)
+            args, rest = ap.parse_known_args(
+                argv[len(words):], argparse.Namespace(**dict(zip(("command", "action"), words))))
+            if not rest:
+                return args
+            break
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValueError as e:  # UsageError included

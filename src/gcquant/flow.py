@@ -160,11 +160,12 @@ class FlowResult:
     states: Optional[list] = field(default=None, repr=False)
 
 
-def _sq(x):
+def _sq(x, real: bool):
     """Elementwise |x|^2 of a complex or float64 array: x.real^2 + x.imag^2,
-    or x x on real rows, the same bits as the complex form on their complex
-    cast (x.imag^2 is +0 there) without its two temporaries."""
-    return x * x if x.dtype.kind == "f" else x.real ** 2 + x.imag ** 2
+    or x x on real rows (`real`, the caller's one read of the dtype), the
+    same bits as the complex form on their complex cast (x.imag^2 is +0
+    there) without its two temporaries."""
+    return x * x if real else x.real ** 2 + x.imag ** 2
 
 
 def _defining(y: np.ndarray) -> np.ndarray:
@@ -186,8 +187,9 @@ def _grad_uw(y: np.ndarray) -> np.ndarray:
     return g
 
 
-def _reduced_grad(y: np.ndarray):
-    """(g, c) at the flat coordinate rows y (7, n): c = dF/dt, and g (6, n) is
+def _reduced_grad(y: np.ndarray, real: bool):
+    """(g, c) at the flat coordinate rows y (7, n), float64 where `real` and
+    complex otherwise: c = dF/dt, and g (6, n) is
     conj(dF/du, dF/dw) less its components along the gauge rows u and w,
     pa = conj(dF/du) - u conj(F)/|u|^2, pb = conj(dF/dw) - w conj(F)/|w|^2
     (u.dF/du = w.dF/dw = F; exact off the unit spheres, where RK stages lie).
@@ -198,9 +200,9 @@ def _reduced_grad(y: np.ndarray):
     pa, pb = g[0:3], g[3:6]
     F = u[0] * pa[0] + u[1] * pa[1] + u[2] * pa[2]
     c = u[2] * w[0]
-    n2 = _sq(y[0:6])
+    n2 = _sq(y[0:6], real)
     nu, nw = n2[0] + n2[1] + n2[2], n2[3] + n2[4] + n2[5]
-    if y.dtype.kind == "f":
+    if real:
         # conjugation is the identity on real rows
         pa -= u * (F * (1.0 / nu))
         pb -= w * (F * (1.0 / nw))
@@ -427,8 +429,9 @@ class DegenerationFamily:
         r = ((pi/a_1) pa, (pi/a_2) pb), the metric dual of dF on the fiber
         (`_reduced_grad`); these are mutually orthogonal, and |r|^2 = P (see
         z_field).  Raises FlowSingularityError where sqrt(P) <= 1e-8."""
-        g, _ = _reduced_grad(state.y.reshape(7, -1))
-        P = self._inv_metric @ _sq(g)
+        real = state.y.dtype.kind == "f"
+        g, _ = _reduced_grad(state.y.reshape(7, -1), real)
+        P = self._inv_metric @ _sq(g, real)
         if not (np.sqrt(P) > 1e-8).all():
             bad = float(np.sqrt(np.min(P)))
             raise FlowSingularityError(f"tangent space undefined: |dF| {bad:.3e} <= 1.0e-08")
@@ -436,7 +439,7 @@ class DegenerationFamily:
         v[..., 6] = 0.0
         for z, s in ((state.u, slice(0, 3)), (state.w, slice(3, 6))):
             zv = np.sum(np.conj(z) * v[..., s], axis=-1, keepdims=True)
-            v[..., s] -= z * zv / np.sum(_sq(z), axis=-1, keepdims=True)
+            v[..., s] -= z * zv / np.sum(_sq(z, real), axis=-1, keepdims=True)
         g = _points_last(g.reshape((6,) + state.batch_shape))
         gv = np.sum(np.conj(g) * v[..., :6], axis=-1, keepdims=True)
         v[..., :6] -= self._inv_metric * g * gv / P.reshape(state.batch_shape + (1,))
@@ -460,16 +463,17 @@ class DegenerationFamily:
         has t component P/(P+Q), its squared norm.
         """
         y = state.y.reshape(7, -1)
-        g, c = _reduced_grad(y)
-        P = self._inv_metric @ _sq(g)
-        grad_norm = np.sqrt(P / (P + _sq(c)))
+        real = y.dtype.kind == "f"
+        g, c = _reduced_grad(y, real)
+        P = self._inv_metric @ _sq(g, real)
+        grad_norm = np.sqrt(P / (P + _sq(c, real)))
         if not (grad_norm > 1e-8).all():
             bad = float(np.min(grad_norm))
             raise FlowSingularityError(
                 f"flow field undefined: gradient norm {bad:.3e} <= 1.0e-08"
             )
         Z = np.empty_like(y) if _out is None else _out.reshape(y.shape)
-        cP = c * (1.0 / P) if y.dtype.kind == "f" else c / P
+        cP = c * (1.0 / P) if real else c / P
         np.multiply(g, cP * self._inv_metric[:, None], out=Z[0:6])
         Z[6] = -1.0
         return _points_last(Z.reshape(state.y.shape)), grad_norm.reshape(state.batch_shape)
@@ -498,7 +502,7 @@ class DegenerationFamily:
                 return out
             # the whole Gauss-Newton step comes from the u, w before it
             J = _grad_uw(y)
-            d = _sq(J).sum(axis=0)
+            d = _sq(J, real).sum(axis=0)
             y[0:6] += -np.conj(J) * (F * (1.0 / d) if real else F / d)
         worst = float(np.max(np.abs(_defining(y)) / scale))
         raise FlowSingularityError(f"retraction stalled at residual {worst:.3e}")
@@ -564,7 +568,8 @@ class DegenerationFamily:
         """DZ(x) V: z_field's Z at one point x (7, 1) differentiated along the
         columns of V (7, k), by the quotient rule on Z_uw = (pi/a) c g/P with
         g = (pa, pb) from `_reduced_grad`.  Z_t = -1, so its row is 0."""
-        g, c = _reduced_grad(x)
+        real = x.dtype.kind == "f"
+        g, c = _reduced_grad(x, real)
         u3, w12, t = x[2], x[3], x[6]
         du1, du2, du3, dw12, dw13, dw23, dt = V
         Fc = np.conj(_defining(x))
@@ -573,10 +578,10 @@ class DegenerationFamily:
         # against z = u, w (blocks of 3 rows)
         dg = np.conj([dw23, -dw13, dt * w12 + t * dw12, dt * u3 + t * du3, -du2, du1])
         z, dz = x[0:6].reshape(2, 3, 1), V[0:6].reshape(2, 3, -1)
-        n2 = _sq(z).sum(axis=1, keepdims=True)
+        n2 = _sq(z, real).sum(axis=1, keepdims=True)
         dn2 = 2.0 * (np.conj(z) * dz).real.sum(axis=1, keepdims=True)
         dg -= ((dz * Fc + z * (dFc - Fc * dn2 / n2)) / n2).reshape(dg.shape)
-        P = self._inv_metric @ _sq(g)
+        P = self._inv_metric @ _sq(g, real)
         dP = 2.0 * (self._inv_metric @ (np.conj(g) * dg).real)
         dc = du3 * w12 + u3 * dw12
         out = np.zeros_like(V)

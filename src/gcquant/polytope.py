@@ -3,10 +3,11 @@ patterns, and lattice counts.
 
 A polytope is stored as {p : <p, r_j> + c_j >= 0} with primitive integer
 normals r_j and integer offsets c_j.  The counting side is exact: the
-bounding box is rational interval propagation, lattice points are enumerated
-on an int64 frontier whose every bound is an integer floor division, and the
-Weyl dimension is an integer product.  Enumeration refuses polytopes whose
-facet values could leave int64 or whose frontier passes MAX_LATTICE_POINTS.
+bounding box is interval propagation whose bounds are ints where integral
+and Fractions otherwise, lattice points are enumerated on an int64 frontier
+whose every bound is an integer floor division, and the Weyl dimension is an
+integer product.  Enumeration refuses polytopes whose facet values could
+leave int64 or whose frontier passes MAX_LATTICE_POINTS.
 """
 
 from __future__ import annotations
@@ -130,39 +131,38 @@ class DelzantPolytope:
 
     # -- exact bounds and enumeration --------------------------------------
 
-    def _interval_bounds(self) -> list[tuple[Fraction, Fraction]]:
-        """Fixpoint interval propagation through the facet system, exact."""
+    def _interval_bounds(self) -> list[tuple[int | Fraction, int | Fraction]]:
+        """Fixpoint interval propagation through the facet system, exact.  A
+        bound is an int where it is integral and a Fraction otherwise, so an
+        integral system such as a Gelfand-Cetlin polytope's propagates in int
+        arithmetic alone; the values are the same as in all-Fraction
+        arithmetic."""
         lo = [-inf] * self.dim
         hi = [inf] * self.dim
+        # each facet's offset, exact (a float offset as its Fraction), and its
+        # nonzero (coordinate, normal entry) pairs
+        walls = [(f.offset if isinstance(f.offset, int) else Fraction(f.offset),
+                  [(k, r) for k, r in enumerate(f.normal) if r]) for f in self.facets]
         for _ in range(64 * self.dim + 64):
             changed = False
-            for f in self.facets:
-                for i, ri in enumerate(f.normal):
-                    if ri == 0:
-                        continue
+            for offset, terms in walls:
+                for i, ri in terms:
                     # bound on x_i given box bounds on the other coordinates
-                    rest = Fraction(f.offset)
-                    ok = True
-                    for j, rj in enumerate(f.normal):
-                        if j == i or rj == 0:
+                    rest = offset
+                    for j, rj in terms:
+                        if j == i:
                             continue
                         b = hi[j] if rj > 0 else lo[j]
-                        if b in (inf, -inf):
-                            ok = False
+                        if b == inf or b == -inf:
                             break
-                        rest += rj * Fraction(b)
-                    if not ok:
-                        continue
-                    if ri > 0:
-                        cand = -rest / ri
-                        if lo[i] == -inf or cand > lo[i]:
-                            lo[i] = cand
-                            changed = True
+                        rest += rj * b
                     else:
-                        cand = -rest / ri
-                        if hi[i] == inf or cand < hi[i]:
-                            hi[i] = cand
-                            changed = True
+                        q, r = divmod(-rest, ri)
+                        cand = Fraction(-rest, ri) if r else q
+                        if ri > 0 and cand > lo[i]:
+                            lo[i], changed = cand, True
+                        elif ri < 0 and cand < hi[i]:
+                            hi[i], changed = cand, True
             if not changed:
                 break
         if any(b == -inf for b in lo) or any(b == inf for b in hi):

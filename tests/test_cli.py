@@ -383,6 +383,74 @@ def test_every_flag_is_a_config_key():
     }
 
 
+def parsed(parse, argv):
+    """(exit code, stdout, stderr, namespace) of parse(argv); the code is None
+    and the namespace set when parse returns."""
+    out, err = io.StringIO(), io.StringIO()
+    code = ns = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parse(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+# a valid argv of each command, which its own parser takes whole
+VALID_ARGV = {
+    "polytope": ["polytope", "count", "--n", "3", "--a", "1,1", "--out", "o"],
+    "toric": ["toric", "concentrate", "--eps=0.5", "--per-axis", "12"],
+    "flag": ["flag", "dump", "--count", "3", "--config", "c.json"],
+    "flow": ["flow", "run", "--t0", "0.9", "--seed", "2"],
+    "lab combined": ["lab", "combined", "--nu-scale", "2", "--pattern", "2;3,1"],
+    "lab gc-check": ["lab", "gc-check", "--samples", "2", "--t", "0.1,0.02"],
+}
+
+
+def test_command_parsers_cover_every_command():
+    assert set(VALID_ARGV) == set(cli.COMMANDS)
+    assert [path for path, _ in leaf_parsers(cli.build_parser())] == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("path", sorted(VALID_ARGV))
+def test_valid_argv_parses_without_the_tree(monkeypatch, path):
+    # the command's own parser gives the tree's namespace, command and action
+    # dests included, and the tree is never built
+    argv = VALID_ARGV[path]
+    expected = cli.build_parser().parse_args(argv)
+
+    def no_tree():
+        raise AssertionError("full parser tree built for a command argv")
+
+    monkeypatch.setattr(cli, "build_parser", no_tree)
+    assert parsed(cli.parse_args, argv) == (None, "", "", expected)
+
+
+@pytest.mark.parametrize("path", sorted(VALID_ARGV))
+@pytest.mark.parametrize("tail", [
+    ["--bogus"], ["--n", "x"], ["-h"], ["--out"], ["--eps", "x"], ["--seed=1.5"],
+    ["extra"], ["--", "extra"], ["--version"], ["--a"],
+], ids=repr)
+def test_command_parser_output_is_the_trees(path, tail):
+    # usage errors and help through the command's own parser exit, print and
+    # fail exactly as the tree does; leftover arguments go to the tree, which
+    # reports them as gcq's
+    for argv in (VALID_ARGV[path] + tail, path.split() + tail, path.split()[:1] + ["bogus"] + tail):
+        tree = parsed(cli.build_parser().parse_args, argv)
+        assert tree[0] is not None and tree[3] is None, argv
+        assert parsed(cli.parse_args, argv) == tree, argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["bogus"], ["lab"], ["lab", "-h"], ["lab", "bogus"],
+    ["lab combined"], ["--version", "toric", "concentrate"], ["toric", "--bogus"],
+], ids=repr)
+def test_argv_without_a_command_goes_through_the_tree(argv):
+    tree = parsed(cli.build_parser().parse_args, argv)
+    assert tree[0] is not None
+    assert parsed(cli.parse_args, argv) == tree
+
+
 @pytest.mark.parametrize("argv, config", [
     (["lab", "combined", "--nu-scale", "2", "--schedule-rate", "3", "--per-axis", "12",
       "--flow-per-axis", "5"],

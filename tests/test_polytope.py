@@ -1,6 +1,7 @@
 import itertools
 import json
-from math import gcd
+from fractions import Fraction
+from math import gcd, inf
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import gcquant.polytope as polytope
 from gcquant.polytope import (
     DelzantPolytope,
     Facet,
+    UnboundedPolytopeError,
     ambient_polytope,
     box_polytope,
     gc_polytope,
@@ -317,6 +319,130 @@ def test_bounding_box_contains_vertices():
     for i, (lo, hi) in enumerate(box):
         assert V[:, i].min() >= lo - 1e-12
         assert V[:, i].max() <= hi + 1e-12
+
+
+def fraction_interval_bounds(P):
+    """`_interval_bounds` in all-Fraction arithmetic, as it was written before
+    its bounds became ints where integral: the reference for the values, the
+    fixpoint and the errors."""
+    lo = [-inf] * P.dim
+    hi = [inf] * P.dim
+    for _ in range(64 * P.dim + 64):
+        changed = False
+        for f in P.facets:
+            for i, ri in enumerate(f.normal):
+                if ri == 0:
+                    continue
+                rest = Fraction(f.offset)
+                ok = True
+                for j, rj in enumerate(f.normal):
+                    if j == i or rj == 0:
+                        continue
+                    b = hi[j] if rj > 0 else lo[j]
+                    if b in (inf, -inf):
+                        ok = False
+                        break
+                    rest += rj * Fraction(b)
+                if not ok:
+                    continue
+                cand = -rest / ri
+                if ri > 0:
+                    if lo[i] == -inf or cand > lo[i]:
+                        lo[i] = cand
+                        changed = True
+                elif hi[i] == inf or cand < hi[i]:
+                    hi[i] = cand
+                    changed = True
+        if not changed:
+            break
+    if any(b == -inf for b in lo) or any(b == inf for b in hi):
+        raise UnboundedPolytopeError("interval propagation did not bound the polytope")
+    if any(l > h for l, h in zip(lo, hi)):
+        raise ValueError("empty polytope")
+    return list(zip(lo, hi))
+
+
+# The triangle of LATTICE_FREE without the unit square: no facet is
+# axis-aligned, so every facet needs a bound on the other coordinate first,
+# and interval propagation cannot bound it although it is bounded.
+TRIANGLE = DelzantPolytope(2, LATTICE_FREE.facets[4:])
+# a box cut by a facet of normal (-2, -1), x1 <= (4 - x2)/2: the bound 5/2 at
+# x2 = -1 is not integral
+HALF_CUT = DelzantPolytope(2, box_polytope([(0, 3), (-1, 3)]).facets + (Facet((-2, -1), 4),))
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """GC polytopes up to n = 5, boxes with negative corners, simplices, their
+    products, ambient polytopes of Fl(3), and boxes cut by facets of random
+    primitive normal, whose bounds can be Fractions and read Fractions."""
+    kind = draw(st.sampled_from(["gc", "box", "simplex", "product", "ambient", "cut", "float"]))
+    if kind == "gc":
+        n = draw(st.integers(2, 5))
+        return gc_polytope(n, draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1)))
+    if kind == "ambient":
+        return ambient_polytope(3, (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    simplices = st.builds(simplex_polytope, st.integers(1, 3), st.integers(1, 4))
+    boxes = st.lists(SIDES, min_size=1, max_size=3).map(box_polytope)
+    if kind == "simplex":
+        return draw(simplices)
+    if kind == "box":
+        return draw(boxes)
+    if kind == "product":
+        return product_polytope(draw(st.lists(st.one_of(simplices, boxes, st.just(LATTICE_FREE)),
+                                              min_size=1, max_size=3)))
+    P = draw(boxes.filter(lambda B: B.dim >= 2))
+    cuts = []
+    for _ in range(draw(st.integers(1, 3))):
+        normal = draw(st.lists(st.integers(-3, 3), min_size=P.dim, max_size=P.dim))
+        g = gcd(*normal)
+        assume(g != 0)
+        cuts.append(Facet(tuple(r // g for r in normal), draw(st.integers(-6, 6))))
+    facets = P.facets + tuple(cuts)
+    if kind == "float":
+        # float offsets, as GCTorusModel.image_delta's, integral or not
+        facets = tuple(Facet(f.normal, f.offset + draw(st.sampled_from([0.0, 0.5, 0.1, -0.25])))
+                       for f in facets)
+    return DelzantPolytope(P.dim, facets, P.labels)
+
+
+def outcome(f, P):
+    try:
+        return f(P)
+    except ValueError as e:  # UnboundedPolytopeError included
+        return type(e), str(e)
+
+
+@given(bounded_polytopes())
+@settings(max_examples=300, deadline=None)
+@example(gc_polytope(5, (4, 3, 2, 1)))
+@example(HALF_CUT)
+@example(DelzantPolytope(2, HALF_CUT.facets + (Facet((1, 3), -10),)))
+@example(TRIANGLE)
+# GCTorusModel((2.0, 1.5)).image_delta(): float offsets, one of them 0.0
+@example(DelzantPolytope(3, tuple(Facet(r, c) for r, c in (
+    ((1, 0, 0), 0.0), ((0, 1, 0), 0.0), ((0, 0, 1), 0.0), ((0, -1, 0), 2.0), ((0, 0, -1), 1.5),
+    ((-1, -1, 1), 2.0)))))
+def test_interval_bounds_match_fraction_propagation(P):
+    expected = outcome(fraction_interval_bounds, P)
+    bounds = outcome(DelzantPolytope._interval_bounds, P)
+    assert bounds == expected
+    if isinstance(expected, tuple):  # both raised the same error
+        return
+    for b in (b for pair in bounds for b in pair):
+        assert type(b) is (int if b.denominator == 1 else Fraction), bounds
+    # compared as strings, so that a -0.0 for 0 shows
+    assert repr(P.bounding_box()) == repr([(float(a), float(b)) for a, b in expected])
+
+
+def test_interval_bounds_are_ints_where_integral():
+    assert all(type(b) is int for pair in gc_polytope(5, (2, 2, 1, 1))._interval_bounds()
+               for b in pair)
+    assert HALF_CUT._interval_bounds() == [(0, Fraction(5, 2)), (-1, 3)]
+    assert HALF_CUT.bounding_box() == [(0.0, 2.5), (-1.0, 3.0)]
+    for f in (DelzantPolytope.bounding_box, DelzantPolytope.lattice_points):
+        with pytest.raises(UnboundedPolytopeError, match="did not bound"):
+            f(TRIANGLE)
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=4.0, allow_nan=False),
