@@ -31,7 +31,6 @@ from .polytope import (
     polytope_to_json,
     weyl_dim,
 )
-from .toric import ConvexDeformation, SymplecticPotential, polytope_grid, section_log_density
 from .flag import gc_map, random_flags
 from .flow import DegenerationFamily
 from .lab import (
@@ -263,7 +262,7 @@ def cmd_toric(args) -> int:
                          f"MAX_PROFILE_VALUES = {MAX_PROFILE_VALUES}")
     nu_scale = parse_real("nu_scale", cfg["nu_scale"])
 
-    sweep = box_concentration_sweep(ranges, nu_scale, m, per_axis, svals, eps)
+    sweep, axes, per_s = box_concentration_sweep(ranges, nu_scale, m, per_axis, svals, eps)
     rows = [[s, sums.mass, sums.sup, sums.pairings["one"], sums.pairings["x1"]]
             for s, sums in zip(svals, sweep)]
     files = {"cells.csv": table_text(["s", "outside_mass", "sup_outside", "pairing_one",
@@ -271,13 +270,10 @@ def cmd_toric(args) -> int:
     slope = mass_decay_slope(svals, [r[1] for r in rows])
     files["summary.json"] = json_text({"config": cfg, "slope": slope})
     if P.dim == 1:
-        pts = polytope_grid(P, per_axis)[0]
-        pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu_scale * np.eye(1)))
-        profiles = [np.exp(section_log_density(pot.at_s(s), m, pts) - sums.log_total)
-                    for s, sums in zip(svals, sweep)]
+        profiles = [np.exp(f - sums.log_total) for (f,), sums in zip(per_s, sweep)]
         columns = ["x"] + [f"s={fmt(s)}" for s in svals]
         files["profile.dat"] = "# normalized density profiles\n# " + table_text(
-            columns, np.column_stack([pts[:, 0]] + profiles), sep=" ")
+            columns, np.column_stack(axes + profiles), sep=" ")
     return write_run(args, "toric concentrate", cfg, files,
                      f"cells={len(rows)} slope={fmt(slope)}",
                      [("mass-range", f"outside mass {mass} at s={s}")

@@ -44,7 +44,6 @@ __all__ = [
     "outside_mass",
     "concentration_sup",
     "delta_pairing",
-    "concentration_sweep",
     "box_concentration_sweep",
     "analytic_decay_rate",
     "decay_slope",
@@ -92,60 +91,13 @@ def delta_pairing(logdens: np.ndarray, log_vol: float, values) -> float:
     return grid_sums(logdens, log_vol, values={"phi": values}).pairings["phi"]
 
 
-def concentration_sweep(pot: SymplecticPotential, m, x: np.ndarray, s_values,
-                        labels: np.ndarray, log_vol: float, center, eps: float,
-                        values: dict) -> list[GridSums]:
-    """The `grid_sums` of each s of s_values: the midpoint measure with the
-    log density of the section m under pot.at_s(s) at the moment points x,
-    on cells of volume exp(log_vol) labeled by `labels`, reduced outside the
-    eps-ball around `center` and paired with each test function of `values`
-    (name -> its values on the labels, (N,) or a scalar).
-
-    One pass over the blocks of the grid (`blocks`) does all of it.  Each
-    block evaluates what does not depend on s once: the deformation term
-    q = nu(iota_star(x - m)), read off the transpose of a (d, BLOCK) buffer
-    of x - m, the exclusion mask and the canonical part
-    b = section_log_density(pot.at_s(0), m, x).  Then, while the block is in
-    cache, it reduces every s with `grid_sums`' own block step on
-    b - 2 pi s q, which is bit for bit section_log_density(pot.at_s(s), m, x)
-    on the block.  After the pass, the block sums of each s are combined as
-    `grid_sums` combines them, so each `GridSums` is that of `grid_sums` on
-    the whole-grid density at that s, bit for bit; the reductions move with
-    BLOCK by rounding only.  No array spans the grid.  QuadratureError, after
-    the pass, when the ball holds every point or none.
-    """
-    pot0 = pot.at_s(0.0)
-    m = np.asarray(m, dtype=float)
-    n = len(x)
-    spans = blocks(n)
-    size = spans[0].stop if spans else 0
-    phis = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in values.values()
-            if np.ndim(v)]
-    cols = np.empty((len(s_values), 4 + len(phis), len(spans)))
-    # one scratch buffer: a block's x - m until q is read off it, then the
-    # block's densities b - 2 pi s q and the two buffers of `_block_sums`
-    buf = np.empty((max(len(m), 3), size))
-    dens, e, prod = buf[:3]
-    n_out = 0
-    for k, blk in enumerate(spans):
-        q = pot.deformer.value(np.subtract(x[blk].T, m[:, None],
-                                           out=buf[:len(m), :blk.stop - blk.start]).T)
-        out = outside_ball(labels[blk], center, eps)
-        b = section_log_density(pot0, m, x[blk])
-        n_out += np.count_nonzero(out)
-        phi = [v[blk] for v in phis]
-        for col, s in zip(cols[:, :, k], s_values):
-            lb = np.multiply(q, TWO_PI * s, out=dens[:len(b)])
-            _block_sums(np.subtract(b, lb, out=lb), out, phi, col, e, prod)
-    _check_ball(n_out, n)
-    return [_combined(c, log_vol, values) for c in cols]
-
-
 def box_concentration_sweep(ranges, nu_scale: float, m, per_axis: int, s_values,
-                            eps: float) -> list[GridSums]:
-    """`concentration_sweep` on the box box_polytope(ranges) with
+                            eps: float) -> tuple[list[GridSums], list, list]:
+    """The `grid_sums` of each s on the box box_polytope(ranges) with
     nu = nu_scale I: the section m, the per_axis^d midpoint grid, the
     eps-ball around m and the test functions one and x1, from per-axis sums.
+    Returns them with the points of each axis and, for each s, the 1-D log
+    densities of every axis, from which toric concentrate writes its profile.
 
     Box and nu split over the axes, so the section is a product of sections
     of the intervals and its log density at a grid point is the sum of the
@@ -166,10 +118,10 @@ def box_concentration_sweep(ranges, nu_scale: float, m, per_axis: int, s_values,
     at most 1.  <x1, density> is the first axis's 1-D pairing, as the other
     factors cancel.
 
-    The reductions are `concentration_sweep`'s on the box grid to rounding,
-    from O(d per_axis + |ball box|) point evaluations per s.  ValueError
-    past MAX_GRID_POINTS on the box, and QuadratureError when the ball holds
-    every point or none, as there.
+    The reductions are those of `grid_sums` on section_log_density over the
+    box grid to rounding, from O(d per_axis + |ball box|) point evaluations
+    per s.  ValueError past MAX_GRID_POINTS on the box, as polytope_grid
+    raises it, and QuadratureError when the ball holds every point or none.
     """
     d = len(ranges)
     nu = ConvexDeformation(nu_scale * np.eye(1))
@@ -218,7 +170,7 @@ def box_concentration_sweep(ranges, nu_scale: float, m, per_axis: int, s_values,
         e0 = np.exp(f[0] - f[0].max())
         sums.pairings["x1"] = float((axes[0] * e0).sum() / e0.sum())
         sweep.append(sums)
-    return sweep
+    return sweep, axes, per_s
 
 
 def analytic_decay_rate(deformation: ConvexDeformation, eps: float, r: float) -> float:
@@ -538,13 +490,21 @@ def combined_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
             except FlowSingularityError:
                 pass
 
+    # the reported density at s is b - 2 pi s q, bit for bit
+    # section_log_density(pot0.at_s(s), lift, x_slice): b and q are
+    # evaluated once, and each s is written into one grid-sized buffer
+    b = section_log_density(pot0, lift, x_slice)
+    q = deformer.value(x_slice - lift)
+    out_slice = outside_ball(xi_pts, xi_star, cfg.eps)
+    _check_ball(np.count_nonzero(out_slice), len(out_slice))
+    dens = np.empty_like(b)
     values = {"one": 1.0, "xi1": xi_pts[..., 0],
               "dist2": np.sum((xi_pts - xi_star) ** 2, axis=-1)}
-    reported = concentration_sweep(pot0, lift, x_slice, svals, xi_pts, log_vol,
-                                   xi_star, cfg.eps, values)
     out_flow = outside_ball(xi_flow, xi_star, cfg.eps)
     cells = []
-    for s, t, sums in zip(svals, t_of, reported):
+    for s, t in zip(svals, t_of):
+        np.subtract(b, np.multiply(q, TWO_PI * s, out=dens), out=dens)
+        sums = grid_sums(dens, log_vol, out_slice, values)
         mass_out_flow, failures, drift = None, 0, None
         if t > 0:
             x = end_x[t]

@@ -10,8 +10,8 @@ Every quadrature reduction (the log normalizer, the mass and sup outside an
 exclusion ball, the pairings with test functions) comes out of one pass over
 blocks of grid points with one exp per point: `_block_sums` reduces a block
 and `_combined` combines the block sums.  `grid_sums` makes that pass over
-given log densities; the s-sweep of `lab` calls the same pair on the blocks
-it evaluates itself.
+given log densities; the per-axis sums of a box in `lab` call the same pair
+on the parts of the box grid.
 """
 
 from __future__ import annotations
@@ -195,8 +195,7 @@ def section_log_density(pot: SymplecticPotential, m, x) -> np.ndarray:
     s = 0 the deformation term is not evaluated.
     Returns -inf on boundary walls not containing m.  The support values are
     the only (points, facets) array and are updated in place; the linear term
-    is summed one facet at a time, in facet order.  The s-sweep of `lab`
-    calls it on blocks of BLOCK grid points.
+    is summed one facet at a time, in facet order.
     """
     P = pot.polytope
     x = np.asarray(x, dtype=float)
@@ -342,11 +341,9 @@ def grid_sums(logdens: np.ndarray, log_vol: float, outside=None, values=None) ->
     its value, with no block pass of its own (NaN where the total mass is 0).
 
     Each block is reduced by `_block_sums` into block-sized buffers, and the
-    block sums are combined by `_combined`; the s-sweep of `lab` makes the
-    same two calls on the blocks it evaluates itself, so its reductions are
-    this function's bit for bit.  No array passed in is written.  The sums
-    run in an order set by BLOCK, so the reductions move by rounding with
-    it.  No BLAS call is made.
+    block sums are combined by `_combined`.  No array passed in is written.
+    The sums run in an order set by BLOCK, so the reductions move by
+    rounding with it.  No BLAS call is made.
     """
     n = len(logdens)
     values = values or {}

@@ -261,10 +261,10 @@ def test_flag_count_bound_exits_two_before_drawing(tmp_path, capsys, monkeypatch
                                      ("1,2,3,4,5,6,7", cli.MAX_PROFILE_VALUES // 8)])
 def test_profile_bound_exits_two_before_the_grid(tmp_path, capsys, monkeypatch, s, rows):
     # the 1-D profile.dat has per_axis rows and 1 + len(s) columns: one row
-    # past MAX_PROFILE_VALUES is refused before the grid is built, and the
-    # bound itself runs
+    # past MAX_PROFILE_VALUES is refused before the sweep builds its grid,
+    # and the bound itself runs
     out = ["--out", str(tmp_path / "o")]
-    monkeypatch.setattr(cli, "polytope_grid", _refuse_to_draw)
+    monkeypatch.setattr(gcquant.lab, "polytope_grid", _refuse_to_draw)
     assert run(["toric", "concentrate", "--s", s, "--per-axis", str(rows + 1)] + out) == 2
     cols = 1 + len(s.split(","))
     assert capsys.readouterr().err == (f"usage error: profile.dat of {rows + 1} rows x {cols} "
@@ -545,7 +545,8 @@ def test_flag_dump_min_support_is_the_patterns_margin(tmp_path, capsys, argv):
 
 def _mass_above_one(sweep):
     def swept(*args):
-        return [sums._replace(mass=sums.mass + 1.0) for sums in sweep(*args)]
+        sweep_sums, *densities = sweep(*args)
+        return [sums._replace(mass=sums.mass + 1.0) for sums in sweep_sums], *densities
     return swept
 
 
@@ -998,10 +999,39 @@ def test_float_formatting_is_lossless(tmp_path):
     # recompute through the CLI's route and compare bit-for-bit through the
     # printed representation
     from gcquant.lab import box_concentration_sweep
-    ref = box_concentration_sweep([(0, 3)], 1.0, (1.0,), 64, [7.0], 0.3)[0]
+    ref = box_concentration_sweep([(0, 3)], 1.0, (1.0,), 64, [7.0], 0.3)[0][0]
     assert float(vals["outside_mass"]) == ref.mass
     assert float(vals["sup_outside"]) == ref.sup
     assert float(vals["pairing_x1"]) == ref.pairings["x1"]
+
+
+@pytest.mark.parametrize("delta, m, per_axis", [("0..3", "1", 256), ("-2..5", "0.37", 1000),
+                                                ("0..1", "0.5", 7)])
+def test_profile_is_the_box_grids_normalized_density(tmp_path, delta, m, per_axis):
+    # profile.dat is written from the sweep's 1-D grid and densities: bit for
+    # bit the midpoints of the box grid and the box's section density there,
+    # normalized by the sweep's log_total
+    from gcquant.lab import box_concentration_sweep
+    from gcquant.polytope import box_polytope
+    from gcquant.toric import (ConvexDeformation, SymplecticPotential, polytope_grid,
+                               section_log_density)
+
+    out = tmp_path / "t"
+    assert run(["toric", "concentrate", f"--delta={delta}", "--m", m, "--s", "0,7,40",
+                "--per-axis", str(per_axis), "--out", str(out)]) == 0
+    _, header, *lines = (out / "profile.dat").read_text().splitlines()
+    assert header == "# x s=0 s=7 s=40"
+    table = np.array([[float(v) for v in line.split()] for line in lines])
+    ranges = cli.parse_ranges(delta)
+    P = box_polytope(ranges)
+    x = polytope_grid(P, per_axis)[0]
+    assert np.array_equal(table[:, 0], x[:, 0])
+    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1)))
+    svals = [0.0, 7.0, 40.0]
+    sweep = box_concentration_sweep(ranges, 1.0, (float(m),), per_axis, svals, 0.3)[0]
+    for s, sums, column in zip(svals, sweep, table[:, 1:].T, strict=True):
+        dens = section_log_density(pot.at_s(s), (float(m),), x)
+        assert np.array_equal(column, np.exp(dens - sums.log_total))
 
 
 def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
@@ -1010,13 +1040,17 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     # for its window of the ball and one on the ball box (the 13 x 20 points
     # of the 2-D run are one block), at the names the CLI and the sweep
     # resolve; each s is one reduction of that block and one combination;
-    # the 1-D profile is one more grid, and one more density per s
+    # the 1-D profile is written from the sweep's grid and densities.  The
+    # CLI imports nothing from toric: a grid or density it made would be
+    # counted at the names "grid" and "profile" patch in
     from gcquant.lab import outside_mass
     from gcquant.polytope import interval
-    from gcquant.toric import _block_sums, _combined, polytope_grid
+    from gcquant.toric import _block_sums, _combined, polytope_grid, section_log_density
 
+    assert not [name for name, v in vars(cli).items()
+                if getattr(v, "__module__", None) == "gcquant.toric"]
     calls = {"grid": 0, "axis_grid": 0, "density": 0, "mask": 0, "profile": 0}
-    grid_dims, masks, reduced, log_vols, profiles = [], [], [], [], []
+    grid_dims, masks, reduced, log_vols, densities = [], [], [], [], []
 
     def counted(key, fn, results=None):
         def wrapper(*args, **kwargs):
@@ -1043,12 +1077,12 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
         log_vols.append(log_vol)
         return _combined(cols, log_vol, values)
 
-    monkeypatch.setattr(cli, "polytope_grid", counted("grid", cli.polytope_grid))
-    monkeypatch.setattr(cli, "section_log_density",
-                        counted("profile", cli.section_log_density, profiles))
+    monkeypatch.setattr(cli, "polytope_grid", counted("grid", polytope_grid), raising=False)
+    monkeypatch.setattr(cli, "section_log_density", counted("profile", section_log_density),
+                        raising=False)
     monkeypatch.setattr(gcquant.lab, "polytope_grid", counted("axis_grid", recording_grid))
     monkeypatch.setattr(gcquant.lab, "section_log_density",
-                        counted("density", gcquant.lab.section_log_density))
+                        counted("density", gcquant.lab.section_log_density, densities))
     monkeypatch.setattr(gcquant.lab, "_block_sums", recording_block_sums)
     monkeypatch.setattr(gcquant.lab, "_combined", recording_combined)
     monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", recording_mask))
@@ -1060,17 +1094,17 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     assert len(reduced) == len(log_vols) == 3
     assert all(len(lb) == 13 * 20 for lb in reduced)
     calls.update(dict.fromkeys(calls, 0))
-    for seen in (grid_dims, masks, reduced, log_vols):
+    for seen in (grid_dims, masks, reduced, log_vols, densities):
         seen.clear()
     assert run(["toric", "concentrate", "--delta", "0..3", "--m", "1", "--s", "5,10,20",
                 "--eps", "0.3", "--per-axis", "1024", "--out", str(tmp_path / "t")]) == 0
-    assert calls == {"grid": 1, "axis_grid": 1, "density": 3, "mask": 2, "profile": 3}
+    assert calls == {"grid": 0, "axis_grid": 1, "density": 3, "mask": 2, "profile": 0}
     assert grid_dims == [1] and len(masks) == 2
     assert len(reduced) == len(log_vols) == 3
     # distance measured on labels: doubling them makes the same exclusion
     # window half as wide in x
     pts = polytope_grid(interval(0, 3), 1024)[0]
-    logdens, log_vol = profiles[1], log_vols[1]  # s = 10
+    logdens, log_vol = densities[1], log_vols[1]  # s = 10
     m_img = outside_mass(logdens, log_vol, outside_ball(2.0 * pts, np.array([2.0]), 0.6))
     m_raw = outside_mass(logdens, log_vol, outside_ball(pts, np.array([1.0]), 0.3))
     assert abs(m_img - m_raw) < 1e-12
@@ -1088,7 +1122,7 @@ def test_toric_grid_built_once_per_run(tmp_path, monkeypatch):
     ts = [float(r[header.index("t")]) for r in rows]
     assert ts[-1] == 0.0 and sum(t > 0 for t in ts) == 3
     assert calls["density"] == 1 + 3
-    assert calls["mask"] == 2 and calls["profile"] == 3
+    assert calls["mask"] == 2 and calls["profile"] == 0
 
 
 def test_flow_runs_once_per_distinct_t(tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from gcquant.lab import (
     box_concentration_sweep,
     combined_experiment,
     concentration_sup,
-    concentration_sweep,
     decay_slope,
     delta_pairing,
     gc_vs_torus_moment_check,
@@ -440,100 +439,113 @@ def test_cube_mass_and_sup_against_200_bit_sum(s, rtol):
     assert at_m[0] == at_m[1]
 
 
-def recording_sweep_blocks(monkeypatch):
-    """Patch `lab._block_sums` to record a copy of each block of log densities
-    the sweep reduces, with its exclusion mask; returns the list of records."""
+def recording_block_sums(monkeypatch):
+    """Patch `toric._block_sums`, the block step of `grid_sums`, to record a
+    copy of each block of log densities it reduces, with its exclusion mask;
+    returns the list of records."""
     records = []
+    block_sums = toric._block_sums
 
-    def recording_block_sums(lb, mask, *args):
+    def recording(lb, mask, *args):
         records.append((lb.copy(), mask.copy()))
-        return toric._block_sums(lb, mask, *args)
+        return block_sums(lb, mask, *args)
 
-    monkeypatch.setattr(gcquant.lab, "_block_sums", recording_block_sums)
+    monkeypatch.setattr(toric, "_block_sums", recording)
     return records
 
 
-def swept_grids(records, n_s):
-    """The whole-grid log densities and masks the sweep reduced at each of its
-    n_s values of s, from `recording_sweep_blocks`' records: the sweep reduces
-    every s of a block in turn, block after block."""
-    return [(np.concatenate([b for b, _ in records[i::n_s]]),
-             np.concatenate([mask for _, mask in records[i::n_s]])) for i in range(n_s)]
+def recording_grid_sums(monkeypatch):
+    """Patch `lab.grid_sums` to record a copy of the log densities and the
+    log_vol of each call; returns the list of records."""
+    records = []
+
+    def recording(logdens, log_vol, *args, **kwargs):
+        records.append((logdens.copy(), log_vol))
+        return grid_sums(logdens, log_vol, *args, **kwargs)
+
+    monkeypatch.setattr(gcquant.lab, "grid_sums", recording)
+    return records
 
 
-def counting_block_evaluations(monkeypatch):
-    """Patch `lab.section_log_density` and `lab.outside_ball` to count their
-    calls; returns the counts."""
-    calls = {"density": 0, "mask": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(gcquant.lab, "section_log_density",
-                        counted("density", section_log_density))
-    monkeypatch.setattr(gcquant.lab, "outside_ball", counted("mask", outside_ball))
-    return calls
-
-
-@pytest.mark.parametrize("dim, per_axis", [(1, 256), (3, 24)])
-def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, dim, per_axis):
-    # the sweep evaluates the canonical part, the deformation term and the
-    # exclusion mask once per block for all s; every density it reduces must
-    # still be the one computed at that s alone, and every reduction that of
-    # the standalone functionals on it, which make the same pass
-    P = box_polytope([(0, 3)] * dim)
-    m = np.ones(dim)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(dim)))
-    x, log_vol = polytope_grid(P, per_axis)
-    values = {"one": np.ones(len(x)), "x1": x[..., 0]}
-    svals = [0.0, 7.0, 2000.0]
-    mask = outside_ball(x, m, 0.3)
-    records = recording_sweep_blocks(monkeypatch)
-    sweep = concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values)
-    for s, sums, (dens, swept_mask) in zip(svals, sweep, swept_grids(records, len(svals)),
-                                          strict=True):
-        ref = section_log_density(pot.at_s(s), m, x)
-        assert np.array_equal(dens, ref) and np.array_equal(swept_mask, mask)
-        assert sums == grid_sums(ref, log_vol, mask, values)
-        assert sums.mass == outside_mass(ref, log_vol, mask)
-        assert sums.sup == concentration_sup(ref, log_vol, mask)
-        assert sums.pairings == {name: delta_pairing(ref, log_vol, v)
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(s_grid=(0.0, 7.0, 2000.0), per_axis=24, flow_per_axis=3),
+    ExperimentConfig(a=(3.0, 2.0), pattern=(2.0, 4.0, 1.0), nu_scale=2.0, schedule_rate=3.0,
+                     per_axis=12, flow_per_axis=3),
+    ExperimentConfig(s_grid=(0.0, 5.0, 40.0), per_axis=64, flow_per_axis=3),
+], ids=["one-block", "weights-3-2", "eight-blocks"])
+def test_sweep_matches_standalone_quadrature_bit_for_bit(monkeypatch, cfg):
+    # combined_experiment evaluates the canonical part, the deformation term
+    # and the exclusion mask once for all s; every density it reduces on the
+    # reported grid (told from the flow route's by its cell volume) must
+    # still be the one computed at that s alone, and every reported
+    # reduction that of `grid_sums` and the standalone functionals on it
+    model = GCTorusModel(cfg.a)
+    xi_star = model.xi_of_pattern(cfg.pattern)
+    xi, log_vol = polytope_grid(model.image_delta(), cfg.per_axis)
+    assert log_vol != polytope_grid(model.image_delta(), cfg.flow_per_axis)[1]
+    lift = model.lifts(xi_star)[0].astype(float)
+    pot = SymplecticPotential(model.ambient_delta(), 0.0, ConvexDeformation(
+        cfg.nu_scale * np.eye(3), iota_star=model.A.astype(float)))
+    x = model.slice_point(xi)
+    mask = outside_ball(xi, xi_star, cfg.eps)
+    values = {"one": 1.0, "xi1": xi[..., 0], "dist2": np.sum((xi - xi_star) ** 2, axis=-1)}
+    records = recording_grid_sums(monkeypatch)
+    rep = combined_experiment(cfg)
+    reported = [dens for dens, lv in records if lv == log_vol]
+    for s, cell, dens in zip(cfg.s_grid, rep.cells, reported, strict=True):
+        ref = section_log_density(pot.at_s(s), lift, x)
+        assert np.array_equal(dens, ref)
+        sums = grid_sums(ref, log_vol, mask, values)
+        assert (cell.outside_mass, cell.sup_outside, cell.pairings) == \
+            (sums.mass, sums.sup, sums.pairings)
+        assert cell.outside_mass == outside_mass(ref, log_vol, mask)
+        assert cell.sup_outside == concentration_sup(ref, log_vol, mask)
+        assert cell.pairings == {name: delta_pairing(ref, log_vol, v)
                                  for name, v in values.items()}
-        assert sums.pairings["one"] == 1.0
+        assert cell.pairings["one"] == 1.0
 
 
-def test_sweep_allocates_no_grid_sized_array_per_s():
-    # the sweep is one pass over the blocks of the grid with block-sized
-    # buffers: traced from the call on, its evaluations of the density, the
-    # deformation term and the mask included, its peak stays below one (N,)
-    # float64 array (2 MB on 64^3 points)
+def test_sweep_allocates_no_grid_sized_array_per_s(monkeypatch):
+    # combined_experiment writes the density of each s into one reused
+    # grid-sized buffer: traced from its ball check on, after b and q are
+    # evaluated, its peak does not grow with the number of s values, not by
+    # one (N,) float64 array.  The whole run's peak is slice_point's, above
+    # that of the reductions, so it is reset at the check.  t(s) = exp(-s / 5)
+    # underflows to 0 from s = 5000 on, so the s values added run no flow
     import tracemalloc
 
-    P = box_polytope([(0, 3)] * 3)
-    m = np.ones(3)
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(3)))
-    x, log_vol = polytope_grid(P, 64)
-    values = {"one": 1.0, "x1": x[..., 0]}
-    tracemalloc.start()
-    try:
-        sweep = concentration_sweep(pot, m, x, [5.0, 10.0, 20.0, 40.0], x, log_vol, m, 0.3,
-                                    values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(sweep) == 4
-    assert peak < 8 * len(x)
+    check = gcquant.lab._check_ball
+
+    def check_ball(*args):
+        tracemalloc.reset_peak()
+        return check(*args)
+
+    monkeypatch.setattr(gcquant.lab, "_check_ball", check_ball)
+
+    def peak(s_grid):
+        tracemalloc.start()
+        try:
+            rep = combined_experiment(ExperimentConfig(s_grid=s_grid, flow_per_axis=3))
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.cells) == len(s_grid)
+        return top
+
+    few = (0.0, 5000.0)
+    many = (0.0, *np.arange(5000.0, 5011.0))
+    assert [math.exp(-s / 5.0) for s in many[1:]] == [0.0] * 11
+    peak(few)  # first-call allocations, such as caches, are not the sweep's
+    n = len(polytope_grid(MODEL.image_delta(), ExperimentConfig().per_axis)[0])
+    assert peak(many) < peak(few) + 8 * n
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_grid_is_coordinate_major_and_its_layout_moves_no_bit(masked):
     # polytope_grid stores one contiguous row per coordinate and returns the
     # (N, d) view of those rows: the points of the C-ordered tensor grid, in
-    # its order; the sweep and slice_point give the same bits on a C-ordered
-    # copy of the grid as on the grid itself
+    # its order; slice_point and the reductions of combined_experiment give
+    # the same bits on a C-ordered copy of the grid as on the grid itself
     per_axis = 32
     if masked:
         model = GCTorusModel((2, 2))
@@ -561,10 +573,12 @@ def test_grid_is_coordinate_major_and_its_layout_moves_no_bit(masked):
 
     def sweep(labels):
         x = points(labels)
+        b, q = section_log_density(pot, m, x), pot.deformer.value(x - m)
+        mask = outside_ball(labels, center, 0.3)
         values = {"one": 1.0, "x1": labels[..., 0],
                   "dist2": np.sum((labels - center) ** 2, axis=-1)}
-        return x, concentration_sweep(pot, m, x, [0.0, 5.0, 40.0], labels, log_vol, center,
-                                      0.3, values)
+        return x, [grid_sums(b - toric.TWO_PI * s * q, log_vol, mask, values)
+                   for s in (0.0, 5.0, 40.0)]
 
     (x, got), (x_copy, want) = sweep(pts), sweep(copy)
     assert np.array_equal(x, x_copy)
@@ -594,45 +608,37 @@ def assert_reductions_close(got, want):
 ])
 @pytest.mark.parametrize("block", ["above", "equal", "k_plus_r", 1])
 def test_sweep_blocks_match_one_block(monkeypatch, P, m, walls, block):
-    # b, q and the exclusion mask are evaluated block by block, and every s
-    # is reduced on each block in turn; N < BLOCK, N = BLOCK and
-    # N = k BLOCK + r must all reduce the single-block densities b - 2 pi s q
-    # and mask bit for bit and give the single-block reductions to rounding,
-    # with m on a wall and grid points on walls (-inf densities)
+    # `grid_sums` reduces each s's density block by block; N < BLOCK,
+    # N = BLOCK and N = k BLOCK + r must all reduce the densities and mask
+    # bit for bit, one block step per block, and give the single-block
+    # reductions to rounding, with m on a wall and grid points on walls
+    # (-inf densities)
     m = np.array(m)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(P.dim)))
     pts, log_vol = polytope_grid(P, 10)
     x = np.concatenate([pts[: len(pts) // 2], walls, pts[len(pts) // 2:]])
     values = {"one": 1.0, "x1": x[..., 0]}
-    svals = [0.0, 7.0, 2000.0]
-    records = recording_sweep_blocks(monkeypatch)
-    calls = counting_block_evaluations(monkeypatch)
+    dens = [section_log_density(pot.at_s(s), m, x) for s in (0.0, 7.0, 2000.0)]
+    mask = outside_ball(x, m, 0.3)
+    records = recording_block_sums(monkeypatch)
 
-    def sweep():
-        # one density and one mask evaluation per block for all s, and one
-        # reduction per block and s
-        records.clear()
-        calls.update(density=0, mask=0)
-        sums = concentration_sweep(pot, m, x, svals, x, log_vol, m, 0.3, values)
-        n_blocks = len(toric.blocks(len(x)))
-        assert calls == {"density": n_blocks, "mask": n_blocks}
-        assert len(records) == n_blocks * len(svals)
-        return sums, swept_grids(records, len(svals))
+    def reduce():
+        out = []
+        for d in dens:
+            records.clear()
+            out.append(grid_sums(d, log_vol, mask, values))
+            assert len(records) == len(toric.blocks(len(x)))
+            assert np.array_equal(np.concatenate([b for b, _ in records]), d)
+            assert np.array_equal(np.concatenate([mk for _, mk in records]), mask)
+        return out
 
-    want, want_grids = sweep()
+    want = reduce()
     n = len(x)
     size = {"above": n + 5, "equal": n, "k_plus_r": (n - 3) // 4}.get(block, block)
     monkeypatch.setattr(toric, "BLOCK", size)
-    got, got_grids = sweep()
-    for sums, want_sums in zip(got, want, strict=True):
+    for sums, want_sums in zip(reduce(), want, strict=True):
         assert_reductions_close(sums, want_sums)
-    mask = outside_ball(x, m, 0.3)
-    for s, (dens, got_mask), (want_dens, want_mask) in zip(svals, got_grids, want_grids,
-                                                           strict=True):
-        assert np.array_equal(dens, want_dens)
-        assert np.array_equal(dens, section_log_density(pot.at_s(s), m, x))
-        assert np.array_equal(got_mask, mask) and np.array_equal(want_mask, mask)
-    assert np.isneginf(want_grids[0][0]).any()
+    assert np.isneginf(dens[0]).any()
 
 
 def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
@@ -645,18 +651,18 @@ def test_sweep_block_of_wall_points_adds_nothing(monkeypatch):
     walls = [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]
     x = np.concatenate([pts[:40], walls, pts[40:]])
     values = {"one": 1.0, "x1": x[..., 0]}
-
-    def sweep():
-        return concentration_sweep(pot, m, x, [0.0, 7.0, 2000.0], x, log_vol, m, 0.3, values)
-
-    want = sweep()
-    records = recording_sweep_blocks(monkeypatch)
+    dens = [section_log_density(pot.at_s(s), m, x) for s in (0.0, 7.0, 2000.0)]
+    mask = outside_ball(x, m, 0.3)
+    want = [grid_sums(d, log_vol, mask, values) for d in dens]
+    records = recording_block_sums(monkeypatch)
     monkeypatch.setattr(toric, "BLOCK", len(walls))
-    for sums, want_sums in zip(sweep(), want, strict=True):
+    for d, want_sums in zip(dens, want, strict=True):
+        sums = grid_sums(d, log_vol, mask, values)
         assert np.isfinite([sums.log_total, sums.mass, sums.sup, *sums.pairings.values()]).all()
         assert_reductions_close(sums, want_sums)
-    b = swept_grids(records, 3)[0][0]
+    b = np.concatenate([b for b, _ in records[:len(toric.blocks(len(x)))]])
     assert np.isneginf(b[40:44]).all() and np.isfinite(b[:40]).all()
+    assert np.isneginf(records[40 // len(walls)][0]).all()
 
 
 def test_grid_sums_scalar_pairs_to_exactly_its_value():
@@ -692,26 +698,29 @@ def test_concentration_sup_reads_the_mask_in_place():
 @pytest.mark.parametrize("eps, message", [(10.0, "covers the whole quadrature grid"),
                                           (1e-3, "contains no quadrature point")])
 def test_sweep_raises_for_a_ball_without_inside_or_outside(eps, message):
-    # 1 is 7.8e-3 from the nearest midpoint of the 64-point grid on [0, 3]
-    P = interval(0, 3)
-    m = np.array([1.0])
-    pot = SymplecticPotential(P, 0.0, ConvexDeformation(np.eye(1)))
-    x, log_vol = polytope_grid(P, 64)
+    # xi* = (1, 1, 1) is 1/16 from the nearest midpoint of the 16-per-axis
+    # reported grid, along xi2 and xi3 on [0, 2]
+    cfg = ExperimentConfig(eps=eps, per_axis=16, flow_per_axis=3)
     with pytest.raises(QuadratureError, match=message):
-        concentration_sweep(pot, m, x, [5.0], x, log_vol, m, eps, {})
+        combined_experiment(cfg)
 
 
 # -- the factored sweep of toric concentrate -------------------------------------
 
 
 def blocked_box_sweep(ranges, nu_scale, m, per_axis, s_values, eps):
-    """`concentration_sweep` on the whole grid of the box, with the inputs
-    `toric concentrate` gives it: the reference of the factored route."""
+    """`grid_sums` of section_log_density at each s on the whole grid of the
+    box, with the inputs `toric concentrate` gives the factored route, after
+    the ball is checked as combined_experiment checks it: the reference of
+    the factored route."""
     P = box_polytope(ranges)
     pot = SymplecticPotential(P, 0.0, ConvexDeformation(nu_scale * np.eye(P.dim)))
     x, log_vol = polytope_grid(P, per_axis)
-    return concentration_sweep(pot, np.asarray(m, dtype=float), x, s_values, x, log_vol, m,
-                               eps, {"one": 1.0, "x1": x[..., 0]})
+    m = np.asarray(m, dtype=float)
+    mask = outside_ball(x, m, eps)
+    gcquant.lab._check_ball(np.count_nonzero(mask), len(mask))
+    return [grid_sums(section_log_density(pot.at_s(s), m, x), log_vol, mask,
+                      {"one": 1.0, "x1": x[..., 0]}) for s in s_values]
 
 
 def box_oracle(ranges, nu_scale, m, per_axis, s, eps):
@@ -769,7 +778,7 @@ def test_box_sweep_matches_closed_form_oracle(ranges, nu_scale, m, per_axis, s_v
     # the factored route and the blocked sweep on the whole grid both agree
     # with the fsum oracle to 1e-12 relative: the first case is the toric3d
     # benchmark's input, the second a box with a negative lo and unequal sides
-    got = box_concentration_sweep(ranges, nu_scale, m, per_axis, s_values, eps)
+    got = box_concentration_sweep(ranges, nu_scale, m, per_axis, s_values, eps)[0]
     ref = blocked_box_sweep(ranges, nu_scale, m, per_axis, s_values, eps)
     for s, sums, ref_sums in zip(s_values, got, ref, strict=True):
         oracle = box_oracle(ranges, nu_scale, m, per_axis, s, eps)
@@ -833,7 +842,7 @@ def test_box_sweep_matches_the_blocked_sweep(data, dim):
         assert counts == [(want_out, len(x))]
         return result
 
-    got, ref = run(box_concentration_sweep), run(blocked_box_sweep)
+    got, ref = run(lambda *args: box_concentration_sweep(*args)[0]), run(blocked_box_sweep)
     if isinstance(ref, str):
         assert got == ref
         assert want_out in (0, len(x))
@@ -1058,26 +1067,16 @@ def test_s0_cell_equals_undeformed_baseline():
 
 def test_flow_route_measure_takes_the_flow_grid_cell_volume(monkeypatch):
     # the flowed points are the coarse grid's: their measure has its cells.
-    # Each flowed s is one `grid_sums` call, each swept s one combination of
-    # the sweep's block sums, and the flow grid's exclusion mask is computed
-    # once for all s
-    log_vols = {"sweep": [], "flow": []}
+    # Each s is one `grid_sums` call on the reported grid, with its cell
+    # volume, then one on the flowed points, with the flow grid's; the
+    # exclusion mask of either grid is computed once for all s
+    records = recording_grid_sums(monkeypatch)
     mask_sizes = []
-
-    def recording_combined(cols, log_vol, values):
-        log_vols["sweep"].append(log_vol)
-        return toric._combined(cols, log_vol, values)
-
-    def recording_grid_sums(logdens, log_vol, *args, **kwargs):
-        log_vols["flow"].append(log_vol)
-        return grid_sums(logdens, log_vol, *args, **kwargs)
 
     def recording_ball(labels, center, eps):
         mask_sizes.append(len(labels))
         return outside_ball(labels, center, eps)
 
-    monkeypatch.setattr(gcquant.lab, "_combined", recording_combined)
-    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
     monkeypatch.setattr(gcquant.lab, "outside_ball", recording_ball)
     # the 1.0-ball holds some but not all of the 4-per-axis flow grid
     cfg = ExperimentConfig(s_grid=(0.0, 5.0), eps=1.0, per_axis=10, flow_per_axis=4)
@@ -1086,7 +1085,8 @@ def test_flow_route_measure_takes_the_flow_grid_cell_volume(monkeypatch):
     xi_flow, flow_log_vol = polytope_grid(img, cfg.flow_per_axis)
     xi_pts, log_vol = polytope_grid(img, cfg.per_axis)
     assert flow_log_vol != log_vol
-    assert log_vols == {"sweep": [log_vol, log_vol], "flow": [flow_log_vol, flow_log_vol]}
+    assert [lv for _, lv in records] == [log_vol, flow_log_vol] * 2
+    assert [len(dens) for dens, _ in records] == [len(xi_pts), len(xi_flow)] * 2
     assert sorted(mask_sizes) == sorted([len(xi_pts), len(xi_flow)])
     assert all(0.0 < c.outside_mass_flow < 1.0 for c in rep.cells)
 
@@ -1095,32 +1095,23 @@ def test_flow_route_measure_takes_the_flow_grid_cell_volume(monkeypatch):
 def test_flow_route_ball_covering_none_or_all_coarse_points(monkeypatch, eps, mass_flow):
     # at 3 points per axis the flow grid's point nearest xi* = (1, 1, 1) is
     # 1/3 away, so the 0.3-ball holds none of its points, and the 2.5-ball
-    # holds all of them; the 12-per-axis grid of the sweep has points on both
+    # holds all of them; the 12-per-axis reported grid has points on both
     # sides of either ball.  The flow route then reports exactly 1 or 0 and
-    # reduces nothing
+    # reduces nothing: every `grid_sums` call has the reported grid's cells
     cfg = ExperimentConfig(s_grid=(0.0, 5.0, 10.0), eps=eps, per_axis=12, flow_per_axis=3)
     img = GCTorusModel(cfg.a).image_delta()
     xi_star = np.ones(3)
-    fine, coarse = polytope_grid(img, cfg.per_axis)[0], polytope_grid(img, cfg.flow_per_axis)[0]
+    fine, log_vol = polytope_grid(img, cfg.per_axis)
+    coarse, flow_log_vol = polytope_grid(img, cfg.flow_per_axis)
+    assert log_vol != flow_log_vol
     assert 0 < outside_ball(fine, xi_star, eps).sum() < len(fine)
     out = outside_ball(coarse, xi_star, eps)
     assert out.all() == out.any() == bool(mass_flow)
-    reduced = []
-
-    def recording_combined(*args):
-        reduced.append("sweep")
-        return toric._combined(*args)
-
-    def recording_grid_sums(*args, **kwargs):
-        reduced.append("flow")
-        return grid_sums(*args, **kwargs)
-
-    monkeypatch.setattr(gcquant.lab, "_combined", recording_combined)
-    monkeypatch.setattr(gcquant.lab, "grid_sums", recording_grid_sums)
+    records = recording_grid_sums(monkeypatch)
     rep = combined_experiment(cfg)
     assert [c.outside_mass_flow for c in rep.cells] == [mass_flow] * 3
     assert all(0.0 < c.outside_mass < 1.0 for c in rep.cells[:2])
-    assert reduced == ["sweep"] * 3
+    assert [lv for _, lv in records] == [log_vol] * 3
 
 
 def test_gc_check_chained_gaps_match_independent_flows():

@@ -301,7 +301,7 @@ def test_density_matches_out_of_place_reference():
     # the in-place evaluation keeps the arithmetic of the plain formula, with
     # the deformation term shifted to vanish at m, bit for bit, on walls and
     # on walls shared with m (0 log 0 = 0) included; so does the s-sweep of
-    # lab.concentration_sweep, b - 2 pi s q with b and q evaluated once
+    # lab.combined_experiment, b - 2 pi s q with b and q evaluated once
     P = box_polytope([(0, 3), (0, 2)])
     pts, _ = polytope_grid(P, 12)
     x = np.concatenate([pts, [[0.0, 1.0], [1.5, 0.0], [0.0, 0.0], [3.0, 2.0]]])
